@@ -1,48 +1,16 @@
-"""Runtime backend selection: rational type and term-arithmetic kernel.
+"""The exact term kernel and the rational type.
 
-Two independent switches, both resolved once at import:
-
-* coefficients: ``gmpy2.mpq`` when installed (C-speed exact rationals),
-  otherwise ``fractions.Fraction``; force the latter with
-  ``BILAX_RATIONAL=fractions``.
-* kernels: the compiled ``_poly_cy`` extension when built, otherwise the
-  pure-Python ``_poly_pure`` module; force the fallback with ``BILAX_PURE=1``.
-
-Both backends are exact and produce identical results; see
-``benchmarks/bench_kernel.py`` for the speed comparison.
+There is one of each: ``kernel`` (int or ``fractions.Fraction``
+coefficients, packed exponent keys) and ``fractions.Fraction`` as ``QQ``
+for rationals built outside the kernel.  The two names below are recorded
+in reports so that a result can be traced to the arithmetic that made it.
 """
 
-import os
+from fractions import Fraction as QQ
 
-if os.environ.get("BILAX_RATIONAL") == "fractions":
-    from fractions import Fraction as QQ
+from . import kernel
 
-    RATIONAL_BACKEND = "fractions"
-else:
-    try:
-        from gmpy2 import mpq as QQ
+KERNEL_BACKEND = "packed"
+RATIONAL_BACKEND = "fractions"
 
-        RATIONAL_BACKEND = "gmpy2"
-    except ImportError:
-        from fractions import Fraction as QQ
-
-        RATIONAL_BACKEND = "fractions"
-
-if os.environ.get("BILAX_PURE") == "1":
-    from . import _poly_pure as kernel
-
-    KERNEL_BACKEND = "pure"
-else:
-    try:
-        from . import _poly_cy as kernel  # type: ignore[attr-defined]
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:
-        from . import _poly_pure as kernel
-
-        KERNEL_BACKEND = "pure"
-
-
-def rational(*args):
-    """Exact rational constructor of the active backend."""
-    return QQ(*args)
+__all__ = ["KERNEL_BACKEND", "QQ", "RATIONAL_BACKEND", "kernel"]

@@ -3,7 +3,6 @@
 Exit codes are a stable contract: 0 success, 1 check or tolerance failure,
 2 usage/config error.  Verification runs fully symbolic (parameters free),
 so its outcome is seed-independent; only simulate consumes the seed.
-``BILAX_THREADS`` caps the worker pool used for independent relation checks.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as PyFraction
 
 import numpy as np
@@ -49,14 +47,7 @@ from .toda_models import (
     parameter_constant_difference,
 )
 
-DEFAULT_MU_SAMPLES = "0.3,0.7,1.1,1.9,2.3"
-
-
-def max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BILAX_THREADS", "1")))
-    except ValueError:
-        return 1
+DEFAULT_MU_SAMPLES = ",".join(map(str, dynamics.DEFAULT_MU_SAMPLES))
 
 
 def _load_params(raw: str | None) -> dict:
@@ -93,7 +84,7 @@ def _verify_reports(model) -> list:
     rb = rational_r_builder(ring)
     offsite = (1, 2) if model.N >= 2 else (1, 1)
 
-    # shared artifacts first so the parallel phase only reads the cache
+    # shared artifacts first, so every check reads them from the cache
     expansion(model)
     hamiltonian(model)
 
@@ -118,12 +109,7 @@ def _verify_reports(model) -> list:
             5, lambda: _named("nondynamical_kminus", check_nondynamical(model.km, ps))
         )
 
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda j: j(), jobs))
-    else:
-        reports = [j() for j in jobs]
+    reports = [j() for j in jobs]
 
     reports.extend(check_theorem_zc(ps, model.lax, model.km, model.kp, model.N, rb))
     reports.extend(

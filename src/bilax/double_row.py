@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .backend import QQ
 from .backend import kernel as K
+from .kernel import canon, quo
 from .phase_ring import (
     Fraction,
     PhaseRing,
@@ -252,15 +252,16 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
         return Fraction(ring.zero)
 
     # S_m coefficients of lam^-(shift+m) in prod 1/(c*lam+g)^e
-    series = {0: {ring.zero_exp: QQ(1)}}
+    pk = ring.pk
+    series = {0: {ring.zero_exp: 1}}
     for c, g, e in series_factors:
-        inv_c = QQ(1) / c
+        inv_c = quo(1, c)
         fac = {}
-        gk = {ring.zero_exp: QQ(1)}  # g^k, built incrementally
+        gk = {ring.zero_exp: 1}  # g^k, built incrementally
         for k_ in range(depth + 1):
-            coef = QQ(math.comb(e - 1 + k_, k_)) * ((-1) ** k_) * inv_c ** (e + k_)
+            coef = canon(math.comb(e - 1 + k_, k_) * (-1) ** k_ * inv_c ** (e + k_))
             fac[k_] = K.scale(gk, coef)
-            gk = K.mul(gk, g.terms)
+            gk = K.mul(gk, g.terms, pk)
         new = {}
         for m1, t1 in series.items():
             for m2, t2 in fac.items():
@@ -268,14 +269,14 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
                 if m > depth:
                     continue
                 acc = new.setdefault(m, {})
-                K.mul_acc(acc, t1, t2)
+                K.mul_acc(acc, t1, t2, pk)
         series = new
 
     out: dict = {}
     for m_, sm in series.items():
         a_q = num.coeff_of("lam", p + shift + m_)
         if not a_q.is_zero and sm:
-            K.mul_acc(out, a_q.terms, sm)
+            K.mul_acc(out, a_q.terms, sm, pk)
     result = Fraction(RingElement(ring, out))
     for el, e in side:
         result = result / Fraction(el) ** e

@@ -50,8 +50,7 @@ def _poly_source(el: RingElement) -> str:
     if not el.terms:
         return "0.0"
     parts = []
-    for exps in sorted(el.terms, reverse=True):
-        c = el.terms[exps]
+    for exps, c in sorted(el.monomials(), reverse=True):
         factors = [repr(float(c))]
         for i, e in enumerate(exps):
             if e == 1:
@@ -256,9 +255,6 @@ class Trajectory:
 
     def point(self, idx: int) -> dict:
         return dict(zip(self.state_names, self.states[idx]))
-
-    def final_point(self) -> dict:
-        return self.point(len(self.times) - 1)
 
 
 def _rk4_step(f, y, dt):

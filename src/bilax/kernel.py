@@ -1,0 +1,227 @@
+"""The exact term kernel: sparse Laurent polynomials as dicts.
+
+A polynomial is a dict from a packed exponent key to a nonzero coefficient.
+
+* A coefficient is an ``int`` whenever it is integral and a
+  ``fractions.Fraction`` only when it is not; ``canon`` is the one place
+  that decides, and every function here returns canonical coefficients.
+  No ``/`` is ever applied to coefficients (``int / int`` is a float); use
+  ``quo``.
+* A key packs one exponent vector into one int (see ``Packing``): a
+  monomial product is one integer addition, and integer order is the
+  lexicographic order of the exponent tuples.
+
+Inputs are never mutated unless the name says so; zero coefficients are
+never stored.  The packed layout follows Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors" (2007).
+"""
+
+from fractions import Fraction
+
+FIELD_BITS = 16
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+#: bias of a Laurent slot; other slots have bias 0
+LAURENT_BIAS = 1 << (FIELD_BITS - 2)
+
+
+class StructureError(ValueError):
+    """Malformed algebraic input: unknown generator, zero denominator, ..."""
+
+
+def canon(c):
+    """The canonical form of an exact rational: int when integral."""
+    if type(c) is int:
+        return c
+    if c.denominator == 1:
+        return int(c.numerator)
+    return c
+
+
+def quo(a, b):
+    """Exact quotient of two rationals, in canonical form."""
+    return canon(Fraction(a, b))
+
+
+class Packing:
+    """Layout of exponent vectors packed into one int.
+
+    Slot i holds ``e_i + bias_i`` in a ``FIELD_BITS``-wide field; slot 0 is
+    the most significant field, so comparing keys compares exponent tuples
+    lexicographically.  Laurent slots are biased by ``LAURENT_BIAS`` and hold
+    exponents in ``[-2**14, 2**14)``; other slots have bias 0 and hold
+    ``[0, 2**15)``.  The top bit of each field is a guard bit, clear in every
+    valid key.
+
+    Adding to a valid key a displacement whose slots each lie strictly
+    between ``-2**15`` and ``2**15`` cannot carry a field past its width,
+    and the least significant field that leaves its range keeps its guard
+    bit set whatever the fields above it borrow; so ``check`` (``key &
+    guard``) detects overflow, and negative exponents on non-Laurent slots,
+    after the fact.  In a product the true value of each slot lies in a
+    window narrower than a field, so distinct exponent vectors never share
+    a key even before the check.
+    """
+
+    def __init__(self, laurent):
+        n = self.nvars = len(laurent)
+        self.shifts = tuple((n - 1 - i) * FIELD_BITS for i in range(n))
+        self.biases = tuple(LAURENT_BIAS if lau else 0 for lau in laurent)
+        #: key of the zero exponent vector
+        self.one = sum(b << s for b, s in zip(self.biases, self.shifts))
+        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
+        top = 1 << (FIELD_BITS - 1)
+        self._ranges = tuple((-b, top - b) for b in self.biases)
+
+    def pack(self, exps) -> int:
+        """Key of an exponent tuple; StructureError when a slot is out of range."""
+        if len(exps) != self.nvars:
+            raise StructureError("exponent vector of length %d, ring has %d slots"
+                                 % (len(exps), self.nvars))
+        key = 0
+        for e, (lo, hi), b, s in zip(exps, self._ranges, self.biases, self.shifts):
+            if not lo <= e < hi:
+                if e < 0 and not b:
+                    raise StructureError("negative exponent on a non-Laurent slot")
+                raise StructureError("exponent %d overflows its %d-bit field"
+                                     % (e, FIELD_BITS))
+            key |= (e + b) << s
+        return key
+
+    def unpack(self, key) -> tuple:
+        """Exponent tuple of a key."""
+        return tuple(((key >> s) & _FIELD_MASK) - b
+                     for b, s in zip(self.biases, self.shifts))
+
+    def exponent(self, key, i) -> int:
+        """Exponent of slot i in a key."""
+        return ((key >> self.shifts[i]) & _FIELD_MASK) - self.biases[i]
+
+    def displacement(self, exps) -> int:
+        """Signed offset that adds ``exps`` to a key (for ``mul_term``)."""
+        top = 1 << (FIELD_BITS - 1)
+        if not all(-top < e < top for e in exps):
+            raise StructureError("exponent shift overflows its %d-bit field" % FIELD_BITS)
+        return sum(e << s for e, s in zip(exps, self.shifts))
+
+    def check(self, terms):
+        """Raise StructureError when a key left its fields' ranges."""
+        if any(map(self.guard.__and__, terms)):
+            raise StructureError(
+                "exponent overflow: a slot left its %d-bit field or a "
+                "non-Laurent exponent went negative" % FIELD_BITS)
+
+
+def _finish(out, pk):
+    """Drop zeros, make integral Fractions ints, check the keys."""
+    for e in [e for e, c in out.items() if type(c) is not int or not c]:
+        c = out[e]
+        if c:
+            out[e] = canon(c)
+        else:
+            del out[e]
+    pk.check(out)
+    return out
+
+
+def mul(a, b, pk):
+    """Product of two term dicts."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        (eb, cb), = b.items()
+        return mul_term(a, eb - pk.one, cb, pk)
+    out = {}
+    _mul_into(out, a, b, pk)
+    return out
+
+
+def mul_acc(out, a, b, pk):
+    """In-place ``out += a*b``."""
+    _mul_into(out, a, b, pk)
+
+
+def _mul_into(out, a, b, pk):
+    # shared by mul and mul_acc so that neither calls the other: each is
+    # timed on its own when the benchmark traces the kernel
+    if not a or not b:
+        return
+    if len(a) < len(b):
+        a, b = b, a
+    get = out.get
+    one = pk.one
+    for eb, cb in b.items():
+        d = eb - one
+        for ea, ca in a.items():
+            e = ea + d
+            out[e] = get(e, 0) + ca * cb
+    _finish(out, pk)
+
+
+def add(a, b):
+    """Sum of two term dicts."""
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        c0 = get(e)
+        if c0 is None:
+            out[e] = c
+        else:
+            c = c0 + c
+            if not c:
+                del out[e]
+            else:
+                out[e] = c if type(c) is int else canon(c)
+    return out
+
+
+def sub(a, b):
+    """Difference of two term dicts."""
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        c0 = get(e)
+        if c0 is None:
+            out[e] = -c
+        else:
+            c = c0 - c
+            if not c:
+                del out[e]
+            else:
+                out[e] = c if type(c) is int else canon(c)
+    return out
+
+
+def neg(a):
+    """Negation of a term dict."""
+    return {e: -c for e, c in a.items()}
+
+
+def scale(a, c):
+    """Multiply every coefficient by the rational ``c``."""
+    if not c:
+        return {}
+    out = {e: c * v for e, v in a.items()}
+    for e in [e for e, v in out.items() if type(v) is not int]:
+        out[e] = canon(out[e])
+    return out
+
+
+def mul_term(a, shift, c, pk):
+    """Multiply by the single monomial ``c * x^exps``, where ``shift`` is
+    ``pk.displacement(exps)``."""
+    if not c:
+        return {}
+    out = {e + shift: c * v for e, v in a.items()}
+    return _finish(out, pk)
+
+
+def diff(a, i, pk):
+    """Partial derivative with respect to variable slot ``i``."""
+    s, b = pk.shifts[i], pk.biases[i]
+    step = 1 << s
+    out = {}
+    for e, c in a.items():
+        k = ((e >> s) & _FIELD_MASK) - b
+        if k:
+            out[e - step] = c * k
+    return _finish(out, pk)

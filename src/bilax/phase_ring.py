@@ -1,7 +1,8 @@
 """Exact phase-space algebra.
 
 Phase-space functions are Laurent polynomials in named generators with exact
-rational coefficients: coordinates enter only through their exponentials
+rational coefficients (``int`` when integral, ``fractions.Fraction`` when
+not; see ``kernel``): coordinates enter only through their exponentials
 ``u_j = e^{x_j}`` (the one generator kind allowed negative exponents), so
 every identity we care about is decided by exact normalization.  A Poisson
 bracket is declared on generator pairs and extended to arbitrary elements as
@@ -22,10 +23,7 @@ from fractions import Fraction as _PyFraction
 
 from .backend import QQ
 from .backend import kernel as K
-
-
-class StructureError(ValueError):
-    """Malformed algebraic input: unknown generator, zero denominator, ..."""
+from .kernel import Packing, StructureError, canon, quo
 
 
 class Kind(enum.Enum):
@@ -55,16 +53,16 @@ class Generator:
 
 
 def _qq(c):
-    """Coerce to the exact rational backend; floats are rejected."""
+    """Coerce to a canonical exact rational (``kernel.canon``); floats are
+    rejected."""
     if isinstance(c, float):
         raise StructureError("floating point coefficient in exact ring: %r" % c)
+    if isinstance(c, (int, QQ)):
+        return canon(c)
     try:
-        return QQ(c)
+        return canon(QQ(c))
     except TypeError:
-        return QQ(c.numerator, c.denominator)
-
-
-_ONE = QQ(1)
+        return canon(QQ(c.numerator, c.denominator))
 
 
 class PhaseRing:
@@ -83,17 +81,19 @@ class PhaseRing:
         self.names = tuple(names)
         self.index = {n: i for i, n in enumerate(names)}
         self.nvars = len(gens)
-        self.zero_exp = (0,) * self.nvars
         self._laurent = tuple(g.kind is Kind.COORD_EXP for g in gens)
-        self._field_slots = tuple(
-            i for i, g in enumerate(gens) if g.kind in FIELD_KINDS
-        )
-        self._spectral_slots = tuple(
-            i for i, g in enumerate(gens) if g.kind is Kind.SPECTRAL
+        #: exponent packing of this ring's term keys
+        self.pk = Packing(self._laurent)
+        #: key of the constant monomial
+        self.zero_exp = self.pk.one
+        self._nonparameter_slots = tuple(
+            i
+            for i, g in enumerate(gens)
+            if g.kind in FIELD_KINDS or g.kind is Kind.SPECTRAL
         )
         self._pow_cache: dict = {}
         self.zero = RingElement(self, {})
-        self.one = RingElement(self, {self.zero_exp: _ONE})
+        self.one = RingElement(self, {self.zero_exp: 1})
 
     def __repr__(self):
         return "PhaseRing(%s)" % ", ".join(self.names)
@@ -109,8 +109,7 @@ class PhaseRing:
 
     def gen(self, name: str) -> "RingElement":
         i = self.slot(name)
-        exp = self.zero_exp[:i] + (1,) + self.zero_exp[i + 1 :]
-        return RingElement(self, {exp: _ONE})
+        return RingElement(self, {self.zero_exp + (1 << self.pk.shifts[i]): 1})
 
     def kind_of(self, name: str) -> Kind:
         return self.generators[self.slot(name)].kind
@@ -124,7 +123,7 @@ class PhaseRing:
 
     def monomial(self, powers: dict, coeff=1) -> "RingElement":
         """Monomial from {generator name: exponent}; only u may be negative."""
-        exp = list(self.zero_exp)
+        exp = [0] * self.nvars
         for name, e in powers.items():
             i = self.slot(name)
             if e < 0 and not self._laurent[i]:
@@ -133,24 +132,34 @@ class PhaseRing:
                 )
             exp[i] = e
         c = _qq(coeff)
-        return RingElement(self, {tuple(exp): c} if c else {})
+        return RingElement(self, {self.pk.pack(exp): c} if c else {})
 
     def element(self, terms: dict) -> "RingElement":
-        return RingElement(self, terms)
+        """Element from {exponent tuple: coefficient}."""
+        out = {}
+        for exps, c in terms.items():
+            c = _qq(c)
+            if c:
+                out[self.pk.pack(exps)] = c
+        return RingElement(self, out)
 
     def _pow_terms(self, el: "RingElement", p: int) -> dict:
         key = (el.key(), p)
         out = self._pow_cache.get(key)
         if out is None:
-            out = {self.zero_exp: _ONE}
+            out = {self.zero_exp: 1}
             for _ in range(p):
-                out = K.mul(out, el.terms)
+                out = K.mul(out, el.terms, self.pk)
             self._pow_cache[key] = out
         return out
 
 
 class RingElement:
-    """Exact Laurent polynomial over a :class:`PhaseRing`."""
+    """Exact Laurent polynomial over a :class:`PhaseRing`.
+
+    ``terms`` maps packed exponent keys (``ring.pk``) to canonical
+    coefficients; ``monomials()`` yields the exponent tuples.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -172,19 +181,21 @@ class RingElement:
 
     def constant_value(self):
         if not self.terms:
-            return QQ(0)
+            return 0
         if not self.is_constant:
             raise StructureError("not a constant: %s" % self)
         return self.terms[self.ring.zero_exp]
 
     def is_parameter_constant(self) -> bool:
         """True when no field or spectral generator appears."""
-        slots = self.ring._field_slots + self.ring._spectral_slots
-        return all(all(e[i] == 0 for i in slots) for e in self.terms)
+        exponent = self.ring.pk.exponent
+        slots = self.ring._nonparameter_slots
+        return all(all(exponent(e, i) == 0 for i in slots) for e in self.terms)
 
     def involves(self, name: str) -> bool:
         i = self.ring.slot(name)
-        return any(e[i] for e in self.terms)
+        exponent = self.ring.pk.exponent
+        return any(exponent(e, i) for e in self.terms)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -226,7 +237,9 @@ class RingElement:
         if isinstance(other, RingElement):
             if not self.ring.compatible(other.ring):
                 raise StructureError("elements from incompatible rings")
-            return RingElement(self.ring, K.mul(self.terms, other.terms))
+            return RingElement(
+                self.ring, K.mul(self.terms, other.terms, self.ring.pk)
+            )
         if isinstance(other, Fraction):
             return NotImplemented
         if isinstance(other, float):
@@ -245,27 +258,29 @@ class RingElement:
     def __pow__(self, p: int):
         if not isinstance(p, int):
             return NotImplemented
+        pk = self.ring.pk
         if p < 0:
             if len(self.terms) != 1:
                 raise StructureError("negative power of a non-monomial")
-            (exp, c), = self.terms.items()
+            (key, c), = self.terms.items()
+            exp = pk.unpack(key)
             for i, e in enumerate(exp):
                 if e and not self.ring._laurent[i]:
                     raise StructureError(
                         "negative power touches non-Laurent generator"
                     )
             return RingElement(
-                self.ring, {tuple(e * p for e in exp): _ONE / (c ** (-p))}
+                self.ring, {pk.pack([e * p for e in exp]): quo(1, c ** (-p))}
             )
-        out = {self.ring.zero_exp: _ONE}
+        out = {self.ring.zero_exp: 1}
         base = self.terms
         k = p
         while k:
             if k & 1:
-                out = K.mul(out, base)
+                out = K.mul(out, base, pk)
             k >>= 1
             if k:
-                base = K.mul(base, base)
+                base = K.mul(base, base, pk)
         return RingElement(self.ring, out)
 
     def __eq__(self, other):
@@ -290,32 +305,39 @@ class RingElement:
     # -- calculus & structure -------------------------------------------
 
     def diff(self, name: str) -> "RingElement":
-        return RingElement(self.ring, K.diff(self.terms, self.ring.slot(name)))
+        ring = self.ring
+        return RingElement(ring, K.diff(self.terms, ring.slot(name), ring.pk))
 
     def coeff_of(self, name: str, power: int) -> "RingElement":
         """Coefficient of name**power (the slot is zeroed in the result)."""
         i = self.ring.slot(name)
+        exponent = self.ring.pk.exponent
+        drop = power << self.ring.pk.shifts[i]
         out = {}
         for e, c in self.terms.items():
-            if e[i] == power:
-                out[e[:i] + (0,) + e[i + 1 :]] = c
+            if exponent(e, i) == power:
+                out[e - drop] = c
         return RingElement(self.ring, out)
 
     def degree_in(self, name: str) -> int:
         i = self.ring.slot(name)
-        return max((e[i] for e in self.terms), default=0)
-
-    def min_degree_in(self, name: str) -> int:
-        i = self.ring.slot(name)
-        return min((e[i] for e in self.terms), default=0)
+        exponent = self.ring.pk.exponent
+        return max((exponent(e, i) for e in self.terms), default=0)
 
     def key(self):
         """Hashable canonical form (sorted term tuple)."""
         return tuple(sorted(self.terms.items()))
 
+    def monomials(self):
+        """(exponent tuple, coefficient) for every term."""
+        unpack = self.ring.pk.unpack
+        for e, c in self.terms.items():
+            yield unpack(e), c
+
     def leading(self):
+        """(exponent tuple, coefficient) of the lexicographically largest term."""
         e = max(self.terms)
-        return e, self.terms[e]
+        return self.ring.pk.unpack(e), self.terms[e]
 
     def substitute(self, mapping: dict) -> "Fraction":
         """Substitute generators by elements/fractions/rationals.
@@ -324,24 +346,25 @@ class RingElement:
         invertible (handled at the Fraction level).
         """
         ring = self.ring
+        exponent, shifts = ring.pk.exponent, ring.pk.shifts
         sub = {}
         for name, val in mapping.items():
             sub[ring.slot(name)] = as_fraction(ring, val)
         out = Fraction(ring.zero)
         powcache: dict = {}
-        for exps, c in self.terms.items():
-            rest = list(exps)
+        for key, c in self.terms.items():
+            rest = key
             fac = None
             for i, val in sub.items():
-                e = exps[i]
+                e = exponent(key, i)
                 if e:
-                    rest[i] = 0
+                    rest -= e << shifts[i]
                     p = powcache.get((i, e))
                     if p is None:
                         p = val ** e
                         powcache[(i, e)] = p
                     fac = p if fac is None else fac * p
-            term = Fraction(RingElement(ring, {tuple(rest): c}))
+            term = Fraction(RingElement(ring, {rest: c}))
             out = out + (term if fac is None else term * fac)
         return out
 
@@ -349,7 +372,7 @@ class RingElement:
         """Plain floating-point evaluation at {generator name: value}."""
         names = self.ring.names
         total = 0.0
-        for exps, c in self.terms.items():
+        for exps, c in self.monomials():
             v = float(c)
             for i, e in enumerate(exps):
                 if e:
@@ -363,9 +386,11 @@ class RingElement:
         if not self.terms:
             return "0"
         names = self.ring.names
+        unpack = self.ring.pk.unpack
         parts = []
-        for exps in sorted(self.terms, reverse=True):
-            c = self.terms[exps]
+        for key in sorted(self.terms, reverse=True):
+            c = self.terms[key]
+            exps = unpack(key)
             mono = "*".join(
                 names[i] if e == 1 else "%s^%d" % (names[i], e)
                 for i, e in enumerate(exps)
@@ -405,20 +430,22 @@ def _push_den(ring: PhaseRing, num_terms: dict, factors: dict, el: RingElement, 
     t = el.terms
     if not t:
         raise StructureError("zero denominator")
+    pk = ring.pk
     if len(t) == 1:
-        (exp, c), = t.items()
+        (key, c), = t.items()
         fold = [0] * ring.nvars
-        for i, e in enumerate(exp):
+        for i, e in enumerate(pk.unpack(key)):
             if e:
                 if ring._laurent[i]:
                     fold[i] = -e * power
                 else:
                     _factor_add(factors, ring.gen(ring.names[i]), e * power)
-        return K.mul_term(num_terms, tuple(fold), _ONE / (c ** power))
-    lead_exp, lc = el.leading()
+        return K.mul_term(num_terms, pk.displacement(fold), quo(1, c ** power), pk)
+    lc = t[max(t)]
     if lc != 1:
-        el = el * (_ONE / lc)
-        num_terms = K.scale(num_terms, (_ONE / lc) ** power)
+        inv = quo(1, lc)
+        el = el * inv
+        num_terms = K.scale(num_terms, canon(inv ** power))
     _factor_add(factors, el, power)
     return num_terms
 
@@ -427,21 +454,25 @@ def _cancel(ring: PhaseRing, num_terms: dict, factors: dict) -> tuple:
     """Drop factors cancelled by the numerator (single-variable atoms only)."""
     if not num_terms:
         return ()
+    pk = ring.pk
     out = []
     for key, (el, p) in factors.items():
         if p == 0:
             continue
         if len(el.terms) == 1:
-            (exp, c), = el.terms.items()
+            (ekey, c), = el.terms.items()
+            exp = pk.unpack(ekey)
             live = [i for i, e in enumerate(exp) if e]
             if c == 1 and len(live) == 1 and exp[live[0]] == 1:
                 i = live[0]
-                m = min(e[i] for e in num_terms)
+                m = min(pk.exponent(e, i) for e in num_terms)
                 take = p if ring._laurent[i] else min(p, max(m, 0))
                 if take > 0:
                     shift = [0] * ring.nvars
                     shift[i] = -take
-                    num_terms_new = K.mul_term(num_terms, tuple(shift), _ONE)
+                    num_terms_new = K.mul_term(
+                        num_terms, pk.displacement(shift), 1, pk
+                    )
                     num_terms.clear()
                     num_terms.update(num_terms_new)
                     p -= take
@@ -487,9 +518,9 @@ class Fraction:
     def den(self) -> RingElement:
         d = self._den
         if d is None:
-            terms = {self.ring.zero_exp: _ONE}
+            terms = {self.ring.zero_exp: 1}
             for el, p in self._factors:
-                terms = K.mul(terms, self.ring._pow_terms(el, p))
+                terms = K.mul(terms, self.ring._pow_terms(el, p), self.ring.pk)
             d = RingElement(self.ring, terms)
             self._den = d
         return d
@@ -533,13 +564,14 @@ class Fraction:
                 union[key] = (el, p)
         a = self.num.terms
         b = o.num.terms
+        pk = self.ring.pk
         for key, (el, p) in union.items():
             ps = p - fs.get(key, (None, 0))[1]
             po = p - fo.get(key, (None, 0))[1]
             if ps:
-                a = K.mul(a, self.ring._pow_terms(el, ps))
+                a = K.mul(a, self.ring._pow_terms(el, ps), pk)
             if po:
-                b = K.mul(b, self.ring._pow_terms(el, po))
+                b = K.mul(b, self.ring._pow_terms(el, po), pk)
         return Fraction._make(self.ring, K.add(a, b), union)
 
     __radd__ = __add__
@@ -567,7 +599,7 @@ class Fraction:
             else:
                 factors[key] = (el, p)
         return Fraction._make(
-            self.ring, K.mul(self.num.terms, o.num.terms), factors
+            self.ring, K.mul(self.num.terms, o.num.terms, self.ring.pk), factors
         )
 
     __rmul__ = __mul__
@@ -593,9 +625,9 @@ class Fraction:
         if self.is_zero:
             raise StructureError("zero denominator (reciprocal of zero)")
         factors: dict = {}
-        terms = {self.ring.zero_exp: _ONE}
+        terms = {self.ring.zero_exp: 1}
         for el, p in self._factors:
-            terms = K.mul(terms, self.ring._pow_terms(el, p))
+            terms = K.mul(terms, self.ring._pow_terms(el, p), self.ring.pk)
         terms = _push_den(self.ring, terms, factors, self.num, 1)
         return Fraction._make(self.ring, terms, factors)
 
@@ -620,8 +652,9 @@ class Fraction:
             return NotImplemented
         if self._factors == o._factors:
             return self.num.terms == o.num.terms
-        left = K.mul(self.num.terms, o.den.terms)
-        right = K.mul(o.num.terms, self.den.terms)
+        pk = self.ring.pk
+        left = K.mul(self.num.terms, o.den.terms, pk)
+        right = K.mul(o.num.terms, self.den.terms, pk)
         return left == right
 
     def __ne__(self, other):
@@ -669,7 +702,7 @@ def as_fraction(ring: PhaseRing, value) -> Fraction | None:
         return Fraction(value)
     if isinstance(value, float):
         raise StructureError("floating point in exact ring")
-    if isinstance(value, (int, _PyFraction)) or type(value) is type(_ONE):
+    if isinstance(value, (int, _PyFraction)):
         return Fraction(ring.const(value))
     try:
         return Fraction(ring.const(_qq(value)))
@@ -746,17 +779,18 @@ class PoissonStructure:
         ft, gt = f.terms, g.terms
         if not ft or not gt:
             return ring.zero
+        pk = ring.pk
         out: dict = {}
         for (i, j), el in self._table.items():
-            dfi = K.diff(ft, i)
-            dgj = K.diff(gt, j) if dfi else {}
-            dfj = K.diff(ft, j)
-            dgi = K.diff(gt, i) if dfj else {}
-            s = K.mul(dfi, dgj) if dfi and dgj else {}
+            dfi = K.diff(ft, i, pk)
+            dgj = K.diff(gt, j, pk) if dfi else {}
+            dfj = K.diff(ft, j, pk)
+            dgi = K.diff(gt, i, pk) if dfj else {}
+            s = K.mul(dfi, dgj, pk) if dfi and dgj else {}
             if dfj and dgi:
-                s = K.sub(s, K.mul(dfj, dgi))
+                s = K.sub(s, K.mul(dfj, dgi, pk))
             if s:
-                K.mul_acc(out, s, el.terms)
+                K.mul_acc(out, s, el.terms, pk)
         return RingElement(ring, out)
 
     def bracket_fraction(self, f, g) -> Fraction:
@@ -807,42 +841,55 @@ class PoissonStructure:
         return bad
 
 
+def _degree_box(terms: dict, pk: Packing):
+    """Per-slot (minimum, maximum) exponents of a nonzero term dict."""
+    slots = list(zip(*map(pk.unpack, terms)))
+    return [min(col) for col in slots], [max(col) for col in slots]
+
+
 def exact_divide(num: RingElement, den: RingElement) -> RingElement | None:
     """Exact polynomial quotient num/den, or None when den does not divide.
 
     Laurent slots may go negative in the quotient; all other slots must stay
-    non-negative.
+    non-negative.  Degrees add in an integral domain, so if den divides num
+    every quotient exponent in slot i lies in the box
+    ``[min_i(num) - min_i(den), max_i(num) - max_i(den)]``.  Each division
+    step emits a quotient exponent strictly below the previous one in the
+    term order, so the steps end within the box's size; a step outside the
+    box proves that den does not divide.
     """
     ring = num.ring
     if den.is_zero:
         raise StructureError("division by zero element")
     if num.is_zero:
         return ring.zero
-    ed, cd = den.leading()
+    pk = ring.pk
+    nlo, nhi = _degree_box(num.terms, pk)
+    dlo, dhi = _degree_box(den.terms, pk)
+    box = [(a - b, c - d) for a, b, c, d in zip(nlo, dlo, nhi, dhi)]
+    if any(lo < 0 and not lau for (lo, _), lau in zip(box, ring._laurent)):
+        return None
+    ed = max(den.terms)
+    cd = den.terms[ed]
+    d_exp = pk.unpack(ed)
     q: dict = {}
     r = dict(num.terms)
-    steps = 0
     while r:
-        # Laurent slots break well-foundedness of the term order; a
-        # non-multiple can descend forever, so cap the division length.
-        steps += 1
-        if steps > 1000:
-            return None
         er = max(r)
-        cr = r[er]
-        qe = tuple(a - b for a, b in zip(er, ed))
-        if any(e < 0 and not ring._laurent[i] for i, e in enumerate(qe)):
+        qexp = [a - b for a, b in zip(pk.unpack(er), d_exp)]
+        if not all(lo <= e <= hi for e, (lo, hi) in zip(qexp, box)):
             return None
-        qc = cr / cd
+        qc = quo(r[er], cd)
+        qe = pk.pack(qexp)
         q[qe] = qc
-        for e, c in K.mul_term(den.terms, qe, qc).items():
+        for e, c in K.mul_term(den.terms, qe - pk.one, qc, pk).items():
             c0 = r.get(e)
             if c0 is None:
                 r[e] = -c
             else:
                 c0 = c0 - c
                 if c0:
-                    r[e] = c0
+                    r[e] = canon(c0)
                 else:
                     del r[e]
     return RingElement(ring, q)

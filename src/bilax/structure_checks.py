@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .phase_ring import PoissonStructure, StructureError
+from .phase_ring import PoissonStructure
 from .spectral_matrix import (
     SpectralMatrix,
     commutator,
@@ -252,8 +252,3 @@ def count_failing_sign_mutations(check, builder, probe: SpectralMatrix, wrap=fli
         if not report.holds:
             fails += 1
     return fails
-
-
-def require_structure(cond: bool, message: str):
-    if not cond:
-        raise StructureError(message)

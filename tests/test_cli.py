@@ -12,6 +12,13 @@ def test_verify_bcn_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_bcn4_passes(capsys):
+    assert main(["verify", "--model", "bcn", "--N", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 20
+    assert all(line.startswith("PASS ") for line in lines)
+
+
 def test_verify_invalid_site_count(capsys):
     assert main(["verify", "--model", "bcn", "--N", "0"]) == 2
     assert main(["verify", "--model", "dn", "--N", "1"]) == 2
@@ -154,9 +161,3 @@ def test_simulate_svg(tmp_path):
     assert code == 0
     assert (tmp_path / "run.svg").read_text().startswith("<svg")
 
-
-def test_threads_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("BILAX_THREADS", "2")
-    assert main(["verify", "--model", "bcn", "--N", "1"]) == 0
-    monkeypatch.setenv("BILAX_THREADS", "junk")
-    assert main(["verify", "--model", "bcn", "--N", "1"]) == 0

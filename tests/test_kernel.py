@@ -1,0 +1,179 @@
+"""The packed-int term kernel against two independent oracles.
+
+* ``tuple_kernel`` is the earlier tuple-keyed kernel with ``Fraction``
+  coefficients; every kernel function is run on the same random Laurent
+  inputs through both and the results must agree term for term.
+* sympy's ``expand`` recomputes products, derivatives and Poisson brackets
+  of the same elements as symbolic expressions.
+
+Also checked: coefficients come out canonical, and an exponent that leaves
+its packed field raises instead of aliasing another monomial.
+"""
+
+from fractions import Fraction as PyFraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tuple_kernel as T
+from bilax.backend import kernel as K
+from bilax.phase_ring import PoissonStructure, RingElement, StructureError
+from bilax.toda_models import toda_ring
+
+RING = toda_ring(2, dynamical=True)
+PK = RING.pk
+PS = PoissonStructure.standard(RING)
+#: slots the random inputs use (the rest stay 0): two Laurent, four not
+LIVE = tuple(RING.slot(n) for n in ("u1", "u2", "X1", "E", "H", "lam"))
+
+bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+coefficients = st.builds(
+    PyFraction, st.integers(-6, 6).filter(bool), st.sampled_from((1, 1, 1, 2, 3))
+)
+
+
+@st.composite
+def exponents(draw):
+    exp = [0] * RING.nvars
+    for i in LIVE:
+        lo = -2 if RING._laurent[i] else 0
+        exp[i] = draw(st.integers(lo, 2))
+    return tuple(exp)
+
+
+tuple_dicts = st.dictionaries(exponents(), coefficients, max_size=6)
+
+
+def packed(d):
+    return RING.element(d).terms
+
+
+def as_tuples(terms):
+    for c in terms.values():
+        assert (type(c) is int and c) or (type(c) is PyFraction and c.denominator != 1), c
+    return dict(RingElement(RING, terms).monomials())
+
+
+@bounded
+@given(tuple_dicts, tuple_dicts)
+def test_mul_add_sub_match_tuple_kernel(a, b):
+    pa, pb = packed(a), packed(b)
+    assert as_tuples(K.mul(pa, pb, PK)) == T.mul(a, b)
+    assert as_tuples(K.add(pa, pb)) == T.add(a, b)
+    assert as_tuples(K.sub(pa, pb)) == T.sub(a, b)
+    assert as_tuples(K.neg(pa)) == T.neg(a)
+    assert as_tuples(K.sub(pa, pa)) == {}
+
+
+@bounded
+@given(tuple_dicts, tuple_dicts, tuple_dicts)
+def test_mul_acc_matches_tuple_kernel(out, a, b):
+    want = dict(out)
+    T.mul_acc(want, a, b)
+    got = packed(out)
+    K.mul_acc(got, packed(a), packed(b), PK)
+    assert as_tuples(got) == want
+
+
+@bounded
+@given(tuple_dicts, st.sampled_from(LIVE))
+def test_diff_matches_tuple_kernel(a, i):
+    assert as_tuples(K.diff(packed(a), i, PK)) == T.diff(a, i)
+
+
+@bounded
+@given(tuple_dicts, coefficients | st.just(PyFraction(0)) | st.just(PyFraction(2)),
+       exponents())
+def test_scale_and_mul_term_match_tuple_kernel(a, c, exp):
+    pa = packed(a)
+    assert as_tuples(K.scale(pa, K.canon(c))) == T.scale(a, c)
+    shift = PK.displacement(exp)
+    assert as_tuples(K.mul_term(pa, shift, K.canon(c), PK)) == T.mul_term(a, exp, c)
+
+
+def test_key_order_is_tuple_order():
+    keys = [PK.pack(e) for e in [(1,) + (0,) * 11, (0, 2) + (0,) * 10,
+                                 (0, -1) + (0,) * 10, (-1,) + (0,) * 11,
+                                 (0,) * 11 + (3,), (0,) * 12]]
+    assert sorted(keys) == sorted(keys, key=PK.unpack)
+    assert [PK.unpack(k) for k in sorted(keys)] == sorted(PK.unpack(k) for k in keys)
+
+
+# ---------------------------------------------------------------------------
+# sympy
+
+
+SYMBOLS = sympy.symbols(RING.names)
+
+
+def to_sympy(el):
+    out = sympy.Integer(0)
+    for exps, c in el.monomials():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, e in zip(SYMBOLS, exps):
+            term *= s ** e
+        out += term
+    return out
+
+
+def sympy_bracket(f, g):
+    out = 0
+    for (i, j), el in PS._table.items():
+        si, sj = SYMBOLS[i], SYMBOLS[j]
+        out += (sympy.diff(f, si) * sympy.diff(g, sj)
+                - sympy.diff(f, sj) * sympy.diff(g, si)) * to_sympy(el)
+    return out
+
+
+def same(a, b):
+    return sympy.expand(a - b) == 0
+
+
+small_elements = st.dictionaries(exponents(), coefficients, max_size=3).map(RING.element)
+
+
+@settings(bounded, max_examples=25)
+@given(small_elements, small_elements, st.sampled_from(LIVE))
+def test_mul_diff_bracket_match_sympy(f, g, i):
+    sf, sg = to_sympy(f), to_sympy(g)
+    assert same(to_sympy(f * g), sf * sg)
+    name = RING.names[i]
+    assert same(to_sympy(f.diff(name)), sympy.diff(sf, SYMBOLS[i]))
+    assert same(to_sympy(PS.bracket(f, g)), sympy_bracket(sf, sg))
+
+
+# ---------------------------------------------------------------------------
+# packed-field overflow
+
+
+def test_exponent_overflow_raises():
+    top = 1 << (K.FIELD_BITS - 1)
+    u1, x1 = RING.gen("u1"), RING.gen("X1")
+    with pytest.raises(StructureError):
+        RING.monomial({"X1": top})
+    with pytest.raises(StructureError):
+        RING.monomial({"u1": top // 2})
+    big = x1 ** (top // 2)  # the largest power of two that fits
+    assert big.degree_in("X1") == top // 2
+    with pytest.raises(StructureError):
+        big * big
+    low = u1 ** -(top // 2)  # the lowest Laurent exponent that fits
+    assert low.leading()[0][0] == -(top // 2)
+    with pytest.raises(StructureError):
+        low * u1 ** -1
+    with pytest.raises(StructureError):
+        low.diff("u1")
+    with pytest.raises(StructureError):
+        low ** 2
+
+
+def test_negative_exponent_on_non_laurent_slot_raises():
+    exp = [0] * RING.nvars
+    exp[RING.slot("X1")] = -1
+    with pytest.raises(StructureError):
+        RING.element({tuple(exp): 1})
+    with pytest.raises(StructureError):
+        K.mul_term(RING.gen("u1").terms, PK.displacement(exp), 1, PK)

@@ -91,8 +91,8 @@ def _mono_mono(ps, ef, eg):
 
 def leibniz_bracket(ps, f, g):
     out = ps.ring.zero
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
+    for ef, cf in f.monomials():
+        for eg, cg in g.monomials():
             out = out + _mono_mono(ps, ef, eg) * (cf * cg)
     return out
 
@@ -341,3 +341,22 @@ def test_exact_divide(ring):
     assert exact_divide(num, X1 ** 2 + 3) == X1 + u1
     assert exact_divide(num, X1 + 2) is None
     assert exact_divide(u1 ** 3, u1 ** 5) == u1 ** -2
+
+
+def test_exact_divide_large_quotient(ring):
+    # 1287 quotient terms: more division steps than any fixed small cap
+    q = (1 + ring.gen("u1") + ring.gen("X1") + ring.gen("X2") + ring.gen("E")
+         + ring.gen("th")) ** 8
+    assert len(q.terms) > 1000
+    den = ring.gen("u2") - ring.gen("H") + 2
+    assert exact_divide(q * den, den) == q
+    assert exact_divide(q * den + 1, den) is None
+
+
+def test_exact_divide_laurent_non_multiple_terminates(ring):
+    # 1/(1 - u1) descends through u1^-1, u1^-2, ... without end; the degree
+    # box of the quotient is empty, so this is a non-multiple at once
+    u1 = ring.gen("u1")
+    assert exact_divide(ring.one, 1 - u1) is None
+    assert exact_divide(u1 ** 3 - 1, u1 - 1) == u1 ** 2 + u1 + 1
+    assert exact_divide(u1 ** -3 - 1, u1 ** -1 - 1) == u1 ** -2 + u1 ** -1 + 1

@@ -101,6 +101,18 @@ def test_bcn_special_parameter_limits(bcn1):
     assert parameter_constant_difference(free, Fraction(x1 * x1 * QQ(1, 2))) is not None
 
 
+def test_parameter_constant_difference_large_constant(bcn1):
+    # a constant of 1081 terms over a non-monomial denominator is still a
+    # constant: its exact division must not give up early
+    ring = bcn1.ring
+    c = (1 + ring.gen("a1") + ring.gen("b1")) ** 45
+    assert len(c.terms) > 1000
+    x1u1 = ring.gen("X1") * ring.gen("u1")
+    den = ring.gen("X1") + ring.gen("u1") + 2
+    f = Fraction(x1u1 + c * den, den)
+    assert parameter_constant_difference(f, Fraction(x1u1, den)) == c
+
+
 def test_flow_matrices_match_closed_forms(bcn1, bcn2, dn2, dn3):
     for m in (bcn1, bcn2, dn2, dn3):
         for j in displayed_flow_indices(m):

@@ -1,10 +1,10 @@
-"""Pure-Python term-dict kernels.
+"""Reference term kernel on exponent tuples, used only as a test oracle.
 
-Polynomials are dicts mapping exponent tuples (ints, possibly negative) to
-exact rational coefficients.  These functions are the hot inner loop of every
-symbolic check; a compiled drop-in replacement lives in ``_poly_cy.pyx`` and
-is preferred at import time when available.  Inputs are never mutated unless
-the name says so; zero coefficients are never stored.
+This is the tuple-keyed, ``Fraction``-coefficient kernel the package used
+before its packed-int kernel; the differential tests run both on the same
+inputs and compare.  Polynomials are dicts mapping exponent tuples (ints,
+possibly negative) to exact rational coefficients; inputs are never mutated
+unless the name says so; zero coefficients are never stored.
 """
 
 from operator import add as _add
