@@ -253,9 +253,13 @@ def cmd_simulate(args) -> int:
             "mu_samples": mu_samples,
             "truncated": traj.truncated,
             "error": traj.error,
+            "steps_accepted": traj.steps_accepted,
+            "steps_rejected": traj.steps_rejected,
             "channel_max": summary,
             "failures": failures,
         }
+        if model.name == "dn":
+            payload["min_abs_f_minus_ex1"] = traj.min_abs_f_minus_ex1
         json_path = os.path.splitext(out)[0] + ".json"
         with open(json_path, "w") as fh:
             json.dump(payload, fh, indent=2)

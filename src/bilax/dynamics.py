@@ -10,7 +10,10 @@ enforced.
 Symbolic expressions are compiled once into per-monomial Python functions;
 the time derivative of a Lax entry is the bracket with the Hamiltonian
 pushed through symbolically, never a finite difference, so the residual
-channels isolate algebra errors from integration error.
+channels isolate algebra errors from integration error.  The integrator
+evaluates its compiled right-hand side on one float vector per stage; the
+diagnostics evaluate each compiled channel once, on whole time columns
+(``state_columns``), and agree with per-sample evaluation to roundoff.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from .spectral_matrix import bracket_scalar_matrix, mu
 from .toda_models import (
     ModelSpec,
     derived_eom,
-    dn_boundary_elimination,
-    dn_xtilde_velocity,
+    dn_x0_relation,
     expansion,
     hamiltonian,
     model_flow_matrix,
@@ -68,25 +70,35 @@ def compile_element(el: RingElement):
     return ns["_f"]
 
 
-def compile_fraction(fr: Fraction):
+def compile_fraction(fr: Fraction, columns: bool = False):
+    """Float function of the ring value vector ``v``.
+
+    With ``columns`` the entries of ``v`` may be numpy columns and the
+    denominator guard tests the whole column at once; otherwise ``v`` holds
+    floats and the guard is a chained scalar comparison (the RK4 path).
+    """
     if not fr.den_factors:
         return compile_element(fr.num)
+    if columns:
+        guard = "np.any(np.abs(d) < %g)" % DEN_EPS
+    else:
+        guard = "-%g < d < %g" % (DEN_EPS, DEN_EPS)
     src = (
         "def _f(v):\n"
         "    d = %s\n"
-        "    if -%g < d < %g:\n"
+        "    if %s:\n"
         "        raise SingularityError('denominator below threshold')\n"
         "    return (%s)/d\n"
-        % (_poly_source(fr.den), DEN_EPS, DEN_EPS, _poly_source(fr.num))
+        % (_poly_source(fr.den), guard, _poly_source(fr.num))
     )
-    ns = {"SingularityError": SingularityError}
+    ns = {"SingularityError": SingularityError, "np": np}
     exec(src, ns)
     return ns["_f"]
 
 
-def compile_any(value):
+def compile_any(value, columns: bool = False):
     if isinstance(value, Fraction):
-        return compile_fraction(value)
+        return compile_fraction(value, columns)
     return compile_element(value)
 
 
@@ -102,20 +114,33 @@ def state_names(model: ModelSpec):
     return names
 
 
-def ring_values(model: ModelSpec, point: dict, mu_value: float = 0.0) -> list:
-    """Full ring-variable value vector for compiled expressions."""
+def _value_vector(model: ModelSpec, coords, exp, mu_value: float) -> list:
+    """Ring value vector from state coordinates in ``state_names`` order;
+    x_j enters as u_j = exp(x_j), parameters and mu as floats."""
     ring = model.ring
     v = [0.0] * ring.nvars
-    for j in range(1, model.N + 1):
-        v[ring.slot("u%d" % j)] = math.exp(point["x%d" % j])
-        v[ring.slot("X%d" % j)] = point["X%d" % j]
-    if model.name == "dn":
-        for name in ("E", "F", "H"):
-            v[ring.slot(name)] = point[name]
+    for name, val in zip(state_names(model), coords):
+        if name[0] == "x":
+            v[ring.slot("u" + name[1:])] = exp(val)
+        else:
+            v[ring.slot(name)] = val
     for name, val in model.params.items():
         v[ring.slot(name)] = float(val)
     v[ring.slot("mu")] = mu_value
     return v
+
+
+def ring_values(model: ModelSpec, point: dict, mu_value: float = 0.0) -> list:
+    """Full ring-variable value vector for compiled expressions."""
+    coords = [point[name] for name in state_names(model)]
+    return _value_vector(model, coords, math.exp, mu_value)
+
+
+def state_columns(model: ModelSpec, states: np.ndarray, mu_value: float = 0.0) -> list:
+    """Ring value vector over a whole trajectory: one (n_t,) float64 column
+    per u_j, X_j (and dn's E, F, H); parameters and mu stay scalars."""
+    coords = np.ascontiguousarray(states.T)
+    return _value_vector(model, coords, np.exp, mu_value)
 
 
 def evaluate(expr, point: dict, model: ModelSpec | None = None) -> float:
@@ -243,7 +268,11 @@ def vector_field(model: ModelSpec, source: str = "bracket") -> CompiledVectorFie
 
 @dataclass
 class Trajectory:
-    """Time series of a phase point with diagnostic channels."""
+    """Time series of a phase point with diagnostic channels.
+
+    ``channels`` holds per-sample series; the step counts and the dn
+    closest approach to F = e^{x1} are single numbers kept beside them.
+    """
 
     model_name: str
     state_names: list
@@ -252,9 +281,9 @@ class Trajectory:
     channels: dict = field(default_factory=dict)
     truncated: bool = False
     error: str | None = None
-
-    def point(self, idx: int) -> dict:
-        return dict(zip(self.state_names, self.states[idx]))
+    steps_accepted: int = 0
+    steps_rejected: int = 0
+    min_abs_f_minus_ex1: float | None = None
 
 
 def _rk4_step(f, y, dt):
@@ -291,11 +320,13 @@ def integrate(
     states = [y.copy()]
     truncated = False
     error = None
+    accepted = rejected = 0
     try:
         if scheme == "rk4":
             t = 0.0
             for i in range(1, steps + 1):
                 y = _rk4_step(f, y, dt)
+                accepted = i
                 t = i * dt
                 if i % store_every == 0 or i == steps:
                     times.append(t)
@@ -304,7 +335,6 @@ def integrate(
             t = 0.0
             t_end = dt * steps
             h = dt
-            accepted = 0
             while t < t_end - 1e-15 and accepted < 100 * steps:
                 h = min(h, t_end - t)
                 full = _rk4_step(f, y, h)
@@ -317,6 +347,8 @@ def integrate(
                     if accepted % store_every == 0 or t >= t_end - 1e-15:
                         times.append(t)
                         states.append(y.copy())
+                else:
+                    rejected += 1
                 factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
                 h *= min(5.0, max(0.2, factor))
     except SingularityError as exc:
@@ -333,6 +365,8 @@ def integrate(
         {},
         truncated,
         error,
+        accepted,
+        rejected,
     )
 
 
@@ -345,46 +379,39 @@ def _relative_drift(values: np.ndarray) -> np.ndarray:
     return np.abs(values - v0) / max(1.0, abs(v0))
 
 
-def _channel_values(model, traj, compiled) -> np.ndarray:
-    out = np.empty(len(traj.times))
-    for i in range(len(traj.times)):
-        v = ring_values(model, traj.point(i))
-        out[i] = compiled(v)
-    return out
+def _compiled(model: ModelSpec, key, build_expr):
+    """Column evaluator of ``build_expr()``, compiled once per model."""
+    return model.cached(key, lambda: compile_any(build_expr(), columns=True))
 
 
 def conserved_channels(model: ModelSpec, traj: Trajectory) -> dict:
     """Relative drift of every extracted Hamiltonian coefficient, the
-    Hamiltonian itself, and (dn) the Casimir and F - e^{x1}."""
-    exp = expansion(model)
+    Hamiltonian itself, and (dn) the Casimir and F - e^{x1}.
+
+    For dn, also records the closest approach to the singular manifold,
+    min |F - e^{x1}|, as ``traj.min_abs_f_minus_ex1``; it is evaluated
+    before any channel with that denominator can abort.
+    """
+    v = state_columns(model, traj.states)
     channels = {}
-    ham_fn = model.cached(
-        "compiled_hamiltonian", lambda: compile_any(hamiltonian(model))
-    )
-    channels["H_drift"] = _relative_drift(_channel_values(model, traj, ham_fn))
+    if model.name == "dn":
+        ring = model.ring
+        fshift = _compiled(
+            model, "compiled_fshift", lambda: ring.gen("F") - ring.gen("u1")
+        )(v)
+        traj.min_abs_f_minus_ex1 = float(np.min(np.abs(fshift)))
+        cas_fn = _compiled(model, "compiled_casimir", lambda: sl2_casimir(model))
+        channels["casimir_drift"] = _relative_drift(cas_fn(v))
+        channels["f_minus_ex1_drift"] = _relative_drift(fshift)
+    ham_fn = _compiled(model, "compiled_hamiltonian", lambda: hamiltonian(model))
+    channels["H_drift"] = _relative_drift(ham_fn(v))
+    exp = expansion(model)
     for p in exp.powers():
         c = exp.coefficient(p)
         if c.num.is_parameter_constant():
             continue
-        fn = model.cached(("compiled_coeff", p), lambda c=c: compile_any(c))
-        channels["H%d_drift" % p] = _relative_drift(
-            _channel_values(model, traj, fn)
-        )
-    if model.name == "dn":
-        cas_fn = model.cached(
-            "compiled_casimir", lambda: compile_element(sl2_casimir(model))
-        )
-        channels["casimir_drift"] = _relative_drift(
-            _channel_values(model, traj, cas_fn)
-        )
-        ring = model.ring
-        fshift = ring.gen("F") - ring.gen("u1")
-        fs_fn = model.cached(
-            "compiled_fshift", lambda: compile_element(fshift)
-        )
-        channels["f_minus_ex1_drift"] = _relative_drift(
-            _channel_values(model, traj, fs_fn)
-        )
+        fn = _compiled(model, ("compiled_coeff", p), lambda c=c: c)
+        channels["H%d_drift" % p] = _relative_drift(fn(v))
     traj.channels.update(channels)
     return channels
 
@@ -392,13 +419,24 @@ def conserved_channels(model: ModelSpec, traj: Trajectory) -> dict:
 def _compiled_matrix(model: ModelSpec, key, build_matrix):
     def build():
         m = build_matrix()
-        return [[compile_any(e) for e in row] for row in m.rows]
+        return [[compile_any(e, columns=True) for e in row] for row in m.rows]
 
     return model.cached(key, build)
 
 
-def _eval_matrix(compiled, v) -> np.ndarray:
-    return np.array([[f(v) for f in row] for row in compiled])
+def _stack(compiled, v: list, n_t: int) -> np.ndarray:
+    """(n_t, d, d) stack of a compiled d x d matrix over the columns ``v``;
+    a parameter-constant entry broadcasts along the time axis."""
+    d = len(compiled)
+    out = np.empty((n_t, d, d))
+    for a, row in enumerate(compiled):
+        for b, f in enumerate(row):
+            out[:, a, b] = f(v)
+    return out
+
+
+def _frobenius(r: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(r * r, axis=(1, 2)))
 
 
 def zero_curvature_residual(
@@ -408,7 +446,9 @@ def zero_curvature_residual(
 
     R(j, mu) = d/dT l(j,mu) - (M(j+1,mu) l(j,mu) - l(j,mu) M(j,mu)), with
     d/dT pushed through the entries symbolically.  Also evaluates the
-    boundary flow residuals for k^- and k^+.
+    boundary flow residuals for k^- and k^+.  Every matrix is evaluated as
+    an (n_t, 2, 2) stack and the worst value over j and mu is kept per
+    sample.
     """
     ring, ps = model.ring, model.ps
     m_ = mu(ring)
@@ -443,31 +483,22 @@ def zero_curvature_residual(
     n_t = len(traj.times)
     bulk = np.zeros(n_t)
     boundary = np.zeros(n_t)
-    for i in range(n_t):
-        point = traj.point(i)
-        worst = 0.0
-        worst_b = 0.0
-        for mu_v in mu_samples:
-            v = ring_values(model, point, mu_value=mu_v)
-            vneg = ring_values(model, point, mu_value=-mu_v)
-            ms = [_eval_matrix(c, v) for c in flows]
-            ms_neg1 = _eval_matrix(flows[0], vneg)
-            ms_negN = _eval_matrix(flows[model.N], vneg)
-            for j in range(model.N):
-                lj = _eval_matrix(lax_val[j], v)
-                ldot = _eval_matrix(lax_dot[j], v)
-                r = ldot - (ms[j + 1] @ lj - lj @ ms[j])
-                worst = max(worst, float(np.sqrt(np.sum(r * r))))
-            km_m = _eval_matrix(km_val, v)
-            km_d = _eval_matrix(km_dot, v)
-            rb = km_d - (ms[0] @ km_m - km_m @ ms_neg1)
-            worst_b = max(worst_b, float(np.sqrt(np.sum(rb * rb))))
-            kp_m = _eval_matrix(kp_val, v)
-            kp_d = _eval_matrix(kp_dot, v)
-            rb = kp_d - (ms_negN @ kp_m - kp_m @ ms[model.N])
-            worst_b = max(worst_b, float(np.sqrt(np.sum(rb * rb))))
-        bulk[i] = worst
-        boundary[i] = worst_b
+    for mu_v in mu_samples:
+        v = state_columns(model, traj.states, mu_v)
+        vneg = state_columns(model, traj.states, -mu_v)
+        ms = [_stack(c, v, n_t) for c in flows]
+        ms_neg1 = _stack(flows[0], vneg, n_t)
+        ms_negN = _stack(flows[model.N], vneg, n_t)
+        for j in range(model.N):
+            lj = _stack(lax_val[j], v, n_t)
+            r = _stack(lax_dot[j], v, n_t) - (ms[j + 1] @ lj - lj @ ms[j])
+            bulk = np.maximum(bulk, _frobenius(r))
+        km_m = _stack(km_val, v, n_t)
+        rb = _stack(km_dot, v, n_t) - (ms[0] @ km_m - km_m @ ms_neg1)
+        boundary = np.maximum(boundary, _frobenius(rb))
+        kp_m = _stack(kp_val, v, n_t)
+        rb = _stack(kp_dot, v, n_t) - (ms_negN @ kp_m - kp_m @ ms[model.N])
+        boundary = np.maximum(boundary, _frobenius(rb))
     channels = {"zc_residual": bulk, "boundary_residual": boundary}
     traj.channels.update(channels)
     return channels
@@ -482,34 +513,21 @@ def dn_x0_relation_residual(model: ModelSpec, traj: Trajectory) -> np.ndarray:
     """
     if model.name != "dn":
         raise StructureError("x0 relation is a dn diagnostic")
-    elim = dn_boundary_elimination(model)
-    v_expr = dn_xtilde_velocity(model)
-    ps = model.ps
-    acc = ps.bracket_fraction(hamiltonian(model), v_expr)
-    x2_term = Fraction(model.ring.gen("u2")) / elim.xtilde
-    x0_term = elim.xtilde * elim.bc_x0(v_expr)
-    residual_expr = acc - x2_term + x0_term
-    fn = model.cached(
-        "compiled_x0_residual", lambda: compile_any(residual_expr)
-    )
-    out = np.empty(len(traj.times))
-    for i in range(len(traj.times)):
-        out[i] = fn(ring_values(model, traj.point(i)))
-    traj.channels["x0_relation_residual"] = np.abs(out)
-    return traj.channels["x0_relation_residual"]
+    fn = _compiled(model, "compiled_x0_residual", lambda: dn_x0_relation(model))
+    residual = np.abs(fn(state_columns(model, traj.states)))
+    traj.channels["x0_relation_residual"] = residual
+    return residual
 
 
 def convergence_order(model: ModelSpec, p0: dict, dts, t_end: float) -> float:
     """Measured RK4 order from Hamiltonian drift at a sequence of steps."""
-    ham_fn = model.cached(
-        "compiled_hamiltonian", lambda: compile_any(hamiltonian(model))
-    )
+    ham_fn = _compiled(model, "compiled_hamiltonian", lambda: hamiltonian(model))
     drifts = []
     for dt in dts:
         steps = int(round(t_end / dt))
         traj = integrate(model, p0, dt, steps)
-        vals = _channel_values(model, traj, ham_fn)
-        drifts.append(max(abs(vals - vals[0])))
+        vals = ham_fn(state_columns(model, traj.states))
+        drifts.append(float(np.max(np.abs(vals - vals[0]))))
     orders = [
         math.log(drifts[i] / drifts[i + 1])
         / math.log(dts[i] / dts[i + 1])

@@ -587,5 +587,16 @@ def dn_second_derivative(model: ModelSpec, value: Fraction) -> Fraction:
     return model.ps.bracket_fraction(hamiltonian(model), value)
 
 
+def dn_x0_relation(model: ModelSpec) -> Fraction:
+    """Off-shell residual xtdd_1 - (e^{x2 - xt1} - e^{xt1 - x0}) of the
+    second-order boundary relation, with x0 eliminated through bc_x0; it
+    vanishes on the level sets fixed by c0 and c1."""
+    elim = dn_boundary_elimination(model)
+    v = dn_xtilde_velocity(model)
+    acc = dn_second_derivative(model, v)
+    x2_term = Fraction(model.ring.gen("u2")) / elim.xtilde
+    return acc - x2_term + elim.xtilde * elim.bc_x0(v)
+
+
 def sl2_casimir(model: ModelSpec) -> RingElement:
     return casimir(model.ps)

@@ -88,7 +88,8 @@ def test_simulate_default_csv(tmp_path, capsys, monkeypatch):
     assert code == 0
     out = capsys.readouterr().out
     assert "wrote bilax_bcn_N2.csv" in out
-    header = open("bilax_bcn_N2.csv").readline().strip()
+    with open("bilax_bcn_N2.csv") as fh:
+        header = fh.readline().strip()
     assert header == "t,x_1,x_2,X_1,X_2,H_drift,casimir_drift,zc_residual"
 
 
@@ -148,6 +149,31 @@ def test_simulate_json_summary(tmp_path):
     assert payload["model"] == "dn"
     assert "zc_residual" in payload["channel_max"]
     assert payload["failures"] == []
+
+
+def test_simulate_json_step_counts_and_singular_distance(tmp_path):
+    p = tmp_path / "dn.csv"
+    argv = ["simulate", "--model", "dn", "--N", "2", "--steps", "100",
+            "--amplitude", "0.2", "--format", "json", "--output", str(p)]
+    assert main(argv) == 0
+    payload = json.loads((tmp_path / "dn.json").read_text())
+    assert (payload["steps_accepted"], payload["steps_rejected"]) == (100, 0)
+    # F - e^{x1} stays on its level set c0/2 = 1
+    assert abs(payload["min_abs_f_minus_ex1"] - 1.0) <= 1e-12
+    for key in ("steps_accepted", "steps_rejected", "min_abs_f_minus_ex1"):
+        assert key not in payload["channel_max"]
+    with open(p) as fh:
+        assert fh.readline().strip().endswith(",H_drift,casimir_drift,zc_residual")
+
+    p = tmp_path / "bcn.csv"
+    argv = ["simulate", "--model", "bcn", "--N", "2", "--steps", "5",
+            "--dt", "0.2", "--scheme", "rk4-adaptive", "--format", "json",
+            "--output", str(p)]
+    assert main(argv) == 0
+    payload = json.loads((tmp_path / "bcn.json").read_text())
+    assert payload["steps_accepted"] > 5
+    assert payload["steps_rejected"] >= 1
+    assert "min_abs_f_minus_ex1" not in payload
 
 
 def test_simulate_svg(tmp_path):

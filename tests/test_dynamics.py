@@ -22,7 +22,14 @@ from bilax.dynamics import (
     zero_curvature_residual,
 )
 from bilax.phase_ring import Fraction, StructureError
-from bilax.toda_models import build_bcn, build_dn, displayed_hamiltonian, hamiltonian
+from bilax.structure_checks import nonzero_positions
+from bilax.toda_models import (
+    build_bcn,
+    build_dn,
+    displayed_hamiltonian,
+    hamiltonian,
+    model_flow_matrix,
+)
 
 ZERO_PARAMS = {p: 0.0 for p in ("th1", "a1", "b1", "thN", "aN", "bN")}
 
@@ -224,6 +231,16 @@ def test_adaptive_scheme(bcn2):
     assert float(ch["H_drift"].max()) < 1e-7
 
 
+def test_step_counts(bcn2):
+    p0 = random_phase_point(bcn2, np.random.default_rng(7))
+    traj = integrate(bcn2, p0, 1e-3, 40)
+    assert (traj.steps_accepted, traj.steps_rejected) == (40, 0)
+    # a first step of 0.2 is far too long for tol 1e-10
+    traj = integrate(bcn2, p0, 0.2, 5, scheme="rk4-adaptive", tol=1e-10)
+    assert traj.steps_accepted == len(traj.times) - 1 > 5
+    assert traj.steps_rejected >= 1
+
+
 def test_singularity_truncates(dn2):
     p0 = {
         "x1": 0.0,
@@ -274,6 +291,44 @@ def test_dn_conservation_channels(dn2):
     assert float(ch["f_minus_ex1_drift"].max()) <= 1e-10
     x0 = dn_x0_relation_residual(dn2, traj)
     assert float(x0.max()) <= 1e-8
+
+
+def test_min_abs_f_minus_ex1(dn2, bcn2):
+    p0 = random_phase_point(dn2, np.random.default_rng(0), amplitude=0.2)
+    traj = integrate(dn2, p0, 1e-3, 300)
+    assert traj.min_abs_f_minus_ex1 is None
+    ch = conserved_channels(dn2, traj)
+    want = float(np.min(np.abs(traj.states[:, 5] - np.exp(traj.states[:, 0]))))
+    assert abs(traj.min_abs_f_minus_ex1 - want) <= 1e-14
+    # F - e^{x1} is conserved at c0/2 on the sampled level set
+    assert abs(traj.min_abs_f_minus_ex1 - dn2.params["c0"] / 2.0) <= 1e-12
+    assert "min_abs_f_minus_ex1" not in ch and "min_abs_f_minus_ex1" not in traj.channels
+    traj = integrate(bcn2, random_phase_point(bcn2, np.random.default_rng(0)), 1e-3, 10)
+    conserved_channels(bcn2, traj)
+    assert traj.min_abs_f_minus_ex1 is None
+
+
+def test_zero_curvature_catches_flipped_flow_entry():
+    # a wrong time part must show in the numeric channel: flip the sign of
+    # each nonzero entry of each compiled flow matrix in turn (the compiled
+    # matrices are cached on the model under ("cM", j))
+    model = build_bcn(2)
+    p0 = random_phase_point(model, np.random.default_rng(2))
+    traj = integrate(model, p0, 1e-3, 50)
+    assert float(zero_curvature_residual(model, traj)["zc_residual"].max()) <= 1e-12
+    peaks = {}
+    for j in range(1, model.N + 2):
+        compiled = model._cache[("cM", j)]
+        for a, b in nonzero_positions(model_flow_matrix(model, j)):
+            f = compiled[a][b]
+            compiled[a][b] = lambda v, f=f: -f(v)
+            try:
+                ch = zero_curvature_residual(model, traj)
+            finally:
+                compiled[a][b] = f
+            peaks[j, a, b] = float(ch["zc_residual"].max())
+    assert len(peaks) >= 3 * model.N
+    assert all(p >= 1e-3 for p in peaks.values()), peaks
 
 
 def test_dn_boundary_flow_residual_small(dn2):
