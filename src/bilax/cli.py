@@ -80,11 +80,12 @@ def _build_model(args):
 
 
 def _verify_reports(model) -> list:
-    ring, ps = model.ring, model.ps
+    ring, ps, d = model.ring, model.ps, model.derivation
     rb = rational_r_builder(ring)
     offsite = (1, 2) if model.N >= 2 else (1, 1)
 
-    # shared artifacts first, so every check reads them from the cache
+    # b(lam), its expansion and H first; every later check reads them, and
+    # the generating matrices, from the model's derivation
     expansion(model)
     hamiltonian(model)
 
@@ -100,9 +101,9 @@ def _verify_reports(model) -> list:
         lambda: check_reflection_plus(model.kp, rb, ps),
         lambda: _named("nondynamical_kplus", check_nondynamical(model.kp, ps)),
         lambda: check_single_row_commutation(ps, model.lax, model.N),
-        lambda: check_transfer_commutation(ps, model.lax, model.km, model.kp, model.N),
+        lambda: check_transfer_commutation(ps, d),
         lambda: check_sts_identity(ps, model.lax, model.N, rb),
-        lambda: check_involution(expansion(model), model.recipe, ps),
+        lambda: check_involution(ps, d),
     ]
     if model.name == "bcn":
         jobs.insert(
@@ -111,16 +112,10 @@ def _verify_reports(model) -> list:
 
     reports = [j() for j in jobs]
 
-    reports.extend(check_theorem_zc(ps, model.lax, model.km, model.kp, model.N, rb))
-    reports.extend(
-        verify_corollary(ps, model.lax, model.km, model.kp, model.N, model.recipe, rb)
-    )
+    reports.extend(check_theorem_zc(ps, d))
+    reports.extend(verify_corollary(ps, d))
     if model.name == "bcn":
-        reports.extend(
-            check_nondynamical_intertwining(
-                ps, model.lax, model.km, model.kp, model.N, model.recipe, rb
-            )
-        )
+        reports.extend(check_nondynamical_intertwining(ps, d))
 
     ham_ok = parameter_constant_difference(
         hamiltonian(model), displayed_hamiltonian(model)

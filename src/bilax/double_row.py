@@ -11,12 +11,17 @@ Hamiltonian formalism.
 
 Two extraction recipes cover the models here: a scaled single coefficient
 and a scaled ratio of two coefficients (quotient rule for the flow matrix).
+
+A :class:`Derivation` builds these objects once for one model and hands
+them to every check; the module-level builders (``double_row_transfer``,
+``boundary_M``, ...) are one-shot wrappers that make a fresh one per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .backend import kernel as K
 from .kernel import canon, quo
@@ -148,25 +153,174 @@ def single_row_transfer(lax, N: int, arg: RingElement) -> Fraction:
     return monodromy(lax, N, 1, arg).trace()
 
 
-def double_row_transfer(lax, km, kp, N: int, arg: RingElement) -> Fraction:
-    """b = tr_a(k+ L(arg) k- L(-arg)^{-1}); needs det L(-arg) invertible."""
-    L = monodromy(lax, N, 1, arg)
-    L_inv = inverse_2x2(monodromy(lax, N, 1, -arg))
-    return (kp(arg) @ L @ km(arg) @ L_inv).trace()
-
-
-def transfer_expansion(lax, km, kp, N: int, ring: PhaseRing) -> TransferExpansion:
-    return TransferExpansion.from_scalar(
-        double_row_transfer(lax, km, kp, N, lam(ring))
-    )
-
-
 def extract_hamiltonian(exp: TransferExpansion, recipe) -> Fraction:
     return recipe.hamiltonian(exp)
 
 
 # ---------------------------------------------------------------------------
-# time-part generating functions
+# the double-row derivation
+
+
+class Derivation:
+    """The double-row derivation of one boundary model, built on first use.
+
+    Every check reads the same objects from here instead of rebuilding them:
+    the transfer scalar b(lam) and its expansion, the site inverses
+    l(k,-lam)^{-1}, the prefix and suffix monodromies (built one site at a
+    time), and a memo of each generating matrix M(j, mu_expr) and of each
+    flow matrix extracted from it.  Each M is still the generic partial trace
+    tr_a(A_a r B_a) of the r-matrix the derivation was built with, so a
+    mutated r-builder runs through the same code as the stock one.
+
+    Build one per model and r-builder: the memo trusts that lax, k-, k+ and
+    the r-builder never change.
+    """
+
+    def __init__(self, lax, km, kp, N: int, lam_expr: RingElement, r_builder=None, recipe=None):
+        self.lax, self.km, self.kp, self.N = lax, km, kp, N
+        self.lam = lam_expr
+        self.ring = lam_expr.ring
+        self.r_builder = r_builder or rational_r_builder(self.ring)
+        self.recipe = recipe
+        self.generating = {}  # (j, mu_expr.key()) -> M(j, lam, mu_expr)
+        self.flows = {}  # (j, mu_expr.key()) -> flow matrix extracted from it
+        self._factors = {}  # j -> the mu-free embedded factors of M(j, .)
+
+    # -- monodromy pieces, keyed by site index j = 1..N+1 -----------------
+
+    @cached_property
+    def suffixes(self) -> dict:
+        """L(N, j, lam) = l(N) ... l(j); L(N, N+1) = 1."""
+        out = {self.N + 1: identity(self.ring, 2)}
+        for j in range(self.N, 0, -1):
+            out[j] = out[j + 1] @ self.lax(j, self.lam)
+        return out
+
+    @cached_property
+    def prefixes(self) -> dict:
+        """L(j-1, 1, lam) = l(j-1) ... l(1); L(0, 1) = 1."""
+        out = {1: identity(self.ring, 2)}
+        for j in range(1, self.N + 1):
+            out[j + 1] = self.lax(j, self.lam) @ out[j]
+        return out
+
+    @cached_property
+    def site_inverses(self) -> dict:
+        """l(k, -lam)^{-1} for k = 1..N."""
+        return {
+            k: inverse_2x2(self.lax(k, -self.lam)) for k in range(1, self.N + 1)
+        }
+
+    @cached_property
+    def suffix_inverses(self) -> dict:
+        """L(N, j, -lam)^{-1} = l(j, -lam)^{-1} ... l(N, -lam)^{-1}."""
+        inv = self.site_inverses
+        out = {self.N + 1: identity(self.ring, 2)}
+        for j in range(self.N, 0, -1):
+            out[j] = inv[j] @ out[j + 1]
+        return out
+
+    @cached_property
+    def prefix_inverses(self) -> dict:
+        """L(j-1, 1, -lam)^{-1} = l(1, -lam)^{-1} ... l(j-1, -lam)^{-1}."""
+        inv = self.site_inverses
+        out = {1: identity(self.ring, 2)}
+        for j in range(1, self.N + 1):
+            out[j + 1] = out[j] @ inv[j]
+        return out
+
+    @cached_property
+    def kminus(self) -> SpectralMatrix:
+        return self.km(self.lam)
+
+    @cached_property
+    def kplus(self) -> SpectralMatrix:
+        return self.kp(self.lam)
+
+    @cached_property
+    def reflected(self) -> SpectralMatrix:
+        """k+ L(lam) k-, shared by b and every second-insertion term."""
+        return self.kplus @ self.suffixes[1] @ self.kminus
+
+    # -- transfer scalar and Hamiltonian ----------------------------------
+
+    @cached_property
+    def b(self) -> Fraction:
+        """b(lam) = tr_a(k+ L(lam) k- L(-lam)^{-1})."""
+        return (self.reflected @ self.suffix_inverses[1]).trace()
+
+    @cached_property
+    def expansion(self) -> TransferExpansion:
+        return TransferExpansion.from_scalar(self.b)
+
+    @cached_property
+    def hamiltonian(self) -> Fraction:
+        return extract_hamiltonian(self.expansion, self._recipe())
+
+    def _recipe(self):
+        if self.recipe is None:
+            raise StructureError("derivation has no Hamiltonian recipe")
+        return self.recipe
+
+    # -- time part ----------------------------------------------------------
+
+    def M(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
+        """Boundary generating function M(j, lam, mu_expr) of boundary_M."""
+        key = (j, mu_expr.key())
+        m = self.generating.get(key)
+        if m is None:
+            a1, b1, a2, b2 = self._embedded(j)
+            r_ab = self.r_builder(self.lam - mu_expr)
+            r_ba = swap_legs(self.r_builder(self.lam + mu_expr))
+            m = partial_trace_a(a1 @ r_ab @ b1) + partial_trace_a(a2 @ r_ba @ b2)
+            self.generating[key] = m
+        return m
+
+    def flow(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
+        """Time part of the Lax pair at site index j, at spectral point mu_expr."""
+        key = (j, mu_expr.key())
+        m = self.flows.get(key)
+        if m is None:
+            m = extract_M(self.M(j, mu_expr), self.expansion, self._recipe())
+            self.flows[key] = m
+        return m
+
+    def _embedded(self, j: int) -> tuple:
+        """embed_a of the four mu-free factors around the r-insertions of M(j).
+
+        Consecutive a-space factors collapse before embedding (kron is a
+        homomorphism in each leg), leaving one 4x4 product per insertion.
+        """
+        f = self._factors.get(j)
+        if f is None:
+            if not 1 <= j <= self.N + 1:
+                raise StructureError(
+                    "site index %d out of range 1..%d" % (j, self.N + 1)
+                )
+            f = tuple(
+                embed_a(m)
+                for m in (
+                    self.kplus @ self.suffixes[j],
+                    self.prefixes[j] @ self.kminus @ self.suffix_inverses[1],
+                    self.reflected @ self.prefix_inverses[j],
+                    self.suffix_inverses[j],
+                )
+            )
+            self._factors[j] = f
+        return f
+
+
+# ---------------------------------------------------------------------------
+# one-shot builders (a fresh derivation per call)
+
+
+def double_row_transfer(lax, km, kp, N: int, arg: RingElement) -> Fraction:
+    """b = tr_a(k+ L(arg) k- L(-arg)^{-1}); needs det l(k, -arg) invertible."""
+    return Derivation(lax, km, kp, N, arg).b
+
+
+def transfer_expansion(lax, km, kp, N: int, ring: PhaseRing) -> TransferExpansion:
+    return Derivation(lax, km, kp, N, lam(ring)).expansion
 
 
 def sts_matrix(lax, N: int, j: int, lam_expr, mu_expr, r_builder=None) -> SpectralMatrix:
@@ -190,32 +344,14 @@ def boundary_M(lax, km, kp, N: int, j: int, lam_expr, mu_expr, r_builder=None) -
 
     for j = 1..N+1 with the empty-range conventions L(0,1) = L(N,N+1) = 1.
     """
-    ring = lam_expr.ring
-    if not 1 <= j <= N + 1:
-        raise StructureError("site index %d out of range 1..%d" % (j, N + 1))
-    if r_builder is None:
-        r_builder = rational_r_builder(ring)
-    r_ab = r_builder(lam_expr - mu_expr)
-    r_ba = swap_legs(r_builder(lam_expr + mu_expr))
+    return Derivation(lax, km, kp, N, lam_expr, r_builder).M(j, mu_expr)
 
-    L_full = monodromy(lax, N, 1, lam_expr)
-    L_full_inv = inverse_2x2(monodromy(lax, N, 1, -lam_expr))
 
-    # consecutive a-space factors collapse before embedding (kron is a
-    # homomorphism in each leg), leaving one 4x4 product per r-insertion
-    left1 = kp(lam_expr) @ monodromy(lax, N, j, lam_expr)
-    right1 = monodromy(lax, j - 1, 1, lam_expr) @ km(lam_expr) @ L_full_inv
-    term1 = partial_trace_a(embed_a(left1) @ r_ab @ embed_a(right1))
-
-    left2 = (
-        kp(lam_expr)
-        @ L_full
-        @ km(lam_expr)
-        @ inverse_2x2(monodromy(lax, j - 1, 1, -lam_expr))
-    )
-    right2 = inverse_2x2(monodromy(lax, N, j, -lam_expr))
-    term2 = partial_trace_a(embed_a(left2) @ r_ba @ embed_a(right2))
-    return term1 + term2
+def flow_matrix(lax, km, kp, N: int, j: int, mu_expr, exp, recipe, r_builder=None) -> SpectralMatrix:
+    """Time part of the Lax pair at site index j, at spectral point mu_expr."""
+    ring = mu_expr.ring
+    gen = boundary_M(lax, km, kp, N, j, lam(ring), mu_expr, r_builder)
+    return extract_M(gen, exp, recipe)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +444,29 @@ def scalar_report(name: str, value: Fraction) -> RelationReport:
     return RelationReport(name, False, [("scalar", str(value))])
 
 
-def check_transfer_commutation(ps, lax, km, kp, N: int) -> RelationReport:
-    """{b(lam), b(mu)} = 0 as a pole-cleared bivariate identity."""
+def transfer_commutator(ps, exp: TransferExpansion) -> Fraction:
+    """{b(lam), b(mu)} from the lam-coefficients b_p of the expansion.
+
+    The expansion exists only when b has a lam-free denominator, and then
+    {b(lam), b(mu)} = sum_{p<q} (lam^p mu^q - lam^q mu^p) {b_p, b_q}.  The
+    monomial pairs are independent, so this vanishes iff every {b_p, b_q}
+    does; only the nonzero brackets enter the sum.
+    """
     ring = ps.ring
-    b_l = double_row_transfer(lax, km, kp, N, lam(ring))
-    b_m = double_row_transfer(lax, km, kp, N, mu(ring))
-    return scalar_report("bb_commute", ps.bracket_fraction(b_l, b_m))
+    l_, m_ = lam(ring), mu(ring)
+    powers = exp.powers()
+    out = Fraction(ring.zero)
+    for i, p in enumerate(powers):
+        for q in powers[i + 1:]:
+            c = ps.bracket_fraction(exp.coefficient(p), exp.coefficient(q))
+            if not c.is_zero:
+                out = out + c * Fraction(l_ ** p * m_ ** q - l_ ** q * m_ ** p)
+    return out
+
+
+def check_transfer_commutation(ps, d: Derivation) -> RelationReport:
+    """{b(lam), b(mu)} = 0, decided coefficient by coefficient in lam."""
+    return scalar_report("bb_commute", transfer_commutator(ps, d.expansion))
 
 
 def check_single_row_commutation(ps, lax, N: int) -> RelationReport:
@@ -323,9 +476,9 @@ def check_single_row_commutation(ps, lax, N: int) -> RelationReport:
     return scalar_report("tt_commute", ps.bracket_fraction(t_l, t_m))
 
 
-def check_involution(exp: TransferExpansion, recipe, ps) -> RelationReport:
+def check_involution(ps, d: Derivation) -> RelationReport:
     """The extracted Hamiltonian commutes with every expansion coefficient."""
-    ham = extract_hamiltonian(exp, recipe)
+    ham, exp = d.hamiltonian, d.expansion
     residual = []
     for p in exp.powers():
         r = ps.bracket_fraction(ham, exp.coefficient(p))
@@ -351,110 +504,70 @@ def check_sts_identity(ps, lax, N: int, r_builder=None) -> RelationReport:
     return merge_reports("sts_identity", reports)
 
 
-def check_theorem_zc(ps, lax, km, kp, N: int, r_builder=None) -> list:
-    """The three generating-function zero-curvature identities.
+def _zero_curvature(ps, d: Derivation, scalar, M, names) -> list:
+    """{scalar, .} against the M-commutators on every l(j), k- and k+:
 
-    1. {b(lam), l_b(j,mu)} = M(j+1,lam,mu) l - l M(j,lam,mu) for each j
-    2. {b(lam), k-_b(mu)}  = M(1,lam,mu) k- - k- M(1,lam,-mu)
-    3. {b(lam), k+_b(mu)}  = M(N+1,lam,-mu) k+ - k+ M(N+1,lam,mu)
+    {s, l_b(j,mu)} = M(j+1,mu) l - l M(j,mu) for each j,
+    {s, k-_b(mu)}  = M(1,mu) k- - k- M(1,-mu),
+    {s, k+_b(mu)}  = M(N+1,-mu) k+ - k+ M(N+1,mu).
     """
-    ring = ps.ring
-    l_, m_ = lam(ring), mu(ring)
-    b = double_row_transfer(lax, km, kp, N, l_)
-
-    def M(j, mu_expr):
-        return boundary_M(lax, km, kp, N, j, l_, mu_expr, r_builder)
-
-    reports = []
+    m_ = mu(ps.ring)
+    lax, km, kp, N = d.lax, d.km, d.kp, d.N
     site_reports = []
     for j in range(1, N + 1):
-        lhs = bracket_scalar_matrix(ps, b, lax(j, m_))
+        lhs = bracket_scalar_matrix(ps, scalar, lax(j, m_))
         rhs = M(j + 1, m_) @ lax(j, m_) - lax(j, m_) @ M(j, m_)
-        site_reports.append(
-            matrix_report("theorem_zc_lax", lhs - rhs, prefix="j=%d " % j)
-        )
-    reports.append(merge_reports("theorem_zc_lax", site_reports))
+        site_reports.append(matrix_report(names[0], lhs - rhs, prefix="j=%d " % j))
 
-    lhs = bracket_scalar_matrix(ps, b, km(m_))
+    lhs = bracket_scalar_matrix(ps, scalar, km(m_))
     rhs = M(1, m_) @ km(m_) - km(m_) @ M(1, -m_)
-    reports.append(matrix_report("theorem_zc_kminus", lhs - rhs))
+    kminus = matrix_report(names[1], lhs - rhs)
 
-    lhs = bracket_scalar_matrix(ps, b, kp(m_))
+    lhs = bracket_scalar_matrix(ps, scalar, kp(m_))
     rhs = M(N + 1, -m_) @ kp(m_) - kp(m_) @ M(N + 1, m_)
-    reports.append(matrix_report("theorem_zc_kplus", lhs - rhs))
-    return reports
+    kplus = matrix_report(names[2], lhs - rhs)
+    return [merge_reports(names[0], site_reports), kminus, kplus]
 
 
-def flow_matrix(lax, km, kp, N: int, j: int, mu_expr, exp, recipe, r_builder=None) -> SpectralMatrix:
-    """Time part of the Lax pair at site index j, at spectral point mu_expr."""
-    ring = mu_expr.ring
-    gen = boundary_M(lax, km, kp, N, j, lam(ring), mu_expr, r_builder)
-    return extract_M(gen, exp, recipe)
+def check_theorem_zc(ps, d: Derivation) -> list:
+    """The three generating-function zero-curvature identities, with
+    s = b(lam) and the generating matrices M(j, lam, mu)."""
+    return _zero_curvature(
+        ps, d, d.b, d.M,
+        ("theorem_zc_lax", "theorem_zc_kminus", "theorem_zc_kplus"),
+    )
 
 
-def verify_corollary(ps, lax, km, kp, N: int, recipe, r_builder=None) -> list:
-    """Zero-curvature form of the Hamiltonian flow, bulk and boundary.
-
-    d/dT l(j,mu) = M(j+1,mu) l - l M(j,mu),
-    d/dT k-(mu) = M(1,mu) k-(mu) - k-(mu) M(1,-mu),
-    d/dT k+(mu) = M(N+1,-mu) k+(mu) - k+(mu) M(N+1,mu),
-    with d/dT = {H, .} and every M extracted like H itself.
-    """
-    ring = ps.ring
-    m_ = mu(ring)
-    exp = transfer_expansion(lax, km, kp, N, ring)
-    ham = extract_hamiltonian(exp, recipe)
-
-    def M(j, mu_expr):
-        return flow_matrix(lax, km, kp, N, j, mu_expr, exp, recipe, r_builder)
-
-    reports = []
-    site_reports = []
-    for j in range(1, N + 1):
-        lhs = bracket_scalar_matrix(ps, ham, lax(j, m_))
-        rhs = M(j + 1, m_) @ lax(j, m_) - lax(j, m_) @ M(j, m_)
-        site_reports.append(
-            matrix_report("corollary_zc_lax", lhs - rhs, prefix="j=%d " % j)
-        )
-    reports.append(merge_reports("corollary_zc_lax", site_reports))
-
-    lhs = bracket_scalar_matrix(ps, ham, km(m_))
-    rhs = M(1, m_) @ km(m_) - km(m_) @ M(1, -m_)
-    reports.append(matrix_report("corollary_flow_kminus", lhs - rhs))
-
-    lhs = bracket_scalar_matrix(ps, ham, kp(m_))
-    rhs = M(N + 1, -m_) @ kp(m_) - kp(m_) @ M(N + 1, m_)
-    reports.append(matrix_report("corollary_flow_kplus", lhs - rhs))
-    return reports
+def verify_corollary(ps, d: Derivation) -> list:
+    """Zero-curvature form of the Hamiltonian flow, bulk and boundary:
+    the theorem's identities with s = H and every M extracted like H
+    itself, i.e. d/dT = {H, .}."""
+    return _zero_curvature(
+        ps, d, d.hamiltonian, d.flow,
+        ("corollary_zc_lax", "corollary_flow_kminus", "corollary_flow_kplus"),
+    )
 
 
-def check_nondynamical_intertwining(ps, lax, km, kp, N: int, recipe, r_builder=None) -> list:
+def check_nondynamical_intertwining(ps, d: Derivation) -> list:
     """Non-dynamical boundary case: {b, k±} = 0 and the K-M relations.
 
     M(1,mu) k-(mu) = k-(mu) M(1,-mu) and
     M(N+1,-mu) k+(mu) = k+(mu) M(N+1,mu),
     stated with the double-row matrices, not single-row ones.
     """
-    ring = ps.ring
-    l_, m_ = lam(ring), mu(ring)
-    b = double_row_transfer(lax, km, kp, N, l_)
-    exp = transfer_expansion(lax, km, kp, N, ring)
-
-    def M(j, mu_expr):
-        return flow_matrix(lax, km, kp, N, j, mu_expr, exp, recipe, r_builder)
-
-    reports = [
+    m_ = mu(ps.ring)
+    km, kp, M = d.km, d.kp, d.flow
+    return [
         matrix_report(
-            "b_kminus_commute", bracket_scalar_matrix(ps, b, km(m_))
+            "b_kminus_commute", bracket_scalar_matrix(ps, d.b, km(m_))
         ),
         matrix_report(
-            "b_kplus_commute", bracket_scalar_matrix(ps, b, kp(m_))
+            "b_kplus_commute", bracket_scalar_matrix(ps, d.b, kp(m_))
         ),
         matrix_report(
             "kminus_intertwine", M(1, m_) @ km(m_) - km(m_) @ M(1, -m_)
         ),
         matrix_report(
-            "kplus_intertwine", M(N + 1, -m_) @ kp(m_) - kp(m_) @ M(N + 1, m_)
+            "kplus_intertwine", M(d.N + 1, -m_) @ kp(m_) - kp(m_) @ M(d.N + 1, m_)
         ),
     ]
-    return reports

@@ -307,7 +307,8 @@ def integrate(
     """Integrate the double-row flow from p0; deterministic given inputs.
 
     A singular denominator (dn: F -> e^{x1}) truncates the trajectory and
-    sets the error flag instead of raising.
+    sets the error flag instead of raising.  So does ``rk4-adaptive`` when it
+    has accepted 100 * steps steps short of t_end = dt * steps.
     """
     if dt <= 0:
         raise StructureError("dt must be positive")
@@ -351,6 +352,12 @@ def integrate(
                     rejected += 1
                 factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
                 h *= min(5.0, max(0.2, factor))
+            if t < t_end - 1e-15:
+                truncated = True
+                error = (
+                    "rk4-adaptive stopped at its cap of %d accepted steps "
+                    "(100 * steps) at t = %.6g of %.6g" % (100 * steps, t, t_end)
+                )
     except SingularityError as exc:
         truncated = True
         error = str(exc)

@@ -17,6 +17,7 @@ multivariate gcd; equality is decided by cross-multiplication.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as _PyFraction
@@ -874,8 +875,14 @@ def exact_divide(num: RingElement, den: RingElement) -> RingElement | None:
     d_exp = pk.unpack(ed)
     q: dict = {}
     r = dict(num.terms)
+    # max-heap of remainder keys (negated), with lazy deletion: a key whose
+    # term has cancelled stays in the heap and is skipped when it surfaces
+    heap = [-e for e in r]
+    heapq.heapify(heap)
     while r:
-        er = max(r)
+        er = -heapq.heappop(heap)
+        if er not in r:
+            continue
         qexp = [a - b for a, b in zip(pk.unpack(er), d_exp)]
         if not all(lo <= e <= hi for e, (lo, hi) in zip(qexp, box)):
             return None
@@ -886,6 +893,7 @@ def exact_divide(num: RingElement, den: RingElement) -> RingElement | None:
             c0 = r.get(e)
             if c0 is None:
                 r[e] = -c
+                heapq.heappush(heap, -e)
             else:
                 c0 = c0 - c
                 if c0:

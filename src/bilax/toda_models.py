@@ -20,12 +20,10 @@ from typing import Callable
 
 from .backend import QQ
 from .double_row import (
+    Derivation,
     RatioRecipe,
     ScaledCoefficient,
     TransferExpansion,
-    extract_hamiltonian,
-    flow_matrix,
-    transfer_expansion,
 )
 from .phase_ring import (
     Fraction,
@@ -39,7 +37,7 @@ from .phase_ring import (
     casimir,
     exact_divide,
 )
-from .spectral_matrix import SpectralMatrix, identity, matrix, mu
+from .spectral_matrix import SpectralMatrix, identity, lam, matrix, mu
 
 HALF = QQ(1, 2)
 
@@ -68,7 +66,21 @@ class ModelSpec:
     kp: Callable
     recipe: object
     params: dict
-    _cache: dict = field(default_factory=dict, repr=False)
+    # neither is copied by dataclasses.replace: a model built from another
+    # one (say with a mutated k-) derives and compiles everything afresh
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    _derivation: Derivation | None = field(default=None, init=False, repr=False)
+
+    @property
+    def derivation(self) -> Derivation:
+        """The double-row derivation with the rational r-matrix, built on
+        first use and then read by every check and flow."""
+        if self._derivation is None:
+            self._derivation = Derivation(
+                self.lax, self.km, self.kp, self.N, lam(self.ring),
+                recipe=self.recipe,
+            )
+        return self._derivation
 
     def cached(self, key, build):
         if key not in self._cache:
@@ -174,41 +186,21 @@ def model_from_config(cfg: dict) -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# cached derived objects
+# readers of the model's derivation
 
 
 def expansion(model: ModelSpec) -> TransferExpansion:
-    return model.cached(
-        "expansion",
-        lambda: transfer_expansion(
-            model.lax, model.km, model.kp, model.N, model.ring
-        ),
-    )
+    return model.derivation.expansion
 
 
 def hamiltonian(model: ModelSpec) -> Fraction:
-    return model.cached(
-        "hamiltonian", lambda: extract_hamiltonian(expansion(model), model.recipe)
-    )
+    return model.derivation.hamiltonian
 
 
 def model_flow_matrix(model: ModelSpec, j: int, negate_mu: bool = False) -> SpectralMatrix:
     """Extracted time-part matrix M(j, mu) (or M(j, -mu))."""
-
-    def build():
-        m_ = mu(model.ring)
-        return flow_matrix(
-            model.lax,
-            model.km,
-            model.kp,
-            model.N,
-            j,
-            -m_ if negate_mu else m_,
-            expansion(model),
-            model.recipe,
-        )
-
-    return model.cached(("flow", j, negate_mu), build)
+    m_ = mu(model.ring)
+    return model.derivation.flow(j, -m_ if negate_mu else m_)
 
 
 # ---------------------------------------------------------------------------

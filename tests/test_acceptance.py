@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from bilax.double_row import (
+    Derivation,
     check_theorem_zc,
     check_transfer_commutation,
     verify_corollary,
@@ -107,9 +108,7 @@ def test_criterion_04_transfer_commutation():
     t0 = time.monotonic()
     ok = True
     for model in (build_bcn(1), build_bcn(2), build_dn(2)):
-        ok &= check_transfer_commutation(
-            model.ps, model.lax, model.km, model.kp, model.N
-        ).holds
+        ok &= check_transfer_commutation(model.ps, model.derivation).holds
     _report(
         4, "{b(lam), b(mu)} = 0 exactly (bcn N=1,2; dn N=2)", ok,
         time.monotonic() - t0, 60,
@@ -135,9 +134,7 @@ def test_criterion_06_theorem_identities():
     t0 = time.monotonic()
     ok = True
     for model in (build_bcn(2), build_dn(2)):
-        reports = check_theorem_zc(
-            model.ps, model.lax, model.km, model.kp, model.N
-        )
+        reports = check_theorem_zc(model.ps, model.derivation)
         ok &= all(r.holds for r in reports)
     _report(
         6, "all three generating zero-curvature identities, both models, N=2",
@@ -178,9 +175,7 @@ def test_criterion_08_corollary_and_numeric_zc():
     t0 = time.monotonic()
     ok = True
     for model in (build_bcn(2), build_dn(2)):
-        reports = verify_corollary(
-            model.ps, model.lax, model.km, model.kp, model.N, model.recipe
-        )
+        reports = verify_corollary(model.ps, model.derivation)
         ok &= all(r.holds for r in reports)
     # numeric leg: bcn N=3, T=10, dt=1e-3, five mu samples
     model = build_bcn(3)
@@ -273,12 +268,12 @@ def test_criterion_10_mutation_sensitivity():
     )
     fails["bb_commute"] = sum(
         not check_transfer_commutation(
-            b2.ps, b2.lax, flip_entry(b2.km, i, j), b2.kp, 2
+            b2.ps, Derivation(b2.lax, flip_entry(b2.km, i, j), b2.kp, 2, lam(b2.ring))
         ).holds
         for i, j in nonzero_positions(probe_km)
     ) + sum(
         not check_transfer_commutation(
-            b2.ps, b2.lax, b2.km, flip_entry(b2.kp, i, j), 2
+            b2.ps, Derivation(b2.lax, b2.km, flip_entry(b2.kp, i, j), 2, lam(b2.ring))
         ).holds
         for i, j in nonzero_positions(probe_kp)
     )
@@ -286,7 +281,8 @@ def test_criterion_10_mutation_sensitivity():
         any(
             not r.holds
             for r in check_theorem_zc(
-                b1.ps, b1.lax, b1.km, b1.kp, 1, r_builder=flip_entry(rb1, i, j)
+                b1.ps,
+                Derivation(b1.lax, b1.km, b1.kp, 1, lam(b1.ring), flip_entry(rb1, i, j)),
             )
         )
         for i, j in nonzero_positions(rb1(lam(b1.ring)))

@@ -19,6 +19,20 @@ def test_verify_bcn4_passes(capsys):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def test_verify_dn4_passes(capsys):
+    assert main(["verify", "--model", "dn", "--N", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 15
+    assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_verify_bcn5_passes(capsys):
+    assert main(["verify", "--model", "bcn", "--N", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 20
+    assert all(line.startswith("PASS ") for line in lines)
+
+
 def test_verify_invalid_site_count(capsys):
     assert main(["verify", "--model", "bcn", "--N", "0"]) == 2
     assert main(["verify", "--model", "dn", "--N", "1"]) == 2
@@ -174,6 +188,21 @@ def test_simulate_json_step_counts_and_singular_distance(tmp_path):
     assert payload["steps_accepted"] > 5
     assert payload["steps_rejected"] >= 1
     assert "min_abs_f_minus_ex1" not in payload
+
+
+def test_simulate_adaptive_cap_exits_1(tmp_path, capsys):
+    # 100 * steps accepted steps end at t = 2.52 of the requested 4.0
+    p = tmp_path / "cap.csv"
+    argv = ["simulate", "--model", "bcn", "--N", "2", "--dt", "4", "--steps",
+            "1", "--scheme", "rk4-adaptive", "--format", "json",
+            "--output", str(p)]
+    assert main(argv) == 1
+    assert "FAIL trajectory truncated: rk4-adaptive stopped" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "cap.json").read_text())
+    assert payload["truncated"] is True
+    assert payload["steps_accepted"] == 100
+    assert "cap of 100 accepted steps" in payload["error"]
+    assert "t = 2.51868 of 4" in payload["error"]
 
 
 def test_simulate_svg(tmp_path):

@@ -1,0 +1,133 @@
+"""The model's double-row derivation against the one-shot oracle builders.
+
+``double_row_oracle`` keeps the construction the package used before the
+derivation: every generating matrix rebuilt from full monodromies, and
+{b(lam), b(mu)} decided as one bivariate bracket.  The memoised matrices
+must be equal to it and print identically; the coefficient-wise commutation
+check must reach the same verdict, with an equal residual on failure.
+"""
+
+import pytest
+
+import double_row_oracle as oracle
+from bilax.double_row import (
+    Derivation,
+    boundary_M,
+    check_theorem_zc,
+    check_transfer_commutation,
+    transfer_commutator,
+)
+from bilax.spectral_matrix import lam, mu
+from bilax.structure_checks import flip_entry, nonzero_positions
+from bilax.toda_models import build_bcn, build_dn
+
+MODELS = [("bcn", n) for n in (1, 2, 3, 4)] + [("dn", n) for n in (2, 3, 4)]
+
+
+def build(name, n):
+    return build_bcn(n) if name == "bcn" else build_dn(n)
+
+
+def flipped(m, i, j):
+    """m with the sign of entry (i, j) flipped."""
+    return flip_entry(lambda _: m, i, j)(None)
+
+
+@pytest.mark.parametrize("name,n", MODELS, ids=lambda v: str(v))
+def test_generating_matrices_match_oracle(name, n):
+    model = build(name, n)
+    d = model.derivation
+    l_, m_ = lam(model.ring), mu(model.ring)
+    b = oracle.double_row_transfer(model.lax, model.km, model.kp, n, l_)
+    assert d.b == b and str(d.b) == str(b)
+    for j in range(1, n + 2):
+        for s in (m_, -m_):
+            want = oracle.boundary_M(model.lax, model.km, model.kp, n, j, l_, s)
+            got = d.M(j, s)
+            assert got == want
+            assert str(got) == str(want)
+            assert d.M(j, s) is got  # memoised
+    assert len(d.generating) == 2 * (n + 1)
+
+
+def test_one_shot_boundary_m_matches_oracle(bcn2):
+    l_, m_ = lam(bcn2.ring), mu(bcn2.ring)
+    args = (bcn2.lax, bcn2.km, bcn2.kp, 2, 2, l_ + 1, m_ * 3)
+    assert str(boundary_M(*args)) == str(oracle.boundary_M(*args))
+
+
+def test_each_model_owns_its_derivation():
+    a, b = build_bcn(2), build_bcn(2)
+    assert a.derivation is a.derivation
+    assert a.derivation is not b.derivation
+
+
+@pytest.mark.parametrize("name,n", [("bcn", 1), ("bcn", 2), ("bcn", 3), ("dn", 2), ("dn", 3)])
+def test_bb_commute_matches_bivariate_on_pass(name, n):
+    model = build(name, n)
+    new = check_transfer_commutation(model.ps, model.derivation)
+    old = oracle.check_transfer_commutation(model.ps, model.lax, model.km, model.kp, n)
+    assert new.holds and old.holds
+    assert new.residual == old.residual == []
+
+
+def test_bb_commute_matches_bivariate_under_k_flips(bcn2):
+    # the single-entry k- and k+ sign flips of the mutation criterion
+    ring, ps = bcn2.ring, bcn2.ps
+    l_, m_ = lam(ring), mu(ring)
+    mutants = [
+        (flip_entry(bcn2.km, i, j), bcn2.kp) for i, j in nonzero_positions(bcn2.km(l_))
+    ] + [
+        (bcn2.km, flip_entry(bcn2.kp, i, j)) for i, j in nonzero_positions(bcn2.kp(l_))
+    ]
+    failed = 0
+    for km, kp in mutants:
+        d = Derivation(bcn2.lax, km, kp, 2, l_)
+        new = check_transfer_commutation(ps, d)
+        old = oracle.check_transfer_commutation(ps, bcn2.lax, km, kp, 2)
+        assert new.holds == old.holds
+        if not new.holds:
+            failed += 1
+            bivariate = ps.bracket_fraction(
+                oracle.double_row_transfer(bcn2.lax, km, kp, 2, l_),
+                oracle.double_row_transfer(bcn2.lax, km, kp, 2, m_),
+            )
+            assert transfer_commutator(ps, d.expansion) == bivariate
+            assert new.residual[0][0] == "scalar"
+    assert failed >= 3
+
+
+# ---------------------------------------------------------------------------
+# mutation guard through the memo: the theorem reads what the derivation holds
+
+
+@pytest.mark.parametrize("name", ["bcn", "dn"])
+def test_theorem_fails_on_each_flipped_memoised_entry(name):
+    model = build(name, 2)
+    d = model.derivation
+    assert all(r.holds for r in check_theorem_zc(model.ps, d))
+    minus = (-mu(model.ring)).key()
+    blind = []
+    for key, m in list(d.generating.items()):
+        for i, j in nonzero_positions(m):
+            d.generating[key] = flipped(m, i, j)
+            try:
+                reports = check_theorem_zc(model.ps, d)
+            finally:
+                d.generating[key] = m
+            if all(r.holds for r in reports):
+                blind.append((key[0], key[1] == minus, i, j))
+    assert len(d.generating) == 5
+    # the dn k+ = [[0, 0], [-1, 0]] is nilpotent: M(N+1,-mu) k+ reads only
+    # the second column of M(N+1,-mu), and no other identity reads it at all
+    assert blind == ([] if name == "bcn" else [(3, True, 0, 0), (3, True, 1, 0)])
+
+
+@pytest.mark.parametrize("name", ["bcn", "dn"])
+@pytest.mark.parametrize("products", ["suffixes", "prefixes"])
+def test_theorem_fails_on_a_flipped_monodromy_product(name, products):
+    model = build(name, 2)
+    d = model.derivation
+    table = getattr(d, products)
+    table[2] = flipped(table[2], 0, 0)
+    assert not all(r.holds for r in check_theorem_zc(model.ps, d))

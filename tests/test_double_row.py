@@ -89,7 +89,7 @@ def test_double_row_identity_k_specialization(bcn2):
 
 def test_transfer_commutation(bcn1, bcn2, dn2):
     for m in (bcn1, bcn2, dn2):
-        assert check_transfer_commutation(m.ps, m.lax, m.km, m.kp, m.N).holds
+        assert check_transfer_commutation(m.ps, m.derivation).holds
 
 
 def test_expansion_degree_bounds(bcn1, bcn2, dn2, dn3):
@@ -177,7 +177,7 @@ def test_dn2_hamiltonian_denominator(dn2):
 
 def test_involution(bcn2, dn2):
     for m in (bcn2, dn2):
-        assert check_involution(expansion(m), m.recipe, m.ps).holds
+        assert check_involution(m.ps, m.derivation).holds
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_series_rejects_nonlinear_pole(bcn1):
 
 
 def test_theorem_zc_n1(bcn1):
-    reports = check_theorem_zc(bcn1.ps, bcn1.lax, bcn1.km, bcn1.kp, 1)
+    reports = check_theorem_zc(bcn1.ps, bcn1.derivation)
     assert all(r.holds for r in reports)
 
 

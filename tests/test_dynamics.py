@@ -241,6 +241,18 @@ def test_step_counts(bcn2):
     assert traj.steps_rejected >= 1
 
 
+def test_adaptive_cap_truncates(bcn2):
+    # t_end = 4 is out of reach in 100 * steps = 100 accepted steps at tol
+    # 1e-10: the run ends short of it and must say so
+    p0 = random_phase_point(bcn2, np.random.default_rng(0), amplitude=0.3)
+    traj = integrate(bcn2, p0, 4.0, 1, scheme="rk4-adaptive")
+    assert traj.steps_accepted == 100
+    assert float(traj.times[-1]) < 4.0
+    assert traj.truncated
+    assert "cap of 100 accepted steps" in traj.error
+    assert "t = %.6g of 4" % float(traj.times[-1]) in traj.error
+
+
 def test_singularity_truncates(dn2):
     p0 = {
         "x1": 0.0,

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from bilax.backend import QQ
+from bilax.backend import kernel as K
 from bilax.phase_ring import (
     Fraction,
     Generator,
@@ -17,9 +18,12 @@ from bilax.phase_ring import (
     PhaseRing,
     PoissonStructure,
     StructureError,
+    RingElement,
+    _degree_box,
     casimir,
     exact_divide,
 )
+from bilax.kernel import canon, quo
 
 
 def make_ring(sl2=True):
@@ -360,3 +364,66 @@ def test_exact_divide_laurent_non_multiple_terminates(ring):
     assert exact_divide(ring.one, 1 - u1) is None
     assert exact_divide(u1 ** 3 - 1, u1 - 1) == u1 ** 2 + u1 + 1
     assert exact_divide(u1 ** -3 - 1, u1 ** -1 - 1) == u1 ** -2 + u1 ** -1 + 1
+
+
+def _max_scan_divide(num, den):
+    """The division loop before its heap: each step scans the whole
+    remainder with max() for the leading term."""
+    ring, pk = num.ring, num.ring.pk
+    if num.is_zero:
+        return ring.zero
+    nlo, nhi = _degree_box(num.terms, pk)
+    dlo, dhi = _degree_box(den.terms, pk)
+    box = [(a - b, c - d) for a, b, c, d in zip(nlo, dlo, nhi, dhi)]
+    if any(lo < 0 and not lau for (lo, _), lau in zip(box, ring._laurent)):
+        return None
+    ed = max(den.terms)
+    cd = den.terms[ed]
+    d_exp = pk.unpack(ed)
+    q, r = {}, dict(num.terms)
+    while r:
+        er = max(r)
+        qexp = [a - b for a, b in zip(pk.unpack(er), d_exp)]
+        if not all(lo <= e <= hi for e, (lo, hi) in zip(qexp, box)):
+            return None
+        qc = quo(r[er], cd)
+        qe = pk.pack(qexp)
+        q[qe] = qc
+        for e, c in K.mul_term(den.terms, qe - pk.one, qc, pk).items():
+            c0 = r.get(e)
+            if c0 is None:
+                r[e] = -c
+            else:
+                c0 = c0 - c
+                if c0:
+                    r[e] = canon(c0)
+                else:
+                    del r[e]
+    return RingElement(ring, q)
+
+
+def test_exact_divide_matches_max_scan(ring):
+    u1, u2, X1, X2 = (ring.gen(g) for g in ("u1", "u2", "X1", "X2"))
+    E, F, H, th = (ring.gen(g) for g in ("E", "F", "H", "th"))
+    q5 = (1 + u1 + X1 + X2 + E + th) ** 8
+    q6 = (1 + u1 + X1 + X2 + E + th + H) ** 8
+    assert (len(q5.terms), len(q6.terms)) == (1287, 3003)
+    d2 = u2 - H + 2
+    d3 = 3 * u2 - F * X2 + QQ(1, 2)
+    cases = [
+        (q5 * d2, d2),
+        (q6 * d3, d3),
+        (q6 * d3 + X1, d3),  # non-divisible
+        (q5 * d2 - u2 ** 3, d2),  # non-divisible, fails late
+        (ring.one, 1 - u1),  # Laurent non-multiple
+        (u1 ** -3 - 1, u1 ** -1 - 1),  # Laurent quotient
+        ((u1 ** -2 + X1 * u2) * (u1 - X2 * u1 ** -1), u1 - X2 * u1 ** -1),
+    ]
+    for num, den in cases:
+        got, want = exact_divide(num, den), _max_scan_divide(num, den)
+        if want is None:
+            assert got is None
+        else:
+            assert got == want
+            assert list(got.terms.items()) == list(want.terms.items())
+    assert exact_divide(q6 * d3, d3) == q6

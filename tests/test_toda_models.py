@@ -324,10 +324,10 @@ def test_dn3_site2_second_order(dn3):
 
 def test_transfer_commutation_n3(bcn3, dn3):
     for m in (bcn3, dn3):
-        assert check_transfer_commutation(m.ps, m.lax, m.km, m.kp, m.N).holds
+        assert check_transfer_commutation(m.ps, m.derivation).holds
 
 
 def test_theorem_n3(dn3):
     assert all(
-        r.holds for r in check_theorem_zc(dn3.ps, dn3.lax, dn3.km, dn3.kp, 3)
+        r.holds for r in check_theorem_zc(dn3.ps, dn3.derivation)
     )
