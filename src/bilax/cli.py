@@ -100,9 +100,9 @@ def _verify_reports(model) -> list:
         lambda: check_reflection_minus(model.km, rb, ps),
         lambda: check_reflection_plus(model.kp, rb, ps),
         lambda: _named("nondynamical_kplus", check_nondynamical(model.kp, ps)),
-        lambda: check_single_row_commutation(ps, model.lax, model.N),
+        lambda: check_single_row_commutation(ps, d),
         lambda: check_transfer_commutation(ps, d),
-        lambda: check_sts_identity(ps, model.lax, model.N, rb),
+        lambda: check_sts_identity(ps, d),
         lambda: check_involution(ps, d),
     ]
     if model.name == "bcn":

@@ -35,14 +35,13 @@ from .phase_ring import (
 from .spectral_matrix import (
     SpectralMatrix,
     bracket_scalar_matrix,
-    embed_a,
     identity,
     inverse_2x2,
     lam,
     mu,
-    partial_trace_a,
     rational_r_builder,
     swap_legs,
+    trace_a,
 )
 from .structure_checks import RelationReport, matrix_report, merge_reports
 
@@ -168,9 +167,10 @@ class Derivation:
     the transfer scalar b(lam) and its expansion, the site inverses
     l(k,-lam)^{-1}, the prefix and suffix monodromies (built one site at a
     time), and a memo of each generating matrix M(j, mu_expr) and of each
-    flow matrix extracted from it.  Each M is still the generic partial trace
-    tr_a(A_a r B_a) of the r-matrix the derivation was built with, so a
-    mutated r-builder runs through the same code as the stock one.
+    flow matrix extracted from it.  M and the single-row matrix are both the
+    generic trace_a(A, r, B) = tr_a(A_a r B_a) over 2x2 factors, for the
+    r-matrix the derivation was built with, so a mutated r-builder runs
+    through the same code as the stock one.
 
     Build one per model and r-builder: the memo trusts that lax, k-, k+ and
     the r-builder never change.
@@ -184,7 +184,7 @@ class Derivation:
         self.recipe = recipe
         self.generating = {}  # (j, mu_expr.key()) -> M(j, lam, mu_expr)
         self.flows = {}  # (j, mu_expr.key()) -> flow matrix extracted from it
-        self._factors = {}  # j -> the mu-free embedded factors of M(j, .)
+        self._factors = {}  # j -> the mu-free 2x2 factors of M(j, .)
 
     # -- monodromy pieces, keyed by site index j = 1..N+1 -----------------
 
@@ -269,12 +269,19 @@ class Derivation:
         key = (j, mu_expr.key())
         m = self.generating.get(key)
         if m is None:
-            a1, b1, a2, b2 = self._embedded(j)
+            a1, b1, a2, b2 = self._mu_free_factors(j)
             r_ab = self.r_builder(self.lam - mu_expr)
             r_ba = swap_legs(self.r_builder(self.lam + mu_expr))
-            m = partial_trace_a(a1 @ r_ab @ b1) + partial_trace_a(a2 @ r_ba @ b2)
+            m = trace_a(a1, r_ab, b1) + trace_a(a2, r_ba, b2)
             self.generating[key] = m
         return m
+
+    def sts(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
+        """Single-row generating function tr_a(L_a(N,j) r_ab(lam-mu) L_a(j-1,1))."""
+        self._check_site(j)
+        return trace_a(
+            self.suffixes[j], self.r_builder(self.lam - mu_expr), self.prefixes[j]
+        )
 
     def flow(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
         """Time part of the Lax pair at site index j, at spectral point mu_expr."""
@@ -285,29 +292,27 @@ class Derivation:
             self.flows[key] = m
         return m
 
-    def _embedded(self, j: int) -> tuple:
-        """embed_a of the four mu-free factors around the r-insertions of M(j).
+    def _mu_free_factors(self, j: int) -> tuple:
+        """The four mu-free factors around the r-insertions of M(j).
 
-        Consecutive a-space factors collapse before embedding (kron is a
-        homomorphism in each leg), leaving one 4x4 product per insertion.
+        Consecutive a-space factors collapse into one 2x2 product on each
+        side of an insertion: tr_a(A_a r B_a) needs only A and B.
         """
         f = self._factors.get(j)
         if f is None:
-            if not 1 <= j <= self.N + 1:
-                raise StructureError(
-                    "site index %d out of range 1..%d" % (j, self.N + 1)
-                )
-            f = tuple(
-                embed_a(m)
-                for m in (
-                    self.kplus @ self.suffixes[j],
-                    self.prefixes[j] @ self.kminus @ self.suffix_inverses[1],
-                    self.reflected @ self.prefix_inverses[j],
-                    self.suffix_inverses[j],
-                )
+            self._check_site(j)
+            f = (
+                self.kplus @ self.suffixes[j],
+                self.prefixes[j] @ self.kminus @ self.suffix_inverses[1],
+                self.reflected @ self.prefix_inverses[j],
+                self.suffix_inverses[j],
             )
             self._factors[j] = f
         return f
+
+    def _check_site(self, j: int):
+        if not 1 <= j <= self.N + 1:
+            raise StructureError("site index %d out of range 1..%d" % (j, self.N + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +326,6 @@ def double_row_transfer(lax, km, kp, N: int, arg: RingElement) -> Fraction:
 
 def transfer_expansion(lax, km, kp, N: int, ring: PhaseRing) -> TransferExpansion:
     return Derivation(lax, km, kp, N, lam(ring)).expansion
-
-
-def sts_matrix(lax, N: int, j: int, lam_expr, mu_expr, r_builder=None) -> SpectralMatrix:
-    """Single-row generating function tr_a(L_a(N,j) r_ab L_a(j-1,1))."""
-    ring = lam_expr.ring
-    if not 1 <= j <= N + 1:
-        raise StructureError("site index %d out of range 1..%d" % (j, N + 1))
-    if r_builder is None:
-        r_builder = rational_r_builder(ring)
-    left = monodromy(lax, N, j, lam_expr)
-    right = monodromy(lax, j - 1, 1, lam_expr)
-    r_ab = r_builder(lam_expr - mu_expr)
-    return partial_trace_a(embed_a(left) @ r_ab @ embed_a(right))
 
 
 def boundary_M(lax, km, kp, N: int, j: int, lam_expr, mu_expr, r_builder=None) -> SpectralMatrix:
@@ -469,11 +461,12 @@ def check_transfer_commutation(ps, d: Derivation) -> RelationReport:
     return scalar_report("bb_commute", transfer_commutator(ps, d.expansion))
 
 
-def check_single_row_commutation(ps, lax, N: int) -> RelationReport:
-    ring = ps.ring
-    t_l = single_row_transfer(lax, N, lam(ring))
-    t_m = single_row_transfer(lax, N, mu(ring))
-    return scalar_report("tt_commute", ps.bracket_fraction(t_l, t_m))
+def check_single_row_commutation(ps, d: Derivation) -> RelationReport:
+    """{t(lam), t(mu)} = 0 for the single-row transfer t = tr L(N, 1)."""
+    t_m = single_row_transfer(d.lax, d.N, mu(ps.ring))
+    return scalar_report(
+        "tt_commute", ps.bracket_fraction(d.suffixes[1].trace(), t_m)
+    )
 
 
 def check_involution(ps, d: Derivation) -> RelationReport:
@@ -487,17 +480,17 @@ def check_involution(ps, d: Derivation) -> RelationReport:
     return RelationReport("involution", not residual, residual)
 
 
-def check_sts_identity(ps, lax, N: int, r_builder=None) -> RelationReport:
-    """{t(lam), l(j,mu)} = M(j+1) l(j,mu) - l(j,mu) M(j) for all sites."""
-    ring = ps.ring
-    l_, m_ = lam(ring), mu(ring)
-    t = single_row_transfer(lax, N, l_)
+def check_sts_identity(ps, d: Derivation) -> RelationReport:
+    """{t(lam), l(j,mu)} = S(j+1) l(j,mu) - l(j,mu) S(j) for all sites, with
+    t = tr L(N, 1) and the single-row matrices S(j) = d.sts(j, mu)."""
+    m_ = mu(ps.ring)
+    t = d.suffixes[1].trace()
+    sts = {j: d.sts(j, m_) for j in range(1, d.N + 2)}
     reports = []
-    for j in range(1, N + 1):
-        lhs = bracket_scalar_matrix(ps, t, lax(j, m_))
-        rhs = sts_matrix(lax, N, j + 1, l_, m_, r_builder) @ lax(j, m_) - lax(
-            j, m_
-        ) @ sts_matrix(lax, N, j, l_, m_, r_builder)
+    for j in range(1, d.N + 1):
+        l_j = d.lax(j, m_)
+        lhs = bracket_scalar_matrix(ps, t, l_j)
+        rhs = sts[j + 1] @ l_j - l_j @ sts[j]
         reports.append(
             matrix_report("sts_identity", lhs - rhs, prefix="j=%d " % j)
         )

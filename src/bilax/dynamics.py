@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_ring import Fraction, RingElement, StructureError, as_fraction
+from .phase_ring import Fraction, RingElement, StructureError
 from .spectral_matrix import bracket_scalar_matrix, mu
 from .toda_models import (
     ModelSpec,
@@ -32,11 +32,11 @@ from .toda_models import (
     expansion,
     hamiltonian,
     model_flow_matrix,
-    closed_form_eom,
     sl2_casimir,
 )
 
 DEN_EPS = 1e-12
+ADAPTIVE_TOL = 1e-10  # max step-doubling error of an accepted rk4-adaptive step
 DEFAULT_MU_SAMPLES = (0.3, 0.7, 1.1, 1.9, 2.3)
 
 
@@ -143,29 +143,6 @@ def state_columns(model: ModelSpec, states: np.ndarray, mu_value: float = 0.0) -
     return _value_vector(model, coords, np.exp, mu_value)
 
 
-def evaluate(expr, point: dict, model: ModelSpec | None = None) -> float:
-    """Evaluate a ring expression or fraction at a phase point.
-
-    The point maps coordinates (x_j, X_j, E, F, H) to floats; u_j = e^{x_j}
-    is derived.  Denominators below 1e-12 raise SingularityError.
-    """
-    if model is not None:
-        v = ring_values(model, point)
-        values = {n: v[i] for i, n in enumerate(model.ring.names)}
-    else:
-        values = {k: float(val) for k, val in point.items()}
-        for name in list(values):
-            if name.startswith("x") and name[1:].isdigit():
-                values.setdefault("u" + name[1:], math.exp(values[name]))
-        for s in ("lam", "mu", "nu"):
-            values.setdefault(s, 0.0)
-    fr = expr if isinstance(expr, Fraction) else as_fraction(expr.ring, expr)
-    d = fr.den.evaluate(values)
-    if abs(d) < DEN_EPS:
-        raise SingularityError("denominator below threshold at phase point")
-    return fr.num.evaluate(values) / d
-
-
 def random_phase_point(
     model: ModelSpec, rng: np.random.Generator, amplitude: float = 1.0
 ) -> dict:
@@ -233,25 +210,11 @@ class CompiledVectorField:
         )
 
 
-def vector_field(model: ModelSpec, source: str = "bracket") -> CompiledVectorField:
-    """Compiled map state -> d/dT state.
-
-    ``source`` selects the symbolic origin of the equations: "bracket"
-    ({H, .} on every coordinate) or "closed-form" (the displayed closed forms,
-    available for bcn only; they agree exactly, which the tests assert).
-    """
+def vector_field(model: ModelSpec) -> CompiledVectorField:
+    """Compiled map state -> d/dT state, from {H, .} on every coordinate."""
 
     def build():
-        if source == "bracket":
-            eom = derived_eom(model)
-        elif source == "closed-form":
-            eom = closed_form_eom(model)
-            if model.name != "bcn":
-                raise StructureError(
-                    "closed-form source covers every coordinate only for bcn"
-                )
-        else:
-            raise StructureError("unknown vector field source %r" % source)
+        eom = derived_eom(model)
         names = state_names(model)
         funcs = []
         for j in range(1, model.N + 1):
@@ -263,7 +226,7 @@ def vector_field(model: ModelSpec, source: str = "bracket") -> CompiledVectorFie
                 funcs.append(compile_any(eom.sl2_dot[s]))
         return CompiledVectorField(model, names, funcs)
 
-    return model.cached(("vector_field", source), build)
+    return model.cached("vector_field", build)
 
 
 @dataclass
@@ -300,21 +263,21 @@ def integrate(
     dt: float,
     steps: int,
     scheme: str = "rk4",
-    tol: float = 1e-10,
     store_every: int = 1,
-    source: str = "bracket",
 ) -> Trajectory:
     """Integrate the double-row flow from p0; deterministic given inputs.
 
-    A singular denominator (dn: F -> e^{x1}) truncates the trajectory and
-    sets the error flag instead of raising.  So does ``rk4-adaptive`` when it
-    has accepted 100 * steps steps short of t_end = dt * steps.
+    ``rk4-adaptive`` accepts a step when the step-doubling error is at most
+    ADAPTIVE_TOL.  A singular denominator (dn: F -> e^{x1}) truncates the
+    trajectory and sets the error flag instead of raising.  So does
+    ``rk4-adaptive`` when it has accepted 100 * steps steps short of
+    t_end = dt * steps.
     """
     if dt <= 0:
         raise StructureError("dt must be positive")
     if scheme not in ("rk4", "rk4-adaptive"):
         raise StructureError("unknown scheme %r" % scheme)
-    f = vector_field(model, source)
+    f = vector_field(model)
     names = state_names(model)
     y = np.array([p0[n] for n in names], dtype=float)
     times = [0.0]
@@ -341,7 +304,7 @@ def integrate(
                 full = _rk4_step(f, y, h)
                 half = _rk4_step(f, _rk4_step(f, y, h / 2.0), h / 2.0)
                 err = float(np.max(np.abs(full - half)))
-                if err <= tol or h < 1e-12:
+                if err <= ADAPTIVE_TOL or h < 1e-12:
                     y = half
                     t += h
                     accepted += 1
@@ -350,7 +313,7 @@ def integrate(
                         states.append(y.copy())
                 else:
                     rejected += 1
-                factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
+                factor = 0.9 * (ADAPTIVE_TOL / err) ** 0.2 if err > 0 else 5.0
                 h *= min(5.0, max(0.2, factor))
             if t < t_end - 1e-15:
                 truncated = True
@@ -574,9 +537,10 @@ def write_csv(model: ModelSpec, traj: Trajectory, path: str):
             fh.write(line + "\n")
 
 
-def write_svg(traj: Trajectory, path: str, channels=None, width=800, height=400):
+def write_svg(traj: Trajectory, path: str):
     """Minimal line plot of diagnostic channels (one polyline each)."""
-    names = channels or sorted(traj.channels)
+    names = sorted(traj.channels)
+    width, height = 800, 400
     t = traj.times
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '

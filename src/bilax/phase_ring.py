@@ -369,18 +369,6 @@ class RingElement:
             out = out + (term if fac is None else term * fac)
         return out
 
-    def evaluate(self, values: dict) -> float:
-        """Plain floating-point evaluation at {generator name: value}."""
-        names = self.ring.names
-        total = 0.0
-        for exps, c in self.monomials():
-            v = float(c)
-            for i, e in enumerate(exps):
-                if e:
-                    v *= values[names[i]] ** e
-            total += v
-        return total
-
     # -- formatting ------------------------------------------------------
 
     def __str__(self):
@@ -671,12 +659,6 @@ class Fraction:
         for el, p in self._factors:
             out = out / (el.substitute(mapping) ** p)
         return out
-
-    def evaluate(self, values: dict) -> float:
-        d = 1.0
-        for el, p in self._factors:
-            d *= el.evaluate(values) ** p
-        return self.num.evaluate(values) / d
 
     def __str__(self):
         if not self._factors:

@@ -228,6 +228,43 @@ def partial_trace_a(m: SpectralMatrix) -> SpectralMatrix:
     return SpectralMatrix(ring, out)
 
 
+def trace_a(a: SpectralMatrix, r: SpectralMatrix, b: SpectralMatrix) -> SpectralMatrix:
+    """tr_a(A_a r B_a) for 2x2 A, B and any 4x4 r, without the 4x4 products.
+
+    Equal to ``partial_trace_a(embed_a(a) @ r @ embed_a(b))`` entry by entry,
+    including each Fraction's printed form: the sums run in the same order
+    (over j in A r, then over j', then over i) and skip zero operands as
+    ``@`` does.  Only the entries with matching a-indices are formed:
+
+        out[k][l] = sum_i sum_j' (sum_j A[i][j] r[(j,k),(j',l)]) B[j'][i].
+    """
+    if a.dim != 2 or r.dim != 4 or b.dim != 2:
+        raise StructureError("trace_a expects 2x2, 4x4 and 2x2 matrices")
+    zero = Fraction(r.ring.zero)
+    out = [[zero, zero], [zero, zero]]
+    for i in range(2):
+        for k in range(2):
+            ar = [zero] * 4  # row (i, k) of A_a r
+            for j in range(2):
+                x = a.rows[i][j]
+                if x.is_zero:
+                    continue
+                rrow = r.rows[2 * j + k]
+                for c in range(4):
+                    y = rrow[c]
+                    if not y.is_zero:
+                        ar[c] = ar[c] + x * y
+            for l in range(2):
+                s = zero
+                for jp in range(2):
+                    x = ar[2 * jp + l]
+                    y = b.rows[jp][i]
+                    if not x.is_zero and not y.is_zero:
+                        s = s + x * y
+                out[k][l] = out[k][l] + s
+    return SpectralMatrix(r.ring, out)
+
+
 def swap_legs(m: SpectralMatrix) -> SpectralMatrix:
     """Conjugation by P: maps r_ab to r_ba."""
     p = permutation(m.ring)

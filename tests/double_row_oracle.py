@@ -2,9 +2,10 @@
 
 These are the one-shot constructions the package used before its
 ``Derivation``: every call rebuilds the full monodromies, their inverses and
-both 4x4 r-insertion products, and {b(lam), b(mu)} is one bivariate bracket.
-The differential tests compare the derivation's memoised matrices and its
-coefficient-wise commutation check against them.
+both 4x4 r-insertion products, the single-row matrix is rebuilt from two
+fresh monodromies per call, and {b(lam), b(mu)} is one bivariate bracket.
+The differential tests compare the derivation's memoised matrices, its
+single-row matrices and its coefficient-wise commutation check against them.
 """
 
 from bilax.double_row import monodromy, scalar_report
@@ -55,6 +56,19 @@ def boundary_M(lax, km, kp, N, j, lam_expr, mu_expr, r_builder=None):
     right2 = inverse_2x2(monodromy(lax, N, j, -lam_expr))
     term2 = partial_trace_a(embed_a(left2) @ r_ba @ embed_a(right2))
     return term1 + term2
+
+
+def sts_matrix(lax, N, j, lam_expr, mu_expr, r_builder=None):
+    """Single-row generating function tr_a(L_a(N,j) r_ab L_a(j-1,1))."""
+    ring = lam_expr.ring
+    if not 1 <= j <= N + 1:
+        raise StructureError("site index %d out of range 1..%d" % (j, N + 1))
+    if r_builder is None:
+        r_builder = rational_r_builder(ring)
+    left = monodromy(lax, N, j, lam_expr)
+    right = monodromy(lax, j - 1, 1, lam_expr)
+    r_ab = r_builder(lam_expr - mu_expr)
+    return partial_trace_a(embed_a(left) @ r_ab @ embed_a(right))
 
 
 def check_transfer_commutation(ps, lax, km, kp, N):

@@ -1,23 +1,27 @@
 """The model's double-row derivation against the one-shot oracle builders.
 
 ``double_row_oracle`` keeps the construction the package used before the
-derivation: every generating matrix rebuilt from full monodromies, and
-{b(lam), b(mu)} decided as one bivariate bracket.  The memoised matrices
-must be equal to it and print identically; the coefficient-wise commutation
-check must reach the same verdict, with an equal residual on failure.
+derivation: every generating and single-row matrix rebuilt from full
+monodromies through 4x4 products, and {b(lam), b(mu)} decided as one
+bivariate bracket.  The memoised matrices must be equal to it and print
+identically; the coefficient-wise commutation check must reach the same
+verdict, with an equal residual on failure.
 """
 
 import pytest
 
 import double_row_oracle as oracle
+from bilax.cli import _verify_reports
 from bilax.double_row import (
     Derivation,
     boundary_M,
+    check_sts_identity,
     check_theorem_zc,
     check_transfer_commutation,
     transfer_commutator,
 )
-from bilax.spectral_matrix import lam, mu
+from bilax.phase_ring import StructureError
+from bilax.spectral_matrix import SpectralMatrix, lam, mu, rational_r_builder
 from bilax.structure_checks import flip_entry, nonzero_positions
 from bilax.toda_models import build_bcn, build_dn
 
@@ -47,7 +51,41 @@ def test_generating_matrices_match_oracle(name, n):
             assert got == want
             assert str(got) == str(want)
             assert d.M(j, s) is got  # memoised
+        want = oracle.sts_matrix(model.lax, n, j, l_, m_)
+        got = d.sts(j, m_)
+        assert got == want
+        assert str(got) == str(want)
     assert len(d.generating) == 2 * (n + 1)
+    for j in (0, n + 2):
+        with pytest.raises(StructureError):
+            d.M(j, m_)
+        with pytest.raises(StructureError):
+            d.sts(j, m_)
+
+
+def test_derivation_holds_no_4x4_matrix_after_verify():
+    model = build_bcn(2)
+    _verify_reports(model)
+    held = []
+    for value in vars(model.derivation).values():
+        tables = value.values() if isinstance(value, dict) else [value]
+        for item in tables:
+            held += item if isinstance(item, tuple) else [item]
+    matrices = [m for m in held if isinstance(m, SpectralMatrix)]
+    assert matrices and all(m.dim == 2 for m in matrices)
+
+
+@pytest.mark.parametrize("name", ["bcn", "dn"])
+def test_sts_identity_fails_on_each_flipped_r_entry(name):
+    model = build(name, 2)
+    l_ = lam(model.ring)
+    rb = rational_r_builder(model.ring)
+    assert check_sts_identity(model.ps, model.derivation).holds
+    flips = nonzero_positions(rb(l_))
+    assert len(flips) == 4
+    for i, j in flips:
+        d = Derivation(model.lax, model.km, model.kp, 2, l_, flip_entry(rb, i, j))
+        assert not check_sts_identity(model.ps, d).holds, (i, j)
 
 
 def test_one_shot_boundary_m_matches_oracle(bcn2):
@@ -131,3 +169,39 @@ def test_theorem_fails_on_a_flipped_monodromy_product(name, products):
     table = getattr(d, products)
     table[2] = flipped(table[2], 0, 0)
     assert not all(r.holds for r in check_theorem_zc(model.ps, d))
+
+
+# ---------------------------------------------------------------------------
+# M(j, -mu) at the boundary sites: for dn no verify relation reads the first
+# column of M(N+1, -mu), so its mu-parity is pinned here
+
+
+def mu_parity_mismatches(d, n):
+    """(table, j) for each boundary M(j, -mu) or flow(j, -mu) that differs
+    from its +mu matrix with mu -> -mu."""
+    m_ = mu(d.ring)
+    bad = []
+    for table in (d.M, d.flow):
+        for j in (1, n + 1):
+            if table(j, -m_) != table(j, m_).substitute({"mu": -m_}):
+                bad.append((table.__name__, j))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "name,n", [("bcn", 2), ("bcn", 3), ("dn", 2), ("dn", 3)], ids=lambda v: str(v)
+)
+def test_boundary_matrices_at_minus_mu_are_the_mu_substitution(name, n):
+    assert mu_parity_mismatches(build(name, n).derivation, n) == []
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_mu_parity_catches_a_flipped_first_column_entry(i):
+    # the two entries the theorem cannot see (see the memo flip test above)
+    model = build("dn", 2)
+    d = model.derivation
+    key = (3, (-mu(model.ring)).key())
+    m = d.M(3, -mu(model.ring))
+    assert not m[i, 0].is_zero
+    d.generating[key] = flipped(m, i, 0)
+    assert ("M", 3) in mu_parity_mismatches(d, 2)

@@ -17,7 +17,6 @@ from bilax.double_row import (
     lambda_series_coefficient,
     monodromy,
     single_row_transfer,
-    sts_matrix,
     transfer_expansion,
 )
 from bilax.phase_ring import Fraction, StructureError
@@ -62,7 +61,7 @@ def test_single_row_transfer_n1(bcn1):
 
 
 def test_single_row_commutes(bcn2):
-    assert check_single_row_commutation(bcn2.ps, bcn2.lax, 2).holds
+    assert check_single_row_commutation(bcn2.ps, bcn2.derivation).holds
 
 
 def test_single_row_constant_lax_field_free(bcn2):
@@ -188,13 +187,13 @@ def test_sts_n1_shape(bcn1):
     # tr_a(r_ab) contributes l(1,lam)/(lam-mu) at a single site
     ring = bcn1.ring
     l_, m_ = lam(ring), mu(ring)
-    got = sts_matrix(bcn1.lax, 1, 1, l_, m_)
+    got = bcn1.derivation.sts(1, m_)
     want = bcn1.lax(1, l_) * Fraction(ring.one, l_ - m_)
     assert got == want
 
 
 def test_sts_identity_n2(bcn2):
-    assert check_sts_identity(bcn2.ps, bcn2.lax, 2).holds
+    assert check_sts_identity(bcn2.ps, bcn2.derivation).holds
 
 
 def test_sts_field_free_lax(bcn2):
@@ -210,7 +209,7 @@ def test_sts_field_free_lax(bcn2):
 
 def test_sts_index_range(bcn2):
     with pytest.raises(StructureError):
-        sts_matrix(bcn2.lax, 2, 4, lam(bcn2.ring), mu(bcn2.ring))
+        bcn2.derivation.sts(4, mu(bcn2.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from bilax.dynamics import (
     conserved_channels,
     convergence_order,
     csv_rows,
+    compile_any,
     dn_x0_relation_residual,
-    evaluate,
     integrate,
     random_phase_point,
     ring_values,
@@ -35,36 +35,35 @@ ZERO_PARAMS = {p: 0.0 for p in ("th1", "a1", "b1", "thN", "aN", "bN")}
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: compiled expressions on the ring value vector, as simulate runs
 
 
 def test_evaluate_square(bcn1):
-    ring = bcn1.ring
-    x1 = ring.gen("X1")
-    assert evaluate(Fraction(x1 * x1), {"X1": 3.0, "x1": 0.0}) == 9.0
+    x1 = bcn1.ring.gen("X1")
+    v = ring_values(bcn1, {"X1": 3.0, "x1": 0.0})
+    assert compile_any(Fraction(x1 * x1))(v) == 9.0
 
 
 def test_evaluate_casimir_quarter(dn2):
     from bilax.toda_models import sl2_casimir
 
     c = sl2_casimir(dn2)
-    val = evaluate(Fraction(c), {"H": 0.5, "E": 1.0, "F": 0.0})
-    assert val == 0.25
+    point = {"x1": 0.0, "x2": 0.0, "X1": 0.0, "X2": 0.0, "H": 0.5, "E": 1.0, "F": 0.0}
+    assert compile_any(Fraction(c))(ring_values(dn2, point)) == 0.25
 
 
 def test_evaluate_closed_form_origin():
     # one site, all boundary parameters off, at the phase-space origin
     m = build_bcn(1, ZERO_PARAMS)
     h = displayed_hamiltonian(m)
-    val = evaluate(h, {"x1": 0.0, "X1": 0.0}, model=m)
-    assert val == 0.0
+    assert compile_any(h)(ring_values(m, {"x1": 0.0, "X1": 0.0})) == 0.0
 
 
 def test_evaluate_singularity_guard(dn2):
     h = hamiltonian(dn2)
     point = {"x1": 0.0, "x2": 0.0, "X1": 0.0, "X2": 0.0, "E": 0.0, "H": 0.0, "F": 1.0}
     with pytest.raises(SingularityError):
-        evaluate(h, point, model=dn2)
+        compile_any(h)(ring_values(dn2, point))
 
 
 # ---------------------------------------------------------------------------
@@ -86,23 +85,6 @@ def test_vector_field_equilibrium():
     m = build_bcn(1, params)
     f = vector_field(m)
     assert np.allclose(f(np.zeros(2)), 0.0)
-
-
-def test_vector_field_sources_agree(bcn2):
-    rng = np.random.default_rng(12)
-    fb = vector_field(bcn2, "bracket")
-    fp = vector_field(bcn2, "closed-form")
-    for _ in range(100):
-        p = random_phase_point(bcn2, rng)
-        y = np.array([p[n] for n in state_names(bcn2)])
-        assert np.max(np.abs(fb(y) - fp(y))) <= 1e-14 * max(
-            1.0, float(np.max(np.abs(fb(y))))
-        )
-
-
-def test_vector_field_closed_form_source_dn_rejected(dn2):
-    with pytest.raises(StructureError):
-        vector_field(dn2, "closed-form")
 
 
 def test_dn_level_set_is_flow_invariant(dn2):
@@ -224,7 +206,7 @@ def test_rk4_measured_order(bcn2):
 def test_adaptive_scheme(bcn2):
     rng = np.random.default_rng(7)
     p0 = random_phase_point(bcn2, rng)
-    traj = integrate(bcn2, p0, 1e-2, 100, scheme="rk4-adaptive", tol=1e-10)
+    traj = integrate(bcn2, p0, 1e-2, 100, scheme="rk4-adaptive")
     assert not traj.truncated
     assert abs(float(traj.times[-1]) - 1.0) < 1e-9
     ch = conserved_channels(bcn2, traj)
@@ -235,8 +217,8 @@ def test_step_counts(bcn2):
     p0 = random_phase_point(bcn2, np.random.default_rng(7))
     traj = integrate(bcn2, p0, 1e-3, 40)
     assert (traj.steps_accepted, traj.steps_rejected) == (40, 0)
-    # a first step of 0.2 is far too long for tol 1e-10
-    traj = integrate(bcn2, p0, 0.2, 5, scheme="rk4-adaptive", tol=1e-10)
+    # a first step of 0.2 is far too long for ADAPTIVE_TOL = 1e-10
+    traj = integrate(bcn2, p0, 0.2, 5, scheme="rk4-adaptive")
     assert traj.steps_accepted == len(traj.times) - 1 > 5
     assert traj.steps_rejected >= 1
 

@@ -1,0 +1,119 @@
+"""Pinned outputs, compared byte for byte with the files in ``tests/golden/``.
+
+The pins cover what users and scripts read: ``verify`` stdout and its
+``--output`` JSON, ``derive`` stdout, the residual strings of a FAIL report
+(they fix the printed form of every Fraction the generating matrices carry),
+and a digest of a seeded ``simulate`` trajectory.  A change that alters any
+of them must say so and regenerate the files on purpose with
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from bilax.cli import main as bilax
+from bilax.double_row import Derivation, check_theorem_zc
+from bilax.spectral_matrix import lam, rational_r_builder
+from bilax.structure_checks import flip_entry, nonzero_positions
+from bilax.toda_models import build_bcn
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MODELS = [("bcn", 2), ("bcn", 3), ("dn", 2), ("dn", 3)]
+
+
+def run_cli(argv, workdir) -> str:
+    """stdout of a successful ``bilax argv`` run inside ``workdir``."""
+    buf = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = bilax(argv)
+    finally:
+        os.chdir(cwd)
+    assert code == 0, buf.getvalue()
+    return buf.getvalue()
+
+
+def verify_outputs(model, n, workdir) -> dict:
+    out = run_cli(
+        ["verify", "--model", model, "--N", str(n), "--output", "report.json"],
+        workdir,
+    )
+    report = (Path(workdir) / "report.json").read_text()
+    stem = "verify-%s%d" % (model, n)
+    return {stem + ".stdout": out, stem + ".json": report}
+
+
+def derive_outputs(model, n, workdir) -> dict:
+    out = run_cli(["derive", "--model", model, "--N", str(n)], workdir)
+    return {"derive-%s%d.stdout" % (model, n): out}
+
+
+def theorem_flip_outputs(workdir) -> dict:
+    """Every report of check_theorem_zc at bcn N=1 under each sign flip of a
+    nonzero entry of the rational r-matrix."""
+    model = build_bcn(1)
+    l_ = lam(model.ring)
+    rb = rational_r_builder(model.ring)
+    cases = []
+    for i, j in nonzero_positions(rb(l_)):
+        d = Derivation(model.lax, model.km, model.kp, 1, l_, flip_entry(rb, i, j))
+        reports = check_theorem_zc(model.ps, d)
+        cases.append({"flip": [i, j], "reports": [r.to_dict() for r in reports]})
+    return {"theorem-zc-bcn1-r-flips.json": json.dumps(cases, indent=2) + "\n"}
+
+
+def simulate_outputs(workdir) -> dict:
+    """sha256 of the t and state columns of the seeded dn N=2 trajectory."""
+    run_cli(
+        ["simulate", "--model", "dn", "--N", "2", "--steps", "2000",
+         "--seed", "1", "--output", "sim.csv"],
+        workdir,
+    )
+    lines = (Path(workdir) / "sim.csv").read_text().splitlines()
+    width = 1 + 2 * 2 + 3  # t, x_j, X_j, E, F, H
+    kept = "\n".join(",".join(line.split(",")[:width]) for line in lines)
+    digest = hashlib.sha256(kept.encode()).hexdigest()
+    return {"simulate-dn2-seed1-states.sha256": digest + "\n"}
+
+
+CASES = {
+    **{
+        "verify-%s%d" % (m, n): (lambda w, m=m, n=n: verify_outputs(m, n, w))
+        for m, n in MODELS
+    },
+    **{
+        "derive-%s%d" % (m, n): (lambda w, m=m, n=n: derive_outputs(m, n, w))
+        for m, n in MODELS
+    },
+    "theorem-zc-flips": theorem_flip_outputs,
+    "simulate-dn2": simulate_outputs,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden(case, tmp_path):
+    for name, text in CASES[case](tmp_path).items():
+        assert text == (GOLDEN / name).read_text(), name
+
+
+def main(workdir) -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        for name, text in CASES[case](workdir).items():
+            (GOLDEN / name).write_text(text)
+            print("wrote %s" % (GOLDEN / name))
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        main(tmp)

@@ -21,6 +21,7 @@ from bilax.spectral_matrix import (
     rational_r,
     swap_legs,
     tensor_bracket,
+    trace_a,
 )
 from bilax.toda_models import build_bcn
 
@@ -131,6 +132,36 @@ def test_partial_trace_pullout(model):
         assert lhs == rhs
         lhs2 = partial_trace_a(embed_b(b) @ a4 @ embed_a(c))
         assert lhs2 == b @ partial_trace_a(a4 @ embed_a(c))
+
+
+def test_trace_a_matches_embedded_product(model):
+    # same entries and printed forms as the 4x4 route, on sparse and dense
+    # operands whose entries carry zeros and factored denominators
+    ring = model.ring
+    l_, m_ = lam(ring), mu(ring)
+    pool = [
+        Fraction(ring.zero),
+        Fraction(ring.zero),
+        Fraction(ring.one),
+        Fraction(ring.gen("u1")),
+        Fraction(ring.gen("X1") - l_),
+        Fraction(ring.one, l_ - m_),
+        Fraction(ring.gen("u2"), l_ + m_),
+        Fraction(ring.gen("X2") * 3, (l_ - m_) * (l_ + m_)),
+    ]
+    rng = random.Random(29)
+    for _ in range(20):
+        a, b = (
+            matrix(ring, [[rng.choice(pool) for _ in range(2)] for _ in range(2)])
+            for _ in range(2)
+        )
+        r = matrix(ring, [[rng.choice(pool) for _ in range(4)] for _ in range(4)])
+        want = partial_trace_a(embed_a(a) @ r @ embed_a(b))
+        got = trace_a(a, r, b)
+        assert got == want
+        assert str(got) == str(want)
+    with pytest.raises(StructureError):
+        trace_a(identity(ring, 4), identity(ring, 4), identity(ring, 2))
 
 
 def test_partial_trace_requires_4x4(model):
