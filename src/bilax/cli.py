@@ -231,11 +231,12 @@ def cmd_simulate(args) -> int:
         summary[name] = peak
         print("max %s = %.3e" % (name, peak))
     if not traj.truncated:
-        if summary.get("H_drift", 0.0) > args.tol_energy:
+        # "not peak <= tol" so that a NaN peak fails too
+        if not summary.get("H_drift", 0.0) <= args.tol_energy:
             failures.append("H drift above %.1e" % args.tol_energy)
-        if summary.get("zc_residual", 0.0) > args.tol_zc:
+        if not summary.get("zc_residual", 0.0) <= args.tol_zc:
             failures.append("zero-curvature residual above %.1e" % args.tol_zc)
-        if summary.get("casimir_drift", 0.0) > args.tol_casimir:
+        if not summary.get("casimir_drift", 0.0) <= args.tol_casimir:
             failures.append("Casimir drift above %.1e" % args.tol_casimir)
     if args.format == "json":
         payload = {

@@ -7,18 +7,26 @@ non-separable, so conservation is monitored through diagnostic channels
 (Hamiltonian family drift, Casimir, zero-curvature residual) rather than
 enforced.
 
-Symbolic expressions are compiled once into per-monomial Python functions;
-the time derivative of a Lax entry is the bracket with the Hamiltonian
-pushed through symbolically, never a finite difference, so the residual
-channels isolate algebra errors from integration error.  The integrator
-evaluates its compiled right-hand side on one float vector per stage; the
-diagnostics evaluate each compiled channel once, on whole time columns
-(``state_columns``), and agree with per-sample evaluation to roundoff.
+Exact expressions are emitted as Python source, one term per monomial, and
+compiled once per model.  The time derivative of a Lax entry is the bracket
+with the Hamiltonian pushed through symbolically, never a finite difference,
+so the residual channels isolate algebra errors from integration error.
+
+The integrator runs one generated ``step(y, h)`` per model on a tuple of
+Python floats: the four RK4 stages are inlined, each takes ``u_j =
+exp(x_j)`` once, computes each distinct denominator of the equations of
+motion once behind the singularity guard, and has the parameters as
+literals.  A run whose state leaves the finite floats is truncated at the
+first non-finite sample.  The diagnostics evaluate each compiled channel
+once, on whole time columns (``state_columns``), and agree with per-sample
+evaluation to roundoff.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +56,8 @@ class SingularityError(RuntimeError):
 # compilation of exact expressions to float functions
 
 
-def _poly_source(el: RingElement) -> str:
+def _poly_source(el: RingElement, slots) -> str:
+    """Python source of ``el``; ``slots[i]`` is the text of ring slot i."""
     if not el.terms:
         return "0.0"
     parts = []
@@ -56,15 +65,26 @@ def _poly_source(el: RingElement) -> str:
         factors = [repr(float(c))]
         for i, e in enumerate(exps):
             if e == 1:
-                factors.append("v[%d]" % i)
+                factors.append(slots[i])
             elif e:
-                factors.append("v[%d]**%d" % (i, e))
+                factors.append("%s**%d" % (slots[i], e))
         parts.append("*".join(factors))
     return " + ".join(parts)
 
 
+def _vector_slots(el) -> list:
+    return ["v[%d]" % i for i in range(el.ring.nvars)]
+
+
+def _guard(d: str, columns: bool = False) -> str:
+    """Source of the test that ``d`` is below the denominator threshold."""
+    if columns:
+        return "np.any(np.abs(%s) < %g)" % (d, DEN_EPS)
+    return "-%g < %s < %g" % (DEN_EPS, d, DEN_EPS)
+
+
 def compile_element(el: RingElement):
-    src = "def _f(v):\n    return %s\n" % _poly_source(el)
+    src = "def _f(v):\n    return %s\n" % _poly_source(el, _vector_slots(el))
     ns: dict = {}
     exec(src, ns)
     return ns["_f"]
@@ -75,21 +95,19 @@ def compile_fraction(fr: Fraction, columns: bool = False):
 
     With ``columns`` the entries of ``v`` may be numpy columns and the
     denominator guard tests the whole column at once; otherwise ``v`` holds
-    floats and the guard is a chained scalar comparison (the RK4 path).
+    floats and the guard is a chained scalar comparison.
     """
     if not fr.den_factors:
         return compile_element(fr.num)
-    if columns:
-        guard = "np.any(np.abs(d) < %g)" % DEN_EPS
-    else:
-        guard = "-%g < d < %g" % (DEN_EPS, DEN_EPS)
+    slots = _vector_slots(fr.num)
     src = (
         "def _f(v):\n"
         "    d = %s\n"
         "    if %s:\n"
         "        raise SingularityError('denominator below threshold')\n"
         "    return (%s)/d\n"
-        % (_poly_source(fr.den), guard, _poly_source(fr.num))
+        % (_poly_source(fr.den, slots), _guard("d", columns),
+           _poly_source(fr.num, slots))
     )
     ns = {"SingularityError": SingularityError, "np": np}
     exec(src, ns)
@@ -173,58 +191,85 @@ def random_phase_point(
 
 @dataclass
 class CompiledVectorField:
+    """The equations of motion of a model, compiled from generated source.
+
+    ``step(y, h)`` is one RK4 step and ``rhs(y)`` one evaluation of the
+    right-hand side, both on a tuple of floats in ``state_names`` order.
+    """
+
     model: ModelSpec
     names: list
-    funcs: list
+    rhs: Callable
+    step: Callable
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        v = self._values(y)
-        return np.array([f(v) for f in self.funcs])
+    def __call__(self, y) -> np.ndarray:
+        return np.array(self.rhs(tuple(map(float, y))))
 
-    def _values(self, y: np.ndarray) -> list:
-        model = self.model
-        ring = model.ring
-        v = self._template
-        n = model.N
-        for j in range(n):
-            v[self._u_slots[j]] = math.exp(y[j])
-            v[self._x_slots[j]] = y[n + j]
-        if model.name == "dn":
-            v[self._sl2_slots[0]] = y[2 * n]
-            v[self._sl2_slots[1]] = y[2 * n + 1]
-            v[self._sl2_slots[2]] = y[2 * n + 2]
-        return v
 
-    def __post_init__(self):
-        ring = self.model.ring
-        n = self.model.N
-        self._template = [0.0] * ring.nvars
-        for name, val in self.model.params.items():
-            self._template[ring.slot(name)] = float(val)
-        self._u_slots = [ring.slot("u%d" % j) for j in range(1, n + 1)]
-        self._x_slots = [ring.slot("X%d" % j) for j in range(1, n + 1)]
-        self._sl2_slots = (
-            [ring.slot(s) for s in ("E", "F", "H")]
-            if self.model.name == "dn"
-            else []
-        )
+def _stage_template(model: ModelSpec, eqs: list) -> str:
+    """Indented source that sets ``{k}i`` to the i-th equation at the state
+    ``{y[0]}, {y[1]}, ...``; ``str.format`` names the state and outputs.
+
+    Every u_j = exp(x_j) is taken first, and each distinct denominator, with
+    its guard, before the first equation that divides by it; the parameters
+    enter as literals and any other slot (lam, mu) as 0.0."""
+    ring, n = model.ring, model.N
+    slots = ["0.0"] * ring.nvars
+    lines = []
+    for j in range(n):
+        slots[ring.slot("u%d" % (j + 1))] = "u%d" % j
+        lines.append("u%d = exp({y[%d]})" % (j, j))
+    for i, name in enumerate(state_names(model)[n:], n):
+        slots[ring.slot(name)] = "{y[%d]}" % i
+    for name, val in model.params.items():
+        slots[ring.slot(name)] = "(%r)" % float(val)
+    dens: dict = {}
+    for i, eq in enumerate(eqs):
+        num = _poly_source(eq.num, slots)
+        if not eq.den_factors:
+            lines.append("{k}%d = %s" % (i, num))
+            continue
+        den = _poly_source(eq.den, slots)
+        if den not in dens:
+            dens[den] = d = "d%d" % len(dens)
+            lines.append("%s = %s" % (d, den))
+            lines.append("if %s:" % _guard(d))
+            lines.append("    raise SingularityError('denominator below threshold')")
+        lines.append("{k}%d = (%s)/%s" % (i, num, dens[den]))
+    return "".join("    %s\n" % line for line in lines)
 
 
 def vector_field(model: ModelSpec) -> CompiledVectorField:
-    """Compiled map state -> d/dT state, from {H, .} on every coordinate."""
+    """Compiled map state -> d/dT state, from {H, .} on every coordinate,
+    and the RK4 step over it."""
 
     def build():
-        eom = derived_eom(model)
         names = state_names(model)
-        funcs = []
-        for j in range(1, model.N + 1):
-            funcs.append(compile_any(eom.xdot[j]))
-        for j in range(1, model.N + 1):
-            funcs.append(compile_any(eom.momentum_dot[j]))
-        if model.name == "dn":
-            for s in ("E", "F", "H"):
-                funcs.append(compile_any(eom.sl2_dot[s]))
-        return CompiledVectorField(model, names, funcs)
+        eqs = dict(derived_eom(model).coordinates())
+        stage = _stage_template(model, [eqs[name] for name in names])
+        d = len(names)
+        ys = ["y%d" % i for i in range(d)]
+        zs = ["z%d" % i for i in range(d)]
+        ks = [["k%d_%d" % (s, i) for i in range(d)] for s in range(4)]
+        unpack = "    %s, = y\n" % ", ".join(ys)
+        src = ["def rhs(y):\n", unpack, stage.format(y=ys, k="k0_"),
+               "    return %s,\n\n" % ", ".join(ks[0])]
+        src += ["def step(y, h):\n", unpack, "    h2 = 0.5 * h\n",
+                "    h6 = h / 6.0\n", stage.format(y=ys, k="k0_")]
+        # the stage sums keep the operation order of the numpy form
+        # y + (0.5*h)*k and y + (h/6)*(((k1 + 2 k2) + 2 k3) + k4), so a step
+        # is IEEE-identical to it (tests/integrator_oracle.py)
+        for s, scale in ((1, "h2"), (2, "h2"), (3, "h")):
+            src += ["    %s = %s + %s * %s\n" % (z, y, scale, k)
+                    for z, y, k in zip(zs, ys, ks[s - 1])]
+            src.append(stage.format(y=zs, k="k%d_" % s))
+        src.append("    return %s,\n" % ", ".join(
+            "%s + h6 * (((%s + 2.0 * %s) + 2.0 * %s) + %s)" % (y, *k)
+            for y, k in zip(ys, zip(*ks))))
+        ns = {"exp": math.exp, "SingularityError": SingularityError,
+              "inf": math.inf, "nan": math.nan}
+        exec("".join(src), ns)
+        return CompiledVectorField(model, names, ns["rhs"], ns["step"])
 
     return model.cached("vector_field", build)
 
@@ -249,14 +294,6 @@ class Trajectory:
     min_abs_f_minus_ex1: float | None = None
 
 
-def _rk4_step(f, y, dt):
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def integrate(
     model: ModelSpec,
     p0: dict,
@@ -271,46 +308,49 @@ def integrate(
     ADAPTIVE_TOL.  A singular denominator (dn: F -> e^{x1}) truncates the
     trajectory and sets the error flag instead of raising.  So does
     ``rk4-adaptive`` when it has accepted 100 * steps steps short of
-    t_end = dt * steps.
+    t_end = dt * steps, and so does a state that is not finite: the
+    trajectory then ends before the first non-finite sample, and
+    ``steps_accepted`` counts the steps up to the last sample kept.
     """
     if dt <= 0:
         raise StructureError("dt must be positive")
     if scheme not in ("rk4", "rk4-adaptive"):
         raise StructureError("unknown scheme %r" % scheme)
-    f = vector_field(model)
+    step = vector_field(model).step
     names = state_names(model)
-    y = np.array([p0[n] for n in names], dtype=float)
+    y = tuple(float(p0[n]) for n in names)
+    if not all(map(math.isfinite, y)):
+        raise StructureError("initial state is not finite")
     times = [0.0]
-    states = [y.copy()]
+    states = array("d", y)  # flat, row after row: no float object kept per value
     truncated = False
     error = None
     accepted = rejected = 0
     try:
         if scheme == "rk4":
-            t = 0.0
             for i in range(1, steps + 1):
-                y = _rk4_step(f, y, dt)
+                y = step(y, dt)
                 accepted = i
-                t = i * dt
                 if i % store_every == 0 or i == steps:
-                    times.append(t)
-                    states.append(y.copy())
+                    times.append(i * dt)
+                    states.extend(y)
         else:
             t = 0.0
             t_end = dt * steps
             h = dt
             while t < t_end - 1e-15 and accepted < 100 * steps:
                 h = min(h, t_end - t)
-                full = _rk4_step(f, y, h)
-                half = _rk4_step(f, _rk4_step(f, y, h / 2.0), h / 2.0)
-                err = float(np.max(np.abs(full - half)))
+                full = step(y, h)
+                half = step(step(y, h / 2.0), h / 2.0)
+                # np.max, unlike max(), propagates a NaN difference
+                err = float(np.max(np.abs(np.subtract(full, half))))
                 if err <= ADAPTIVE_TOL or h < 1e-12:
                     y = half
                     t += h
                     accepted += 1
                     if accepted % store_every == 0 or t >= t_end - 1e-15:
                         times.append(t)
-                        states.append(y.copy())
+                        states.extend(y)
                 else:
                     rejected += 1
                 factor = 0.9 * (ADAPTIVE_TOL / err) ** 0.2 if err > 0 else 5.0
@@ -327,11 +367,20 @@ def integrate(
     except (OverflowError, ZeroDivisionError):
         truncated = True
         error = "coordinate overflow (trajectory left the representable range)"
+    times = np.array(times)
+    states = np.array(states).reshape(len(times), len(names))
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        truncated = True
+        error = "non-finite state at t = %.6g" % times[k]
+        times, states = times[:k], states[:k]
+        accepted = (k - 1) * store_every
     return Trajectory(
         model.name,
         names,
-        np.array(times),
-        np.array(states),
+        times,
+        states,
         {},
         truncated,
         error,
@@ -518,23 +567,18 @@ def _csv_label(name: str) -> str:
 
 def csv_rows(model: ModelSpec, traj: Trajectory):
     names = [_csv_label(n) for n in traj.state_names]
-    header = ["t"] + names + ["H_drift", "casimir_drift", "zc_residual"]
-    yield ",".join(header)
+    channels = ["H_drift", "casimir_drift", "zc_residual"]
+    yield ",".join(["t"] + names + channels)
     n_t = len(traj.times)
-    h_drift = traj.channels.get("H_drift", np.zeros(n_t))
-    cas = traj.channels.get("casimir_drift", np.zeros(n_t))
-    zc = traj.channels.get("zc_residual", np.zeros(n_t))
-    for i in range(n_t):
-        row = [repr(float(traj.times[i]))]
-        row += [repr(float(x)) for x in traj.states[i]]
-        row += [repr(float(h_drift[i])), repr(float(cas[i])), repr(float(zc[i]))]
-        yield ",".join(row)
+    columns = [traj.times, traj.states]
+    columns += [traj.channels.get(name, np.zeros(n_t)) for name in channels]
+    for row in np.column_stack(columns):
+        yield ",".join(map(repr, row.tolist()))
 
 
 def write_csv(model: ModelSpec, traj: Trajectory, path: str):
     with open(path, "w") as fh:
-        for line in csv_rows(model, traj):
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in csv_rows(model, traj))
 
 
 def write_svg(traj: Trajectory, path: str):

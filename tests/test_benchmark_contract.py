@@ -2,17 +2,21 @@
 
 The tracer resolves every function named in its LAYERS, COUNTED and CHECKS
 tables and rebinds it; the after-call hooks unpack the leading positional
-arguments of ``boundary_M`` and ``transfer_expansion``.  The module is
-loaded from its file and not modified.
+arguments of ``boundary_M`` and ``transfer_expansion`` and read the
+trajectory ``integrate`` returns.  The module is loaded from its file and
+not modified.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import bilax.cli  # noqa: F401  (loads every module the tracer wraps)
-from bilax import double_row
+from bilax import double_row, dynamics
 from bilax.spectral_matrix import lam, mu
+from bilax.toda_models import build_dn
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,3 +65,33 @@ def test_tracer_installs_traces_and_restores(bcn1):
     assert metrics["double_row.boundary_M.distinct_ratio"] == 1.0
     assert metrics["double_row.transfer_expansion.calls"] == 1
     assert metrics["double_row.transfer_expansion.distinct_ratio"] == 1.0
+
+
+def test_tracer_counts_a_simulate_run():
+    # a fresh model, so that compilation runs under the tracer too
+    model = build_dn(2)
+    p0 = dynamics.random_phase_point(model, np.random.default_rng(1), amplitude=0.3)
+    spans = load_spans()
+    before = bindings()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        traj = dynamics.integrate(model, p0, 1e-3, 40)
+        dynamics.conserved_channels(model, traj)
+        dynamics.zero_curvature_residual(model, traj, (0.3, 0.7))
+        dynamics.dn_x0_relation_residual(model, traj)
+        metrics = tracer.take()
+    finally:
+        tracer.restore()
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+    assert traj.steps_accepted == 40
+    assert metrics["dynamics.integrate.steps"] == 40
+    assert metrics["dynamics.samples"] == 41
+    # the generated step does not go through CompiledVectorField.__call__
+    assert metrics["dynamics.integrate.rhs_evals"] == 0
+    assert metrics["dynamics.compile.calls"] > 0
+    for name in ("integrate", "conserved_channels", "zero_curvature_residual",
+                 "dn_x0_relation_residual"):
+        assert metrics["dynamics.%s.s" % name] > 0

@@ -2,6 +2,9 @@
 
 import json
 
+import numpy as np
+
+from bilax import dynamics
 from bilax.cli import main
 
 
@@ -216,3 +219,36 @@ def test_simulate_svg(tmp_path):
     assert code == 0
     assert (tmp_path / "run.svg").read_text().startswith("<svg")
 
+
+def test_simulate_non_finite_state_exits_1(tmp_path, capsys):
+    # the state goes NaN from t = 4.0 without raising; every channel peak
+    # used to read NaN, which no "peak > tol" gate caught
+    p = tmp_path / "nan.csv"
+    argv = ["simulate", "--model", "dn", "--N", "2", "--seed", "30",
+            "--amplitude", "2", "--dt", "0.5", "--steps", "300",
+            "--format", "json", "--output", str(p)]
+    assert main(argv) == 1
+    assert "FAIL trajectory truncated: non-finite state at t = 4" in (
+        capsys.readouterr().out)
+    payload = json.loads((tmp_path / "nan.json").read_text())
+    assert payload["truncated"] is True
+    assert payload["error"] == "non-finite state at t = 4"
+    assert payload["channel_max"] == {}
+    rows = p.read_text().splitlines()[1:]
+    assert len(rows) == 8 and "nan" not in p.read_text()
+
+
+def test_simulate_nan_channel_peak_fails(tmp_path, capsys, monkeypatch):
+    # a finite trajectory whose diagnostics come out NaN must not pass
+    conserved = dynamics.conserved_channels
+
+    def nan_drift(model, traj):
+        channels = conserved(model, traj)
+        traj.channels["H_drift"] = np.full(len(traj.times), np.nan)
+        return channels
+
+    monkeypatch.setattr(dynamics, "conserved_channels", nan_drift)
+    argv = ["simulate", "--model", "bcn", "--N", "1", "--steps", "20",
+            "--output", str(tmp_path / "run.csv")]
+    assert main(argv) == 1
+    assert "FAIL H drift above 1.0e-08" in capsys.readouterr().out

@@ -250,6 +250,40 @@ def test_singularity_truncates(dn2):
     assert "threshold" in traj.error or "overflow" in traj.error
 
 
+def test_non_finite_state_truncates(dn2):
+    # the step overflows to NaN without raising between t = 3.5 and 4.0;
+    # the trajectory must end at the last finite sample and say so
+    p0 = random_phase_point(dn2, np.random.default_rng(30), amplitude=2.0)
+    traj = integrate(dn2, p0, 0.5, 300)
+    assert traj.truncated
+    assert traj.error == "non-finite state at t = 4"
+    assert float(traj.times[-1]) == 3.5 and len(traj.times) == 8
+    assert np.isfinite(traj.states).all()
+    assert traj.steps_accepted == 7
+    traj = integrate(dn2, p0, 0.5, 300, store_every=3)
+    assert traj.error == "non-finite state at t = 4.5"
+    assert float(traj.times[-1]) == 3.0 and traj.steps_accepted == 6
+
+
+def test_non_finite_initial_state_rejected(bcn1):
+    with pytest.raises(StructureError):
+        integrate(bcn1, {"x1": float("nan"), "X1": 0.0}, 1e-3, 10)
+
+
+def test_step_is_one_rk4_step_of_the_vector_field(dn2):
+    # the generated step against RK4 written out over the evaluator
+    f = vector_field(dn2)
+    p0 = random_phase_point(dn2, np.random.default_rng(3))
+    y = np.array([p0[n] for n in state_names(dn2)])
+    dt = 1e-2
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    want = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array(f.step(tuple(y), dt)).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 

@@ -3,8 +3,9 @@
 The pins cover what users and scripts read: ``verify`` stdout and its
 ``--output`` JSON, ``derive`` stdout, the residual strings of a FAIL report
 (they fix the printed form of every Fraction the generating matrices carry),
-and a digest of a seeded ``simulate`` trajectory.  A change that alters any
-of them must say so and regenerate the files on purpose with
+and digests of seeded ``simulate`` trajectories and of one whole CSV.  A
+change that alters any of them must say so and regenerate the files on
+purpose with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -72,18 +73,38 @@ def theorem_flip_outputs(workdir) -> dict:
     return {"theorem-zc-bcn1-r-flips.json": json.dumps(cases, indent=2) + "\n"}
 
 
-def simulate_outputs(workdir) -> dict:
-    """sha256 of the t and state columns of the seeded dn N=2 trajectory."""
-    run_cli(
-        ["simulate", "--model", "dn", "--N", "2", "--steps", "2000",
-         "--seed", "1", "--output", "sim.csv"],
-        workdir,
-    )
-    lines = (Path(workdir) / "sim.csv").read_text().splitlines()
-    width = 1 + 2 * 2 + 3  # t, x_j, X_j, E, F, H
+def simulate_csv(argv, workdir) -> str:
+    """The CSV a successful ``bilax simulate argv`` writes."""
+    run_cli(["simulate", *argv, "--output", "sim.csv"], workdir)
+    return (Path(workdir) / "sim.csv").read_text()
+
+
+def states_digest(csv_text) -> str:
+    """sha256 of the t and state columns (those before H_drift)."""
+    lines = csv_text.splitlines()
+    width = lines[0].split(",").index("H_drift")
     kept = "\n".join(",".join(line.split(",")[:width]) for line in lines)
-    digest = hashlib.sha256(kept.encode()).hexdigest()
-    return {"simulate-dn2-seed1-states.sha256": digest + "\n"}
+    return hashlib.sha256(kept.encode()).hexdigest() + "\n"
+
+
+def simulate_outputs(workdir) -> dict:
+    """sha256 of seeded trajectories: the state columns of dn N=2, bcn N=3
+    and an rk4-adaptive dn N=2 run, and the whole dn N=2 CSV, whose
+    channel columns pin the diagnostics and the CSV formatting."""
+    dn2 = simulate_csv(
+        ["--model", "dn", "--N", "2", "--steps", "2000", "--seed", "1"], workdir)
+    bcn3 = simulate_csv(
+        ["--model", "bcn", "--N", "3", "--steps", "1000", "--seed", "2"], workdir)
+    adaptive = simulate_csv(
+        ["--model", "dn", "--N", "2", "--scheme", "rk4-adaptive", "--dt", "0.1",
+         "--steps", "10", "--seed", "4"], workdir)
+    return {
+        "simulate-dn2-seed1-states.sha256": states_digest(dn2),
+        "simulate-dn2-seed1-csv.sha256":
+            hashlib.sha256(dn2.encode()).hexdigest() + "\n",
+        "simulate-bcn3-seed2-states.sha256": states_digest(bcn3),
+        "simulate-dn2-adaptive-seed4-states.sha256": states_digest(adaptive),
+    }
 
 
 CASES = {
