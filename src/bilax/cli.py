@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction as PyFraction
@@ -192,11 +193,18 @@ def cmd_derive(args) -> int:
 # simulate
 
 
+def _json_number(x):
+    """A float as strict JSON allows it: a non-finite value becomes null."""
+    return x if x is None or math.isfinite(x) else None
+
+
 def cmd_simulate(args) -> int:
     model = _build_model(args)
     rng = np.random.default_rng(args.seed)
     point = dynamics.random_phase_point(model, rng, amplitude=args.amplitude)
     mu_samples = [float(x) for x in args.mu_samples.split(",") if x]
+    if not all(map(math.isfinite, mu_samples)):
+        raise StructureError("mu samples must be finite")
     traj = dynamics.integrate(
         model, point, args.dt, args.steps, scheme=args.scheme
     )
@@ -251,14 +259,14 @@ def cmd_simulate(args) -> int:
             "error": traj.error,
             "steps_accepted": traj.steps_accepted,
             "steps_rejected": traj.steps_rejected,
-            "channel_max": summary,
+            "channel_max": {k: _json_number(v) for k, v in summary.items()},
             "failures": failures,
         }
         if model.name == "dn":
-            payload["min_abs_f_minus_ex1"] = traj.min_abs_f_minus_ex1
+            payload["min_abs_f_minus_ex1"] = _json_number(traj.min_abs_f_minus_ex1)
         json_path = os.path.splitext(out)[0] + ".json"
         with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
         print("wrote %s" % json_path)
     for f in failures:
         print("FAIL %s" % f)

@@ -152,10 +152,6 @@ def single_row_transfer(lax, N: int, arg: RingElement) -> Fraction:
     return monodromy(lax, N, 1, arg).trace()
 
 
-def extract_hamiltonian(exp: TransferExpansion, recipe) -> Fraction:
-    return recipe.hamiltonian(exp)
-
-
 # ---------------------------------------------------------------------------
 # the double-row derivation
 
@@ -166,11 +162,11 @@ class Derivation:
     Every check reads the same objects from here instead of rebuilding them:
     the transfer scalar b(lam) and its expansion, the site inverses
     l(k,-lam)^{-1}, the prefix and suffix monodromies (built one site at a
-    time), and a memo of each generating matrix M(j, mu_expr) and of each
-    flow matrix extracted from it.  M and the single-row matrix are both the
-    generic trace_a(A, r, B) = tr_a(A_a r B_a) over 2x2 factors, for the
-    r-matrix the derivation was built with, so a mutated r-builder runs
-    through the same code as the stock one.
+    time), and a memo of each generating matrix M(j, mu_expr), of each
+    single-row matrix and of each flow matrix extracted from M.  M and the
+    single-row matrix are both the generic trace_a(A, r, B) = tr_a(A_a r
+    B_a) over 2x2 factors, for the r-matrix the derivation was built with,
+    so a mutated r-builder runs through the same code as the stock one.
 
     Build one per model and r-builder: the memo trusts that lax, k-, k+ and
     the r-builder never change.
@@ -183,7 +179,8 @@ class Derivation:
         self.r_builder = r_builder or rational_r_builder(self.ring)
         self.recipe = recipe
         self.generating = {}  # (j, mu_expr.key()) -> M(j, lam, mu_expr)
-        self.flows = {}  # (j, mu_expr.key()) -> flow matrix extracted from it
+        self.single_row = {}  # (j, mu_expr.key()) -> the single-row matrix
+        self.flows = {}  # (j, mu_expr.key()) -> flow matrix extracted from M
         self._factors = {}  # j -> the mu-free 2x2 factors of M(j, .)
 
     # -- monodromy pieces, keyed by site index j = 1..N+1 -----------------
@@ -255,7 +252,7 @@ class Derivation:
 
     @cached_property
     def hamiltonian(self) -> Fraction:
-        return extract_hamiltonian(self.expansion, self._recipe())
+        return self._recipe().hamiltonian(self.expansion)
 
     def _recipe(self):
         if self.recipe is None:
@@ -266,31 +263,27 @@ class Derivation:
 
     def M(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
         """Boundary generating function M(j, lam, mu_expr) of boundary_M."""
-        key = (j, mu_expr.key())
-        m = self.generating.get(key)
-        if m is None:
+
+        def build():
             a1, b1, a2, b2 = self._mu_free_factors(j)
             r_ab = self.r_builder(self.lam - mu_expr)
             r_ba = swap_legs(self.r_builder(self.lam + mu_expr))
-            m = trace_a(a1, r_ab, b1) + trace_a(a2, r_ba, b2)
-            self.generating[key] = m
-        return m
+            return trace_a(a1, r_ab, b1) + trace_a(a2, r_ba, b2)
+
+        return _memo(self.generating, (j, mu_expr.key()), build)
 
     def sts(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
         """Single-row generating function tr_a(L_a(N,j) r_ab(lam-mu) L_a(j-1,1))."""
         self._check_site(j)
-        return trace_a(
+        return _memo(self.single_row, (j, mu_expr.key()), lambda: trace_a(
             self.suffixes[j], self.r_builder(self.lam - mu_expr), self.prefixes[j]
-        )
+        ))
 
     def flow(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
         """Time part of the Lax pair at site index j, at spectral point mu_expr."""
-        key = (j, mu_expr.key())
-        m = self.flows.get(key)
-        if m is None:
-            m = extract_M(self.M(j, mu_expr), self.expansion, self._recipe())
-            self.flows[key] = m
-        return m
+        return _memo(self.flows, (j, mu_expr.key()), lambda: extract_M(
+            self.M(j, mu_expr), self.expansion, self._recipe()
+        ))
 
     def _mu_free_factors(self, j: int) -> tuple:
         """The four mu-free factors around the r-insertions of M(j).
@@ -313,6 +306,50 @@ class Derivation:
     def _check_site(self, j: int):
         if not 1 <= j <= self.N + 1:
             raise StructureError("site index %d out of range 1..%d" % (j, self.N + 1))
+
+
+def _memo(table: dict, key, build):
+    m = table.get(key)
+    if m is None:
+        m = table[key] = build()
+    return m
+
+
+# ---------------------------------------------------------------------------
+# the zero-curvature layout
+
+
+def zero_curvature_terms(d: Derivation) -> list:
+    """One term (label, X, (jl, sl), (jr, sr)) per zero-curvature identity
+
+        {s, X(mu)} = M(jl, sl*mu) X(mu) - X(mu) M(jr, sr*mu)
+
+    of the double-row Lax pair (Sklyanin, J. Phys. A 21 (1988) 2375): first
+    the sites l(j), "j=1".."j=N", with M(j+1, mu) and M(j, mu); then
+    "kminus" with M(1, mu) and M(1, -mu), and "kplus" with M(N+1, -mu) and
+    M(N+1, mu).  Every symbolic zero-curvature check and the numeric
+    residual of ``dynamics`` read this list.
+    """
+    n = d.N
+    terms = [
+        ("j=%d" % j, lambda arg, j=j: d.lax(j, arg), (j + 1, 1), (j, 1))
+        for j in range(1, n + 1)
+    ]
+    terms.append(("kminus", d.km, (1, 1), (1, -1)))
+    terms.append(("kplus", d.kp, (n + 1, -1), (n + 1, 1)))
+    return terms
+
+
+def _paired(term, M, m_) -> SpectralMatrix:
+    """M(jl, sl*mu) X(mu) - X(mu) M(jr, sr*mu) for one layout term."""
+    _, X, (jl, sl), (jr, sr) = term
+    x = X(m_)
+    return M(jl, sl * m_) @ x - x @ M(jr, sr * m_)
+
+
+def _zc_residual(ps, scalar, M, term, m_) -> SpectralMatrix:
+    """{scalar, X(mu)} minus the term's M-pairing."""
+    return bracket_scalar_matrix(ps, scalar, term[1](m_)) - _paired(term, M, m_)
 
 
 # ---------------------------------------------------------------------------
@@ -480,51 +517,34 @@ def check_involution(ps, d: Derivation) -> RelationReport:
     return RelationReport("involution", not residual, residual)
 
 
+def _site_report(ps, d: Derivation, scalar, M, name: str) -> RelationReport:
+    """The site terms of the layout, merged into one report."""
+    m_ = mu(ps.ring)
+    return merge_reports(name, [
+        matrix_report(name, _zc_residual(ps, scalar, M, t, m_), prefix=t[0] + " ")
+        for t in zero_curvature_terms(d)[:d.N]
+    ])
+
+
 def check_sts_identity(ps, d: Derivation) -> RelationReport:
     """{t(lam), l(j,mu)} = S(j+1) l(j,mu) - l(j,mu) S(j) for all sites, with
     t = tr L(N, 1) and the single-row matrices S(j) = d.sts(j, mu)."""
-    m_ = mu(ps.ring)
-    t = d.suffixes[1].trace()
-    sts = {j: d.sts(j, m_) for j in range(1, d.N + 2)}
-    reports = []
-    for j in range(1, d.N + 1):
-        l_j = d.lax(j, m_)
-        lhs = bracket_scalar_matrix(ps, t, l_j)
-        rhs = sts[j + 1] @ l_j - l_j @ sts[j]
-        reports.append(
-            matrix_report("sts_identity", lhs - rhs, prefix="j=%d " % j)
-        )
-    return merge_reports("sts_identity", reports)
+    return _site_report(ps, d, d.suffixes[1].trace(), d.sts, "sts_identity")
 
 
 def _zero_curvature(ps, d: Derivation, scalar, M, names) -> list:
-    """{scalar, .} against the M-commutators on every l(j), k- and k+:
-
-    {s, l_b(j,mu)} = M(j+1,mu) l - l M(j,mu) for each j,
-    {s, k-_b(mu)}  = M(1,mu) k- - k- M(1,-mu),
-    {s, k+_b(mu)}  = M(N+1,-mu) k+ - k+ M(N+1,mu).
-    """
+    """{scalar, .} against the M-pairings of every layout term: the sites
+    merged under names[0], then k- and k+ under names[1] and names[2]."""
     m_ = mu(ps.ring)
-    lax, km, kp, N = d.lax, d.km, d.kp, d.N
-    site_reports = []
-    for j in range(1, N + 1):
-        lhs = bracket_scalar_matrix(ps, scalar, lax(j, m_))
-        rhs = M(j + 1, m_) @ lax(j, m_) - lax(j, m_) @ M(j, m_)
-        site_reports.append(matrix_report(names[0], lhs - rhs, prefix="j=%d " % j))
-
-    lhs = bracket_scalar_matrix(ps, scalar, km(m_))
-    rhs = M(1, m_) @ km(m_) - km(m_) @ M(1, -m_)
-    kminus = matrix_report(names[1], lhs - rhs)
-
-    lhs = bracket_scalar_matrix(ps, scalar, kp(m_))
-    rhs = M(N + 1, -m_) @ kp(m_) - kp(m_) @ M(N + 1, m_)
-    kplus = matrix_report(names[2], lhs - rhs)
-    return [merge_reports(names[0], site_reports), kminus, kplus]
+    return [_site_report(ps, d, scalar, M, names[0])] + [
+        matrix_report(name, _zc_residual(ps, scalar, M, t, m_))
+        for name, t in zip(names[1:], zero_curvature_terms(d)[d.N:])
+    ]
 
 
 def check_theorem_zc(ps, d: Derivation) -> list:
-    """The three generating-function zero-curvature identities, with
-    s = b(lam) and the generating matrices M(j, lam, mu)."""
+    """The generating-function zero-curvature identities of the layout,
+    with s = b(lam) and the generating matrices M(j, lam, mu)."""
     return _zero_curvature(
         ps, d, d.b, d.M,
         ("theorem_zc_lax", "theorem_zc_kminus", "theorem_zc_kplus"),
@@ -544,23 +564,17 @@ def verify_corollary(ps, d: Derivation) -> list:
 def check_nondynamical_intertwining(ps, d: Derivation) -> list:
     """Non-dynamical boundary case: {b, k±} = 0 and the K-M relations.
 
+    The k± terms of the layout with no bracket,
     M(1,mu) k-(mu) = k-(mu) M(1,-mu) and
     M(N+1,-mu) k+(mu) = k+(mu) M(N+1,mu),
     stated with the double-row matrices, not single-row ones.
     """
     m_ = mu(ps.ring)
-    km, kp, M = d.km, d.kp, d.flow
+    boundary = zero_curvature_terms(d)[d.N:]
     return [
-        matrix_report(
-            "b_kminus_commute", bracket_scalar_matrix(ps, d.b, km(m_))
-        ),
-        matrix_report(
-            "b_kplus_commute", bracket_scalar_matrix(ps, d.b, kp(m_))
-        ),
-        matrix_report(
-            "kminus_intertwine", M(1, m_) @ km(m_) - km(m_) @ M(1, -m_)
-        ),
-        matrix_report(
-            "kplus_intertwine", M(d.N + 1, -m_) @ kp(m_) - kp(m_) @ M(d.N + 1, m_)
-        ),
+        matrix_report("b_%s_commute" % t[0], bracket_scalar_matrix(ps, d.b, t[1](m_)))
+        for t in boundary
+    ] + [
+        matrix_report("%s_intertwine" % t[0], _paired(t, d.flow, m_))
+        for t in boundary
     ]

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .double_row import zero_curvature_terms
 from .phase_ring import Fraction, RingElement, StructureError
 from .spectral_matrix import bracket_scalar_matrix, mu
 from .toda_models import (
@@ -76,13 +77,6 @@ def _vector_slots(el) -> list:
     return ["v[%d]" % i for i in range(el.ring.nvars)]
 
 
-def _guard(d: str, columns: bool = False) -> str:
-    """Source of the test that ``d`` is below the denominator threshold."""
-    if columns:
-        return "np.any(np.abs(%s) < %g)" % (d, DEN_EPS)
-    return "-%g < %s < %g" % (DEN_EPS, d, DEN_EPS)
-
-
 def compile_element(el: RingElement):
     src = "def _f(v):\n    return %s\n" % _poly_source(el, _vector_slots(el))
     ns: dict = {}
@@ -90,33 +84,28 @@ def compile_element(el: RingElement):
     return ns["_f"]
 
 
-def compile_fraction(fr: Fraction, columns: bool = False):
-    """Float function of the ring value vector ``v``.
-
-    With ``columns`` the entries of ``v`` may be numpy columns and the
-    denominator guard tests the whole column at once; otherwise ``v`` holds
-    floats and the guard is a chained scalar comparison.
-    """
+def compile_fraction(fr: Fraction):
+    """Float function of the ring value vector ``v``, whose entries may be
+    floats or numpy columns; the denominator guard tests a whole column."""
     if not fr.den_factors:
         return compile_element(fr.num)
     slots = _vector_slots(fr.num)
     src = (
         "def _f(v):\n"
         "    d = %s\n"
-        "    if %s:\n"
+        "    if np.any(np.abs(d) < %g):\n"
         "        raise SingularityError('denominator below threshold')\n"
         "    return (%s)/d\n"
-        % (_poly_source(fr.den, slots), _guard("d", columns),
-           _poly_source(fr.num, slots))
+        % (_poly_source(fr.den, slots), DEN_EPS, _poly_source(fr.num, slots))
     )
     ns = {"SingularityError": SingularityError, "np": np}
     exec(src, ns)
     return ns["_f"]
 
 
-def compile_any(value, columns: bool = False):
+def compile_any(value):
     if isinstance(value, Fraction):
-        return compile_fraction(value, columns)
+        return compile_fraction(value)
     return compile_element(value)
 
 
@@ -233,7 +222,7 @@ def _stage_template(model: ModelSpec, eqs: list) -> str:
         if den not in dens:
             dens[den] = d = "d%d" % len(dens)
             lines.append("%s = %s" % (d, den))
-            lines.append("if %s:" % _guard(d))
+            lines.append("if -%g < %s < %g:" % (DEN_EPS, d, DEN_EPS))
             lines.append("    raise SingularityError('denominator below threshold')")
         lines.append("{k}%d = (%s)/%s" % (i, num, dens[den]))
     return "".join("    %s\n" % line for line in lines)
@@ -312,8 +301,8 @@ def integrate(
     trajectory then ends before the first non-finite sample, and
     ``steps_accepted`` counts the steps up to the last sample kept.
     """
-    if dt <= 0:
-        raise StructureError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise StructureError("dt must be positive and finite")
     if scheme not in ("rk4", "rk4-adaptive"):
         raise StructureError("unknown scheme %r" % scheme)
     step = vector_field(model).step
@@ -400,7 +389,7 @@ def _relative_drift(values: np.ndarray) -> np.ndarray:
 
 def _compiled(model: ModelSpec, key, build_expr):
     """Column evaluator of ``build_expr()``, compiled once per model."""
-    return model.cached(key, lambda: compile_any(build_expr(), columns=True))
+    return model.cached(key, lambda: compile_any(build_expr()))
 
 
 def conserved_channels(model: ModelSpec, traj: Trajectory) -> dict:
@@ -438,7 +427,7 @@ def conserved_channels(model: ModelSpec, traj: Trajectory) -> dict:
 def _compiled_matrix(model: ModelSpec, key, build_matrix):
     def build():
         m = build_matrix()
-        return [[compile_any(e, columns=True) for e in row] for row in m.rows]
+        return [[compile_any(e) for e in row] for row in m.rows]
 
     return model.cached(key, build)
 
@@ -455,7 +444,8 @@ def _stack(compiled, v: list, n_t: int) -> np.ndarray:
 
 
 def _frobenius(r: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(r * r, axis=(1, 2)))
+    with np.errstate(over="ignore"):  # a residual past the float range reads inf
+        return np.sqrt(np.sum(r * r, axis=(1, 2)))
 
 
 def zero_curvature_residual(
@@ -463,62 +453,43 @@ def zero_curvature_residual(
 ) -> dict:
     """Max Frobenius-norm residual of the zero-curvature equation per sample.
 
-    R(j, mu) = d/dT l(j,mu) - (M(j+1,mu) l(j,mu) - l(j,mu) M(j,mu)), with
-    d/dT pushed through the entries symbolically.  Also evaluates the
-    boundary flow residuals for k^- and k^+.  Every matrix is evaluated as
-    an (n_t, 2, 2) stack and the worst value over j and mu is kept per
-    sample.
+    For every term of ``double_row.zero_curvature_terms``,
+    R = d/dT X(mu) - (M(jl, ±mu) X(mu) - X(mu) M(jr, ±mu)), with d/dT = {H, .}
+    pushed through the entries symbolically.  X and d/dT X are compiled once
+    per term, and the compiled M(j, mu) is evaluated at ±mu.  Every matrix is
+    an (n_t, 2, 2) stack; the worst site term per sample is ``zc_residual``,
+    the worse of the k- and k+ terms ``boundary_residual``.
     """
-    ring, ps = model.ring, model.ps
-    m_ = mu(ring)
+    ps, m_ = model.ps, mu(model.ring)
     ham = hamiltonian(model)
-    flows = [
-        _compiled_matrix(
-            model, ("cM", j), lambda j=j: model_flow_matrix(model, j)
+    terms = [
+        (
+            _compiled_matrix(model, ("cX", label), lambda X=X: X(m_)),
+            _compiled_matrix(
+                model, ("cXdot", label),
+                lambda X=X: bracket_scalar_matrix(ps, ham, X(m_)),
+            ),
+            left,
+            right,
         )
-        for j in range(1, model.N + 2)
+        for label, X, left, right in zero_curvature_terms(model.derivation)
     ]
-    lax_val = [
-        _compiled_matrix(model, ("clax", j), lambda j=j: model.lax(j, m_))
-        for j in range(1, model.N + 1)
-    ]
-    lax_dot = [
-        _compiled_matrix(
-            model,
-            ("claxdot", j),
-            lambda j=j: bracket_scalar_matrix(ps, ham, model.lax(j, m_)),
-        )
-        for j in range(1, model.N + 1)
-    ]
-    km_val = _compiled_matrix(model, "ckm", lambda: model.km(m_))
-    km_dot = _compiled_matrix(
-        model, "ckmdot", lambda: bracket_scalar_matrix(ps, ham, model.km(m_))
-    )
-    kp_val = _compiled_matrix(model, "ckp", lambda: model.kp(m_))
-    kp_dot = _compiled_matrix(
-        model, "ckpdot", lambda: bracket_scalar_matrix(ps, ham, model.kp(m_))
-    )
+    flows = {  # (j, ±1) -> the compiled M(j, mu), evaluated at ±mu
+        (j, s): _compiled_matrix(model, ("cM", j), lambda j=j: model_flow_matrix(model, j))
+        for *_, left, right in terms for j, s in (left, right)
+    }
 
     n_t = len(traj.times)
-    bulk = np.zeros(n_t)
-    boundary = np.zeros(n_t)
+    peaks = [np.zeros(n_t), np.zeros(n_t)]  # site terms, k± terms
     for mu_v in mu_samples:
-        v = state_columns(model, traj.states, mu_v)
-        vneg = state_columns(model, traj.states, -mu_v)
-        ms = [_stack(c, v, n_t) for c in flows]
-        ms_neg1 = _stack(flows[0], vneg, n_t)
-        ms_negN = _stack(flows[model.N], vneg, n_t)
-        for j in range(model.N):
-            lj = _stack(lax_val[j], v, n_t)
-            r = _stack(lax_dot[j], v, n_t) - (ms[j + 1] @ lj - lj @ ms[j])
-            bulk = np.maximum(bulk, _frobenius(r))
-        km_m = _stack(km_val, v, n_t)
-        rb = _stack(km_dot, v, n_t) - (ms[0] @ km_m - km_m @ ms_neg1)
-        boundary = np.maximum(boundary, _frobenius(rb))
-        kp_m = _stack(kp_val, v, n_t)
-        rb = _stack(kp_dot, v, n_t) - (ms_negN @ kp_m - kp_m @ ms[model.N])
-        boundary = np.maximum(boundary, _frobenius(rb))
-    channels = {"zc_residual": bulk, "boundary_residual": boundary}
+        v = {s: state_columns(model, traj.states, s * mu_v) for s in (1, -1)}
+        ms = {(j, s): _stack(c, v[s], n_t) for (j, s), c in flows.items()}
+        for i, (x_c, dot_c, left, right) in enumerate(terms):
+            x = _stack(x_c, v[1], n_t)
+            r = _stack(dot_c, v[1], n_t) - (ms[left] @ x - x @ ms[right])
+            k = int(i >= model.N)
+            peaks[k] = np.maximum(peaks[k], _frobenius(r))
+    channels = {"zc_residual": peaks[0], "boundary_residual": peaks[1]}
     traj.channels.update(channels)
     return channels
 

@@ -15,6 +15,7 @@ compared entry-for-entry against what the generic construction produces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -182,6 +183,8 @@ def model_from_config(cfg: dict) -> ModelSpec:
     if bad:
         raise StructureError("unknown parameters %s for model %s" % (sorted(bad), name))
     params = {k: float(v) for k, v in params.items()}
+    if not all(map(math.isfinite, params.values())):
+        raise StructureError("parameters must be finite")
     return build_bcn(n, params) if name == "bcn" else build_dn(n, params)
 
 
@@ -197,10 +200,9 @@ def hamiltonian(model: ModelSpec) -> Fraction:
     return model.derivation.hamiltonian
 
 
-def model_flow_matrix(model: ModelSpec, j: int, negate_mu: bool = False) -> SpectralMatrix:
-    """Extracted time-part matrix M(j, mu) (or M(j, -mu))."""
-    m_ = mu(model.ring)
-    return model.derivation.flow(j, -m_ if negate_mu else m_)
+def model_flow_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
+    """Extracted time-part matrix M(j, mu)."""
+    return model.derivation.flow(j, mu(model.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -252,3 +252,32 @@ def test_simulate_nan_channel_peak_fails(tmp_path, capsys, monkeypatch):
             "--output", str(tmp_path / "run.csv")]
     assert main(argv) == 1
     assert "FAIL H drift above 1.0e-08" in capsys.readouterr().out
+
+
+def test_simulate_json_is_strict_on_a_non_finite_peak(tmp_path, capsys):
+    # the trajectory stays finite, but the zero-curvature residual leaves
+    # the float range: its peak is written as null and still fails its gate
+    p = tmp_path / "inf.csv"
+    argv = ["simulate", "--model", "dn", "--N", "2", "--seed", "30",
+            "--amplitude", "2", "--dt", "0.5", "--steps", "300",
+            "--scheme", "rk4-adaptive", "--format", "json", "--output", str(p)]
+    assert main(argv) == 1
+    assert "FAIL zero-curvature residual above 1.0e-08" in capsys.readouterr().out
+
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    payload = json.loads((tmp_path / "inf.json").read_text(), parse_constant=reject)
+    assert payload["truncated"] is False
+    assert payload["channel_max"]["zc_residual"] is None
+    assert payload["failures"] == ["zero-curvature residual above 1.0e-08"]
+
+
+def test_simulate_non_finite_inputs_are_config_errors(tmp_path):
+    base = ["simulate", "--model", "dn", "--N", "2", "--steps", "5",
+            "--format", "json", "--output", str(tmp_path / "s.csv")]
+    assert main(base + ["--dt", "nan"]) == 2
+    assert main(base + ["--dt", "inf"]) == 2
+    assert main(base + ["--mu-samples", "0.3,nan"]) == 2
+    assert main(base + ["--params", '{"c0": NaN}']) == 2
+    assert not (tmp_path / "s.json").exists()

@@ -8,9 +8,11 @@ identically; the coefficient-wise commutation check must reach the same
 verdict, with an equal residual on failure.
 """
 
+import numpy as np
 import pytest
 
 import double_row_oracle as oracle
+from bilax import double_row, dynamics
 from bilax.cli import _verify_reports
 from bilax.double_row import (
     Derivation,
@@ -19,7 +21,10 @@ from bilax.double_row import (
     check_theorem_zc,
     check_transfer_commutation,
     transfer_commutator,
+    verify_corollary,
+    zero_curvature_terms,
 )
+from bilax.dynamics import integrate, random_phase_point, zero_curvature_residual
 from bilax.phase_ring import StructureError
 from bilax.spectral_matrix import SpectralMatrix, lam, mu, rational_r_builder
 from bilax.structure_checks import flip_entry, nonzero_positions
@@ -55,6 +60,7 @@ def test_generating_matrices_match_oracle(name, n):
         got = d.sts(j, m_)
         assert got == want
         assert str(got) == str(want)
+        assert d.sts(j, m_) is got  # memoised
     assert len(d.generating) == 2 * (n + 1)
     for j in (0, n + 2):
         with pytest.raises(StructureError):
@@ -73,6 +79,13 @@ def test_derivation_holds_no_4x4_matrix_after_verify():
             held += item if isinstance(item, tuple) else [item]
     matrices = [m for m in held if isinstance(m, SpectralMatrix)]
     assert matrices and all(m.dim == 2 for m in matrices)
+
+
+def test_sts_identity_builds_each_single_row_matrix_once():
+    model = build_bcn(3)
+    d = model.derivation
+    assert check_sts_identity(model.ps, d).holds
+    assert sorted(j for j, _ in d.single_row) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("name", ["bcn", "dn"])
@@ -205,3 +218,67 @@ def test_mu_parity_catches_a_flipped_first_column_entry(i):
     assert not m[i, 0].is_zero
     d.generating[key] = flipped(m, i, 0)
     assert ("M", 3) in mu_parity_mismatches(d, 2)
+
+
+# ---------------------------------------------------------------------------
+# the zero-curvature layout, read by the symbolic checks and the numeric
+# residual alike
+
+
+def test_zero_curvature_layout():
+    model = build_bcn(3)
+    d = model.derivation
+    m_ = mu(model.ring)
+    terms = zero_curvature_terms(d)
+    assert [(label, left, right) for label, _, left, right in terms] == [
+        ("j=1", (2, 1), (1, 1)),
+        ("j=2", (3, 1), (2, 1)),
+        ("j=3", (4, 1), (3, 1)),
+        ("kminus", (1, 1), (1, -1)),
+        ("kplus", (4, -1), (4, 1)),
+    ]
+    xs = [model.lax(j, m_) for j in (1, 2, 3)] + [model.km(m_), model.kp(m_)]
+    assert [X(m_) for _, X, _, _ in terms] == xs
+
+
+LAYOUT = zero_curvature_terms
+
+
+def swapped_layout(i):
+    """zero_curvature_terms with the left and right M of term i exchanged."""
+
+    def terms(d):
+        out = LAYOUT(d)
+        label, X, left, right = out[i]
+        out[i] = (label, X, right, left)
+        return out
+
+    return terms
+
+
+@pytest.mark.parametrize("name", ["bcn", "dn"])
+def test_swapped_layout_term_fails_symbolic_and_numeric(name, monkeypatch):
+    # one layout feeds both consumers, so a wrong pairing in it must show in
+    # the theorem, the corollary and the numeric residual of that term
+    model = build(name, 2)
+    d = model.derivation
+    p0 = random_phase_point(model, np.random.default_rng(2), amplitude=0.2)
+    traj = integrate(model, p0, 1e-3, 50)
+    blind = []
+    for i in range(model.N + 2):
+        with monkeypatch.context() as mp:
+            mp.setattr(double_row, "zero_curvature_terms", swapped_layout(i))
+            mp.setattr(dynamics, "zero_curvature_terms", swapped_layout(i))
+            reports = check_theorem_zc(model.ps, d) + verify_corollary(model.ps, d)
+            channels = zero_curvature_residual(model, traj)
+        group = max(0, i - model.N + 1)  # 0 sites, 1 k-, 2 k+
+        symbolic = [reports[group].holds, reports[3 + group].holds]
+        channel = "zc_residual" if i < model.N else "boundary_residual"
+        numeric = float(channels[channel].max())
+        if all(symbolic) and numeric <= 1e-12:
+            blind.append(i)
+        else:
+            assert not any(symbolic) and numeric >= 1e-3, (i, symbolic, numeric)
+    # dn's k+ = [[0, 0], [-1, 0]] is nilpotent and M(N+1, +-mu) is mu-parity
+    # symmetric where k+ reads it, so the swapped k+ identity still holds
+    assert blind == ([] if name == "bcn" else [model.N + 1])

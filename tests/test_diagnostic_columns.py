@@ -1,8 +1,8 @@
 """Columnwise diagnostics against per-sample evaluation.
 
 The oracle is the per-sample path the diagnostics used before they were
-evaluated on whole columns: the scalar compiled function applied to
-``ring_values`` at one phase point at a time.  numpy's ``x**k`` and
+evaluated on whole columns: the compiled function applied to the floats
+of ``ring_values`` at one phase point at a time.  numpy's ``x**k`` and
 ``exp`` may differ from libm by an ulp, so agreement is required to
 roundoff, measured against the absolute-value evaluation of the same
 expression, not bitwise.
@@ -107,7 +107,7 @@ def test_columns_match_per_sample_oracle(request, fixture, seed):
     for mu_value in MU_SAMPLES + tuple(-m for m in MU_SAMPLES):
         v = state_columns(model, traj.states, mu_value)
         for label, expr in exprs.items():
-            got = np.broadcast_to(compile_any(expr, columns=True)(v), traj.times.shape)
+            got = np.broadcast_to(compile_any(expr)(v), traj.times.shape)
             want = _oracle(model, traj, compile_any(expr), mu_value)
             bound = ROUNDOFF * np.broadcast_to(_roundoff_scale(expr, v), got.shape)
             err = np.abs(got - want)
@@ -129,8 +129,8 @@ def test_state_columns_layout(dn2):
 
 def test_column_guard_raises_on_any_singular_sample(dn2):
     # one sample on F = e^{x1}, where the dn Hamiltonian's denominator
-    # vanishes; the scalar path raises there too
-    ham = compile_any(hamiltonian(dn2), columns=True)
+    # vanishes; the same compiled function raises there on a single sample
+    ham = compile_any(hamiltonian(dn2))
     states = np.array([[0.0, 0.0, 0.0, 0.0, -0.3, 2.0, 0.1],
                        [0.0, 0.0, 0.0, 0.0, -0.3, 1.0, 0.1]])
     assert np.isfinite(ham(state_columns(dn2, states[:1]))).all()
@@ -138,4 +138,4 @@ def test_column_guard_raises_on_any_singular_sample(dn2):
         ham(state_columns(dn2, states))
     point = dict(zip(["x1", "x2", "X1", "X2", "E", "F", "H"], states[1]))
     with pytest.raises(SingularityError):
-        compile_any(hamiltonian(dn2))(ring_values(dn2, point))
+        ham(ring_values(dn2, point))

@@ -13,7 +13,6 @@ from bilax.double_row import (
     check_theorem_zc,
     check_transfer_commutation,
     double_row_transfer,
-    extract_hamiltonian,
     lambda_series_coefficient,
     monodromy,
     single_row_transfer,
@@ -122,7 +121,7 @@ def test_expansion_rejects_lam_denominator(bcn1):
 def test_extract_missing_power_errors(bcn1):
     exp = expansion(bcn1)
     with pytest.raises(StructureError):
-        extract_hamiltonian(exp, ScaledCoefficient(3, QQ(1)))
+        ScaledCoefficient(3, QQ(1)).hamiltonian(exp)
 
 
 def test_extract_zero_denominator_coefficient_errors(bcn1):
@@ -132,7 +131,7 @@ def test_extract_zero_denominator_coefficient_errors(bcn1):
     )
     exp.coefficients[2] = Fraction(ring.zero)
     with pytest.raises(StructureError):
-        extract_hamiltonian(exp, RatioRecipe(0, 2, QQ(-1, 2)))
+        RatioRecipe(0, 2, QQ(-1, 2)).hamiltonian(exp)
 
 
 def test_bcn1_hamiltonian_value(bcn1):

@@ -1,9 +1,12 @@
 """Pinned outputs, compared byte for byte with the files in ``tests/golden/``.
 
 The pins cover what users and scripts read: ``verify`` stdout and its
-``--output`` JSON, ``derive`` stdout, the residual strings of a FAIL report
-(they fix the printed form of every Fraction the generating matrices carry),
-and digests of seeded ``simulate`` trajectories and of one whole CSV.  A
+``--output`` JSON, ``derive`` stdout, the residual strings of every FAIL
+report of the zero-curvature checks under r-matrix sign flips (they fix the
+printed form of every Fraction the generating and flow matrices carry), and
+digests of seeded ``simulate`` trajectories, of one whole CSV, and two
+``simulate --format json`` summaries (the only place ``boundary_residual``
+is written).  A
 change that alters any of them must say so and regenerate the files on
 purpose with
 
@@ -21,10 +24,16 @@ from pathlib import Path
 import pytest
 
 from bilax.cli import main as bilax
-from bilax.double_row import Derivation, check_theorem_zc
+from bilax.double_row import (
+    Derivation,
+    check_nondynamical_intertwining,
+    check_sts_identity,
+    check_theorem_zc,
+    verify_corollary,
+)
 from bilax.spectral_matrix import lam, rational_r_builder
 from bilax.structure_checks import flip_entry, nonzero_positions
-from bilax.toda_models import build_bcn
+from bilax.toda_models import build_bcn, build_dn
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODELS = [("bcn", 2), ("bcn", 3), ("dn", 2), ("dn", 3)]
@@ -59,24 +68,50 @@ def derive_outputs(model, n, workdir) -> dict:
     return {"derive-%s%d.stdout" % (model, n): out}
 
 
-def theorem_flip_outputs(workdir) -> dict:
-    """Every report of check_theorem_zc at bcn N=1 under each sign flip of a
-    nonzero entry of the rational r-matrix."""
-    model = build_bcn(1)
+def r_flip_reports(model, checks) -> str:
+    """Every report of ``checks`` under each sign flip of a nonzero entry of
+    the rational r-matrix, one fresh derivation per flip."""
     l_ = lam(model.ring)
     rb = rational_r_builder(model.ring)
     cases = []
     for i, j in nonzero_positions(rb(l_)):
-        d = Derivation(model.lax, model.km, model.kp, 1, l_, flip_entry(rb, i, j))
-        reports = check_theorem_zc(model.ps, d)
+        d = Derivation(
+            model.lax, model.km, model.kp, model.N, l_, flip_entry(rb, i, j),
+            model.recipe,
+        )
+        reports = []
+        for check in checks:
+            out = check(model.ps, d)
+            reports += out if isinstance(out, list) else [out]
         cases.append({"flip": [i, j], "reports": [r.to_dict() for r in reports]})
-    return {"theorem-zc-bcn1-r-flips.json": json.dumps(cases, indent=2) + "\n"}
+    return json.dumps(cases, indent=2) + "\n"
+
+
+def theorem_flip_outputs(workdir) -> dict:
+    return {
+        "theorem-zc-bcn1-r-flips.json":
+            r_flip_reports(build_bcn(1), [check_theorem_zc]),
+    }
+
+
+def zc_check_flip_outputs(workdir) -> dict:
+    """The site, corollary and intertwining checks at bcn and dn N=2."""
+    checks = [check_sts_identity, verify_corollary, check_nondynamical_intertwining]
+    return {
+        "zc-checks-%s2-r-flips.json" % m.name: r_flip_reports(m, checks)
+        for m in (build_bcn(2), build_dn(2))
+    }
 
 
 def simulate_csv(argv, workdir) -> str:
     """The CSV a successful ``bilax simulate argv`` writes."""
     run_cli(["simulate", *argv, "--output", "sim.csv"], workdir)
     return (Path(workdir) / "sim.csv").read_text()
+
+
+def simulate_json(workdir) -> str:
+    """The JSON summary beside the CSV of the last ``simulate_csv`` run."""
+    return (Path(workdir) / "sim.json").read_text()
 
 
 def states_digest(csv_text) -> str:
@@ -90,11 +125,16 @@ def states_digest(csv_text) -> str:
 def simulate_outputs(workdir) -> dict:
     """sha256 of seeded trajectories: the state columns of dn N=2, bcn N=3
     and an rk4-adaptive dn N=2 run, and the whole dn N=2 CSV, whose
-    channel columns pin the diagnostics and the CSV formatting."""
+    channel columns pin the diagnostics and the CSV formatting; and the
+    JSON summaries of the dn N=2 and bcn N=3 runs."""
     dn2 = simulate_csv(
-        ["--model", "dn", "--N", "2", "--steps", "2000", "--seed", "1"], workdir)
+        ["--model", "dn", "--N", "2", "--steps", "2000", "--seed", "1",
+         "--format", "json"], workdir)
+    dn2_json = simulate_json(workdir)
     bcn3 = simulate_csv(
-        ["--model", "bcn", "--N", "3", "--steps", "1000", "--seed", "2"], workdir)
+        ["--model", "bcn", "--N", "3", "--steps", "1000", "--seed", "2",
+         "--format", "json"], workdir)
+    bcn3_json = simulate_json(workdir)
     adaptive = simulate_csv(
         ["--model", "dn", "--N", "2", "--scheme", "rk4-adaptive", "--dt", "0.1",
          "--steps", "10", "--seed", "4"], workdir)
@@ -104,6 +144,8 @@ def simulate_outputs(workdir) -> dict:
             hashlib.sha256(dn2.encode()).hexdigest() + "\n",
         "simulate-bcn3-seed2-states.sha256": states_digest(bcn3),
         "simulate-dn2-adaptive-seed4-states.sha256": states_digest(adaptive),
+        "simulate-dn2-seed1.json": dn2_json,
+        "simulate-bcn3-seed2.json": bcn3_json,
     }
 
 
@@ -117,6 +159,7 @@ CASES = {
         for m, n in MODELS
     },
     "theorem-zc-flips": theorem_flip_outputs,
+    "zc-check-flips": zc_check_flip_outputs,
     "simulate-dn2": simulate_outputs,
 }
 
