@@ -199,12 +199,17 @@ def _json_number(x):
 
 
 def cmd_simulate(args) -> int:
+    try:
+        mu_samples = [float(x) for x in args.mu_samples.split(",") if x]
+    except ValueError:
+        raise StructureError("--mu-samples takes comma-separated numbers") from None
+    if not mu_samples:
+        raise StructureError("--mu-samples needs at least one value")
+    if not all(map(math.isfinite, mu_samples)):
+        raise StructureError("mu samples must be finite")
     model = _build_model(args)
     rng = np.random.default_rng(args.seed)
     point = dynamics.random_phase_point(model, rng, amplitude=args.amplitude)
-    mu_samples = [float(x) for x in args.mu_samples.split(",") if x]
-    if not all(map(math.isfinite, mu_samples)):
-        raise StructureError("mu samples must be finite")
     traj = dynamics.integrate(
         model, point, args.dt, args.steps, scheme=args.scheme
     )

@@ -7,25 +7,34 @@ non-separable, so conservation is monitored through diagnostic channels
 (Hamiltonian family drift, Casimir, zero-curvature residual) rather than
 enforced.
 
-Exact expressions are emitted as Python source, one term per monomial, and
-compiled once per model.  The time derivative of a Lax entry is the bracket
+Exact expressions are emitted as straight-line Python source by one
+emitter (``_emit``) and compiled once per model.  Its values are bitwise
+those of the plain one-term-per-monomial form ``c*s0**e0*s1*...`` summed
+left to right, because it only drops work that is exact under IEEE
+round-to-nearest: ``1.0*x == x``, ``(-1.0*a)*b == -(a*b)`` and
+``s + (-t) == s - t``.  So it writes no ``1.0*``, subtracts a negative
+term, and binds each ``slot**k``, each product prefix shared by ±1 terms
+and each distinct denominator (with its singularity guard) once, just
+before its first use.  The time derivative of a Lax entry is the bracket
 with the Hamiltonian pushed through symbolically, never a finite difference,
 so the residual channels isolate algebra errors from integration error.
 
 The integrator runs one generated ``step(y, h)`` per model on a tuple of
 Python floats: the four RK4 stages are inlined, each takes ``u_j =
-exp(x_j)`` once, computes each distinct denominator of the equations of
-motion once behind the singularity guard, and has the parameters as
-literals.  A run whose state leaves the finite floats is truncated at the
-first non-finite sample.  The diagnostics evaluate each compiled channel
-once, on whole time columns (``state_columns``), and agree with per-sample
-evaluation to roundoff.
+exp(x_j)`` once, goes through the emitter with the scalar guard
+``-eps < d < eps``, and has the parameters as literals.  A run whose state
+leaves the finite floats is truncated at the first non-finite sample.  The
+diagnostics evaluate each compiled channel once, on whole time columns
+(``state_columns``), through the same emitter with the column guard
+``np.any(np.abs(d) < eps)``, and agree with per-sample evaluation to
+roundoff.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -57,50 +66,102 @@ class SingularityError(RuntimeError):
 # compilation of exact expressions to float functions
 
 
-def _poly_source(el: RingElement, slots) -> str:
-    """Python source of ``el``; ``slots[i]`` is the text of ring slot i."""
-    if not el.terms:
-        return "0.0"
-    parts = []
-    for exps, c in sorted(el.monomials(), reverse=True):
-        factors = [repr(float(c))]
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(slots[i])
-            elif e:
-                factors.append("%s**%d" % (slots[i], e))
-        parts.append("*".join(factors))
-    return " + ".join(parts)
+def _terms(el: RingElement) -> list:
+    """(factors, negative, |coefficient| as a float) of every monomial of
+    ``el`` in emission order; the factors are (slot, exponent) pairs."""
+    return [
+        (tuple([(i, e) for i, e in enumerate(exps) if e]), f < 0, abs(f))
+        for exps, c in sorted(el.monomials(), reverse=True)
+        for f in (float(c),)
+    ]
 
 
-def _vector_slots(el) -> list:
-    return ["v[%d]" % i for i in range(el.ring.nvars)]
+def _emit(exprs, slots, targets, guard: str) -> list:
+    """Straight-line source lines that set ``targets[i]`` to ``exprs[i]``.
+
+    ``exprs`` are RingElements or Fractions, ``slots[i]`` is the text of
+    ring slot i and ``guard % d`` the condition under which a denominator
+    ``d`` is singular.  The value of every line is bitwise that of the
+    plain form, one ``c*s0**e0*s1*...`` term per monomial summed left to
+    right: what changes is exact under IEEE round-to-nearest.  A ``1.0*``
+    is dropped (``1.0*x == x``), a negative term is subtracted
+    (``(-c*a)*b == -((c*a)*b)`` and ``s + (-t) == s - t``) or negated when
+    it leads, and each ``slot**k``, each product prefix shared by two ±1
+    terms and each distinct denominator (with its guard) is bound once,
+    just before its first use, so no operation moves ahead of a guard or
+    an earlier line.
+    """
+    exprs = [  # (target, numerator terms, ("den", *denominator terms) or None)
+        (t, _terms(e.num), ("den", *_terms(e.den)))
+        if isinstance(e, Fraction) and e.den_factors
+        else (t, _terms(e.num if isinstance(e, Fraction) else e), None)
+        for t, e in zip(targets, exprs)
+    ]
+    dens = {den for *_, den in exprs if den}  # each distinct one once
+    uses = Counter(
+        fs[:n]
+        for terms in [num for _, num, _ in exprs] + [den[1:] for den in dens]
+        for fs, _, c in terms if c == 1.0
+        for n in range(2, len(fs) + 1)
+    )
+    names: dict = {}  # power, prefix or denominator key -> bound name
+    lines: list = []
+
+    def bind(key, text, prefix="t"):
+        if key not in names:
+            names[key] = "%s%d" % (prefix, len(names))
+            lines.append("%s = %s" % (names[key], text))
+        return names[key]
+
+    def term(fs, c) -> str:
+        texts = [slots[i] if e == 1 else bind((i, e), "%s**%d" % (slots[i], e))
+                 for i, e in fs]
+        if c != 1.0:
+            return "*".join([repr(c)] + texts)
+        text = texts[0] if texts else "1.0"
+        for n in range(2, len(fs) + 1):
+            text += "*" + texts[n - 1]
+            # shared, and not only as the prefix of one longer shared prefix
+            if 1 < uses[fs[:n]] > (uses[fs[:n + 1]] if n < len(fs) else 0):
+                text = bind(fs[:n], text)
+        return text
+
+    def poly(terms) -> str:
+        out = "".join((" - " if neg else " + ") + term(fs, c) for fs, neg, c in terms)
+        return ("-" if out[1] == "-" else "") + out[3:] if out else "0.0"
+
+    for target, num, den in exprs:
+        if den is None:
+            lines.append("%s = %s" % (target, poly(num)))
+            continue
+        if den not in names:  # the "den" tag keeps it apart from other keys
+            d = bind(den, poly(den[1:]), "d")
+            lines.append("if %s:" % (guard % d))
+            lines.append("    raise SingularityError('denominator below threshold')")
+        lines.append("%s = (%s)/%s" % (target, poly(num), names[den]))
+    return lines
+
+
+def _compile_columns(value) -> Callable:
+    """``_f(v)`` for one expression over the ring value vector ``v``, whose
+    entries may be floats or numpy columns; the denominator guard tests a
+    whole column."""
+    slots = ["v[%d]" % i for i in range(value.ring.nvars)]
+    guard = "np.any(np.abs(%%s) < %g)" % DEN_EPS
+    body = _emit([value], slots, ["r"], guard) + ["return r"]
+    ns = {"SingularityError": SingularityError, "np": np}
+    exec("def _f(v):\n%s" % "".join("    %s\n" % line for line in body), ns)
+    return ns["_f"]
 
 
 def compile_element(el: RingElement):
-    src = "def _f(v):\n    return %s\n" % _poly_source(el, _vector_slots(el))
-    ns: dict = {}
-    exec(src, ns)
-    return ns["_f"]
+    return _compile_columns(el)
 
 
 def compile_fraction(fr: Fraction):
-    """Float function of the ring value vector ``v``, whose entries may be
-    floats or numpy columns; the denominator guard tests a whole column."""
     if not fr.den_factors:
         return compile_element(fr.num)
-    slots = _vector_slots(fr.num)
-    src = (
-        "def _f(v):\n"
-        "    d = %s\n"
-        "    if np.any(np.abs(d) < %g):\n"
-        "        raise SingularityError('denominator below threshold')\n"
-        "    return (%s)/d\n"
-        % (_poly_source(fr.den, slots), DEN_EPS, _poly_source(fr.num, slots))
-    )
-    ns = {"SingularityError": SingularityError, "np": np}
-    exec(src, ns)
-    return ns["_f"]
+    return _compile_columns(fr)
 
 
 def compile_any(value):
@@ -199,9 +260,9 @@ def _stage_template(model: ModelSpec, eqs: list) -> str:
     """Indented source that sets ``{k}i`` to the i-th equation at the state
     ``{y[0]}, {y[1]}, ...``; ``str.format`` names the state and outputs.
 
-    Every u_j = exp(x_j) is taken first, and each distinct denominator, with
-    its guard, before the first equation that divides by it; the parameters
-    enter as literals and any other slot (lam, mu) as 0.0."""
+    Every u_j = exp(x_j) is taken first; ``_emit`` writes the rest, with
+    the scalar guard ``-eps < d < eps``.  The parameters enter as literals
+    and any other slot (lam, mu) as 0.0."""
     ring, n = model.ring, model.N
     slots = ["0.0"] * ring.nvars
     lines = []
@@ -212,19 +273,8 @@ def _stage_template(model: ModelSpec, eqs: list) -> str:
         slots[ring.slot(name)] = "{y[%d]}" % i
     for name, val in model.params.items():
         slots[ring.slot(name)] = "(%r)" % float(val)
-    dens: dict = {}
-    for i, eq in enumerate(eqs):
-        num = _poly_source(eq.num, slots)
-        if not eq.den_factors:
-            lines.append("{k}%d = %s" % (i, num))
-            continue
-        den = _poly_source(eq.den, slots)
-        if den not in dens:
-            dens[den] = d = "d%d" % len(dens)
-            lines.append("%s = %s" % (d, den))
-            lines.append("if -%g < %s < %g:" % (DEN_EPS, d, DEN_EPS))
-            lines.append("    raise SingularityError('denominator below threshold')")
-        lines.append("{k}%d = (%s)/%s" % (i, num, dens[den]))
+    targets = ["{k}%d" % i for i in range(len(eqs))]
+    lines += _emit(eqs, slots, targets, "-%g < %%s < %g" % (DEN_EPS, DEN_EPS))
     return "".join("    %s\n" % line for line in lines)
 
 
@@ -303,6 +353,8 @@ def integrate(
     """
     if not 0 < dt < math.inf:
         raise StructureError("dt must be positive and finite")
+    if steps < 1 or store_every < 1:
+        raise StructureError("steps and store_every must be at least 1")
     if scheme not in ("rk4", "rk4-adaptive"):
         raise StructureError("unknown scheme %r" % scheme)
     step = vector_field(model).step

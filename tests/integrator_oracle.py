@@ -1,8 +1,9 @@
 """Reference RK4 integrator, used only as a test oracle.
 
 This is the integration path the package used before its generated step:
-one compiled function per coordinate, called on a ring value vector that is
-refilled at every stage, numpy arrays for the stage arithmetic, and the same
+one compiled function per coordinate (from the reference emitter in
+``emitter_oracle``), called on a ring value vector that is refilled at
+every stage, numpy arrays for the stage arithmetic, and the same
 step-size control.  It has no check for non-finite states: a run that
 overflows to inf or NaN without raising keeps going.  The differential tests
 compare ``bilax.dynamics.integrate`` against it bit for bit.
@@ -12,15 +13,11 @@ import math
 
 import numpy as np
 
-from bilax.dynamics import (
-    ADAPTIVE_TOL,
-    SingularityError,
-    Trajectory,
-    compile_any,
-    state_names,
-)
+from bilax.dynamics import ADAPTIVE_TOL, SingularityError, Trajectory, state_names
 from bilax.phase_ring import StructureError
 from bilax.toda_models import derived_eom
+
+from emitter_oracle import compile_any
 
 
 class VectorField:

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from bilax import dynamics
 from bilax.cli import main
@@ -281,3 +282,22 @@ def test_simulate_non_finite_inputs_are_config_errors(tmp_path):
     assert main(base + ["--mu-samples", "0.3,nan"]) == 2
     assert main(base + ["--params", '{"c0": NaN}']) == 2
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("samples", ["", ",", "0.3,abc"])
+def test_simulate_bad_mu_samples_are_config_errors(tmp_path, samples):
+    # with no sample the zero-curvature channels would read 0.0, a vacuous pass
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--model", "bcn", "--N", "2", "--steps", "50",
+            "--mu-samples", samples, "--format", "json", "--output", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_simulate_non_positive_steps_is_a_config_error(tmp_path, steps):
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--model", "bcn", "--N", "2", "--steps", steps,
+            "--output", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()

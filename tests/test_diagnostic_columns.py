@@ -1,17 +1,24 @@
-"""Columnwise diagnostics against per-sample evaluation.
+"""Columnwise diagnostics against per-sample evaluation and against the
+reference emitter.
 
-The oracle is the per-sample path the diagnostics used before they were
+The per-sample oracle is the path the diagnostics used before they were
 evaluated on whole columns: the compiled function applied to the floats
 of ``ring_values`` at one phase point at a time.  numpy's ``x**k`` and
 ``exp`` may differ from libm by an ulp, so agreement is required to
 roundoff, measured against the absolute-value evaluation of the same
 expression, not bitwise.
+
+The emitter oracle (``emitter_oracle``) compiles the same expressions one
+plain term per monomial; on the same columns the package's compiled
+functions must give ``tobytes()``-equal results, or raise the same
+``SingularityError``.
 """
 
 import numpy as np
 import pytest
 
 from bilax.dynamics import (
+    DEFAULT_MU_SAMPLES,
     SingularityError,
     compile_any,
     compile_element,
@@ -23,12 +30,16 @@ from bilax.dynamics import (
 from bilax.phase_ring import Fraction
 from bilax.spectral_matrix import bracket_scalar_matrix, mu
 from bilax.toda_models import (
+    build_bcn,
+    build_dn,
     dn_x0_relation,
     expansion,
     hamiltonian,
     model_flow_matrix,
     sl2_casimir,
 )
+
+import emitter_oracle
 
 MU_SAMPLES = (0.3, 1.9)
 ROUNDOFF = 1e-12
@@ -139,3 +150,38 @@ def test_column_guard_raises_on_any_singular_sample(dn2):
     point = dict(zip(["x1", "x2", "X1", "X2", "E", "F", "H"], states[1]))
     with pytest.raises(SingularityError):
         ham(ring_values(dn2, point))
+
+
+def _outcome(fn, v):
+    """What ``fn(v)`` gives: its value, or the SingularityError it raises."""
+    try:
+        value = fn(v)
+    except SingularityError as exc:
+        return "singular", str(exc)
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("name,n", [("bcn", 1), ("bcn", 2), ("bcn", 3), ("bcn", 4),
+                                    ("dn", 2), ("dn", 3)])
+def test_columns_bitwise_equal_reference_emitter(name, n):
+    model = {"bcn": build_bcn, "dn": build_dn}[name](n)
+    states = _trajectory(model, seed=n).states
+    # one more sample, 1e-13 off the dn singular manifold F = e^{x1}
+    near = states[-1].copy()
+    if name == "dn":
+        near[2 * n + 1] = np.exp(near[0]) + 1e-13
+    column_sets = [states, np.vstack([states, near])]
+    compiled = [
+        (label, compile_any(expr), emitter_oracle.compile_any(expr))
+        for label, expr in _diagnostic_expressions(model).items()
+    ]
+    singular = 0
+    for mu_value in DEFAULT_MU_SAMPLES + tuple(-m for m in DEFAULT_MU_SAMPLES):
+        for cols in column_sets:
+            v = state_columns(model, cols, mu_value)
+            for label, new, old in compiled:
+                got = _outcome(new, v)
+                assert got == _outcome(old, v), (label, mu_value, len(cols))
+                singular += got[0] == "singular"
+    # dn's Hamiltonian and x0 relation divide by a multiple of F - e^{x1}
+    assert (singular > 0) == (name == "dn")

@@ -136,6 +136,14 @@ def test_integrate_validation(bcn1):
         integrate(bcn1, p, 1e-3, 10, scheme="euler")
 
 
+@pytest.mark.parametrize("scheme", ["rk4", "rk4-adaptive"])
+@pytest.mark.parametrize("steps,store_every", [(0, 1), (-5, 1), (10, 0), (10, -2)])
+def test_integrate_rejects_non_positive_counts(bcn1, scheme, steps, store_every):
+    p = {"x1": 0.0, "X1": 0.0}
+    with pytest.raises(StructureError, match="at least 1"):
+        integrate(bcn1, p, 1e-3, steps, scheme=scheme, store_every=store_every)
+
+
 def test_momentum_conservation_free_chain():
     m = build_bcn(2, ZERO_PARAMS)
     p0 = {"x1": 0.3, "x2": -0.2, "X1": 0.1, "X2": -0.4}

@@ -4,9 +4,9 @@ The pins cover what users and scripts read: ``verify`` stdout and its
 ``--output`` JSON, ``derive`` stdout, the residual strings of every FAIL
 report of the zero-curvature checks under r-matrix sign flips (they fix the
 printed form of every Fraction the generating and flow matrices carry), and
-digests of seeded ``simulate`` trajectories, of one whole CSV, and two
+digests of seeded ``simulate`` trajectories, of one whole CSV, and three
 ``simulate --format json`` summaries (the only place ``boundary_residual``
-is written).  A
+is written); bcn N=6 runs the largest generated step and channels.  A
 change that alters any of them must say so and regenerate the files on
 purpose with
 
@@ -149,6 +149,18 @@ def simulate_outputs(workdir) -> dict:
     }
 
 
+def simulate_bcn6_outputs(workdir) -> dict:
+    """The state digest and JSON summary of bcn N=6, the largest step and
+    the most diagnostic channels the tests generate."""
+    bcn6 = simulate_csv(
+        ["--model", "bcn", "--N", "6", "--steps", "2000", "--seed", "3",
+         "--format", "json"], workdir)
+    return {
+        "simulate-bcn6-seed3-states.sha256": states_digest(bcn6),
+        "simulate-bcn6-seed3.json": simulate_json(workdir),
+    }
+
+
 CASES = {
     **{
         "verify-%s%d" % (m, n): (lambda w, m=m, n=n: verify_outputs(m, n, w))
@@ -161,6 +173,7 @@ CASES = {
     "theorem-zc-flips": theorem_flip_outputs,
     "zc-check-flips": zc_check_flip_outputs,
     "simulate-dn2": simulate_outputs,
+    "simulate-bcn6": simulate_bcn6_outputs,
 }
 
 

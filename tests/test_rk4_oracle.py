@@ -50,7 +50,9 @@ def both(model, p0, dt, steps, scheme="rk4", store_every=1):
     return outcome(new, old), new
 
 
-MODELS = [("bcn", 1), ("bcn", 2), ("bcn", 3), ("bcn", 4), ("dn", 2), ("dn", 3)]
+# bcn N=6 has the largest generated stage the tests build
+MODELS = [("bcn", 1), ("bcn", 2), ("bcn", 3), ("bcn", 4), ("bcn", 6), ("dn", 2),
+          ("dn", 3)]
 BUILD = {"bcn": build_bcn, "dn": build_dn}
 
 
