@@ -76,6 +76,23 @@ def _build_model(args):
     )
 
 
+def _closed_form_comparison(model):
+    """H and every displayed M(j, mu) against their closed forms.
+
+    Returns H, its parameter-constant difference from the closed form (None
+    when there is none) and a list of (j, M(j, mu), whether M matches).  The
+    functions are called as this module's globals, which the benchmark's
+    span tracer (``perfbench/spans.py``) rebinds.
+    """
+    ham = hamiltonian(model)
+    diff = parameter_constant_difference(ham, displayed_hamiltonian(model))
+    flows = []
+    for j in displayed_flow_indices(model):
+        got = model_flow_matrix(model, j)
+        flows.append((j, got, got == displayed_flow_matrix(model, j)))
+    return ham, diff, flows
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -118,20 +135,15 @@ def _verify_reports(model) -> list:
     if model.name == "bcn":
         reports.extend(check_nondynamical_intertwining(ps, d))
 
-    ham_ok = parameter_constant_difference(
-        hamiltonian(model), displayed_hamiltonian(model)
-    ) is not None
+    ham, diff, flows = _closed_form_comparison(model)
     reports.append(
         RelationReport(
             "hamiltonian_matches_closed_form",
-            ham_ok,
-            [] if ham_ok else [("scalar", str(hamiltonian(model)))],
+            diff is not None,
+            [] if diff is not None else [("scalar", str(ham))],
         )
     )
-    bad = []
-    for j in displayed_flow_indices(model):
-        if model_flow_matrix(model, j) != displayed_flow_matrix(model, j):
-            bad.append(("j=%d" % j, str(model_flow_matrix(model, j))))
+    bad = [("j=%d" % j, str(got)) for j, got, match in flows if not match]
     reports.append(
         RelationReport("flow_matrices_match_closed_form", not bad, bad)
     )
@@ -161,8 +173,7 @@ def cmd_verify(args) -> int:
 
 def cmd_derive(args) -> int:
     model = _build_model(args)
-    ham = hamiltonian(model)
-    diff = parameter_constant_difference(ham, displayed_hamiltonian(model))
+    ham, diff, flows = _closed_form_comparison(model)
     print("model %s N=%d" % (model.name, model.N))
     print("transfer powers: %s" % expansion(model).powers())
     print("H = %s" % ham)
@@ -173,19 +184,16 @@ def cmd_derive(args) -> int:
         print("H vs closed form: MISMATCH")
     else:
         print("H vs closed form: MATCH (additive constant %s)" % diff)
-    ok = diff is not None
-    for j in displayed_flow_indices(model):
-        got = model_flow_matrix(model, j)
-        match = got == displayed_flow_matrix(model, j)
-        ok = ok and match
+    for j, got, match in flows:
         print("M(%d, mu) [%s] =" % (j, "MATCH" if match else "MISMATCH"))
         print(got)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write("H = %s\n" % ham)
-            for j in displayed_flow_indices(model):
-                fh.write("M(%d, mu) = %s\n" % (j, model_flow_matrix(model, j)))
+            for j, got, _ in flows:
+                fh.write("M(%d, mu) = %s\n" % (j, got))
         print("wrote %s" % args.output)
+    ok = diff is not None and all(match for *_, match in flows)
     return 0 if ok else 1
 
 

@@ -477,21 +477,27 @@ def conserved_channels(model: ModelSpec, traj: Trajectory) -> dict:
 
 
 def _compiled_matrix(model: ModelSpec, key, build_matrix):
+    """Compiled entries of ``build_matrix()``, once per model; an identically
+    zero entry is stored as None and never compiled."""
     def build():
         m = build_matrix()
-        return [[compile_any(e) for e in row] for row in m.rows]
+        return [
+            [None if e.is_zero else compile_any(e) for e in row] for row in m.rows
+        ]
 
     return model.cached(key, build)
 
 
 def _stack(compiled, v: list, n_t: int) -> np.ndarray:
     """(n_t, d, d) stack of a compiled d x d matrix over the columns ``v``;
-    a parameter-constant entry broadcasts along the time axis."""
+    a parameter-constant entry broadcasts along the time axis, and a None
+    entry stays zero."""
     d = len(compiled)
-    out = np.empty((n_t, d, d))
+    out = np.zeros((n_t, d, d))
     for a, row in enumerate(compiled):
         for b, f in enumerate(row):
-            out[:, a, b] = f(v)
+            if f is not None:
+                out[:, a, b] = f(v)
     return out
 
 

@@ -12,6 +12,11 @@ identity holds for every parameter value at once.
 A small fraction field (``Fraction``) sits on top for ratio Hamiltonians.
 Denominators are kept factored and reduced only by scalar content, never by
 multivariate gcd; equality is decided by cross-multiplication.
+
+Each operation has one implementation: ``RingElement._coerce`` is the one
+coercion rule (``as_fraction`` uses it too), ``RingElement.__pow__`` the one
+power (cached by ``PhaseRing._pow_terms``, used by ``Fraction.__pow__``) and
+``Fraction._init`` the one constructor.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction as _PyFraction
 
 from .backend import QQ
 from .backend import kernel as K
@@ -148,10 +152,7 @@ class PhaseRing:
         key = (el.key(), p)
         out = self._pow_cache.get(key)
         if out is None:
-            out = {self.zero_exp: 1}
-            for _ in range(p):
-                out = K.mul(out, el.terms, self.pk)
-            self._pow_cache[key] = out
+            out = self._pow_cache[key] = (el ** p).terms
         return out
 
 
@@ -235,21 +236,10 @@ class RingElement:
         return RingElement(self.ring, K.sub(o.terms, self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, RingElement):
-            if not self.ring.compatible(other.ring):
-                raise StructureError("elements from incompatible rings")
-            return RingElement(
-                self.ring, K.mul(self.terms, other.terms, self.ring.pk)
-            )
-        if isinstance(other, Fraction):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        if isinstance(other, float):
-            raise StructureError("floating point in exact ring")
-        try:
-            c = _qq(other)
-        except (TypeError, AttributeError):
-            return NotImplemented
-        return RingElement(self.ring, K.scale(self.terms, c))
+        return RingElement(self.ring, K.mul(self.terms, o.terms, self.ring.pk))
 
     __rmul__ = __mul__
 
@@ -285,21 +275,13 @@ class RingElement:
         return RingElement(self.ring, out)
 
     def __eq__(self, other):
-        if isinstance(other, RingElement):
-            return self.ring.compatible(other.ring) and self.terms == other.terms
         if isinstance(other, Fraction):
             return other.__eq__(self)
         try:
-            c = _qq(other)
-        except (TypeError, AttributeError, StructureError):
+            o = self._coerce(other)
+        except StructureError:  # a float, or an element of another ring
             return NotImplemented
-        if not c:
-            return not self.terms
-        return self.terms == {self.ring.zero_exp: c}
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
+        return NotImplemented if o is None else self.terms == o.terms
 
     __hash__ = None  # mutable term dict; use .key() when hashing is needed
 
@@ -487,18 +469,19 @@ class Fraction:
             if not ring.compatible(den.ring):
                 raise StructureError("num/den from incompatible rings")
             terms = _push_den(ring, terms, factors, den, 1)
+        self._init(ring, dict(terms), factors)
+
+    def _init(self, ring: PhaseRing, num_terms: dict, factors: dict):
+        """Set the fields from a numerator (consumed) and a factor dict."""
         self.ring = ring
-        self.num = RingElement(ring, dict(terms))
-        self._factors = _cancel(ring, self.num.terms, factors)
+        self.num = RingElement(ring, num_terms)
+        self._factors = _cancel(ring, num_terms, factors)
         self._den = None
 
     @classmethod
     def _make(cls, ring: PhaseRing, num_terms: dict, factors: dict) -> "Fraction":
         self = object.__new__(cls)
-        self.ring = ring
-        self.num = RingElement(ring, num_terms)
-        self._factors = _cancel(ring, num_terms, factors)
-        self._den = None
+        self._init(ring, num_terms, factors)
         return self
 
     # -- structure -------------------------------------------------------
@@ -582,11 +565,8 @@ class Fraction:
         if o is None:
             return NotImplemented
         factors = self._factor_dict()
-        for key, (el, p) in o._factor_dict().items():
-            if key in factors:
-                factors[key] = (el, factors[key][1] + p)
-            else:
-                factors[key] = (el, p)
+        for el, p in o._factors:
+            _factor_add(factors, el, p)
         return Fraction._make(
             self.ring, K.mul(self.num.terms, o.num.terms, self.ring.pk), factors
         )
@@ -614,10 +594,7 @@ class Fraction:
         if self.is_zero:
             raise StructureError("zero denominator (reciprocal of zero)")
         factors: dict = {}
-        terms = {self.ring.zero_exp: 1}
-        for el, p in self._factors:
-            terms = K.mul(terms, self.ring._pow_terms(el, p), self.ring.pk)
-        terms = _push_den(self.ring, terms, factors, self.num, 1)
+        terms = _push_den(self.ring, dict(self.den.terms), factors, self.num, 1)
         return Fraction._make(self.ring, terms, factors)
 
     def __pow__(self, p: int):
@@ -625,15 +602,8 @@ class Fraction:
             return NotImplemented
         if p < 0:
             return self.reciprocal() ** (-p)
-        out = Fraction(self.ring.one)
-        base = self
-        while p:
-            if p & 1:
-                out = out * base
-            p >>= 1
-            if p:
-                base = base * base
-        return out
+        factors = {key: (el, q * p) for key, (el, q) in self._factor_dict().items()}
+        return Fraction._make(self.ring, (self.num ** p).terms, factors)
 
     def __eq__(self, other):
         o = as_fraction(self.ring, other)
@@ -645,10 +615,6 @@ class Fraction:
         left = K.mul(self.num.terms, o.den.terms, pk)
         right = K.mul(o.num.terms, self.den.terms, pk)
         return left == right
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     __hash__ = None
 
@@ -679,18 +645,8 @@ def as_fraction(ring: PhaseRing, value) -> Fraction | None:
         if not ring.compatible(value.ring):
             raise StructureError("fraction from incompatible ring")
         return value
-    if isinstance(value, RingElement):
-        if not ring.compatible(value.ring):
-            raise StructureError("element from incompatible ring")
-        return Fraction(value)
-    if isinstance(value, float):
-        raise StructureError("floating point in exact ring")
-    if isinstance(value, (int, _PyFraction)):
-        return Fraction(ring.const(value))
-    try:
-        return Fraction(ring.const(_qq(value)))
-    except (TypeError, AttributeError, StructureError):
-        return None
+    el = ring.zero._coerce(value)
+    return None if el is None else Fraction(el)
 
 
 class PoissonStructure:
@@ -794,9 +750,7 @@ class PoissonStructure:
             + p * s * self.bracket(q, t)
         )
         factors: dict = {}
-        for el, pw in F._factors:
-            _factor_add(factors, el, 2 * pw)
-        for el, pw in G._factors:
+        for el, pw in F._factors + G._factors:
             _factor_add(factors, el, 2 * pw)
         return Fraction._make(ring, num.terms, factors)
 

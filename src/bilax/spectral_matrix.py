@@ -5,12 +5,18 @@ the a-leg first: row ``2*i + k`` / column ``2*j + l`` holds the ((i,k),(j,l))
 component, i.e. ``kron(m, n)[(i,k),(j,l)] = m[i,j] * n[k,l]``.  An 8x8
 triple-tensor embedding exists only for the Yang-Baxter check.
 
+``trace_a`` is the one partial trace (``partial_trace_a(m)`` is
+``trace_a(1, m, 1)``), and ``swap_legs`` permutes indices instead of
+multiplying by P.
+
 Spectral variables stay formal throughout: poles such as 1/(lam - mu) live
 in factored denominators and every relation is decided after
 cross-multiplication, never by evaluating at the pole.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .phase_ring import (
     Fraction,
@@ -53,39 +59,31 @@ class SpectralMatrix:
 
     # -- algebra ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         self._check(other)
         return SpectralMatrix(
             self.ring,
             [
-                [a + b for a, b in zip(ra, rb)]
+                [op(a, b) for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ],
         )
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._check(other)
-        return SpectralMatrix(
-            self.ring,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
-        return SpectralMatrix(
-            self.ring, [[-a for a in row] for row in self.rows]
-        )
+        return self.map_entries(operator.neg)
 
     def __mul__(self, other):
         """Scalar multiple (matrix product is the @ operator)."""
         s = as_fraction(self.ring, other)
         if s is None:
             return NotImplemented
-        return SpectralMatrix(
-            self.ring, [[a * s for a in row] for row in self.rows]
-        )
+        return self.map_entries(lambda a: a * s)
 
     __rmul__ = __mul__
 
@@ -212,20 +210,9 @@ def permutation(ring: PhaseRing) -> SpectralMatrix:
 
 
 def partial_trace_a(m: SpectralMatrix) -> SpectralMatrix:
-    """Trace over the first tensor factor of a 4x4 matrix."""
-    if m.dim != 4:
-        raise StructureError("partial_trace_a expects a 4x4 matrix")
-    ring = m.ring
-    out = []
-    for k in range(2):
-        row = []
-        for l in range(2):
-            s = Fraction(ring.zero)
-            for i in range(2):
-                s = s + m.rows[2 * i + k][2 * i + l]
-            row.append(s)
-        out.append(row)
-    return SpectralMatrix(ring, out)
+    """Trace over the first tensor factor of a 4x4 matrix: tr_a(1 m 1)."""
+    one = identity(m.ring, 2)
+    return trace_a(one, m, one)
 
 
 def trace_a(a: SpectralMatrix, r: SpectralMatrix, b: SpectralMatrix) -> SpectralMatrix:
@@ -266,9 +253,16 @@ def trace_a(a: SpectralMatrix, r: SpectralMatrix, b: SpectralMatrix) -> Spectral
 
 
 def swap_legs(m: SpectralMatrix) -> SpectralMatrix:
-    """Conjugation by P: maps r_ab to r_ba."""
-    p = permutation(m.ring)
-    return p @ m @ p
+    """Conjugation by P, which maps r_ab to r_ba: the entry ((i,k),(j,l))
+    of the result is the entry ((k,i),(l,j)) of m."""
+    if m.dim != 4:
+        raise StructureError("swap_legs expects a 4x4 matrix")
+    rows = m.rows
+    return SpectralMatrix(
+        m.ring,
+        [[rows[2 * k + i][2 * l + j] for j in range(2) for l in range(2)]
+         for i in range(2) for k in range(2)],
+    )
 
 
 def rational_r(ring: PhaseRing, arg: RingElement) -> SpectralMatrix:
@@ -283,15 +277,13 @@ def rational_r_builder(ring: PhaseRing):
     return lambda arg: rational_r(ring, arg)
 
 
-#: a 4x4 matrix holding {A_a(lam), B_b(mu)} components, antisymmetric under
-#: the simultaneous swap of arguments, spectral variables and tensor legs
-TensorBracket = SpectralMatrix
-
-
 def tensor_bracket(
     ps: PoissonStructure, a: SpectralMatrix, b: SpectralMatrix
-) -> TensorBracket:
-    """{A_a, B_b}: entry ((i,k),(j,l)) holds {A_ij, B_kl}."""
+) -> SpectralMatrix:
+    """{A_a, B_b}: entry ((i,k),(j,l)) holds {A_ij, B_kl}.
+
+    The result is antisymmetric under the simultaneous swap of arguments,
+    spectral variables and tensor legs."""
     if a.dim != 2 or b.dim != 2:
         raise StructureError("tensor_bracket expects 2x2 matrices")
     ring = ps.ring

@@ -11,6 +11,7 @@ at one site and the off-site bracket at one pair.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -131,40 +132,29 @@ def check_rll(lax, r_builder, ps: PoissonStructure, site: int = 1, offsite=(1, 2
     return onsite
 
 
-def _reflection_rhs_minus(ka, kb, r1, r1s, r2, r2s):
-    # r_ab(l-m) k_a k_b - k_a k_b r_ba(l-m) + k_a r_ba(l+m) k_b - k_b r_ab(l+m) k_a
-    return r1 @ ka @ kb - ka @ kb @ r1s + ka @ r2s @ kb - kb @ r2 @ ka
-
-
-def _reflection_rhs_plus(ka, kb, r1, r1s, r2, r2s):
-    # r_ba(l-m) k_a k_b - k_a k_b r_ab(l-m) + k_a r_ab(l+m) k_b - k_b r_ba(l+m) k_a
-    return r1s @ ka @ kb - ka @ kb @ r1 + ka @ r2 @ kb - kb @ r2s @ ka
-
-
-def _check_reflection(name, k_builder, r_builder, ps, rhs_fn) -> RelationReport:
+def _check_reflection(name, k_builder, r_builder, ps) -> RelationReport:
     ring = ps.ring
     lm, m_ = lam(ring), mu(ring)
     kl, km_ = k_builder(lm), k_builder(m_)
     ka, kb = embed_a(kl), embed_b(km_)
     r1 = r_builder(lm - m_)
     r2 = r_builder(lm + m_)
-    lhs = tensor_bracket(ps, kl, km_)
-    rhs = rhs_fn(ka, kb, r1, swap_legs(r1), r2, swap_legs(r2))
-    return matrix_report(name, lhs - rhs)
+    r1s, r2s = swap_legs(r1), swap_legs(r2)
+    # r_ab(l-m) k_a k_b - k_a k_b r_ba(l-m) + k_a r_ba(l+m) k_b - k_b r_ab(l+m) k_a
+    rhs = r1 @ ka @ kb - ka @ kb @ r1s + ka @ r2s @ kb - kb @ r2 @ ka
+    return matrix_report(name, tensor_bracket(ps, kl, km_) - rhs)
 
 
 def check_reflection_minus(k_builder, r_builder, ps) -> RelationReport:
     """Dynamical reflection algebra for k^- (holds trivially when {k,k}=0
     and the four r-insertion terms cancel)."""
-    return _check_reflection(
-        "reflection_minus", k_builder, r_builder, ps, _reflection_rhs_minus
-    )
+    return _check_reflection("reflection_minus", k_builder, r_builder, ps)
 
 
 def check_reflection_plus(k_builder, r_builder, ps) -> RelationReport:
     """Dynamical reflection algebra for k^+ (r_ab and r_ba exchanged)."""
     return _check_reflection(
-        "reflection_plus", k_builder, r_builder, ps, _reflection_rhs_plus
+        "reflection_plus", k_builder, lambda arg: swap_legs(r_builder(arg)), ps
     )
 
 
@@ -179,22 +169,14 @@ def check_k_locality(km_builder, kp_builder, lax, ps, site: int = 1) -> Relation
     """{k^-, k^+} = 0 and {k^pm, l(j)} = 0."""
     ring = ps.ring
     lm, m_ = lam(ring), mu(ring)
+    l_site = functools.partial(lax, site)
     reports = [
-        matrix_report(
-            "k_locality",
-            tensor_bracket(ps, km_builder(lm), kp_builder(m_)),
-            prefix="k-/k+ ",
-        ),
-        matrix_report(
-            "k_locality",
-            tensor_bracket(ps, km_builder(lm), lax(site, m_)),
-            prefix="k-/l ",
-        ),
-        matrix_report(
-            "k_locality",
-            tensor_bracket(ps, kp_builder(lm), lax(site, m_)),
-            prefix="k+/l ",
-        ),
+        matrix_report("k_locality", tensor_bracket(ps, a(lm), b(m_)), prefix=prefix)
+        for prefix, a, b in (
+            ("k-/k+ ", km_builder, kp_builder),
+            ("k-/l ", km_builder, l_site),
+            ("k+/l ", kp_builder, l_site),
+        )
     ]
     return merge_reports("k_locality", reports)
 

@@ -4,6 +4,8 @@ These are the one-shot constructions the package used before its
 ``Derivation``: every call rebuilds the full monodromies, their inverses and
 both 4x4 r-insertion products, the single-row matrix is rebuilt from two
 fresh monodromies per call, and {b(lam), b(mu)} is one bivariate bracket.
+The partial trace and the leg swap are the reference ones of
+``exact_oracle``.
 The differential tests compare the derivation's memoised matrices, its
 single-row matrices and its coefficient-wise commutation check against them.
 """
@@ -15,10 +17,9 @@ from bilax.spectral_matrix import (
     inverse_2x2,
     lam,
     mu,
-    partial_trace_a,
     rational_r_builder,
-    swap_legs,
 )
+from exact_oracle import partial_trace_a, swap_legs
 
 
 def double_row_transfer(lax, km, kp, N, arg):

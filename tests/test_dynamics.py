@@ -367,6 +367,26 @@ def test_zero_curvature_catches_flipped_flow_entry():
     assert all(p >= 1e-3 for p in peaks.values()), peaks
 
 
+def test_zero_curvature_skips_identically_zero_entries(dn2):
+    # an identically zero entry of X, {H, X} or M(j) is cached as None and
+    # never compiled; dn N=2 has 12 such entries among its 44
+    p0 = random_phase_point(dn2, np.random.default_rng(1), amplitude=0.2)
+    zero_curvature_residual(dn2, integrate(dn2, p0, 1e-3, 20))
+    for j in range(1, dn2.N + 2):
+        compiled = dn2._cache[("cM", j)]
+        assert [[f is None for f in row] for row in compiled] == [
+            [e.is_zero for e in row] for row in model_flow_matrix(dn2, j).rows
+        ]
+    entries = [
+        f
+        for key, compiled in dn2._cache.items()
+        if isinstance(key, tuple) and key[0] in ("cX", "cXdot", "cM")
+        for row in compiled
+        for f in row
+    ]
+    assert (len(entries), sum(f is None for f in entries)) == (44, 12)
+
+
 def test_dn_boundary_flow_residual_small(dn2):
     # dk-/dT matches the extracted boundary flow matrices pointwise
     rng = np.random.default_rng(1)
