@@ -161,12 +161,14 @@ class Derivation:
 
     Every check reads the same objects from here instead of rebuilding them:
     the transfer scalar b(lam) and its expansion, the site inverses
-    l(k,-lam)^{-1}, the prefix and suffix monodromies (built one site at a
-    time), and a memo of each generating matrix M(j, mu_expr), of each
-    single-row matrix and of each flow matrix extracted from M.  M and the
-    single-row matrix are both the generic trace_a(A, r, B) = tr_a(A_a r
-    B_a) over 2x2 factors, for the r-matrix the derivation was built with,
-    so a mutated r-builder runs through the same code as the stock one.
+    l(k,-lam)^{-1}, the prefix and suffix monodromies, the mu-free factors
+    of each M(j) (all built one site at a time), and a memo of each
+    generating matrix M(j, mu_expr), of each single-row matrix and of each
+    flow matrix extracted from M.  M and the single-row matrix are both the
+    generic trace_a(A, r, B) = tr_a(A_a r B_a) over 2x2 factors, for the
+    r-matrix the derivation was built with, so a mutated r-builder runs
+    through the same code as the stock one; M(j, -mu) and flow(j, -mu) are
+    M(j, mu) and flow(j, mu) reflected in mu (``Fraction.reflect``).
 
     Build one per model and r-builder: the memo trusts that lax, k-, k+ and
     the r-builder never change.
@@ -218,15 +220,6 @@ class Derivation:
         return out
 
     @cached_property
-    def prefix_inverses(self) -> dict:
-        """L(j-1, 1, -lam)^{-1} = l(1, -lam)^{-1} ... l(j-1, -lam)^{-1}."""
-        inv = self.site_inverses
-        out = {1: identity(self.ring, 2)}
-        for j in range(1, self.N + 1):
-            out[j + 1] = out[j] @ inv[j]
-        return out
-
-    @cached_property
     def kminus(self) -> SpectralMatrix:
         return self.km(self.lam)
 
@@ -270,7 +263,7 @@ class Derivation:
             r_ba = swap_legs(self.r_builder(self.lam + mu_expr))
             return trace_a(a1, r_ab, b1) + trace_a(a2, r_ba, b2)
 
-        return _memo(self.generating, (j, mu_expr.key()), build)
+        return self._memoised(self.generating, self.M, j, mu_expr, build)
 
     def sts(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
         """Single-row generating function tr_a(L_a(N,j) r_ab(lam-mu) L_a(j-1,1))."""
@@ -281,25 +274,33 @@ class Derivation:
 
     def flow(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
         """Time part of the Lax pair at site index j, at spectral point mu_expr."""
-        return _memo(self.flows, (j, mu_expr.key()), lambda: extract_M(
+        return self._memoised(self.flows, self.flow, j, mu_expr, lambda: extract_M(
             self.M(j, mu_expr), self.expansion, self._recipe()
         ))
 
-    def _mu_free_factors(self, j: int) -> tuple:
-        """The four mu-free factors around the r-insertions of M(j).
+    def _memoised(self, table: dict, getter, j: int, mu_expr: RingElement, build):
+        """table's matrix at (j, mu_expr), built on first use; at -mu it is
+        getter(j, mu) reflected in mu, which is what a fresh build gives, as
+        all but the r-builder's argument is mu-free."""
+        if mu_expr == -mu(self.ring) and not self.lam.involves("mu"):
+            build = lambda: getter(j, mu(self.ring)).map_entries(lambda e: e.reflect("mu"))
+        return _memo(table, (j, mu_expr.key()), build)
 
-        Consecutive a-space factors collapse into one 2x2 product on each
-        side of an insertion: tr_a(A_a r B_a) needs only A and B.
-        """
+    def _mu_free_factors(self, j: int) -> tuple:
+        """The mu-free factors (a1, b1, a2, b2) around the r-insertions of
+        M(j): tr_a(A_a r B_a) needs only the 2x2 products A and B.  b1 and
+        a2 take one site step from j - 1, b1 = l(j-1, lam) b1(j-1) and
+        a2 = a2(j-1) l(j-1, -lam)^{-1}, from k- L(-lam)^{-1} and k+ L k-."""
         f = self._factors.get(j)
         if f is None:
             self._check_site(j)
-            f = (
-                self.kplus @ self.suffixes[j],
-                self.prefixes[j] @ self.kminus @ self.suffix_inverses[1],
-                self.reflected @ self.prefix_inverses[j],
-                self.suffix_inverses[j],
-            )
+            if j == 1:
+                b1, a2 = self.kminus @ self.suffix_inverses[1], self.reflected
+            else:
+                _, b1, a2, _ = self._mu_free_factors(j - 1)
+                b1 = self.lax(j - 1, self.lam) @ b1
+                a2 = a2 @ self.site_inverses[j - 1]
+            f = (self.kplus @ self.suffixes[j], b1, a2, self.suffix_inverses[j])
             self._factors[j] = f
         return f
 
@@ -485,9 +486,10 @@ def transfer_commutator(ps, exp: TransferExpansion) -> Fraction:
     l_, m_ = lam(ring), mu(ring)
     powers = exp.powers()
     out = Fraction(ring.zero)
+    cache: dict = {}  # the partial derivatives of every b_p, for all pairs
     for i, p in enumerate(powers):
         for q in powers[i + 1:]:
-            c = ps.bracket_fraction(exp.coefficient(p), exp.coefficient(q))
+            c = ps.bracket_fraction(exp.coefficient(p), exp.coefficient(q), cache)
             if not c.is_zero:
                 out = out + c * Fraction(l_ ** p * m_ ** q - l_ ** q * m_ ** p)
     return out
@@ -509,9 +511,9 @@ def check_single_row_commutation(ps, d: Derivation) -> RelationReport:
 def check_involution(ps, d: Derivation) -> RelationReport:
     """The extracted Hamiltonian commutes with every expansion coefficient."""
     ham, exp = d.hamiltonian, d.expansion
-    residual = []
+    residual, cache = [], {}
     for p in exp.powers():
-        r = ps.bracket_fraction(ham, exp.coefficient(p))
+        r = ps.bracket_fraction(ham, exp.coefficient(p), cache)
         if not r.is_zero:
             residual.append(("lam^%d" % p, str(r)))
     return RelationReport("involution", not residual, residual)

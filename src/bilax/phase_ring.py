@@ -605,6 +605,23 @@ class Fraction:
         factors = {key: (el, q * p) for key, (el, q) in self._factor_dict().items()}
         return Fraction._make(self.ring, (self.num ** p).terms, factors)
 
+    def reflect(self, name: str) -> "Fraction":
+        """name -> -name, factored as a fresh build would be: odd-degree terms
+        change sign, and a factor whose leading coefficient turns -1 is
+        negated back, its sign going to the numerator for an odd power."""
+        ring, i = self.ring, self.ring.slot(name)
+
+        def odd(terms):
+            return {e: -c if ring.pk.exponent(e, i) & 1 else c for e, c in terms.items()}
+
+        num, factors = odd(self.num.terms), {}
+        for el, p in self._factors:
+            t = odd(el.terms)
+            if t[max(t)] == -1:
+                t, num = K.neg(t), K.neg(num) if p & 1 else num
+            _factor_add(factors, RingElement(ring, t), p)
+        return Fraction._make(ring, num, factors)
+
     def __eq__(self, other):
         o = as_fraction(self.ring, other)
         if o is None:
@@ -710,21 +727,29 @@ class PoissonStructure:
 
     # -- brackets ----------------------------------------------------------
 
-    def bracket(self, f: RingElement, g: RingElement) -> RingElement:
-        """Exact Poisson bracket: bilinear, antisymmetric, Leibniz in both."""
+    def _partials(self, el: RingElement, cache: dict) -> dict:
+        """{slot: d(el)/d(slot)} over the table's slots, nonzero ones only,
+        memoised in ``cache`` by identity for one batch of brackets (the
+        entry holds el, so its id is not reused while the cache lives)."""
+        hit = cache.get(id(el))
+        if hit is None:
+            slots, pk = {s for ij in self._table for s in ij}, self.ring.pk
+            grad = {i: d for i in slots if (d := K.diff(el.terms, i, pk))}
+            hit = cache[id(el)] = (el, grad)
+        return hit[1]
+
+    def bracket(self, f: RingElement, g: RingElement, cache=None) -> RingElement:
+        """Exact Poisson bracket: bilinear, antisymmetric, Leibniz in both;
+        brackets that share a ``cache`` dict share partial derivatives."""
         ring = self.ring
         if not (ring.compatible(f.ring) and ring.compatible(g.ring)):
             raise StructureError("bracket arguments from incompatible rings")
-        ft, gt = f.terms, g.terms
-        if not ft or not gt:
-            return ring.zero
+        cache = {} if cache is None else cache
+        df, dg = self._partials(f, cache), self._partials(g, cache)
         pk = ring.pk
         out: dict = {}
         for (i, j), el in self._table.items():
-            dfi = K.diff(ft, i, pk)
-            dgj = K.diff(gt, j, pk) if dfi else {}
-            dfj = K.diff(ft, j, pk)
-            dgi = K.diff(gt, i, pk) if dfj else {}
+            dfi, dgj, dfj, dgi = df.get(i), dg.get(j), df.get(j), dg.get(i)
             s = K.mul(dfi, dgj, pk) if dfi and dgj else {}
             if dfj and dgi:
                 s = K.sub(s, K.mul(dfj, dgi, pk))
@@ -732,23 +757,25 @@ class PoissonStructure:
                 K.mul_acc(out, s, el.terms, pk)
         return RingElement(ring, out)
 
-    def bracket_fraction(self, f, g) -> Fraction:
-        """Bracket on the fraction field via the quotient rule."""
+    def bracket_fraction(self, f, g, cache=None) -> Fraction:
+        """Bracket on the fraction field via the quotient rule; a term that
+        brackets with a constant is skipped.  ``cache`` as for ``bracket``."""
         ring = self.ring
         F = as_fraction(ring, f)
         G = as_fraction(ring, g)
         if F is None or G is None:
             raise StructureError("bracket_fraction on non-algebraic input")
+        cache = {} if cache is None else cache
         if not F._factors and not G._factors:
-            return Fraction(self.bracket(F.num, G.num))
+            return Fraction(self.bracket(F.num, G.num, cache))
         p, s = F.num, G.num
         q, t = F.den, G.den
-        num = (
-            q * t * self.bracket(p, s)
-            - q * s * self.bracket(p, t)
-            - p * t * self.bracket(q, s)
-            + p * s * self.bracket(q, t)
-        )
+        num = ring.zero  # q t {p,s} - q s {p,t} - p t {q,s} + p s {q,t}
+        for x, y, a, b, sign in ((p, s, q, t, 1), (p, t, q, s, -1),
+                                 (q, s, p, t, -1), (q, t, p, s, 1)):
+            if self._partials(x, cache) and self._partials(y, cache):
+                term = a * b * self.bracket(x, y, cache)
+                num = num + term if sign > 0 else num - term
         factors: dict = {}
         for el, pw in F._factors + G._factors:
             _factor_add(factors, el, 2 * pw)

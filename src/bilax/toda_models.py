@@ -356,19 +356,15 @@ def derived_eom(model: ModelSpec) -> EquationsOfMotion:
     def build():
         ring, ps = model.ring, model.ps
         ham = hamiltonian(model)
-        xdot = {}
-        pdot = {}
+        xdot, pdot, sl2, cache = {}, {}, {}, {}
         for j in range(1, model.N + 1):
             uj = ring.gen("u%d" % j)
-            udot = ps.bracket_fraction(ham, Fraction(uj))
+            udot = ps.bracket_fraction(ham, Fraction(uj), cache)
             xdot[j] = udot / Fraction(uj)
-            pdot[j] = ps.bracket_fraction(ham, Fraction(ring.gen("X%d" % j)))
-        sl2 = {}
+            pdot[j] = ps.bracket_fraction(ham, Fraction(ring.gen("X%d" % j)), cache)
         if model.name == "dn":
             for name in ("E", "F", "H"):
-                sl2[name] = ps.bracket_fraction(
-                    ham, Fraction(ring.gen(name))
-                )
+                sl2[name] = ps.bracket_fraction(ham, Fraction(ring.gen(name)), cache)
         return EquationsOfMotion(xdot, pdot, sl2)
 
     return model.cached("derived_eom", build)

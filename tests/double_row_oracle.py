@@ -8,16 +8,24 @@ The partial trace and the leg swap are the reference ones of
 ``exact_oracle``.
 The differential tests compare the derivation's memoised matrices, its
 single-row matrices and its coefficient-wise commutation check against them.
+
+``mu_free_factors`` and ``generating_matrix`` are the derivation's own
+build before it reused anything: the factors of M(j) as products of whole
+monodromies and their inverses, and every M(j, mu_expr), -mu included, as
+two ``trace_a`` calls over them.  The derivation takes one site step per
+factor and reflects M(j, mu) in mu for M(j, -mu).
 """
 
 from bilax.double_row import monodromy, scalar_report
 from bilax.phase_ring import StructureError
 from bilax.spectral_matrix import (
     embed_a,
+    identity,
     inverse_2x2,
     lam,
     mu,
     rational_r_builder,
+    trace_a,
 )
 from exact_oracle import partial_trace_a, swap_legs
 
@@ -78,3 +86,26 @@ def check_transfer_commutation(ps, lax, km, kp, N):
     b_l = double_row_transfer(lax, km, kp, N, lam(ring))
     b_m = double_row_transfer(lax, km, kp, N, mu(ring))
     return scalar_report("bb_commute", ps.bracket_fraction(b_l, b_m))
+
+
+def mu_free_factors(d, j):
+    """(a1, b1, a2, b2) of M(j) from the derivation's whole monodromies:
+    k+ L(N,j), L(j-1,1) k- L(-lam)^{-1}, k+ L k- L(j-1,1,-lam)^{-1} and
+    L(N,j,-lam)^{-1}."""
+    prefix_inverse = identity(d.ring, 2)
+    for k in range(1, j):
+        prefix_inverse = prefix_inverse @ d.site_inverses[k]
+    return (
+        d.kplus @ d.suffixes[j],
+        d.prefixes[j] @ d.kminus @ d.suffix_inverses[1],
+        d.reflected @ prefix_inverse,
+        d.suffix_inverses[j],
+    )
+
+
+def generating_matrix(d, j, mu_expr):
+    """M(j, mu_expr) built afresh for any mu_expr, by two trace_a calls."""
+    a1, b1, a2, b2 = mu_free_factors(d, j)
+    r_ab = d.r_builder(d.lam - mu_expr)
+    r_ba = swap_legs(d.r_builder(d.lam + mu_expr))
+    return trace_a(a1, r_ab, b1) + trace_a(a2, r_ba, b2)

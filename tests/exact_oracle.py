@@ -6,12 +6,17 @@ Fraction products.  These are the constructions the package used before
 both became index maps: ``trace_a`` with identity factors, and the leg swap
 (i,k) <-> (k,i).  ``fraction_power`` is the Fraction power by repeated
 squaring of Fraction products, which the package replaced by the power of
-the numerator over scaled denominator exponents.  The differential tests
-require the package's results to be ``==``, ``str``- and
+the numerator over scaled denominator exponents.  ``bracket`` and
+``bracket_fraction`` are the per-pair Poisson brackets, which take every
+partial derivative of both operands afresh and expand all four terms of the
+quotient rule; the package computes each operand's partial derivatives once
+per batch of brackets and skips the terms that bracket with a constant.  The
+differential tests require the package's results to be ``==``, ``str``- and
 ``den_factors``-equal to these.
 """
 
-from bilax.phase_ring import Fraction, StructureError
+from bilax.backend import kernel as K
+from bilax.phase_ring import Fraction, RingElement, StructureError, _factor_add, as_fraction
 from bilax.spectral_matrix import SpectralMatrix, permutation
 
 
@@ -51,3 +56,44 @@ def fraction_power(f, p):
         if p:
             base = base * base
     return out
+
+
+def bracket(ps, f, g):
+    """{f, g} of two ring elements, from the generator table."""
+    ring = ps.ring
+    ft, gt = f.terms, g.terms
+    if not ft or not gt:
+        return ring.zero
+    pk = ring.pk
+    out = {}
+    for (i, j), el in ps._table.items():
+        dfi = K.diff(ft, i, pk)
+        dgj = K.diff(gt, j, pk) if dfi else {}
+        dfj = K.diff(ft, j, pk)
+        dgi = K.diff(gt, i, pk) if dfj else {}
+        s = K.mul(dfi, dgj, pk) if dfi and dgj else {}
+        if dfj and dgi:
+            s = K.sub(s, K.mul(dfj, dgi, pk))
+        if s:
+            K.mul_acc(out, s, el.terms, pk)
+    return RingElement(ring, out)
+
+
+def bracket_fraction(ps, f, g):
+    """{f, g} on the fraction field by the full quotient rule."""
+    ring = ps.ring
+    F, G = as_fraction(ring, f), as_fraction(ring, g)
+    if not F.den_factors and not G.den_factors:
+        return Fraction(bracket(ps, F.num, G.num))
+    p, s = F.num, G.num
+    q, t = F.den, G.den
+    num = (
+        q * t * bracket(ps, p, s)
+        - q * s * bracket(ps, p, t)
+        - p * t * bracket(ps, q, s)
+        + p * s * bracket(ps, q, t)
+    )
+    factors = {}
+    for el, pw in F.den_factors + G.den_factors:
+        _factor_add(factors, el, 2 * pw)
+    return Fraction._make(ring, num.terms, factors)

@@ -1,0 +1,198 @@
+"""Reused work against the rebuilt work it replaces.
+
+* Reflection: ``Fraction.reflect("mu")`` must be ``==``, ``str``- and
+  ``den_factors``-equal to the substitution mu -> -mu, and every
+  ``Derivation.M(j, -mu)`` and ``flow(j, -mu)`` at the boundary sites, which
+  the derivation reflects from +mu, to the fresh ``trace_a`` build of
+  ``double_row_oracle.generating_matrix`` (90 matrices: bcn N=1..5 and dn
+  N=2..5, j = 1 and N+1, the rational r and its four sign-flip mutants).
+* Site steps: the factors of M(j), built one site from those of M(j-1),
+  must equal the whole-monodromy products of ``double_row_oracle``.
+* Batched brackets: each operand's partial derivatives are computed once per
+  batch, and quotient-rule terms with a constant operand are skipped; the
+  results must equal, in the same three ways, the per-pair brackets of
+  ``exact_oracle``, for Laurent exponents, rational coefficients, constant
+  operands and operands repeated within a batch.
+"""
+
+from fractions import Fraction as QQ
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import double_row_oracle
+import exact_oracle
+from bilax.double_row import Derivation, check_involution, extract_M, transfer_commutator
+from bilax.phase_ring import Fraction, Kind
+from bilax.spectral_matrix import (
+    bracket_scalar_matrix,
+    lam,
+    matrix,
+    mu,
+    rational_r_builder,
+    tensor_bracket,
+)
+from bilax.structure_checks import flip_entry, nonzero_positions
+from bilax.toda_models import build_bcn, build_dn, derived_eom
+
+bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def assert_same_fraction(got, want):
+    assert got == want
+    assert str(got) == str(want)
+    assert got.den_factors == want.den_factors
+
+
+def assert_same(got, want):
+    assert got.dim == want.dim
+    for row_g, row_w in zip(got.rows, want.rows):
+        for g, w in zip(row_g, row_w):
+            assert_same_fraction(g, w)
+
+
+# ---------------------------------------------------------------------------
+# random fractions over the dn N=2 ring: two Laurent sites, the sl(2)
+# triple, a central parameter and both spectral variables
+
+DN2 = build_dn(2)
+RING, PS = DN2.ring, DN2.ps
+LAM, MU = lam(RING), mu(RING)
+GENS = ("u1", "u2", "X1", "X2", "E", "F", "H", "c0", "lam", "mu")
+DEN_FACTORS = (
+    LAM - MU,
+    LAM + MU,
+    MU,
+    RING.gen("F") - RING.gen("u1"),  # the dn ratio recipe's denominator
+    RING.gen("X1") + LAM,
+    RING.gen("E") + 2,
+    RING.gen("c0"),  # a central parameter atom
+    RING.gen("u2"),  # Laurent: folds into the numerator
+)
+
+
+@st.composite
+def monomials(draw):
+    powers = {}
+    for name in draw(st.lists(st.sampled_from(GENS), max_size=3, unique=True)):
+        e = draw(st.integers(-2, 2))
+        powers[name] = e if RING.kind_of(name) is Kind.COORD_EXP else abs(e)
+    coeff = QQ(draw(st.integers(-4, 4).filter(bool)), draw(st.sampled_from((1, 1, 2, 3))))
+    return RING.monomial(powers, coeff)
+
+
+@st.composite
+def fractions(draw):
+    """Mostly polynomials over up to three factors; a quarter constants."""
+    if draw(st.integers(0, 3)) == 0:
+        num = RING.const(QQ(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2)))))
+    else:
+        num = sum(draw(st.lists(monomials(), min_size=1, max_size=3)), RING.zero)
+    den = RING.one
+    for f in draw(st.lists(st.sampled_from(DEN_FACTORS), max_size=3)):
+        den = den * f
+    return Fraction(num, den)
+
+
+@bounded
+@given(fractions())
+def test_reflect_is_the_mu_substitution(f):
+    assert_same_fraction(f.reflect("mu"), f.substitute({"mu": -MU}))
+
+
+@bounded
+@given(
+    st.lists(fractions(), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8),
+)
+def test_batched_brackets_match_per_pair_brackets(drawn, pairs):
+    # a constant operand in every batch; indices repeat operands, and
+    # (i, i) brackets an operand with itself
+    ops = drawn + [Fraction(RING.const(QQ(3, 2)))]
+    cache = {}
+    for i, j in pairs:
+        f, g = ops[i % len(ops)], ops[j % len(ops)]
+        assert_same_fraction(
+            PS.bracket_fraction(f, g, cache), exact_oracle.bracket_fraction(PS, f, g)
+        )
+        got = PS.bracket(f.num, g.num, cache)
+        assert got == exact_oracle.bracket(PS, f.num, g.num)
+
+
+@bounded
+@given(st.lists(fractions(), min_size=5, max_size=5))
+def test_matrix_brackets_match_per_entry_brackets(es):
+    # the first entry appears twice in each matrix
+    a = matrix(RING, [[es[0], es[1]], [es[2], es[0]]])
+    b = matrix(RING, [[es[3], es[0]], [es[4], es[3]]])
+    tb = tensor_bracket(PS, a, b)
+    for i in range(2):
+        for k in range(2):
+            for j in range(2):
+                for l in range(2):
+                    want = exact_oracle.bracket_fraction(PS, a[i, j], b[k, l])
+                    assert_same_fraction(tb[2 * i + k, 2 * j + l], want)
+    sm = bracket_scalar_matrix(PS, es[4], a)
+    assert_same(sm, a.map_entries(lambda e: exact_oracle.bracket_fraction(PS, es[4], e)))
+
+
+@pytest.mark.parametrize("name,n", [("bcn", 3), ("dn", 3)], ids=str)
+def test_derivation_brackets_match_per_pair_brackets(name, n):
+    model = build_bcn(n) if name == "bcn" else build_dn(n)
+    ps, d = model.ps, model.derivation
+    exp, ham = d.expansion, d.hamiltonian
+    assert check_involution(ps, d).holds
+    for p in exp.powers():
+        assert exact_oracle.bracket_fraction(ps, ham, exp.coefficient(p)).is_zero
+    assert transfer_commutator(ps, exp).is_zero
+    powers = exp.powers()
+    for i, p in enumerate(powers):
+        for q in powers[i + 1:]:
+            assert exact_oracle.bracket_fraction(
+                ps, exp.coefficient(p), exp.coefficient(q)
+            ).is_zero
+    eom = derived_eom(model)
+    for label, value in eom.coordinates():
+        gen = model.ring.gen(("u" + label[1:]) if label[0] == "x" else label)
+        want = exact_oracle.bracket_fraction(ps, ham, Fraction(gen))
+        if label[0] == "x":
+            want = want / Fraction(gen)
+        assert_same_fraction(value, want)
+
+
+# ---------------------------------------------------------------------------
+# M(j, -mu) by reflection and the factors by site steps, against fresh builds
+
+REFLECTION_MODELS = [("bcn", n) for n in range(1, 6)] + [("dn", n) for n in range(2, 6)]
+
+
+def r_builders(ring):
+    """The rational r and its four single-entry sign-flip mutants."""
+    rb = rational_r_builder(ring)
+    return [rb] + [flip_entry(rb, i, j) for i, j in nonzero_positions(rb(lam(ring)))]
+
+
+@pytest.mark.parametrize("name,n", REFLECTION_MODELS, ids=str)
+def test_minus_mu_matrices_match_a_fresh_build(name, n):
+    model = build_bcn(n) if name == "bcn" else build_dn(n)
+    l_, m_ = lam(model.ring), mu(model.ring)
+    builders = r_builders(model.ring)
+    assert len(builders) == 5
+    for rb in builders:
+        d = Derivation(model.lax, model.km, model.kp, n, l_, rb, model.recipe)
+        for j in (1, n + 1):
+            fresh = double_row_oracle.generating_matrix(d, j, -m_)
+            assert_same(d.M(j, -m_), fresh)
+            assert_same(d.flow(j, -m_), extract_M(fresh, d.expansion, d.recipe))
+
+
+@pytest.mark.parametrize("name,n", REFLECTION_MODELS, ids=str)
+def test_site_step_factors_match_monodromy_products(name, n):
+    model = build_bcn(n) if name == "bcn" else build_dn(n)
+    d = model.derivation
+    for j in range(n + 1, 0, -1):  # from the top, so each step recurses
+        for got, want in zip(
+            d._mu_free_factors(j), double_row_oracle.mu_free_factors(d, j)
+        ):
+            assert_same(got, want)

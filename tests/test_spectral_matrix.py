@@ -221,14 +221,14 @@ def test_tensor_bracket_onsite_component(model):
 
 
 def test_tensor_bracket_antisymmetry(model):
-    # swapping arguments, spectral variables and legs negates the bracket
+    # {A_a, B_b} = -P {B_a, A_b} P, for A != B with a nonzero bracket
     ring, ps = model.ring, model.ps
+    m_ = mu(ring)
     a = model.lax(1, lam(ring))
-    b_swapped = model.lax(1, lam(ring))  # B evaluated at lam after the swap
-    tb = tensor_bracket(ps, a, model.lax(1, mu(ring)))
-    tb_swapped = tensor_bracket(ps, model.lax(1, mu(ring)), a)
-    assert tb == -swap_legs(tb_swapped)
-    assert b_swapped == a
+    b = model.lax(2, m_) @ model.lax(1, m_)
+    tb = tensor_bracket(ps, a, b)
+    assert not tb.is_zero
+    assert tb == -swap_legs(tensor_bracket(ps, b, a))
 
 
 # ---------------------------------------------------------------------------
