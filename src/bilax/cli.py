@@ -65,14 +65,8 @@ def _load_params(raw: str | None) -> dict:
 
 
 def _build_model(args):
-    params = _load_params(getattr(args, "params", None))
-    if "model" in params or "N" in params:
-        cfg = dict(params)
-        cfg.setdefault("model", args.model)
-        cfg.setdefault("N", args.N)
-        return model_from_config(cfg)
     return model_from_config(
-        {"model": args.model, "N": args.N, "params": params}
+        {"model": args.model, "N": args.N, "params": _load_params(args.params)}
     )
 
 

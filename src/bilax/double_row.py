@@ -163,12 +163,13 @@ class Derivation:
     the transfer scalar b(lam) and its expansion, the site inverses
     l(k,-lam)^{-1}, the prefix and suffix monodromies, the mu-free factors
     of each M(j) (all built one site at a time), and a memo of each
-    generating matrix M(j, mu_expr), of each single-row matrix and of each
-    flow matrix extracted from M.  M and the single-row matrix are both the
-    generic trace_a(A, r, B) = tr_a(A_a r B_a) over 2x2 factors, for the
-    r-matrix the derivation was built with, so a mutated r-builder runs
-    through the same code as the stock one; M(j, -mu) and flow(j, -mu) are
-    M(j, mu) and flow(j, mu) reflected in mu (``Fraction.reflect``).
+    generating matrix M(j, mu_expr), single-row matrix, flow matrix
+    extracted from M and layout matrix X(mu).  M and the single-row matrix
+    are both the generic trace_a(A, r, B) = tr_a(A_a r B_a) over 2x2
+    factors, for the r-matrix the derivation was built with, so a mutated
+    r-builder runs through the same code as the stock one; M(j, -mu) and
+    flow(j, -mu) are M(j, mu) and flow(j, mu) reflected in mu
+    (``Fraction.reflect``).
 
     Build one per model and r-builder: the memo trusts that lax, k-, k+ and
     the r-builder never change.
@@ -183,6 +184,7 @@ class Derivation:
         self.generating = {}  # (j, mu_expr.key()) -> M(j, lam, mu_expr)
         self.single_row = {}  # (j, mu_expr.key()) -> the single-row matrix
         self.flows = {}  # (j, mu_expr.key()) -> flow matrix extracted from M
+        self.layout = {}  # (label, arg.key()) -> X(arg) of a zero-curvature term
         self._factors = {}  # j -> the mu-free 2x2 factors of M(j, .)
 
     # -- monodromy pieces, keyed by site index j = 1..N+1 -----------------
@@ -329,15 +331,20 @@ def zero_curvature_terms(d: Derivation) -> list:
     the sites l(j), "j=1".."j=N", with M(j+1, mu) and M(j, mu); then
     "kminus" with M(1, mu) and M(1, -mu), and "kplus" with M(N+1, -mu) and
     M(N+1, mu).  Every symbolic zero-curvature check and the numeric
-    residual of ``dynamics`` read this list.
+    residual of ``dynamics`` read this list.  Each X(arg) is built once, in
+    ``d.layout``, so its entries keep their partial derivatives across checks.
     """
     n = d.N
+
+    def kept(label, X):
+        return lambda arg: _memo(d.layout, (label, arg.key()), lambda: X(arg))
+
     terms = [
-        ("j=%d" % j, lambda arg, j=j: d.lax(j, arg), (j + 1, 1), (j, 1))
+        ("j=%d" % j, kept("j=%d" % j, lambda arg, j=j: d.lax(j, arg)), (j + 1, 1), (j, 1))
         for j in range(1, n + 1)
     ]
-    terms.append(("kminus", d.km, (1, 1), (1, -1)))
-    terms.append(("kplus", d.kp, (n + 1, -1), (n + 1, 1)))
+    terms.append(("kminus", kept("kminus", d.km), (1, 1), (1, -1)))
+    terms.append(("kplus", kept("kplus", d.kp), (n + 1, -1), (n + 1, 1)))
     return terms
 
 
@@ -486,10 +493,9 @@ def transfer_commutator(ps, exp: TransferExpansion) -> Fraction:
     l_, m_ = lam(ring), mu(ring)
     powers = exp.powers()
     out = Fraction(ring.zero)
-    cache: dict = {}  # the partial derivatives of every b_p, for all pairs
     for i, p in enumerate(powers):
         for q in powers[i + 1:]:
-            c = ps.bracket_fraction(exp.coefficient(p), exp.coefficient(q), cache)
+            c = ps.bracket_fraction(exp.coefficient(p), exp.coefficient(q))
             if not c.is_zero:
                 out = out + c * Fraction(l_ ** p * m_ ** q - l_ ** q * m_ ** p)
     return out
@@ -511,9 +517,9 @@ def check_single_row_commutation(ps, d: Derivation) -> RelationReport:
 def check_involution(ps, d: Derivation) -> RelationReport:
     """The extracted Hamiltonian commutes with every expansion coefficient."""
     ham, exp = d.hamiltonian, d.expansion
-    residual, cache = [], {}
+    residual = []
     for p in exp.powers():
-        r = ps.bracket_fraction(ham, exp.coefficient(p), cache)
+        r = ps.bracket_fraction(ham, exp.coefficient(p))
         if not r.is_zero:
             residual.append(("lam^%d" % p, str(r)))
     return RelationReport("involution", not residual, residual)

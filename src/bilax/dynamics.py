@@ -339,7 +339,6 @@ def integrate(
     dt: float,
     steps: int,
     scheme: str = "rk4",
-    store_every: int = 1,
 ) -> Trajectory:
     """Integrate the double-row flow from p0; deterministic given inputs.
 
@@ -353,8 +352,8 @@ def integrate(
     """
     if not 0 < dt < math.inf:
         raise StructureError("dt must be positive and finite")
-    if steps < 1 or store_every < 1:
-        raise StructureError("steps and store_every must be at least 1")
+    if steps < 1:
+        raise StructureError("steps must be at least 1")
     if scheme not in ("rk4", "rk4-adaptive"):
         raise StructureError("unknown scheme %r" % scheme)
     step = vector_field(model).step
@@ -372,9 +371,8 @@ def integrate(
             for i in range(1, steps + 1):
                 y = step(y, dt)
                 accepted = i
-                if i % store_every == 0 or i == steps:
-                    times.append(i * dt)
-                    states.extend(y)
+                times.append(i * dt)
+                states.extend(y)
         else:
             t = 0.0
             t_end = dt * steps
@@ -389,9 +387,8 @@ def integrate(
                     y = half
                     t += h
                     accepted += 1
-                    if accepted % store_every == 0 or t >= t_end - 1e-15:
-                        times.append(t)
-                        states.extend(y)
+                    times.append(t)
+                    states.extend(y)
                 else:
                     rejected += 1
                 factor = 0.9 * (ADAPTIVE_TOL / err) ** 0.2 if err > 0 else 5.0
@@ -416,7 +413,7 @@ def integrate(
         truncated = True
         error = "non-finite state at t = %.6g" % times[k]
         times, states = times[:k], states[:k]
-        accepted = (k - 1) * store_every
+        accepted = k - 1
     return Trajectory(
         model.name,
         names,

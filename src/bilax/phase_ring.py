@@ -15,8 +15,10 @@ multivariate gcd; equality is decided by cross-multiplication.
 
 Each operation has one implementation: ``RingElement._coerce`` is the one
 coercion rule (``as_fraction`` uses it too), ``RingElement.__pow__`` the one
-power (cached by ``PhaseRing._pow_terms``, used by ``Fraction.__pow__``) and
-``Fraction._init`` the one constructor.
+power (cached by ``PhaseRing._pow_terms``, used by ``Fraction.__pow__``),
+``Fraction._init`` the one constructor and ``RingElement.partials`` the one
+derivative that brackets read.  An element's ``terms`` never change once it
+is built, so it keeps its partial derivatives.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ class PhaseRing:
             for i, g in enumerate(gens)
             if g.kind in FIELD_KINDS or g.kind is Kind.SPECTRAL
         )
+        self._field_slots = tuple(i for i, g in enumerate(gens) if g.kind in FIELD_KINDS)
         self._pow_cache: dict = {}
         self.zero = RingElement(self, {})
         self.one = RingElement(self, {self.zero_exp: 1})
@@ -160,10 +163,11 @@ class RingElement:
     """Exact Laurent polynomial over a :class:`PhaseRing`.
 
     ``terms`` maps packed exponent keys (``ring.pk``) to canonical
-    coefficients; ``monomials()`` yields the exponent tuples.
+    coefficients, and is never changed; ``monomials()`` yields the exponent
+    tuples.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_partials")
 
     def __init__(self, ring: PhaseRing, terms: dict):
         self.ring = ring
@@ -283,13 +287,25 @@ class RingElement:
             return NotImplemented
         return NotImplemented if o is None else self.terms == o.terms
 
-    __hash__ = None  # mutable term dict; use .key() when hashing is needed
+    __hash__ = None  # a dict of terms; use .key() when hashing is needed
 
     # -- calculus & structure -------------------------------------------
 
     def diff(self, name: str) -> "RingElement":
         ring = self.ring
         return RingElement(ring, K.diff(self.terms, ring.slot(name), ring.pk))
+
+    def partials(self) -> dict:
+        """{slot: d(self)/d(slot) term dict} over the ring's field slots,
+        nonzero ones only; worked out on first use and kept."""
+        try:
+            return self._partials
+        except AttributeError:
+            terms, pk = self.terms, self.ring.pk
+            self._partials = {
+                i: d for i in self.ring._field_slots if (d := K.diff(terms, i, pk))
+            }
+            return self._partials
 
     def coeff_of(self, name: str, power: int) -> "RingElement":
         """Coefficient of name**power (the slot is zeroed in the result)."""
@@ -422,9 +438,9 @@ def _push_den(ring: PhaseRing, num_terms: dict, factors: dict, el: RingElement, 
 
 
 def _cancel(ring: PhaseRing, num_terms: dict, factors: dict) -> tuple:
-    """Drop factors cancelled by the numerator (single-variable atoms only)."""
+    """(numerator, factors) with single-variable atom factors cancelled."""
     if not num_terms:
-        return ()
+        return num_terms, ()
     pk = ring.pk
     out = []
     for key, (el, p) in factors.items():
@@ -441,17 +457,13 @@ def _cancel(ring: PhaseRing, num_terms: dict, factors: dict) -> tuple:
                 if take > 0:
                     shift = [0] * ring.nvars
                     shift[i] = -take
-                    num_terms_new = K.mul_term(
-                        num_terms, pk.displacement(shift), 1, pk
-                    )
-                    num_terms.clear()
-                    num_terms.update(num_terms_new)
+                    num_terms = K.mul_term(num_terms, pk.displacement(shift), 1, pk)
                     p -= take
                 if p == 0:
                     continue
         out.append((key, el, p))
     out.sort(key=lambda kep: kep[0])
-    return tuple((el, p) for _, el, p in out)
+    return num_terms, tuple((el, p) for _, el, p in out)
 
 
 class Fraction:
@@ -469,13 +481,13 @@ class Fraction:
             if not ring.compatible(den.ring):
                 raise StructureError("num/den from incompatible rings")
             terms = _push_den(ring, terms, factors, den, 1)
-        self._init(ring, dict(terms), factors)
+        self._init(ring, terms, factors)
 
     def _init(self, ring: PhaseRing, num_terms: dict, factors: dict):
-        """Set the fields from a numerator (consumed) and a factor dict."""
+        """Set the fields; factors are cancelled before num_terms is wrapped."""
+        num_terms, self._factors = _cancel(ring, num_terms, factors)
         self.ring = ring
         self.num = RingElement(ring, num_terms)
-        self._factors = _cancel(ring, num_terms, factors)
         self._den = None
 
     @classmethod
@@ -594,7 +606,7 @@ class Fraction:
         if self.is_zero:
             raise StructureError("zero denominator (reciprocal of zero)")
         factors: dict = {}
-        terms = _push_den(self.ring, dict(self.den.terms), factors, self.num, 1)
+        terms = _push_den(self.ring, self.den.terms, factors, self.num, 1)
         return Fraction._make(self.ring, terms, factors)
 
     def __pow__(self, p: int):
@@ -667,20 +679,20 @@ def as_fraction(ring: PhaseRing, value) -> Fraction | None:
 
 
 class PoissonStructure:
-    """Antisymmetric bracket table on generators, extended as a biderivation."""
+    """Bracket table on the field generators, extended as a biderivation."""
 
-    def __init__(self, ring: PhaseRing, table: dict | None = None):
+    def __init__(self, ring: PhaseRing):
         self.ring = ring
         self._table: dict = {}
-        if table:
-            for (a, b), el in table.items():
-                self.set_bracket(a, b, el)
 
     def set_bracket(self, a: str, b: str, value: RingElement):
         ring = self.ring
         i, j = ring.slot(a), ring.slot(b)
         if i == j:
             raise StructureError("bracket of a generator with itself is zero")
+        for name in (a, b):
+            if ring.kind_of(name) not in FIELD_KINDS:
+                raise StructureError("%r is central: it has no bracket" % name)
         if not ring.compatible(value.ring):
             raise StructureError("table entry from incompatible ring")
         if i < j:
@@ -727,25 +739,13 @@ class PoissonStructure:
 
     # -- brackets ----------------------------------------------------------
 
-    def _partials(self, el: RingElement, cache: dict) -> dict:
-        """{slot: d(el)/d(slot)} over the table's slots, nonzero ones only,
-        memoised in ``cache`` by identity for one batch of brackets (the
-        entry holds el, so its id is not reused while the cache lives)."""
-        hit = cache.get(id(el))
-        if hit is None:
-            slots, pk = {s for ij in self._table for s in ij}, self.ring.pk
-            grad = {i: d for i in slots if (d := K.diff(el.terms, i, pk))}
-            hit = cache[id(el)] = (el, grad)
-        return hit[1]
-
-    def bracket(self, f: RingElement, g: RingElement, cache=None) -> RingElement:
+    def bracket(self, f: RingElement, g: RingElement) -> RingElement:
         """Exact Poisson bracket: bilinear, antisymmetric, Leibniz in both;
-        brackets that share a ``cache`` dict share partial derivatives."""
+        it reads the partial derivatives each operand keeps."""
         ring = self.ring
         if not (ring.compatible(f.ring) and ring.compatible(g.ring)):
             raise StructureError("bracket arguments from incompatible rings")
-        cache = {} if cache is None else cache
-        df, dg = self._partials(f, cache), self._partials(g, cache)
+        df, dg = f.partials(), g.partials()
         pk = ring.pk
         out: dict = {}
         for (i, j), el in self._table.items():
@@ -757,24 +757,23 @@ class PoissonStructure:
                 K.mul_acc(out, s, el.terms, pk)
         return RingElement(ring, out)
 
-    def bracket_fraction(self, f, g, cache=None) -> Fraction:
+    def bracket_fraction(self, f, g) -> Fraction:
         """Bracket on the fraction field via the quotient rule; a term that
-        brackets with a constant is skipped.  ``cache`` as for ``bracket``."""
+        brackets with a constant is skipped."""
         ring = self.ring
         F = as_fraction(ring, f)
         G = as_fraction(ring, g)
         if F is None or G is None:
             raise StructureError("bracket_fraction on non-algebraic input")
-        cache = {} if cache is None else cache
         if not F._factors and not G._factors:
-            return Fraction(self.bracket(F.num, G.num, cache))
+            return Fraction(self.bracket(F.num, G.num))
         p, s = F.num, G.num
         q, t = F.den, G.den
         num = ring.zero  # q t {p,s} - q s {p,t} - p t {q,s} + p s {q,t}
         for x, y, a, b, sign in ((p, s, q, t, 1), (p, t, q, s, -1),
                                  (q, s, p, t, -1), (q, t, p, s, 1)):
-            if self._partials(x, cache) and self._partials(y, cache):
-                term = a * b * self.bracket(x, y, cache)
+            if x.partials() and y.partials():
+                term = a * b * self.bracket(x, y)
                 num = num + term if sign > 0 else num - term
         factors: dict = {}
         for el, pw in F._factors + G._factors:

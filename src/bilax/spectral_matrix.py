@@ -287,13 +287,12 @@ def tensor_bracket(
     if a.dim != 2 or b.dim != 2:
         raise StructureError("tensor_bracket expects 2x2 matrices")
     ring = ps.ring
-    cache: dict = {}  # each entry's partial derivatives, for the 16 brackets
     rows = []
     for i in range(2):
         for k in range(2):
             rows.append(
                 [
-                    ps.bracket_fraction(a.rows[i][j], b.rows[k][l], cache)
+                    ps.bracket_fraction(a.rows[i][j], b.rows[k][l])
                     for j in range(2)
                     for l in range(2)
                 ]
@@ -304,11 +303,9 @@ def tensor_bracket(
 def bracket_scalar_matrix(
     ps: PoissonStructure, f, m: SpectralMatrix
 ) -> SpectralMatrix:
-    """Entrywise {f, m_ij} for a scalar phase-space function f, with the
-    partial derivatives of f computed once."""
+    """Entrywise {f, m_ij} for a scalar phase-space function f."""
     fr = as_fraction(ps.ring, f)
-    cache: dict = {}
-    return m.map_entries(lambda e: ps.bracket_fraction(fr, e, cache))
+    return m.map_entries(lambda e: ps.bracket_fraction(fr, e))
 
 
 def det_2x2(m: SpectralMatrix) -> Fraction:

@@ -182,7 +182,12 @@ def model_from_config(cfg: dict) -> ModelSpec:
     bad = set(params) - set(known)
     if bad:
         raise StructureError("unknown parameters %s for model %s" % (sorted(bad), name))
-    params = {k: float(v) for k, v in params.items()}
+    if any(type(v) not in (int, float) for v in params.values()):  # not bool
+        raise StructureError("parameter values must be JSON numbers")
+    try:
+        params = {k: float(v) for k, v in params.items()}
+    except OverflowError:  # an int past the float range
+        raise StructureError("parameters must be finite") from None
     if not all(map(math.isfinite, params.values())):
         raise StructureError("parameters must be finite")
     return build_bcn(n, params) if name == "bcn" else build_dn(n, params)
@@ -356,15 +361,15 @@ def derived_eom(model: ModelSpec) -> EquationsOfMotion:
     def build():
         ring, ps = model.ring, model.ps
         ham = hamiltonian(model)
-        xdot, pdot, sl2, cache = {}, {}, {}, {}
+        xdot, pdot, sl2 = {}, {}, {}
         for j in range(1, model.N + 1):
             uj = ring.gen("u%d" % j)
-            udot = ps.bracket_fraction(ham, Fraction(uj), cache)
+            udot = ps.bracket_fraction(ham, Fraction(uj))
             xdot[j] = udot / Fraction(uj)
-            pdot[j] = ps.bracket_fraction(ham, Fraction(ring.gen("X%d" % j)), cache)
+            pdot[j] = ps.bracket_fraction(ham, Fraction(ring.gen("X%d" % j)))
         if model.name == "dn":
             for name in ("E", "F", "H"):
-                sl2[name] = ps.bracket_fraction(ham, Fraction(ring.gen(name)), cache)
+                sl2[name] = ps.bracket_fraction(ham, Fraction(ring.gen(name)))
         return EquationsOfMotion(xdot, pdot, sl2)
 
     return model.cached("derived_eom", build)

@@ -55,7 +55,7 @@ def rk4_step(f, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(model, p0, dt, steps, scheme="rk4", store_every=1):
+def integrate(model, p0, dt, steps, scheme="rk4"):
     if dt <= 0:
         raise StructureError("dt must be positive")
     f = VectorField(model)
@@ -72,9 +72,8 @@ def integrate(model, p0, dt, steps, scheme="rk4", store_every=1):
                 for i in range(1, steps + 1):
                     y = rk4_step(f, y, dt)
                     accepted = i
-                    if i % store_every == 0 or i == steps:
-                        times.append(i * dt)
-                        states.append(y.copy())
+                    times.append(i * dt)
+                    states.append(y.copy())
             else:
                 t = 0.0
                 t_end = dt * steps
@@ -88,9 +87,8 @@ def integrate(model, p0, dt, steps, scheme="rk4", store_every=1):
                         y = half
                         t += h
                         accepted += 1
-                        if accepted % store_every == 0 or t >= t_end - 1e-15:
-                            times.append(t)
-                            states.append(y.copy())
+                        times.append(t)
+                        states.append(y.copy())
                     else:
                         rejected += 1
                     factor = 0.9 * (ADAPTIVE_TOL / err) ** 0.2 if err > 0 else 5.0

@@ -181,7 +181,7 @@ def test_criterion_08_corollary_and_numeric_zc():
     model = build_bcn(3)
     rng = np.random.default_rng(0)
     p0 = random_phase_point(model, rng)
-    traj = integrate(model, p0, 1e-3, 10000, store_every=10)
+    traj = integrate(model, p0, 1e-3, 10000)
     ch = conserved_channels(model, traj)
     zc = zero_curvature_residual(model, traj, (0.3, 0.7, 1.1, 1.9, 2.3))
     ok &= not traj.truncated
@@ -218,7 +218,7 @@ def test_criterion_09_dn_conservation():
     # numeric side over T = 10
     rng = np.random.default_rng(0)
     p0 = random_phase_point(model, rng, amplitude=0.2)
-    traj = integrate(model, p0, 5e-4, 20000, store_every=1)
+    traj = integrate(model, p0, 5e-4, 20000)
     ch = conserved_channels(model, traj)
     x0 = dn_x0_relation_residual(model, traj)
     ok &= not traj.truncated

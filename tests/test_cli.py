@@ -67,6 +67,32 @@ def test_unknown_parameter_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "value", ["[1]", '"abc"', "null", "true", '"0.5"', "1" + "0" * 400],
+    ids=["list", "string", "null", "bool", "numeric-string", "past-float-range"],
+)
+def test_non_number_parameter_is_a_config_error(value, capsys):
+    # only JSON numbers are parameter values; true and "0.5" would read as
+    # 1.0 and 0.5, the others would end in a traceback
+    argv = ["derive", "--model", "bcn", "--N", "1", "--params", '{"th1": %s}' % value]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document",
+    ['{"model": "dn", "N": 2}', '{"model": "bcn", "th1": 0, "a1": 0}'],
+    ids=["model-and-N", "top-level-parameters"],
+)
+def test_params_document_is_a_config_error(document, capsys):
+    # --model and --N are required flags; a document that repeats them is
+    # not a parameter object, so it can neither override them nor have
+    # its parameters dropped
+    argv = ["derive", "--model", "bcn", "--N", "1", "--params", document]
+    assert main(argv) == 2
+    assert "config error: unknown parameters" in capsys.readouterr().err
+
+
 def test_params_file(tmp_path, capsys):
     cfg = tmp_path / "params.json"
     cfg.write_text(json.dumps({"th1": 0.0, "thN": 0.0}))

@@ -47,7 +47,7 @@ ROUNDOFF = 1e-12
 
 def _trajectory(model, seed):
     p0 = random_phase_point(model, np.random.default_rng(seed), amplitude=0.3)
-    traj = integrate(model, p0, 1e-3, 400, store_every=2)
+    traj = integrate(model, p0, 1e-3, 400)
     assert not traj.truncated
     return traj
 

@@ -137,11 +137,11 @@ def test_integrate_validation(bcn1):
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "rk4-adaptive"])
-@pytest.mark.parametrize("steps,store_every", [(0, 1), (-5, 1), (10, 0), (10, -2)])
-def test_integrate_rejects_non_positive_counts(bcn1, scheme, steps, store_every):
+@pytest.mark.parametrize("steps", [0, -5])
+def test_integrate_rejects_non_positive_counts(bcn1, scheme, steps):
     p = {"x1": 0.0, "X1": 0.0}
     with pytest.raises(StructureError, match="at least 1"):
-        integrate(bcn1, p, 1e-3, steps, scheme=scheme, store_every=store_every)
+        integrate(bcn1, p, 1e-3, steps, scheme=scheme)
 
 
 def test_momentum_conservation_free_chain():
@@ -268,9 +268,6 @@ def test_non_finite_state_truncates(dn2):
     assert float(traj.times[-1]) == 3.5 and len(traj.times) == 8
     assert np.isfinite(traj.states).all()
     assert traj.steps_accepted == 7
-    traj = integrate(dn2, p0, 0.5, 300, store_every=3)
-    assert traj.error == "non-finite state at t = 4.5"
-    assert float(traj.times[-1]) == 3.0 and traj.steps_accepted == 6
 
 
 def test_non_finite_initial_state_rejected(bcn1):
@@ -299,7 +296,7 @@ def test_step_is_one_rk4_step_of_the_vector_field(dn2):
 def test_zero_curvature_residual_machine_precision(bcn2):
     rng = np.random.default_rng(2)
     p0 = random_phase_point(bcn2, rng)
-    traj = integrate(bcn2, p0, 1e-3, 500, store_every=5)
+    traj = integrate(bcn2, p0, 1e-3, 500)
     ch = zero_curvature_residual(bcn2, traj)
     assert float(ch["zc_residual"].max()) <= 1e-12
     assert float(ch["boundary_residual"].max()) <= 1e-12

@@ -182,6 +182,17 @@ def test_leibniz_property_random(ring, ps):
         assert ps.bracket(f, g * h) == ps.bracket(f, g) * h + g * ps.bracket(f, h)
 
 
+@pytest.mark.parametrize("central", ["th", "lam", "mu"])
+def test_set_bracket_rejects_central_generators(ring, central):
+    # parameters and spectral variables are central by design
+    ps = PoissonStructure(ring)
+    with pytest.raises(StructureError, match="central"):
+        ps.set_bracket(central, "X1", ring.gen("u1"))
+    with pytest.raises(StructureError, match="central"):
+        ps.set_bracket("u1", central, ring.one)
+    assert ps._table == {}
+
+
 def test_unknown_generator_rejected(ring, ps):
     other = PhaseRing([Generator("q", Kind.MOMENTUM, 1)])
     with pytest.raises(StructureError):

@@ -8,11 +8,14 @@
   N=2..5, j = 1 and N+1, the rational r and its four sign-flip mutants).
 * Site steps: the factors of M(j), built one site from those of M(j-1),
   must equal the whole-monodromy products of ``double_row_oracle``.
-* Batched brackets: each operand's partial derivatives are computed once per
-  batch, and quotient-rule terms with a constant operand are skipped; the
-  results must equal, in the same three ways, the per-pair brackets of
-  ``exact_oracle``, for Laurent exponents, rational coefficients, constant
-  operands and operands repeated within a batch.
+* Kept partial derivatives: each element works out its partial
+  derivatives once (``RingElement.partials``) and keeps them; they must
+  equal a fresh ``kernel.diff`` in every field slot, also after the element
+  has been an operand.  Brackets read them, and quotient-rule terms with a
+  constant operand are skipped; the results must equal, in the same three
+  ways, the per-pair brackets of ``exact_oracle``, for Laurent exponents,
+  rational coefficients, constant operands and operands repeated across a
+  batch of brackets.  A second zero-curvature check differentiates nothing.
 """
 
 from fractions import Fraction as QQ
@@ -23,8 +26,15 @@ from hypothesis import strategies as st
 
 import double_row_oracle
 import exact_oracle
-from bilax.double_row import Derivation, check_involution, extract_M, transfer_commutator
-from bilax.phase_ring import Fraction, Kind
+from bilax import kernel
+from bilax.double_row import (
+    Derivation,
+    check_involution,
+    check_theorem_zc,
+    extract_M,
+    transfer_commutator,
+)
+from bilax.phase_ring import FIELD_KINDS, Fraction, Kind
 from bilax.spectral_matrix import (
     bracket_scalar_matrix,
     lam,
@@ -110,14 +120,58 @@ def test_batched_brackets_match_per_pair_brackets(drawn, pairs):
     # a constant operand in every batch; indices repeat operands, and
     # (i, i) brackets an operand with itself
     ops = drawn + [Fraction(RING.const(QQ(3, 2)))]
-    cache = {}
     for i, j in pairs:
         f, g = ops[i % len(ops)], ops[j % len(ops)]
         assert_same_fraction(
-            PS.bracket_fraction(f, g, cache), exact_oracle.bracket_fraction(PS, f, g)
+            PS.bracket_fraction(f, g), exact_oracle.bracket_fraction(PS, f, g)
         )
-        got = PS.bracket(f.num, g.num, cache)
+        got = PS.bracket(f.num, g.num)
         assert got == exact_oracle.bracket(PS, f.num, g.num)
+
+
+FIELD_SLOTS = [RING.slot(g.name) for g in RING.generators if g.kind in FIELD_KINDS]
+C0 = RING.gen("c0")
+
+
+def assert_partials_are_derivatives(el):
+    kept = el.partials()
+    assert set(kept) <= set(FIELD_SLOTS)
+    for i in FIELD_SLOTS:
+        assert kept.get(i, {}) == kernel.diff(el.terms, i, RING.pk)
+
+
+@bounded
+@given(fractions(), fractions(), st.integers(0, 3))
+def test_kept_partials_are_fresh_derivatives(f, g, p):
+    # the operands keep their partials from before they were operands
+    x, y = f.num, g.num
+    terms, kept = dict(x.terms), x.partials()
+    y.partials()
+    results = [
+        x + y, x * y, x ** p,
+        Fraction(x, g.den).num,
+        (f + g).num, (f * g).num,
+        Fraction(x * C0, C0 * (LAM - MU)).num,  # the c0 atom cancels
+    ]
+    assert x.terms == terms and x.partials() is kept
+    for el in [x, y] + results:
+        assert_partials_are_derivatives(el)
+
+
+@pytest.mark.parametrize("name", ["bcn", "dn"])
+def test_second_zero_curvature_check_differentiates_nothing(name, monkeypatch):
+    # b, the layout's X(mu) and the M(j, +-mu) are kept by the derivation,
+    # and each of their entries keeps its partial derivatives
+    model = build_bcn(3) if name == "bcn" else build_dn(3)
+    ps, d = model.ps, model.derivation
+    assert all(r.holds for r in check_theorem_zc(ps, d))
+    calls = []
+    real = kernel.diff
+    monkeypatch.setattr(kernel, "diff", lambda *a: calls.append(a) or real(*a))
+    assert all(r.holds for r in check_theorem_zc(ps, d))
+    assert calls == []
+    model.ring.gen("X1").partials()  # a fresh element does call it
+    assert calls
 
 
 @bounded
