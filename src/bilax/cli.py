@@ -101,47 +101,38 @@ def _verify_reports(model) -> list:
     expansion(model)
     hamiltonian(model)
 
-    def _named(name, report):
-        report.name = name
-        return report
-
-    jobs = [
-        lambda: check_cybe(rb, ring),
-        lambda: check_rll(model.lax, rb, ps, site=1, offsite=offsite),
-        lambda: check_k_locality(model.km, model.kp, model.lax, ps),
-        lambda: check_reflection_minus(model.km, rb, ps),
-        lambda: check_reflection_plus(model.kp, rb, ps),
-        lambda: _named("nondynamical_kplus", check_nondynamical(model.kp, ps)),
-        lambda: check_single_row_commutation(ps, d),
-        lambda: check_transfer_commutation(ps, d),
-        lambda: check_sts_identity(ps, d),
-        lambda: check_involution(ps, d),
+    bcn = model.name == "bcn"
+    # the dn k- is dynamical: its entries do not Poisson-commute
+    nondynamical = {"kminus": model.km, "kplus": model.kp} if bcn else {"kplus": model.kp}
+    reports = [
+        check_cybe(rb, ring),
+        check_rll(model.lax, rb, ps, site=1, offsite=offsite),
+        check_k_locality(model.km, model.kp, model.lax, ps),
+        check_reflection_minus(model.km, rb, ps),
+        check_reflection_plus(model.kp, rb, ps),
+        *[
+            RelationReport("nondynamical_" + label, check_nondynamical(k, ps).residual)
+            for label, k in nondynamical.items()
+        ],
+        check_single_row_commutation(ps, d),
+        check_transfer_commutation(ps, d),
+        check_sts_identity(ps, d),
+        check_involution(ps, d),
+        *check_theorem_zc(ps, d),
+        *verify_corollary(ps, d),
+        *(check_nondynamical_intertwining(ps, d) if bcn else []),
     ]
-    if model.name == "bcn":
-        jobs.insert(
-            5, lambda: _named("nondynamical_kminus", check_nondynamical(model.km, ps))
-        )
-
-    reports = [j() for j in jobs]
-
-    reports.extend(check_theorem_zc(ps, d))
-    reports.extend(verify_corollary(ps, d))
-    if model.name == "bcn":
-        reports.extend(check_nondynamical_intertwining(ps, d))
-
     ham, diff, flows = _closed_form_comparison(model)
-    reports.append(
+    return reports + [
         RelationReport(
             "hamiltonian_matches_closed_form",
-            diff is not None,
             [] if diff is not None else [("scalar", str(ham))],
-        )
-    )
-    bad = [("j=%d" % j, str(got)) for j, got, match in flows if not match]
-    reports.append(
-        RelationReport("flow_matrices_match_closed_form", not bad, bad)
-    )
-    return reports
+        ),
+        RelationReport(
+            "flow_matrices_match_closed_form",
+            [("j=%d" % j, str(got)) for j, got, match in flows if not match],
+        ),
+    ]
 
 
 def cmd_verify(args) -> int:
@@ -200,7 +191,21 @@ def _json_number(x):
     return x if x is None or math.isfinite(x) else None
 
 
+# (channel, tolerance option, failure message) of each simulate gate
+GATES = (
+    ("H_drift", "tol_energy", "H drift above %.1e"),
+    ("zc_residual", "tol_zc", "zero-curvature residual above %.1e"),
+    ("casimir_drift", "tol_casimir", "Casimir drift above %.1e"),
+)
+
+
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise StructureError("--seed must be non-negative")
+    for _, tol, _ in GATES:
+        # inf turns a gate off; nan or a negative value could never pass
+        if not getattr(args, tol) >= 0:
+            raise StructureError("--%s must be non-negative" % tol.replace("_", "-"))
     try:
         mu_samples = [float(x) for x in args.mu_samples.split(",") if x]
     except ValueError:
@@ -246,13 +251,10 @@ def cmd_simulate(args) -> int:
         summary[name] = peak
         print("max %s = %.3e" % (name, peak))
     if not traj.truncated:
-        # "not peak <= tol" so that a NaN peak fails too
-        if not summary.get("H_drift", 0.0) <= args.tol_energy:
-            failures.append("H drift above %.1e" % args.tol_energy)
-        if not summary.get("zc_residual", 0.0) <= args.tol_zc:
-            failures.append("zero-curvature residual above %.1e" % args.tol_zc)
-        if not summary.get("casimir_drift", 0.0) <= args.tol_casimir:
-            failures.append("Casimir drift above %.1e" % args.tol_casimir)
+        for channel, tol, message in GATES:
+            # "not peak <= tol" so that a NaN peak fails too
+            if not summary.get(channel, 0.0) <= getattr(args, tol):
+                failures.append(message % getattr(args, tol))
     if args.format == "json":
         payload = {
             "model": model.name,

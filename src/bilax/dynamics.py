@@ -216,6 +216,8 @@ def random_phase_point(
 ) -> dict:
     """Uniform x, X in [-amplitude, amplitude]; for dn the sl(2) triple sits
     on the level set F - e^{x1} = c0/2 with the Casimir solved to c1/4."""
+    if not 0 <= amplitude < math.inf:
+        raise StructureError("amplitude must be finite and non-negative")
     point = {}
     for j in range(1, model.N + 1):
         point["x%d" % j] = float(rng.uniform(-amplitude, amplitude))

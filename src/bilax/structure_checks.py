@@ -35,8 +35,11 @@ class RelationReport:
     """Outcome of one relation check; holds iff the residual list is empty."""
 
     name: str
-    holds: bool
     residual: list = field(default_factory=list)
+
+    @property
+    def holds(self) -> bool:
+        return not self.residual
 
     def to_dict(self) -> dict:
         return {
@@ -79,14 +82,11 @@ def matrix_report(name: str, residual: SpectralMatrix, prefix: str = "") -> Rela
             e = residual.rows[i][j]
             if not e.is_zero:
                 entries.append((prefix + _tensor_index(residual.dim, i, j), str(e)))
-    return RelationReport(name, not entries, entries)
+    return RelationReport(name, entries)
 
 
 def merge_reports(name: str, reports) -> RelationReport:
-    residual = []
-    for r in reports:
-        residual.extend(r.residual)
-    return RelationReport(name, not residual, residual)
+    return RelationReport(name, [e for r in reports for e in r.residual])
 
 
 # ---------------------------------------------------------------------------

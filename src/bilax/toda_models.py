@@ -67,21 +67,17 @@ class ModelSpec:
     kp: Callable
     recipe: object
     params: dict
-    # neither is copied by dataclasses.replace: a model built from another
-    # one (say with a mutated k-) derives and compiles everything afresh
+    # not copied by dataclasses.replace: a model built from another one
+    # (say with a mutated k-) derives and compiles everything afresh
     _cache: dict = field(default_factory=dict, init=False, repr=False)
-    _derivation: Derivation | None = field(default=None, init=False, repr=False)
 
     @property
     def derivation(self) -> Derivation:
         """The double-row derivation with the rational r-matrix, built on
         first use and then read by every check and flow."""
-        if self._derivation is None:
-            self._derivation = Derivation(
-                self.lax, self.km, self.kp, self.N, lam(self.ring),
-                recipe=self.recipe,
-            )
-        return self._derivation
+        return self.cached("derivation", lambda: Derivation(
+            self.lax, self.km, self.kp, self.N, lam(self.ring), recipe=self.recipe
+        ))
 
     def cached(self, key, build):
         if key not in self._cache:

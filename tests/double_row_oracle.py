@@ -3,11 +3,13 @@
 These are the one-shot constructions the package used before its
 ``Derivation``: every call rebuilds the full monodromies, their inverses and
 both 4x4 r-insertion products, the single-row matrix is rebuilt from two
-fresh monodromies per call, and {b(lam), b(mu)} is one bivariate bracket.
+fresh monodromies per call, and {b(lam), b(mu)} and {t(lam), t(mu)} are
+each one bivariate bracket.
 The partial trace and the leg swap are the reference ones of
 ``exact_oracle``.
 The differential tests compare the derivation's memoised matrices, its
-single-row matrices and its coefficient-wise commutation check against them.
+single-row matrices and its coefficient-wise commutation checks against
+them.
 
 ``mu_free_factors`` and ``generating_matrix`` are the derivation's own
 build before it reused anything: the factors of M(j) as products of whole
@@ -86,6 +88,14 @@ def check_transfer_commutation(ps, lax, km, kp, N):
     b_l = double_row_transfer(lax, km, kp, N, lam(ring))
     b_m = double_row_transfer(lax, km, kp, N, mu(ring))
     return scalar_report("bb_commute", ps.bracket_fraction(b_l, b_m))
+
+
+def single_row_commutation(ps, lax, N):
+    """{t(lam), t(mu)} = 0 as one bivariate bracket, t = tr L(N, 1)."""
+    ring = ps.ring
+    t_l = monodromy(lax, N, 1, lam(ring)).trace()
+    t_m = monodromy(lax, N, 1, mu(ring)).trace()
+    return scalar_report("tt_commute", ps.bracket_fraction(t_l, t_m))
 
 
 def mu_free_factors(d, j):

@@ -310,6 +310,40 @@ def test_simulate_non_finite_inputs_are_config_errors(tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--seed", "-1"),
+    ("--amplitude", "nan"),
+    ("--amplitude", "inf"),
+    ("--amplitude", "-0.3"),
+    ("--tol-energy", "nan"),
+    ("--tol-energy", "-1"),
+    ("--tol-zc", "nan"),
+    ("--tol-zc", "-1"),
+    ("--tol-casimir", "nan"),
+    ("--tol-casimir", "-1"),
+])
+def test_simulate_bad_seed_amplitude_or_tolerance_is_a_config_error(
+    tmp_path, capsys, option, value
+):
+    # a negative seed or a non-finite amplitude would end in a traceback; a
+    # nan or negative tolerance sets a gate that can never pass
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--model", "dn", "--N", "2", "--steps", "5",
+            option, value, "--format", "json", "--output", str(out)]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "s.json").exists()
+
+
+def test_simulate_infinite_tolerance_turns_its_gate_off(tmp_path, capsys):
+    argv = ["simulate", "--model", "bcn", "--N", "2", "--dt", "0.2",
+            "--steps", "100", "--output", str(tmp_path / "s.csv")]
+    assert main(argv) == 1
+    assert "FAIL H drift above 1.0e-08" in capsys.readouterr().out
+    assert main(argv + ["--tol-energy", "inf"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("samples", ["", ",", "0.3,abc"])
 def test_simulate_bad_mu_samples_are_config_errors(tmp_path, samples):
     # with no sample the zero-curvature channels would read 0.0, a vacuous pass

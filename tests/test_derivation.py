@@ -2,10 +2,10 @@
 
 ``double_row_oracle`` keeps the construction the package used before the
 derivation: every generating and single-row matrix rebuilt from full
-monodromies through 4x4 products, and {b(lam), b(mu)} decided as one
-bivariate bracket.  The memoised matrices must be equal to it and print
-identically; the coefficient-wise commutation check must reach the same
-verdict, with an equal residual on failure.
+monodromies through 4x4 products, and {b(lam), b(mu)} and {t(lam), t(mu)}
+each decided as one bivariate bracket.  The memoised matrices must be equal
+to it and print identically; the coefficient-wise commutation checks must
+reach the same verdict, with an equal residual on failure.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from bilax.cli import _verify_reports
 from bilax.double_row import (
     Derivation,
     boundary_M,
+    check_single_row_commutation,
     check_sts_identity,
     check_theorem_zc,
     check_transfer_commutation,
@@ -27,7 +28,7 @@ from bilax.double_row import (
 from bilax.dynamics import integrate, random_phase_point, zero_curvature_residual
 from bilax.phase_ring import StructureError
 from bilax.spectral_matrix import SpectralMatrix, lam, mu, rational_r_builder
-from bilax.structure_checks import flip_entry, nonzero_positions
+from bilax.structure_checks import flip_entry, nonzero_positions, replace_entry
 from bilax.toda_models import build_bcn, build_dn
 
 MODELS = [("bcn", n) for n in (1, 2, 3, 4)] + [("dn", n) for n in (2, 3, 4)]
@@ -146,6 +147,35 @@ def test_bb_commute_matches_bivariate_under_k_flips(bcn2):
             assert transfer_commutator(ps, d.expansion) == bivariate
             assert new.residual[0][0] == "scalar"
     assert failed >= 3
+
+
+def squared_momentum_lax(model):
+    """The model's site Lax matrix with (1,1) entry lam + X_j^2 in place of
+    lam + X_j: t(lam) stays polynomial in lam, but its coefficients stop
+    commuting from N = 2 on.  A sign flip of one entry never breaks tt."""
+    ring = model.ring
+
+    def lax(j, arg):
+        entry = arg + ring.gen("X%d" % j) ** 2
+        return replace_entry(lambda a: model.lax(j, a), 0, 0, entry)(arg)
+
+    return lax
+
+
+TT_MODELS = [("bcn", n) for n in range(1, 6)] + [("dn", n) for n in range(2, 6)]
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["stock", "squared-X"])
+@pytest.mark.parametrize("name,n", TT_MODELS, ids=lambda v: str(v))
+def test_tt_commute_matches_bivariate(name, n, broken):
+    model = build(name, n)
+    lax = squared_momentum_lax(model) if broken else model.lax
+    d = Derivation(lax, model.km, model.kp, n, lam(model.ring)) if broken else model.derivation
+    new = check_single_row_commutation(model.ps, d)
+    old = oracle.single_row_commutation(model.ps, lax, n)
+    assert str(new) == str(old)
+    assert new.to_dict() == old.to_dict()
+    assert new.holds == (not broken or n == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from bilax.double_row import (
     double_row_transfer,
     lambda_series_coefficient,
     monodromy,
-    single_row_transfer,
     transfer_expansion,
 )
 from bilax.phase_ring import Fraction, StructureError
@@ -55,8 +54,9 @@ def test_monodromy_out_of_range(bcn2):
 
 def test_single_row_transfer_n1(bcn1):
     ring = bcn1.ring
-    t = single_row_transfer(bcn1.lax, 1, lam(ring))
+    t = bcn1.derivation.t
     assert t == Fraction(lam(ring) + ring.gen("X1"))
+    assert t is bcn1.derivation.t
 
 
 def test_single_row_commutes(bcn2):
@@ -69,7 +69,7 @@ def test_single_row_constant_lax_field_free(bcn2):
     def const_lax(j, arg):
         return matrix(ring, [[arg, ring.one], [ring.one, arg]])
 
-    t = single_row_transfer(const_lax, 2, lam(ring))
+    t = monodromy(const_lax, 2, 1, lam(ring)).trace()
     assert not any(
         t.num.involves(g) for g in ("u1", "u2", "X1", "X2")
     )
@@ -201,7 +201,7 @@ def test_sts_field_free_lax(bcn2):
     def const_lax(j, arg):
         return matrix(ring, [[ring.const(2), ring.zero], [ring.zero, ring.const(3)]])
 
-    t = single_row_transfer(const_lax, 2, lam(ring))
+    t = monodromy(const_lax, 2, 1, lam(ring)).trace()
     lhs = bcn2.ps.bracket_fraction(t, Fraction(ring.gen("u1")))
     assert lhs.is_zero
 

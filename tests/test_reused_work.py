@@ -15,7 +15,8 @@
   constant operand are skipped; the results must equal, in the same three
   ways, the per-pair brackets of ``exact_oracle``, for Laurent exponents,
   rational coefficients, constant operands and operands repeated across a
-  batch of brackets.  A second zero-curvature check differentiates nothing.
+  batch of brackets.  A second zero-curvature or sts check differentiates
+  nothing.
 """
 
 from fractions import Fraction as QQ
@@ -30,6 +31,7 @@ from bilax import kernel
 from bilax.double_row import (
     Derivation,
     check_involution,
+    check_sts_identity,
     check_theorem_zc,
     extract_M,
     transfer_commutator,
@@ -172,6 +174,19 @@ def test_second_zero_curvature_check_differentiates_nothing(name, monkeypatch):
     assert calls == []
     model.ring.gen("X1").partials()  # a fresh element does call it
     assert calls
+
+
+@pytest.mark.parametrize("name", ["bcn", "dn"])
+def test_second_sts_identity_check_differentiates_nothing(name, monkeypatch):
+    # t(lam), the layout's l(j, mu) and the single-row matrices are kept
+    model = build_bcn(3) if name == "bcn" else build_dn(3)
+    ps, d = model.ps, model.derivation
+    assert check_sts_identity(ps, d).holds
+    calls = []
+    real = kernel.diff
+    monkeypatch.setattr(kernel, "diff", lambda *a: calls.append(a) or real(*a))
+    assert check_sts_identity(ps, d).holds
+    assert calls == []
 
 
 @bounded
