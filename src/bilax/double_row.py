@@ -12,6 +12,10 @@ Hamiltonian formalism.
 Two extraction recipes cover the models here: a scaled single coefficient
 and a scaled ratio of two coefficients (quotient rule for the flow matrix).
 
+The entries commute, so each partial trace tr_a(A_a r B_a) over 2x2
+factors is contract(r, B A): one 2x2 product per r-insertion, which moves
+from site j to site j+1 by conjugation with l(j, +-lam).
+
 A :class:`Derivation` builds these objects once for one model and hands
 them to every check; the module-level builders (``double_row_transfer``,
 ``boundary_M``, ...) are one-shot wrappers that make a fresh one per call.
@@ -35,13 +39,13 @@ from .phase_ring import (
 from .spectral_matrix import (
     SpectralMatrix,
     bracket_scalar_matrix,
+    contract,
     identity,
     inverse_2x2,
     lam,
     mu,
     rational_r_builder,
     swap_legs,
-    trace_a,
 )
 from .structure_checks import RelationReport, matrix_report, merge_reports
 
@@ -156,15 +160,22 @@ class Derivation:
     """The double-row derivation of one boundary model, built on first use.
 
     Every check reads the same objects from here instead of rebuilding them:
-    the transfer scalars t(lam) and b(lam), b's expansion, the site inverses
-    l(k,-lam)^{-1}, the prefix and suffix monodromies, the mu-free factors
-    of each M(j) (all built one site at a time), and a memo of each
-    generating matrix M(j, mu_expr), single-row matrix, flow matrix
-    extracted from M and layout matrix X(mu).  M and the single-row matrix
-    are both the generic trace_a(A, r, B) = tr_a(A_a r B_a) over 2x2
-    factors, for the r-matrix the derivation was built with, so a mutated
-    r-builder runs through the same code as the stock one; M(j, -mu) and
-    flow(j, -mu) are M(j, mu) and flow(j, mu) reflected in mu
+    the transfer scalars t(lam) and b(lam), b's expansion, the site matrices
+    l(k, +-lam) and their inverses, the chain of products C(j) below, and a
+    memo of each generating matrix M(j, mu_expr), single-row matrix, flow
+    matrix extracted from M and layout matrix X(mu).
+
+    The entries commute, so tr_a(A_a r B_a) = contract(r, B A) for 2x2
+    factors A, B around an r-insertion, for any 4x4 r: only the product
+    B A reaches the trace.  chain(j) keeps the three such products
+    C0 = L(j-1,1) L(N,j) of the single-row matrix and
+    C1 = L(j-1,1) k- L(-lam)^{-1} k+ L(N,j) and
+    C2 = L(N,j,-lam)^{-1} k+ L k- L(j-1,1,-lam)^{-1} of M(j).  C(1) comes
+    from the whole monodromies, and one site moves each by conjugation,
+    C(j+1) = l(j, +-lam) C(j) l(j, +-lam)^{-1}.  M and the single-row matrix
+    go through ``contract`` with the r-matrix the derivation was built with,
+    so a mutated r-builder runs through the same code as the stock one;
+    M(j, -mu) and flow(j, -mu) are M(j, mu) and flow(j, mu) reflected in mu
     (``Fraction.reflect``).
 
     Build one per model and r-builder: the memo trusts that lax, k-, k+ and
@@ -177,70 +188,62 @@ class Derivation:
         self.ring = lam_expr.ring
         self.r_builder = r_builder or rational_r_builder(self.ring)
         self.recipe = recipe
+        self.chains = {}  # j -> (C0, C1, C2)(j)
         self.generating = {}  # (j, mu_expr.key()) -> M(j, lam, mu_expr)
         self.single_row = {}  # (j, mu_expr.key()) -> the single-row matrix
         self.flows = {}  # (j, mu_expr.key()) -> flow matrix extracted from M
         self.layout = {}  # (label, arg.key()) -> X(arg) of a zero-curvature term
-        self._factors = {}  # j -> the mu-free 2x2 factors of M(j, .)
 
-    # -- monodromy pieces, keyed by site index j = 1..N+1 -----------------
+    # -- site matrices, monodromies and the chain, site index j = 1..N+1 ---
 
     @cached_property
-    def suffixes(self) -> dict:
-        """L(N, j, lam) = l(N) ... l(j); L(N, N+1) = 1."""
-        out = {self.N + 1: identity(self.ring, 2)}
-        for j in range(self.N, 0, -1):
-            out[j] = out[j + 1] @ self.lax(j, self.lam)
+    def sites(self) -> dict:
+        """(s, k) -> (l(k, s*lam), l(k, s*lam)^{-1}) for s = +-1, k = 1..N."""
+        out = {}
+        for k in range(1, self.N + 1):
+            for s, arg in ((1, self.lam), (-1, -self.lam)):
+                l = self.lax(k, arg)
+                out[s, k] = (l, inverse_2x2(l))
         return out
 
     @cached_property
-    def prefixes(self) -> dict:
-        """L(j-1, 1, lam) = l(j-1) ... l(1); L(0, 1) = 1."""
-        out = {1: identity(self.ring, 2)}
-        for j in range(1, self.N + 1):
-            out[j + 1] = self.lax(j, self.lam) @ out[j]
-        return out
+    def monodromies(self) -> tuple:
+        """L(lam) = l(N) ... l(1) and L(-lam)^{-1} = l(1,-lam)^{-1} ... l(N,-lam)^{-1}."""
+        L = L_inv = identity(self.ring, 2)
+        for k in range(self.N, 0, -1):
+            L = L @ self.sites[1, k][0]
+            L_inv = self.sites[-1, k][1] @ L_inv
+        return L, L_inv
 
-    @cached_property
-    def site_inverses(self) -> dict:
-        """l(k, -lam)^{-1} for k = 1..N."""
-        return {
-            k: inverse_2x2(self.lax(k, -self.lam)) for k in range(1, self.N + 1)
-        }
+    def chain(self, j: int) -> tuple:
+        """(C0, C1, C2)(j), one conjugation per site from the whole
+        monodromies at j = 1."""
+        if not 1 <= j <= self.N + 1:
+            raise StructureError("site index %d out of range 1..%d" % (j, self.N + 1))
 
-    @cached_property
-    def suffix_inverses(self) -> dict:
-        """L(N, j, -lam)^{-1} = l(j, -lam)^{-1} ... l(N, -lam)^{-1}."""
-        inv = self.site_inverses
-        out = {self.N + 1: identity(self.ring, 2)}
-        for j in range(self.N, 0, -1):
-            out[j] = inv[j] @ out[j + 1]
-        return out
+        def build():
+            if j == 1:
+                L, L_inv = self.monodromies
+                km = self.km(self.lam)
+                p = L_inv @ self.kp(self.lam) @ L
+                return L, km @ p, p @ km
+            (l, l_inv), (m, m_inv) = self.sites[1, j - 1], self.sites[-1, j - 1]
+            c0, c1, c2 = self.chain(j - 1)
+            return l @ c0 @ l_inv, l @ c1 @ l_inv, m @ c2 @ m_inv
 
-    @cached_property
-    def kminus(self) -> SpectralMatrix:
-        return self.km(self.lam)
-
-    @cached_property
-    def kplus(self) -> SpectralMatrix:
-        return self.kp(self.lam)
-
-    @cached_property
-    def reflected(self) -> SpectralMatrix:
-        """k+ L(lam) k-, shared by b and every second-insertion term."""
-        return self.kplus @ self.suffixes[1] @ self.kminus
+        return _memo(self.chains, j, build)
 
     # -- transfer scalars and Hamiltonian ---------------------------------
 
     @cached_property
     def t(self) -> Fraction:
         """Single-row transfer t(lam) = tr L(N, 1, lam)."""
-        return self.suffixes[1].trace()
+        return self.monodromies[0].trace()
 
     @cached_property
     def b(self) -> Fraction:
-        """b(lam) = tr_a(k+ L(lam) k- L(-lam)^{-1})."""
-        return (self.reflected @ self.suffix_inverses[1]).trace()
+        """b(lam) = tr_a(k+ L(lam) k- L(-lam)^{-1}) = tr C2(1)."""
+        return self.chain(1)[2].trace()
 
     @cached_property
     def expansion(self) -> TransferExpansion:
@@ -258,21 +261,22 @@ class Derivation:
     # -- time part ----------------------------------------------------------
 
     def M(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
-        """Boundary generating function M(j, lam, mu_expr) of boundary_M."""
+        """Boundary generating function M(j, lam, mu_expr) of boundary_M:
+        contract(r(lam-mu), C1) + contract(r_ba(lam+mu), C2)."""
 
         def build():
-            a1, b1, a2, b2 = self._mu_free_factors(j)
+            _, c1, c2 = self.chain(j)
             r_ab = self.r_builder(self.lam - mu_expr)
             r_ba = swap_legs(self.r_builder(self.lam + mu_expr))
-            return trace_a(a1, r_ab, b1) + trace_a(a2, r_ba, b2)
+            return contract(r_ab, c1) + contract(r_ba, c2)
 
         return self._memoised(self.generating, self.M, j, mu_expr, build)
 
     def sts(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
-        """Single-row generating function tr_a(L_a(N,j) r_ab(lam-mu) L_a(j-1,1))."""
-        self._check_site(j)
-        return _memo(self.single_row, (j, mu_expr.key()), lambda: trace_a(
-            self.suffixes[j], self.r_builder(self.lam - mu_expr), self.prefixes[j]
+        """Single-row generating function tr_a(L_a(N,j) r_ab(lam-mu) L_a(j-1,1))
+        = contract(r(lam-mu), C0)."""
+        return _memo(self.single_row, (j, mu_expr.key()), lambda: contract(
+            self.r_builder(self.lam - mu_expr), self.chain(j)[0]
         ))
 
     def flow(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
@@ -288,28 +292,6 @@ class Derivation:
         if mu_expr == -mu(self.ring) and not self.lam.involves("mu"):
             build = lambda: getter(j, mu(self.ring)).map_entries(lambda e: e.reflect("mu"))
         return _memo(table, (j, mu_expr.key()), build)
-
-    def _mu_free_factors(self, j: int) -> tuple:
-        """The mu-free factors (a1, b1, a2, b2) around the r-insertions of
-        M(j): tr_a(A_a r B_a) needs only the 2x2 products A and B.  b1 and
-        a2 take one site step from j - 1, b1 = l(j-1, lam) b1(j-1) and
-        a2 = a2(j-1) l(j-1, -lam)^{-1}, from k- L(-lam)^{-1} and k+ L k-."""
-        f = self._factors.get(j)
-        if f is None:
-            self._check_site(j)
-            if j == 1:
-                b1, a2 = self.kminus @ self.suffix_inverses[1], self.reflected
-            else:
-                _, b1, a2, _ = self._mu_free_factors(j - 1)
-                b1 = self.lax(j - 1, self.lam) @ b1
-                a2 = a2 @ self.site_inverses[j - 1]
-            f = (self.kplus @ self.suffixes[j], b1, a2, self.suffix_inverses[j])
-            self._factors[j] = f
-        return f
-
-    def _check_site(self, j: int):
-        if not 1 <= j <= self.N + 1:
-            raise StructureError("site index %d out of range 1..%d" % (j, self.N + 1))
 
 
 def _memo(table: dict, key, build):

@@ -226,7 +226,10 @@ def random_phase_point(
     if model.name == "dn":
         c0 = float(model.params["c0"])
         c1 = float(model.params["c1"])
-        u1 = math.exp(point["x1"])
+        try:
+            u1 = math.exp(point["x1"])
+        except OverflowError:
+            raise StructureError("amplitude puts e^x1 past the float range") from None
         f = u1 + c0 / 2.0
         if abs(f - u1) < DEN_EPS or abs(f) < DEN_EPS:
             raise StructureError("c0 puts the initial data on a singular level set")

@@ -5,9 +5,10 @@ the a-leg first: row ``2*i + k`` / column ``2*j + l`` holds the ((i,k),(j,l))
 component, i.e. ``kron(m, n)[(i,k),(j,l)] = m[i,j] * n[k,l]``.  An 8x8
 triple-tensor embedding exists only for the Yang-Baxter check.
 
-``trace_a`` is the one partial trace (``partial_trace_a(m)`` is
-``trace_a(1, m, 1)``), and ``swap_legs`` permutes indices instead of
-multiplying by P.
+``contract(r, c)`` is the one partial trace: the entries commute, so
+tr_a(A_a r B_a) = contract(r, B A) for 2x2 A, B and any 4x4 r, and
+``partial_trace_a(m)`` is ``contract(m, 1)``.  ``swap_legs`` permutes
+indices instead of multiplying by P.
 
 Spectral variables stay formal throughout: poles such as 1/(lam - mu) live
 in factored denominators and every relation is decided after
@@ -210,45 +211,31 @@ def permutation(ring: PhaseRing) -> SpectralMatrix:
 
 
 def partial_trace_a(m: SpectralMatrix) -> SpectralMatrix:
-    """Trace over the first tensor factor of a 4x4 matrix: tr_a(1 m 1)."""
-    one = identity(m.ring, 2)
-    return trace_a(one, m, one)
+    """Trace over the first tensor factor of a 4x4 matrix: contract(m, 1)."""
+    return contract(m, identity(m.ring, 2))
 
 
-def trace_a(a: SpectralMatrix, r: SpectralMatrix, b: SpectralMatrix) -> SpectralMatrix:
-    """tr_a(A_a r B_a) for 2x2 A, B and any 4x4 r, without the 4x4 products.
+def contract(r: SpectralMatrix, c: SpectralMatrix) -> SpectralMatrix:
+    """out[k][l] = sum_j sum_j' r[(j,k),(j',l)] c[j'][j] for any 4x4 r and
+    2x2 c, skipping zero operands as ``@`` does.
 
-    Equal to ``partial_trace_a(embed_a(a) @ r @ embed_a(b))`` entry by entry,
-    including each Fraction's printed form: the sums run in the same order
-    (over j in A r, then over j', then over i) and skip zero operands as
-    ``@`` does.  Only the entries with matching a-indices are formed:
-
-        out[k][l] = sum_i sum_j' (sum_j A[i][j] r[(j,k),(j',l)]) B[j'][i].
+    The entries commute, so tr_a(A_a r B_a) = contract(r, B A) for 2x2 A
+    and B: the a-leg indices of A and B close into the one product B A.
     """
-    if a.dim != 2 or r.dim != 4 or b.dim != 2:
-        raise StructureError("trace_a expects 2x2, 4x4 and 2x2 matrices")
+    if r.dim != 4 or c.dim != 2:
+        raise StructureError("contract expects a 4x4 and a 2x2 matrix")
     zero = Fraction(r.ring.zero)
     out = [[zero, zero], [zero, zero]]
-    for i in range(2):
-        for k in range(2):
-            ar = [zero] * 4  # row (i, k) of A_a r
+    for k in range(2):
+        for l in range(2):
+            s = zero
             for j in range(2):
-                x = a.rows[i][j]
-                if x.is_zero:
-                    continue
-                rrow = r.rows[2 * j + k]
-                for c in range(4):
-                    y = rrow[c]
-                    if not y.is_zero:
-                        ar[c] = ar[c] + x * y
-            for l in range(2):
-                s = zero
                 for jp in range(2):
-                    x = ar[2 * jp + l]
-                    y = b.rows[jp][i]
+                    x = r.rows[2 * j + k][2 * jp + l]
+                    y = c.rows[jp][j]
                     if not x.is_zero and not y.is_zero:
                         s = s + x * y
-                out[k][l] = out[k][l] + s
+            out[k][l] = s
     return SpectralMatrix(r.ring, out)
 
 

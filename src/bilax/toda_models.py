@@ -441,15 +441,6 @@ def parameter_constant_difference(f, g):
     return None
 
 
-def hamiltonian_matches_display(model: ModelSpec) -> bool:
-    return (
-        parameter_constant_difference(
-            hamiltonian(model), displayed_hamiltonian(model)
-        )
-        is not None
-    )
-
-
 # ---------------------------------------------------------------------------
 # canonical change of variables (bcn) and the shifted-matrix convention
 

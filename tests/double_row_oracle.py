@@ -11,23 +11,22 @@ The differential tests compare the derivation's memoised matrices, its
 single-row matrices and its coefficient-wise commutation checks against
 them.
 
-``mu_free_factors`` and ``generating_matrix`` are the derivation's own
-build before it reused anything: the factors of M(j) as products of whole
-monodromies and their inverses, and every M(j, mu_expr), -mu included, as
-two ``trace_a`` calls over them.  The derivation takes one site step per
-factor and reflects M(j, mu) in mu for M(j, -mu).
+``mu_free_factors`` gives the 2x2 factors around the r-insertions of M(j)
+as products of whole monodromies and their inverses; ``boundary_M`` and
+``generating_matrix`` trace them through the 4x4 products, and ``chain``
+multiplies them into the products B A that the derivation moves from site
+to site by conjugation.  The derivation also reflects M(j, mu) in mu for
+M(j, -mu), which ``generating_matrix`` builds afresh.
 """
 
 from bilax.double_row import monodromy, scalar_report
 from bilax.phase_ring import StructureError
 from bilax.spectral_matrix import (
     embed_a,
-    identity,
     inverse_2x2,
     lam,
     mu,
     rational_r_builder,
-    trace_a,
 )
 from exact_oracle import partial_trace_a, swap_legs
 
@@ -37,6 +36,21 @@ def double_row_transfer(lax, km, kp, N, arg):
     L = monodromy(lax, N, 1, arg)
     L_inv = inverse_2x2(monodromy(lax, N, 1, -arg))
     return (kp(arg) @ L @ km(arg) @ L_inv).trace()
+
+
+def mu_free_factors(lax, km, kp, N, j, lam_expr):
+    """(a1, b1, a2, b2) around the two r-insertions of M(j), from whole
+    monodromies and their inverses: k+ L(N,j), L(j-1,1) k- L(-lam)^{-1},
+    k+ L k- L(j-1,1,-lam)^{-1} and L(N,j,-lam)^{-1}."""
+    kp_, km_ = kp(lam_expr), km(lam_expr)
+    return (
+        kp_ @ monodromy(lax, N, j, lam_expr),
+        monodromy(lax, j - 1, 1, lam_expr) @ km_
+        @ inverse_2x2(monodromy(lax, N, 1, -lam_expr)),
+        kp_ @ monodromy(lax, N, 1, lam_expr) @ km_
+        @ inverse_2x2(monodromy(lax, j - 1, 1, -lam_expr)),
+        inverse_2x2(monodromy(lax, N, j, -lam_expr)),
+    )
 
 
 def boundary_M(lax, km, kp, N, j, lam_expr, mu_expr, r_builder=None):
@@ -50,22 +64,9 @@ def boundary_M(lax, km, kp, N, j, lam_expr, mu_expr, r_builder=None):
         r_builder = rational_r_builder(ring)
     r_ab = r_builder(lam_expr - mu_expr)
     r_ba = swap_legs(r_builder(lam_expr + mu_expr))
-
-    L_full = monodromy(lax, N, 1, lam_expr)
-    L_full_inv = inverse_2x2(monodromy(lax, N, 1, -lam_expr))
-
-    left1 = kp(lam_expr) @ monodromy(lax, N, j, lam_expr)
-    right1 = monodromy(lax, j - 1, 1, lam_expr) @ km(lam_expr) @ L_full_inv
-    term1 = partial_trace_a(embed_a(left1) @ r_ab @ embed_a(right1))
-
-    left2 = (
-        kp(lam_expr)
-        @ L_full
-        @ km(lam_expr)
-        @ inverse_2x2(monodromy(lax, j - 1, 1, -lam_expr))
-    )
-    right2 = inverse_2x2(monodromy(lax, N, j, -lam_expr))
-    term2 = partial_trace_a(embed_a(left2) @ r_ba @ embed_a(right2))
+    a1, b1, a2, b2 = mu_free_factors(lax, km, kp, N, j, lam_expr)
+    term1 = partial_trace_a(embed_a(a1) @ r_ab @ embed_a(b1))
+    term2 = partial_trace_a(embed_a(a2) @ r_ba @ embed_a(b2))
     return term1 + term2
 
 
@@ -98,24 +99,15 @@ def single_row_commutation(ps, lax, N):
     return scalar_report("tt_commute", ps.bracket_fraction(t_l, t_m))
 
 
-def mu_free_factors(d, j):
-    """(a1, b1, a2, b2) of M(j) from the derivation's whole monodromies:
-    k+ L(N,j), L(j-1,1) k- L(-lam)^{-1}, k+ L k- L(j-1,1,-lam)^{-1} and
-    L(N,j,-lam)^{-1}."""
-    prefix_inverse = identity(d.ring, 2)
-    for k in range(1, j):
-        prefix_inverse = prefix_inverse @ d.site_inverses[k]
-    return (
-        d.kplus @ d.suffixes[j],
-        d.prefixes[j] @ d.kminus @ d.suffix_inverses[1],
-        d.reflected @ prefix_inverse,
-        d.suffix_inverses[j],
-    )
+def chain(d, j):
+    """The products B A of the 2x2 factors A, B around each r-insertion:
+    L(j-1,1) L(N,j) of the single-row matrix, then b1 a1 and b2 a2 of M(j)."""
+    a1, b1, a2, b2 = mu_free_factors(d.lax, d.km, d.kp, d.N, j, d.lam)
+    c0 = monodromy(d.lax, j - 1, 1, d.lam) @ monodromy(d.lax, d.N, j, d.lam)
+    return c0, b1 @ a1, b2 @ a2
 
 
 def generating_matrix(d, j, mu_expr):
-    """M(j, mu_expr) built afresh for any mu_expr, by two trace_a calls."""
-    a1, b1, a2, b2 = mu_free_factors(d, j)
-    r_ab = d.r_builder(d.lam - mu_expr)
-    r_ba = swap_legs(d.r_builder(d.lam + mu_expr))
-    return trace_a(a1, r_ab, b1) + trace_a(a2, r_ba, b2)
+    """M(j, mu_expr) built afresh for any mu_expr, -mu included, with the
+    derivation's lax, k+-, lam and r-builder."""
+    return boundary_M(d.lax, d.km, d.kp, d.N, j, d.lam, mu_expr, d.r_builder)

@@ -3,7 +3,7 @@
 ``partial_trace_a`` sums the diagonal a-blocks of a 4x4 matrix entry by
 entry, and ``swap_legs`` conjugates by the permutation matrix with two 4x4
 Fraction products.  These are the constructions the package used before
-both became index maps: ``trace_a`` with identity factors, and the leg swap
+both became index maps: ``contract`` with the identity, and the leg swap
 (i,k) <-> (k,i).  ``fraction_power`` is the Fraction power by repeated
 squaring of Fraction products, which the package replaced by the power of
 the numerator over scaled denominator exponents.  ``bracket`` and

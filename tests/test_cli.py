@@ -315,6 +315,7 @@ def test_simulate_non_finite_inputs_are_config_errors(tmp_path):
     ("--amplitude", "nan"),
     ("--amplitude", "inf"),
     ("--amplitude", "-0.3"),
+    ("--amplitude", "1e300"),
     ("--tol-energy", "nan"),
     ("--tol-energy", "-1"),
     ("--tol-zc", "nan"),
@@ -325,8 +326,9 @@ def test_simulate_non_finite_inputs_are_config_errors(tmp_path):
 def test_simulate_bad_seed_amplitude_or_tolerance_is_a_config_error(
     tmp_path, capsys, option, value
 ):
-    # a negative seed or a non-finite amplitude would end in a traceback; a
-    # nan or negative tolerance sets a gate that can never pass
+    # a negative seed, a non-finite amplitude or one that overflows e^x1 for
+    # dn would end in a traceback; a nan or negative tolerance sets a gate
+    # that can never pass
     out = tmp_path / "s.csv"
     argv = ["simulate", "--model", "dn", "--N", "2", "--steps", "5",
             option, value, "--format", "json", "--output", str(out)]

@@ -205,43 +205,25 @@ def test_theorem_fails_on_each_flipped_memoised_entry(name):
 
 
 @pytest.mark.parametrize("name", ["bcn", "dn"])
-@pytest.mark.parametrize("products", ["suffixes"])
-def test_theorem_fails_on_a_flipped_monodromy_product(name, products):
-    model = build(name, 2)
-    d = model.derivation
-    table = getattr(d, products)
-    table[2] = flipped(table[2], 0, 0)
-    assert not all(r.holds for r in check_theorem_zc(model.ps, d))
-
-
-@pytest.mark.parametrize("name", ["bcn", "dn"])
-@pytest.mark.parametrize("factor", ["b1", "a2"])
-def test_theorem_fails_on_a_flipped_site_step_factor(name, factor):
-    # b1 and a2 of M(j) are one site step from those of M(j-1), so a wrong
-    # memoised factor at j = 2 reaches M(2) and M(3) alike
-    k = {"b1": 1, "a2": 2}[factor]
-    probe = build(name, 2).derivation._mu_free_factors(2)[k]
+@pytest.mark.parametrize("product", ["C0", "C1", "C2"])
+def test_checks_fail_on_each_flipped_chain_entry(name, product):
+    # chain(j) is one conjugation from chain(j-1), so a wrong kept product at
+    # j = 2 reaches j = 3 as well; C1 and C2 feed M(j), C0 only the
+    # single-row matrices.  No entry is blind, dn's nilpotent k+ included:
+    # contract(P, c) = c, so M(2, mu) carries every entry of C1(2) and C2(2)
+    # over its own pole, and the theorem reads all of M(2, mu)
+    k = int(product[1])
     blind = []
-    for i, j in nonzero_positions(probe):
+    for i, j in nonzero_positions(build(name, 2).derivation.chain(2)[k]):
         model = build(name, 2)
         d = model.derivation
-        factors = list(d._mu_free_factors(2))
-        factors[k] = flipped(factors[k], i, j)
-        d._factors[2] = tuple(factors)
-        if all(r.holds for r in check_theorem_zc(model.ps, d)):
+        chain = list(d.chain(2))
+        chain[k] = flipped(chain[k], i, j)
+        d.chains[2] = tuple(chain)
+        reports = check_theorem_zc(model.ps, d) if k else [check_sts_identity(model.ps, d)]
+        if all(r.holds for r in reports):
             blind.append((i, j))
-    # dn's nilpotent k+ leaves a1 = k+ L(N, j) one nonzero row, and
-    # tr_a(a1 r b1) then reads only the second column of b1
-    assert blind == ([(0, 0), (1, 0)] if (name, factor) == ("dn", "b1") else [])
-
-
-@pytest.mark.parametrize("name", ["bcn", "dn"])
-def test_sts_identity_fails_on_a_flipped_prefix(name):
-    # the prefixes L(j-1, 1, lam) feed only the single-row matrices
-    model = build(name, 2)
-    d = model.derivation
-    d.prefixes[2] = flipped(d.prefixes[2], 0, 0)
-    assert not check_sts_identity(model.ps, d).holds
+    assert blind == []
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from bilax.structure_checks import flip_entry, nonzero_positions
 from bilax.toda_models import build_bcn, build_dn
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MODELS = [(m, n) for m in ("bcn", "dn") for n in (2, 3, 4)]
+MODELS = [(m, n) for m in ("bcn", "dn") for n in (2, 3, 4, 5)]
 
 
 def run_cli(argv, workdir) -> str:

@@ -3,11 +3,12 @@
 * Reflection: ``Fraction.reflect("mu")`` must be ``==``, ``str``- and
   ``den_factors``-equal to the substitution mu -> -mu, and every
   ``Derivation.M(j, -mu)`` and ``flow(j, -mu)`` at the boundary sites, which
-  the derivation reflects from +mu, to the fresh ``trace_a`` build of
+  the derivation reflects from +mu, to the fresh 4x4 build of
   ``double_row_oracle.generating_matrix`` (90 matrices: bcn N=1..5 and dn
   N=2..5, j = 1 and N+1, the rational r and its four sign-flip mutants).
-* Site steps: the factors of M(j), built one site from those of M(j-1),
-  must equal the whole-monodromy products of ``double_row_oracle``.
+* Site steps: the products C0, C1, C2 of ``Derivation.chain(j)``, each
+  conjugated one site from those of j - 1, must equal the products B A of
+  the whole-monodromy factors of ``double_row_oracle``.
 * Kept partial derivatives: each element works out its partial
   derivatives once (``RingElement.partials``) and keeps them; they must
   equal a fresh ``kernel.diff`` in every field slot, also after the element
@@ -261,7 +262,5 @@ def test_site_step_factors_match_monodromy_products(name, n):
     model = build_bcn(n) if name == "bcn" else build_dn(n)
     d = model.derivation
     for j in range(n + 1, 0, -1):  # from the top, so each step recurses
-        for got, want in zip(
-            d._mu_free_factors(j), double_row_oracle.mu_free_factors(d, j)
-        ):
+        for got, want in zip(d.chain(j), double_row_oracle.chain(d, j)):
             assert_same(got, want)

@@ -7,6 +7,7 @@ import pytest
 from bilax.phase_ring import Fraction, StructureError
 from bilax.spectral_matrix import (
     commutator,
+    contract,
     det_2x2,
     embed_a,
     embed_b,
@@ -21,7 +22,6 @@ from bilax.spectral_matrix import (
     rational_r,
     swap_legs,
     tensor_bracket,
-    trace_a,
 )
 from bilax.toda_models import build_bcn
 
@@ -135,8 +135,9 @@ def test_partial_trace_pullout(model):
 
 
 def test_trace_a_matches_embedded_product(model):
-    # same entries and printed forms as the 4x4 route, on sparse and dense
-    # operands whose entries carry zeros and factored denominators
+    # tr_a(A_a r B_a) = contract(r, B A): same entries and printed forms as
+    # the 4x4 route, on sparse and dense operands whose entries carry zeros
+    # and factored denominators
     ring = model.ring
     l_, m_ = lam(ring), mu(ring)
     pool = [
@@ -157,11 +158,11 @@ def test_trace_a_matches_embedded_product(model):
         )
         r = matrix(ring, [[rng.choice(pool) for _ in range(4)] for _ in range(4)])
         want = partial_trace_a(embed_a(a) @ r @ embed_a(b))
-        got = trace_a(a, r, b)
+        got = contract(r, b @ a)
         assert got == want
         assert str(got) == str(want)
     with pytest.raises(StructureError):
-        trace_a(identity(ring, 4), identity(ring, 4), identity(ring, 2))
+        contract(identity(ring, 4), identity(ring, 4))
 
 
 def test_partial_trace_requires_4x4(model):
