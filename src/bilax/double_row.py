@@ -35,6 +35,7 @@ from .phase_ring import (
     RingElement,
     StructureError,
     as_fraction,
+    dot,
 )
 from .spectral_matrix import (
     SpectralMatrix,
@@ -174,7 +175,10 @@ class Derivation:
     from the whole monodromies, and one site moves each by conjugation,
     C(j+1) = l(j, +-lam) C(j) l(j, +-lam)^{-1}.  M and the single-row matrix
     go through ``contract`` with the r-matrix the derivation was built with,
-    so a mutated r-builder runs through the same code as the stock one;
+    so a mutated r-builder runs through the same code as the stock one; the
+    two r-insertions of M are one ``contract``, each entry one ``dot`` of
+    eight products, as each entry of an M-pairing M_l X - X M_r is one
+    ``dot`` of four (``_paired``);
     M(j, -mu) and flow(j, -mu) are M(j, mu) and flow(j, mu) reflected in mu
     (``Fraction.reflect``).
 
@@ -262,13 +266,14 @@ class Derivation:
 
     def M(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
         """Boundary generating function M(j, lam, mu_expr) of boundary_M:
-        contract(r(lam-mu), C1) + contract(r_ba(lam+mu), C2)."""
+        contract(r(lam-mu), C1) + contract(r_ba(lam+mu), C2), summed as one
+        contract."""
 
         def build():
             _, c1, c2 = self.chain(j)
             r_ab = self.r_builder(self.lam - mu_expr)
             r_ba = swap_legs(self.r_builder(self.lam + mu_expr))
-            return contract(r_ab, c1) + contract(r_ba, c2)
+            return contract(r_ab, c1, r_ba, c2)
 
         return self._memoised(self.generating, self.M, j, mu_expr, build)
 
@@ -332,14 +337,24 @@ def zero_curvature_terms(d: Derivation) -> list:
 
 
 def _paired(term, M, m_) -> SpectralMatrix:
-    """M(jl, sl*mu) X(mu) - X(mu) M(jr, sr*mu) for one layout term."""
+    """M(jl, sl*mu) X(mu) - X(mu) M(jr, sr*mu) for one layout term, each
+    entry one ``dot`` of four products with the X entry negated in the
+    last two."""
     _, X, (jl, sl), (jr, sr) = term
-    x = X(m_)
-    return M(jl, sl * m_) @ x - x @ M(jr, sr * m_)
+    x = X(m_).rows
+    ml, mr = M(jl, sl * m_).rows, M(jr, sr * m_).rows
+    neg = [[-e for e in row] for row in x]
+    return SpectralMatrix(m_.ring, [
+        [dot([(ml[i][0], x[0][j]), (ml[i][1], x[1][j]),
+              (neg[i][0], mr[0][j]), (neg[i][1], mr[1][j])]) for j in range(2)]
+        for i in range(2)
+    ])
 
 
 def _zc_residual(ps, scalar, M, term, m_) -> SpectralMatrix:
-    """{scalar, X(mu)} minus the term's M-pairing."""
+    """{scalar, X(mu)} minus the term's M-pairing.  The ``-`` stays outside
+    the pairing's ``dot``: where the pairing vanishes, a FAIL entry prints
+    the bracket over its own denominator, not one widened by M's factors."""
     return bracket_scalar_matrix(ps, scalar, term[1](m_)) - _paired(term, M, m_)
 
 

@@ -569,23 +569,6 @@ def dn_x0_relation_residual(model: ModelSpec, traj: Trajectory) -> np.ndarray:
     return residual
 
 
-def convergence_order(model: ModelSpec, p0: dict, dts, t_end: float) -> float:
-    """Measured RK4 order from Hamiltonian drift at a sequence of steps."""
-    ham_fn = _compiled(model, "compiled_hamiltonian", lambda: hamiltonian(model))
-    drifts = []
-    for dt in dts:
-        steps = int(round(t_end / dt))
-        traj = integrate(model, p0, dt, steps)
-        vals = ham_fn(state_columns(model, traj.states))
-        drifts.append(float(np.max(np.abs(vals - vals[0]))))
-    orders = [
-        math.log(drifts[i] / drifts[i + 1])
-        / math.log(dts[i] / dts[i + 1])
-        for i in range(len(dts) - 1)
-    ]
-    return sum(orders) / len(orders)
-
-
 # ---------------------------------------------------------------------------
 # export
 

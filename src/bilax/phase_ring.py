@@ -16,9 +16,11 @@ multivariate gcd; equality is decided by cross-multiplication.
 Each operation has one implementation: ``RingElement._coerce`` is the one
 coercion rule (``as_fraction`` uses it too), ``RingElement.__pow__`` the one
 power (cached by ``PhaseRing._pow_terms``, used by ``Fraction.__pow__``),
-``Fraction._init`` the one constructor and ``RingElement.partials`` the one
-derivative that brackets read.  An element's ``terms`` never change once it
-is built, so it keeps its partial derivatives.
+``Fraction._init`` the one constructor, ``dot`` the one sum of products
+(sharing ``_lcd``, the common-denominator step, with ``Fraction.__add__``)
+and ``RingElement.partials`` the one derivative that brackets read.  An
+element's ``terms`` never change once it is built, so it keeps its partial
+derivatives.
 """
 
 from __future__ import annotations
@@ -539,23 +541,9 @@ class Fraction:
         if self._factors == o._factors:
             terms = K.add(self.num.terms, o.num.terms)
             return Fraction._make(self.ring, terms, self._factor_dict())
-        fs, fo = self._factor_dict(), o._factor_dict()
-        union: dict = dict(fs)
-        for key, (el, p) in fo.items():
-            if key in union:
-                union[key] = (el, max(union[key][1], p))
-            else:
-                union[key] = (el, p)
-        a = self.num.terms
-        b = o.num.terms
-        pk = self.ring.pk
-        for key, (el, p) in union.items():
-            ps = p - fs.get(key, (None, 0))[1]
-            po = p - fo.get(key, (None, 0))[1]
-            if ps:
-                a = K.mul(a, self.ring._pow_terms(el, ps), pk)
-            if po:
-                b = K.mul(b, self.ring._pow_terms(el, po), pk)
+        union, a, b = _lcd(
+            self.ring, self._factor_dict(), self.num.terms, o._factor_dict(), o.num.terms
+        )
         return Fraction._make(self.ring, K.add(a, b), union)
 
     __radd__ = __add__
@@ -666,6 +654,57 @@ class Fraction:
 
     def __repr__(self):
         return "<Fraction %s>" % self
+
+
+def _lcd(ring: PhaseRing, fa: dict, a: dict, fb: dict, b: dict) -> tuple:
+    """(union, a', b'): the factor dicts fa and fb joined at the larger power
+    of each factor, and the numerators a and b multiplied by the powers
+    their own factors lack."""
+    union = dict(fa)
+    for key, (el, p) in fb.items():
+        if p > union.get(key, (None, 0))[1]:
+            union[key] = (el, p)
+    pk = ring.pk
+    for key, (el, p) in union.items():
+        pa = p - fa.get(key, (None, 0))[1]
+        pb = p - fb.get(key, (None, 0))[1]
+        if pa:
+            a = K.mul(a, ring._pow_terms(el, pa), pk)
+        if pb:
+            b = K.mul(b, ring._pow_terms(el, pb), pk)
+    return union, a, b
+
+
+def dot(pairs) -> Fraction:
+    """x1*y1 + x2*y2 + ... for (x, y) pairs of Fractions of one ring.
+
+    The result is the left-to-right sum of the products, representation
+    and all, built without them: each product's numerator goes into one
+    accumulator (``K.mul_acc``) over the running common denominator, which
+    grows only when a product brings factors it lacks and restarts when the
+    partial sum vanishes, as a vanishing ``+`` drops its factors.  Non-atom
+    factors never cancel, so each ends at the same power either way, and
+    ``_cancel`` then fixes the atom powers canonically.
+    """
+    ring = None
+    acc: dict = {}
+    union: dict = {}
+    for x, y in pairs:
+        ring = x.ring
+        if x.is_zero or y.is_zero:
+            continue
+        factors = x._factor_dict()
+        for el, p in y._factors:
+            _factor_add(factors, el, p)
+        a = x.num.terms
+        if not acc:
+            union = factors
+        elif factors != union:
+            union, acc, a = _lcd(ring, union, acc, factors, a)
+        K.mul_acc(acc, a, y.num.terms, ring.pk)
+    if ring is None:
+        raise StructureError("dot of no pairs")
+    return Fraction._make(ring, acc, union)
 
 
 def as_fraction(ring: PhaseRing, value) -> Fraction | None:

@@ -10,6 +10,11 @@ tr_a(A_a r B_a) = contract(r, B A) for 2x2 A, B and any 4x4 r, and
 ``partial_trace_a(m)`` is ``contract(m, 1)``.  ``swap_legs`` permutes
 indices instead of multiplying by P.
 
+Every sum of products here is one ``phase_ring.dot``: each entry of ``@``,
+of ``contract`` (over all its r-insertions at once) and ``det_2x2``
+accumulates its products into one numerator, with the representation a
+left-to-right ``+`` of the products would give.
+
 Spectral variables stay formal throughout: poles such as 1/(lam - mu) live
 in factored denominators and every relation is decided after
 cross-multiplication, never by evaluating at the pole.
@@ -26,6 +31,7 @@ from .phase_ring import (
     RingElement,
     StructureError,
     as_fraction,
+    dot,
 )
 
 
@@ -90,22 +96,10 @@ class SpectralMatrix:
 
     def __matmul__(self, other):
         self._check(other)
-        n = self.dim
-        zero = Fraction(self.ring.zero)
-        out = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            row = self.rows[i]
-            for k in range(n):
-                a = row[k]
-                if a.is_zero:
-                    continue
-                brow = other.rows[k]
-                orow = out[i]
-                for j in range(n):
-                    b = brow[j]
-                    if not b.is_zero:
-                        orow[j] = orow[j] + a * b
-        return SpectralMatrix(self.ring, out)
+        cols = tuple(zip(*other.rows))
+        return SpectralMatrix(
+            self.ring, [[dot(zip(row, col)) for col in cols] for row in self.rows]
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SpectralMatrix):
@@ -215,28 +209,23 @@ def partial_trace_a(m: SpectralMatrix) -> SpectralMatrix:
     return contract(m, identity(m.ring, 2))
 
 
-def contract(r: SpectralMatrix, c: SpectralMatrix) -> SpectralMatrix:
+def contract(r: SpectralMatrix, c: SpectralMatrix, *more) -> SpectralMatrix:
     """out[k][l] = sum_j sum_j' r[(j,k),(j',l)] c[j'][j] for any 4x4 r and
-    2x2 c, skipping zero operands as ``@`` does.
+    2x2 c; ``contract(r, c, r2, c2, ...)`` adds the terms of every (r, c)
+    pair, in that order, into one ``dot`` per entry.
 
     The entries commute, so tr_a(A_a r B_a) = contract(r, B A) for 2x2 A
     and B: the a-leg indices of A and B close into the one product B A.
     """
-    if r.dim != 4 or c.dim != 2:
-        raise StructureError("contract expects a 4x4 and a 2x2 matrix")
-    zero = Fraction(r.ring.zero)
-    out = [[zero, zero], [zero, zero]]
-    for k in range(2):
-        for l in range(2):
-            s = zero
-            for j in range(2):
-                for jp in range(2):
-                    x = r.rows[2 * j + k][2 * jp + l]
-                    y = c.rows[jp][j]
-                    if not x.is_zero and not y.is_zero:
-                        s = s + x * y
-            out[k][l] = s
-    return SpectralMatrix(r.ring, out)
+    pairs = list(zip((r, *more[::2]), (c, *more[1::2])))
+    if len(more) % 2 or any(x.dim != 4 or y.dim != 2 for x, y in pairs):
+        raise StructureError("contract expects 4x4 and 2x2 matrices in turn")
+    return SpectralMatrix(r.ring, [
+        [dot((x.rows[2 * j + k][2 * jp + l], y.rows[jp][j])
+             for x, y in pairs for j in range(2) for jp in range(2))
+         for l in range(2)]
+        for k in range(2)
+    ])
 
 
 def swap_legs(m: SpectralMatrix) -> SpectralMatrix:
@@ -299,7 +288,7 @@ def det_2x2(m: SpectralMatrix) -> Fraction:
     if m.dim != 2:
         raise StructureError("det_2x2 expects a 2x2 matrix")
     r = m.rows
-    return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+    return dot([(r[0][0], r[1][1]), (-r[0][1], r[1][0])])
 
 
 def inverse_2x2(m: SpectralMatrix) -> SpectralMatrix:

@@ -1,10 +1,13 @@
 """Reference exact operations, used only as test oracles.
 
+``matmul`` is the matrix product as a left-to-right ``+`` of Fraction
+products, which the package replaced by one ``dot`` per entry.
 ``partial_trace_a`` sums the diagonal a-blocks of a 4x4 matrix entry by
 entry, and ``swap_legs`` conjugates by the permutation matrix with two 4x4
 Fraction products.  These are the constructions the package used before
 both became index maps: ``contract`` with the identity, and the leg swap
-(i,k) <-> (k,i).  ``fraction_power`` is the Fraction power by repeated
+(i,k) <-> (k,i); ``contract(r, c)`` is ``partial_trace_a`` of the embedded
+product ``r (c (x) 1)``.  ``fraction_power`` is the Fraction power by repeated
 squaring of Fraction products, which the package replaced by the power of
 the numerator over scaled denominator exponents.  ``bracket`` and
 ``bracket_fraction`` are the per-pair Poisson brackets, which take every
@@ -17,7 +20,31 @@ differential tests require the package's results to be ``==``, ``str``- and
 
 from bilax.backend import kernel as K
 from bilax.phase_ring import Fraction, RingElement, StructureError, _factor_add, as_fraction
-from bilax.spectral_matrix import SpectralMatrix, permutation
+from bilax.spectral_matrix import SpectralMatrix, embed_a, permutation
+
+
+def matmul(a, b):
+    """a @ b, each entry summed left to right over Fraction products,
+    skipping zero operands."""
+    ring, n = a.ring, a.dim
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = Fraction(ring.zero)
+            for k in range(n):
+                x, y = a.rows[i][k], b.rows[k][j]
+                if not x.is_zero and not y.is_zero:
+                    s = s + x * y
+            row.append(s)
+        out.append(row)
+    return SpectralMatrix(ring, out)
+
+
+def contract(r, c):
+    """tr_a(r (c (x) 1)) for a 4x4 r and a 2x2 c, through the embedded
+    4x4 product."""
+    return partial_trace_a(matmul(r, embed_a(c)))
 
 
 def partial_trace_a(m):
@@ -40,7 +67,7 @@ def partial_trace_a(m):
 def swap_legs(m):
     """Conjugation by P: maps r_ab to r_ba."""
     p = permutation(m.ring)
-    return p @ m @ p
+    return matmul(matmul(p, m), p)
 
 
 def fraction_power(f, p):

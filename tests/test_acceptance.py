@@ -35,10 +35,7 @@ from bilax.structure_checks import (
     check_reflection_minus,
     check_reflection_plus,
     check_rll,
-    count_failing_sign_mutations,
     flip_entry,
-    nonzero_positions,
-    replace_entry,
 )
 from bilax.toda_models import (
     build_bcn,
@@ -56,6 +53,7 @@ from bilax.toda_models import (
     parameter_constant_difference,
     theta_absorbed_hamiltonian,
 )
+from mutations import count_failing_sign_mutations, nonzero_positions, replace_entry
 
 
 def _report(number, description, ok, elapsed, budget=None):

@@ -28,8 +28,9 @@ from bilax.double_row import (
 from bilax.dynamics import integrate, random_phase_point, zero_curvature_residual
 from bilax.phase_ring import StructureError
 from bilax.spectral_matrix import SpectralMatrix, lam, mu, rational_r_builder
-from bilax.structure_checks import flip_entry, nonzero_positions, replace_entry
+from bilax.structure_checks import flip_entry
 from bilax.toda_models import build_bcn, build_dn
+from mutations import nonzero_positions, replace_entry
 
 MODELS = [("bcn", n) for n in (1, 2, 3, 4)] + [("dn", n) for n in (2, 3, 4)]
 

@@ -8,13 +8,13 @@ import pytest
 from bilax.dynamics import (
     SingularityError,
     conserved_channels,
-    convergence_order,
     csv_rows,
     compile_any,
     dn_x0_relation_residual,
     integrate,
     random_phase_point,
     ring_values,
+    state_columns,
     state_names,
     vector_field,
     write_csv,
@@ -22,7 +22,6 @@ from bilax.dynamics import (
     zero_curvature_residual,
 )
 from bilax.phase_ring import Fraction, StructureError
-from bilax.structure_checks import nonzero_positions
 from bilax.toda_models import (
     build_bcn,
     build_dn,
@@ -30,6 +29,7 @@ from bilax.toda_models import (
     hamiltonian,
     model_flow_matrix,
 )
+from mutations import nonzero_positions
 
 ZERO_PARAMS = {p: 0.0 for p in ("th1", "a1", "b1", "thN", "aN", "bN")}
 
@@ -202,6 +202,21 @@ def test_halved_step_reduces_drift_16x(bcn2):
         drifts.append(float(ch["H_drift"].max()))
     ratio = drifts[0] / drifts[1]
     assert 10.0 < ratio < 26.0
+
+
+def convergence_order(model, p0: dict, dts, t_end: float) -> float:
+    """Measured RK4 order from Hamiltonian drift at a sequence of steps."""
+    ham_fn = compile_any(hamiltonian(model))
+    drifts = []
+    for dt in dts:
+        traj = integrate(model, p0, dt, int(round(t_end / dt)))
+        vals = ham_fn(state_columns(model, traj.states))
+        drifts.append(float(np.max(np.abs(vals - vals[0]))))
+    orders = [
+        math.log(drifts[i] / drifts[i + 1]) / math.log(dts[i] / dts[i + 1])
+        for i in range(len(dts) - 1)
+    ]
+    return sum(orders) / len(orders)
 
 
 def test_rk4_measured_order(bcn2):

@@ -6,6 +6,12 @@
   loop and ``P @ m @ P``).  Inputs: the rational r at lam -+ mu, criterion
   10's sign-flipped r mutants, and random 4x4 matrices whose entries have
   factored denominators.
+* The sum of products: ``dot(pairs)`` must be ``==`` and ``str``-equal to
+  the left-to-right ``+`` of the products, for operands with mixed factor
+  sets (the atoms lam and mu, a Laurent field), zero operands, and lists
+  whose partial sums vanish midway; ``@`` and ``contract``, which sum with
+  ``dot``, must match the oracle's ``+`` loop and its embedded-product
+  partial trace on random 2x2 and 4x4 matrices.
 * The Fraction power: ``f ** p`` must equal, in the same three ways, the
   repeated squaring of Fraction products in ``tests/exact_oracle.py``.
 * The coercion rule of ``RingElement`` and ``as_fraction``: for each kind of
@@ -13,6 +19,8 @@
   must equal the one built from ``ring.const`` of the operand's value.
 """
 
+import functools
+import operator
 from fractions import Fraction as QQ
 
 import numpy as np
@@ -21,8 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracle as oracle
-from bilax.phase_ring import Fraction, Kind, RingElement, StructureError, as_fraction
+from bilax.phase_ring import Fraction, Kind, RingElement, StructureError, as_fraction, dot
 from bilax.spectral_matrix import (
+    contract,
     lam,
     matrix,
     mu,
@@ -30,14 +39,17 @@ from bilax.spectral_matrix import (
     rational_r_builder,
     swap_legs,
 )
-from bilax.structure_checks import flip_entry, nonzero_positions
+from bilax.structure_checks import flip_entry
 from bilax.toda_models import build_bcn
+from mutations import nonzero_positions
 
 RING = build_bcn(1).ring
 LAM, MU = lam(RING), mu(RING)
 RB = rational_r_builder(RING)
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+#: for the matrix products, whose random operands are large
+few = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
 
 def assert_same_fraction(got, want):
@@ -99,17 +111,21 @@ def monomials(draw):
 
 
 @st.composite
-def entries(draw):
+def entries(draw, factors=DEN_FACTORS):
     num = sum(draw(st.lists(monomials(), max_size=3)), RING.zero)
     den = RING.one
-    for f in draw(st.lists(st.sampled_from(DEN_FACTORS), max_size=3)):
+    for f in draw(st.lists(st.sampled_from(factors), max_size=3)):
         den = den * f
     return Fraction(num, den)
 
 
-matrices4 = st.lists(entries(), min_size=16, max_size=16).map(
-    lambda es: matrix(RING, [es[4 * i:4 * i + 4] for i in range(4)])
-)
+def square(n, es=entries()):
+    return st.lists(es, min_size=n * n, max_size=n * n).map(
+        lambda es: matrix(RING, [es[n * i:n * i + n] for i in range(n)])
+    )
+
+
+matrices4 = square(4)
 
 
 @bounded
@@ -126,6 +142,66 @@ def test_fraction_power_matches_repeated_products(f, p):
             f ** p
         return
     assert_same_fraction(f ** p, oracle.fraction_power(f, p))
+
+
+# ---------------------------------------------------------------------------
+# the sum of products against the left-to-right sum
+
+
+#: with mu, both spectral atoms
+DOT_FACTORS = DEN_FACTORS + (MU,)
+dot_pairs = st.lists(st.tuples(entries(DOT_FACTORS), entries(DOT_FACTORS)), max_size=4)
+
+
+@st.composite
+def pair_lists(draw):
+    """Pairs whose products are summed; in half the lists the head pairs
+    are followed by their negations, so that the partial sum vanishes there
+    (p, -p, q) before the tail is added."""
+    head, tail = draw(dot_pairs), draw(dot_pairs)
+    if draw(st.booleans()):
+        head += [(-x, y) for x, y in head]
+    pairs = head + tail
+    return pairs or [(Fraction(RING.zero), Fraction(LAM))]
+
+
+@bounded
+@given(pair_lists())
+def test_dot_matches_left_to_right_sum(pairs):
+    want = functools.reduce(operator.add, [x * y for x, y in pairs])
+    got = dot(pairs)
+    assert got == want
+    assert str(got) == str(want)
+    assert got.den_factors == want.den_factors
+
+
+def test_dot_restarts_its_factors_where_the_partial_sum_vanishes():
+    p = Fraction(RING.gen("X1"), LAM - MU)
+    q = Fraction(RING.gen("u1"), LAM + MU)
+    one = Fraction(RING.one)
+    got = dot([(p, one), (-p, one), (q, one)])
+    assert str(got) == str(q) == "(u1)/((lam + mu))"
+    with pytest.raises(StructureError):
+        dot([])
+
+
+@few
+@given(st.sampled_from((2, 4)).flatmap(lambda n: st.tuples(square(n), square(n))))
+def test_matmul_matches_the_left_to_right_loop(ab):
+    a, b = ab
+    assert_same(a @ b, oracle.matmul(a, b))
+
+
+@few
+@given(matrices4, square(2))
+def test_contract_matches_the_embedded_product(r, c):
+    assert_same(contract(r, c), oracle.contract(r, c))
+
+
+@few
+@given(matrices4, square(2), matrices4, square(2))
+def test_contract_of_two_insertions_is_their_sum(r1, c1, r2, c2):
+    assert contract(r1, c1, r2, c2) == oracle.contract(r1, c1) + oracle.contract(r2, c2)
 
 
 def test_leg_operations_by_hand():

@@ -3,7 +3,11 @@
 The pins cover what users and scripts read: ``verify`` stdout and its
 ``--output`` JSON, ``derive`` stdout, the residual strings of every FAIL
 report of the zero-curvature checks under r-matrix sign flips (they fix the
-printed form of every Fraction the generating and flow matrices carry), and
+printed form of every Fraction the generating and flow matrices carry), every
+FAIL report of ``verify`` under each sign flip of k-, k+, the site Lax matrix
+and the r-matrix at bcn and dn N=2 (they pin the grouping of every sum of
+products in the matrix layer: a regrouping that changes one of them is
+undone, not re-pinned), and
 digests of seeded ``simulate`` trajectories, of one whole CSV, and three
 ``simulate --format json`` summaries (the only place ``boundary_residual``
 is written); bcn N=6 runs the largest generated step and channels.  A
@@ -14,15 +18,18 @@ purpose with
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from bilax import cli
 from bilax.cli import main as bilax
 from bilax.double_row import (
     Derivation,
@@ -32,8 +39,9 @@ from bilax.double_row import (
     verify_corollary,
 )
 from bilax.spectral_matrix import lam, rational_r_builder
-from bilax.structure_checks import flip_entry, nonzero_positions
+from bilax.structure_checks import flip_entry, flip_lax_entry
 from bilax.toda_models import build_bcn, build_dn
+from mutations import nonzero_positions
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODELS = [(m, n) for m in ("bcn", "dn") for n in (2, 3, 4, 5)]
@@ -100,6 +108,49 @@ def zc_check_flip_outputs(workdir) -> dict:
     return {
         "zc-checks-%s2-r-flips.json" % m.name: r_flip_reports(m, checks)
         for m in (build_bcn(2), build_dn(2))
+    }
+
+
+def verify_fail_reports(model, rb=None) -> list:
+    """str and to_dict of every FAIL report of ``verify``'s checks on model;
+    with rb, the r-matrix of every check and of the derivation is rb."""
+    builder = cli.rational_r_builder
+    if rb is not None:
+        model.cached("derivation", lambda: Derivation(
+            model.lax, model.km, model.kp, model.N, lam(model.ring), rb, model.recipe))
+        builder = lambda ring: rb
+    with mock.patch.object(cli, "rational_r_builder", builder):
+        reports = cli._verify_reports(model)
+    return [{"str": str(r), **r.to_dict()} for r in reports if not r.holds]
+
+
+def sign_flips(model):
+    """(family, [i, j], mutant, r-builder) for each of criterion 10's sign
+    flips of a nonzero entry of k-, k+, the site Lax matrix (at every site)
+    or the rational r-matrix; each mutant is a fresh model."""
+    l_ = lam(model.ring)
+    for family, name, probe, wrap in (
+        ("kminus", "km", model.km(l_), flip_entry),
+        ("kplus", "kp", model.kp(l_), flip_entry),
+        ("lax", "lax", model.lax(1, l_), flip_lax_entry),
+    ):
+        for i, j in nonzero_positions(probe):
+            wrapped = wrap(getattr(model, name), i, j)
+            yield family, [i, j], dataclasses.replace(model, **{name: wrapped}), None
+    rb = rational_r_builder(model.ring)
+    for i, j in nonzero_positions(rb(l_)):
+        yield "r", [i, j], dataclasses.replace(model), flip_entry(rb, i, j)
+
+
+def sign_flip_outputs(workdir) -> dict:
+    """verify's FAIL reports under every sign flip of ``sign_flips`` at bcn
+    and dn N=2."""
+    return {
+        "verify-%s2-sign-flips.json" % model.name: json.dumps([
+            {"family": family, "flip": flip, "reports": verify_fail_reports(mutant, rb)}
+            for family, flip, mutant, rb in sign_flips(model)
+        ], indent=2) + "\n"
+        for model in (build_bcn(2), build_dn(2))
     }
 
 
@@ -172,6 +223,7 @@ CASES = {
     },
     "theorem-zc-flips": theorem_flip_outputs,
     "zc-check-flips": zc_check_flip_outputs,
+    "verify-sign-flips": sign_flip_outputs,
     "simulate-dn2": simulate_outputs,
     "simulate-bcn6": simulate_bcn6_outputs,
 }

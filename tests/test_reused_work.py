@@ -46,8 +46,9 @@ from bilax.spectral_matrix import (
     rational_r_builder,
     tensor_bracket,
 )
-from bilax.structure_checks import flip_entry, nonzero_positions
+from bilax.structure_checks import flip_entry
 from bilax.toda_models import build_bcn, build_dn, derived_eom
+from mutations import nonzero_positions
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

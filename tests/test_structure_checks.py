@@ -11,12 +11,10 @@ from bilax.structure_checks import (
     check_reflection_minus,
     check_reflection_plus,
     check_rll,
-    count_failing_sign_mutations,
     flip_entry,
     flip_lax_entry,
-    nonzero_positions,
-    replace_entry,
 )
+from mutations import count_failing_sign_mutations, nonzero_positions, replace_entry
 
 
 def test_cybe_rational(bcn2):
