@@ -439,16 +439,15 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
                 m = m1 + m2
                 if m > depth:
                     continue
-                acc = new.setdefault(m, {})
-                K.mul_acc(acc, t1, t2, pk)
-        series = new
+                K.mul_acc(new.setdefault(m, {}), t1, t2, pk)
+        series = {m: K.finish(t, pk) for m, t in new.items()}
 
     out: dict = {}
     for m_, sm in series.items():
         a_q = num.coeff_of("lam", p + shift + m_)
         if not a_q.is_zero and sm:
             K.mul_acc(out, a_q.terms, sm, pk)
-    result = Fraction(RingElement(ring, out))
+    result = Fraction(RingElement(ring, K.finish(out, pk)))
     for el, e in side:
         result = result / Fraction(el) ** e
     return result

@@ -12,11 +12,17 @@ A polynomial is a dict from a packed exponent key to a nonzero coefficient.
   lexicographic order of the exponent tuples.
 
 Inputs are never mutated unless the name says so; zero coefficients are
-never stored.  The packed layout follows Monagan & Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors" (2007).
+never stored, with one exception: ``mul_acc`` accumulates a sum of products
+into a dict and leaves it unfinished (zero or integral ``Fraction``
+coefficients, unchecked keys), and the owner of the sum calls ``finish`` on
+it before anything reads it, normally once, after its last product.  The
+packed layout follows Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors" (2007).
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 FIELD_BITS = 16
 _FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -57,9 +63,13 @@ class Packing:
     and the least significant field that leaves its range keeps its guard
     bit set whatever the fields above it borrow; so ``check`` (``key &
     guard``) detects overflow, and negative exponents on non-Laurent slots,
-    after the fact.  In a product the true value of each slot lies in a
-    window narrower than a field, so distinct exponent vectors never share
-    a key even before the check.
+    after the fact.  A key is the integer sum of ``(e_i + bias_i) <<
+    shift_i``, carries and all; in a product of valid keys each ``e_i +
+    bias_i`` lies in ``[-bias_i, 2**16 - 1 - bias_i)``, narrower than a
+    field, so distinct exponent vectors never share a key, in one product
+    or across the products summed into one accumulator.  A key whose
+    coefficient cancels is then no monomial of the result, and only the
+    keys left after zeros are dropped need the check.
     """
 
     def __init__(self, laurent):
@@ -104,21 +114,31 @@ class Packing:
         return sum(e << s for e, s in zip(exps, self.shifts))
 
     def check(self, terms):
-        """Raise StructureError when a key left its fields' ranges."""
-        if any(map(self.guard.__and__, terms)):
+        """Raise StructureError when a key left its fields' ranges.
+
+        ``(k1 | k2 | ...) & guard`` is nonzero exactly when some ``k & guard``
+        is: ``&`` distributes over ``|`` bit by bit, for negative keys too."""
+        if reduce(or_, terms, 0) & self.guard:
             raise StructureError(
                 "exponent overflow: a slot left its %d-bit field or a "
                 "non-Laurent exponent went negative" % FIELD_BITS)
 
 
-def _finish(out, pk):
-    """Drop zeros, make integral Fractions ints, check the keys."""
-    for e in [e for e, c in out.items() if type(c) is not int or not c]:
-        c = out[e]
-        if c:
-            out[e] = canon(c)
-        else:
-            del out[e]
+_INT = frozenset({int})
+
+
+def finish(out, pk):
+    """Finish ``out`` in place and return it: drop zeros, make integral
+    Fractions ints, check the keys.  The scan runs only when a coefficient
+    is zero or not an int."""
+    vals = out.values()
+    if set(map(type, vals)) - _INT or 0 in vals:
+        for e in [e for e, c in out.items() if type(c) is not int or not c]:
+            c = out[e]
+            if c:
+                out[e] = canon(c)
+            else:
+                del out[e]
     pk.check(out)
     return out
 
@@ -132,11 +152,12 @@ def mul(a, b, pk):
         return mul_term(a, eb - pk.one, cb, pk)
     out = {}
     _mul_into(out, a, b, pk)
-    return out
+    return finish(out, pk)
 
 
 def mul_acc(out, a, b, pk):
-    """In-place ``out += a*b``."""
+    """In-place ``out += a*b`` of finished operands, left unfinished: the
+    owner of ``out`` calls ``finish`` before anything reads it."""
     _mul_into(out, a, b, pk)
 
 
@@ -149,12 +170,16 @@ def _mul_into(out, a, b, pk):
         a, b = b, a
     get = out.get
     one = pk.one
-    for eb, cb in b.items():
+    rows = iter(b.items())
+    if not out:
+        eb, cb = next(rows)
+        d = eb - one
+        out.update({ea + d: ca * cb for ea, ca in a.items()})
+    for eb, cb in rows:
         d = eb - one
         for ea, ca in a.items():
             e = ea + d
             out[e] = get(e, 0) + ca * cb
-    _finish(out, pk)
 
 
 def add(a, b):
@@ -212,7 +237,7 @@ def mul_term(a, shift, c, pk):
     if not c:
         return {}
     out = {e + shift: c * v for e, v in a.items()}
-    return _finish(out, pk)
+    return finish(out, pk)
 
 
 def diff(a, i, pk):
@@ -224,4 +249,4 @@ def diff(a, i, pk):
         k = ((e >> s) & _FIELD_MASK) - b
         if k:
             out[e - step] = c * k
-    return _finish(out, pk)
+    return finish(out, pk)

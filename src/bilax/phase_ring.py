@@ -17,10 +17,11 @@ Each operation has one implementation: ``RingElement._coerce`` is the one
 coercion rule (``as_fraction`` uses it too), ``RingElement.__pow__`` the one
 power (cached by ``PhaseRing._pow_terms``, used by ``Fraction.__pow__``),
 ``Fraction._init`` the one constructor, ``dot`` the one sum of products
-(sharing ``_lcd``, the common-denominator step, with ``Fraction.__add__``)
-and ``RingElement.partials`` the one derivative that brackets read.  An
-element's ``terms`` never change once it is built, so it keeps its partial
-derivatives.
+(sharing ``_lcd``, the common-denominator step, with ``Fraction.__add__``
+and ``__sub__``) and ``RingElement.partials`` the one derivative that
+brackets read.  An element's ``terms`` never change once it is built, so it
+keeps its partial derivatives and its ``key()``.  Every Fraction is
+canonical, so negation keeps its factors as they are.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ class RingElement:
     tuples.
     """
 
-    __slots__ = ("ring", "terms", "_partials")
+    __slots__ = ("ring", "terms", "_partials", "_key")
 
     def __init__(self, ring: PhaseRing, terms: dict):
         self.ring = ring
@@ -326,8 +327,13 @@ class RingElement:
         return max((exponent(e, i) for e in self.terms), default=0)
 
     def key(self):
-        """Hashable canonical form (sorted term tuple)."""
-        return tuple(sorted(self.terms.items()))
+        """Hashable canonical form (sorted term tuple); worked out on first
+        use and kept."""
+        try:
+            return self._key
+        except AttributeError:
+            self._key = tuple(sorted(self.terms.items()))
+            return self._key
 
     def monomials(self):
         """(exponent tuple, coefficient) for every term."""
@@ -441,7 +447,7 @@ def _push_den(ring: PhaseRing, num_terms: dict, factors: dict, el: RingElement, 
 
 def _cancel(ring: PhaseRing, num_terms: dict, factors: dict) -> tuple:
     """(numerator, factors) with single-variable atom factors cancelled."""
-    if not num_terms:
+    if not num_terms or not factors:
         return num_terms, ()
     pk = ring.pk
     out = []
@@ -454,8 +460,8 @@ def _cancel(ring: PhaseRing, num_terms: dict, factors: dict) -> tuple:
             live = [i for i, e in enumerate(exp) if e]
             if c == 1 and len(live) == 1 and exp[live[0]] == 1:
                 i = live[0]
-                m = min(pk.exponent(e, i) for e in num_terms)
-                take = p if ring._laurent[i] else min(p, max(m, 0))
+                take = p if ring._laurent[i] else min(
+                    p, max(min(pk.exponent(e, i) for e in num_terms), 0))
                 if take > 0:
                     shift = [0] * ring.nvars
                     shift[i] = -take
@@ -534,17 +540,22 @@ class Fraction:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        o = as_fraction(self.ring, other)
-        if o is None:
-            return NotImplemented
+    def _combine(self, o: "Fraction", op) -> "Fraction":
+        """``op`` (``K.add`` or ``K.sub``) of the numerators over the common
+        denominator."""
         if self._factors == o._factors:
-            terms = K.add(self.num.terms, o.num.terms)
+            terms = op(self.num.terms, o.num.terms)
             return Fraction._make(self.ring, terms, self._factor_dict())
         union, a, b = _lcd(
             self.ring, self._factor_dict(), self.num.terms, o._factor_dict(), o.num.terms
         )
-        return Fraction._make(self.ring, K.add(a, b), union)
+        return Fraction._make(self.ring, op(a, b), union)
+
+    def __add__(self, other):
+        o = as_fraction(self.ring, other)
+        if o is None:
+            return NotImplemented
+        return self._combine(o, K.add)
 
     __radd__ = __add__
 
@@ -552,13 +563,13 @@ class Fraction:
         o = as_fraction(self.ring, other)
         if o is None:
             return NotImplemented
-        return self.__add__(-o)
+        return self._combine(o, K.sub)
 
     def __rsub__(self, other):
         o = as_fraction(self.ring, other)
         if o is None:
             return NotImplemented
-        return o.__add__(-self)
+        return o._combine(self, K.sub)
 
     def __mul__(self, other):
         o = as_fraction(self.ring, other)
@@ -586,9 +597,10 @@ class Fraction:
         return o.__mul__(self.reciprocal())
 
     def __neg__(self):
-        return Fraction._make(
-            self.ring, K.neg(self.num.terms), self._factor_dict()
-        )
+        out = object.__new__(Fraction)
+        out.ring, out._factors, out._den = self.ring, self._factors, self._den
+        out.num = RingElement(self.ring, K.neg(self.num.terms))
+        return out
 
     def reciprocal(self) -> "Fraction":
         if self.is_zero:
@@ -685,6 +697,10 @@ def dot(pairs) -> Fraction:
     partial sum vanishes, as a vanishing ``+`` drops its factors.  Non-atom
     factors never cancel, so each ends at the same power either way, and
     ``_cancel`` then fixes the atom powers canonically.
+
+    The accumulator is finished (``K.finish``) once at the end, and before
+    a product with other factors rescales it; only there can a vanished
+    partial sum change the result, so only there is the restart decided.
     """
     ring = None
     acc: dict = {}
@@ -697,14 +713,15 @@ def dot(pairs) -> Fraction:
         for el, p in y._factors:
             _factor_add(factors, el, p)
         a = x.num.terms
-        if not acc:
-            union = factors
-        elif factors != union:
-            union, acc, a = _lcd(ring, union, acc, factors, a)
+        if factors != union:
+            if acc and K.finish(acc, ring.pk):
+                union, acc, a = _lcd(ring, union, acc, factors, a)
+            else:
+                union = factors
         K.mul_acc(acc, a, y.num.terms, ring.pk)
     if ring is None:
         raise StructureError("dot of no pairs")
-    return Fraction._make(ring, acc, union)
+    return Fraction._make(ring, K.finish(acc, ring.pk), union)
 
 
 def as_fraction(ring: PhaseRing, value) -> Fraction | None:
@@ -794,7 +811,7 @@ class PoissonStructure:
                 s = K.sub(s, K.mul(dfj, dgi, pk))
             if s:
                 K.mul_acc(out, s, el.terms, pk)
-        return RingElement(ring, out)
+        return RingElement(ring, K.finish(out, pk))
 
     def bracket_fraction(self, f, g) -> Fraction:
         """Bracket on the fraction field via the quotient rule; a term that

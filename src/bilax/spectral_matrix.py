@@ -43,7 +43,9 @@ class SpectralMatrix:
     def __init__(self, ring: PhaseRing, rows):
         self.ring = ring
         self.rows = tuple(
-            tuple(self._coerce(ring, e) for e in row) for row in rows
+            tuple(e if type(e) is Fraction and e.ring is ring else self._coerce(ring, e)
+                  for e in row)
+            for row in rows
         )
         self.dim = len(self.rows)
         for row in self.rows:

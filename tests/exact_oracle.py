@@ -102,7 +102,7 @@ def bracket(ps, f, g):
         if dfj and dgi:
             s = K.sub(s, K.mul(dfj, dgi, pk))
         if s:
-            K.mul_acc(out, s, el.terms, pk)
+            out = K.add(out, K.mul(s, el.terms, pk))
     return RingElement(ring, out)
 
 

@@ -12,6 +12,10 @@
   whose partial sums vanish midway; ``@`` and ``contract``, which sum with
   ``dot``, must match the oracle's ``+`` loop and its embedded-product
   partial trace on random 2x2 and 4x4 matrices.
+* ``dot`` finishes its accumulator once (``kernel.finish``) over k products
+  with one factor set.  Negation and difference keep the canonical form:
+  ``-x`` and ``x - y`` equal, in the same three ways, a fresh canonical
+  build of the negated numerator and ``x + (-y)``.
 * The Fraction power: ``f ** p`` must equal, in the same three ways, the
   repeated squaring of Fraction products in ``tests/exact_oracle.py``.
 * The coercion rule of ``RingElement`` and ``as_fraction``: for each kind of
@@ -29,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracle as oracle
+from bilax.backend import kernel as K
 from bilax.phase_ring import Fraction, Kind, RingElement, StructureError, as_fraction, dot
 from bilax.spectral_matrix import (
     contract,
@@ -183,6 +188,36 @@ def test_dot_restarts_its_factors_where_the_partial_sum_vanishes():
     assert str(got) == str(q) == "(u1)/((lam + mu))"
     with pytest.raises(StructureError):
         dot([])
+
+
+def test_dot_finishes_its_accumulator_once(monkeypatch):
+    calls = []
+    finish = K.finish
+    monkeypatch.setattr(K, "finish", lambda out, pk: calls.append(1) or finish(out, pk))
+    x = RING.gen("X1") + RING.gen("u1")
+    for den in (RING.one, LAM - MU):
+        y = Fraction(RING.gen("a1") - 2 * LAM, den)
+        pairs = [(Fraction(x ** k), y) for k in range(1, 6)]
+        calls.clear()
+        got = dot(pairs)
+        assert len(calls) == 1
+        assert_same_fraction(got, functools.reduce(operator.add, [a * b for a, b in pairs]))
+
+
+def old_neg(x):
+    """-x as a fresh canonical build."""
+    return Fraction._make(x.ring, K.neg(x.num.terms), x._factor_dict())
+
+
+@bounded
+@given(entries(DOT_FACTORS), entries(DOT_FACTORS), st.booleans())
+def test_negation_and_difference_keep_the_canonical_form(x, y, same_factors):
+    if same_factors:
+        y = Fraction._make(RING, y.num.terms, x._factor_dict())
+    assert_same_fraction(-x, old_neg(x))
+    assert_same_fraction(x - y, x + old_neg(y))
+    assert_same_fraction(x - y, x + (-y))
+    assert_same_fraction(1 - x, Fraction(RING.one) + old_neg(x))
 
 
 @few

@@ -1,18 +1,18 @@
 """Pinned outputs, compared byte for byte with the files in ``tests/golden/``.
 
 The pins cover what users and scripts read: ``verify`` stdout and its
-``--output`` JSON, ``derive`` stdout, the residual strings of every FAIL
-report of the zero-curvature checks under r-matrix sign flips (they fix the
-printed form of every Fraction the generating and flow matrices carry), every
-FAIL report of ``verify`` under each sign flip of k-, k+, the site Lax matrix
-and the r-matrix at bcn and dn N=2 (they pin the grouping of every sum of
-products in the matrix layer: a regrouping that changes one of them is
-undone, not re-pinned), and
-digests of seeded ``simulate`` trajectories, of one whole CSV, and three
-``simulate --format json`` summaries (the only place ``boundary_residual``
-is written); bcn N=6 runs the largest generated step and channels.  A
-change that alters any of them must say so and regenerate the files on
-purpose with
+``--output`` JSON (N = 2..5, and dn N=6, the largest sums of products
+``verify`` finishes), ``derive`` stdout (N = 2..5), the residual strings of
+every FAIL report of the zero-curvature checks under r-matrix sign flips
+(they fix the printed form of every Fraction the generating and flow
+matrices carry), every FAIL report of ``verify`` under each sign flip of
+k-, k+, the site Lax matrix and the r-matrix at bcn and dn N=2 (they pin
+the grouping of every sum of products in the matrix layer: a regrouping
+that changes one of them is undone, not re-pinned), and digests of seeded
+``simulate`` trajectories, of one whole CSV, and three ``simulate --format
+json`` summaries (the only place ``boundary_residual`` is written); bcn N=6
+runs the largest generated step and channels.  A change that alters any of
+them must say so and regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -221,6 +221,7 @@ CASES = {
         "derive-%s%d" % (m, n): (lambda w, m=m, n=n: derive_outputs(m, n, w))
         for m, n in MODELS
     },
+    "verify-dn6": lambda w: verify_outputs("dn", 6, w),
     "theorem-zc-flips": theorem_flip_outputs,
     "zc-check-flips": zc_check_flip_outputs,
     "verify-sign-flips": sign_flip_outputs,

@@ -6,8 +6,10 @@
 * sympy's ``expand`` recomputes products, derivatives and Poisson brackets
   of the same elements as symbolic expressions.
 
-Also checked: coefficients come out canonical, and an exponent that leaves
-its packed field raises instead of aliasing another monomial.
+Also checked: coefficients come out canonical, a sum of ``mul_acc`` products
+is exact once ``finish`` ends it, and an exponent that leaves its packed
+field raises instead of aliasing another monomial (``Packing.check`` raises
+exactly when some key has a guard bit set).
 """
 
 from fractions import Fraction as PyFraction
@@ -68,13 +70,32 @@ def test_mul_add_sub_match_tuple_kernel(a, b):
     assert as_tuples(K.sub(pa, pa)) == {}
 
 
+@st.composite
+def product_lists(draw):
+    """(a, b) pairs whose products are summed.  The head pairs may be
+    followed by their negations, so that the sum cancels (wholly or up to
+    the tail), or by themselves, so that coefficients with denominator 2
+    sum to ints."""
+    pairs = st.lists(st.tuples(tuple_dicts, tuple_dicts), max_size=3)
+    head, tail = draw(pairs), draw(pairs)
+    then = draw(st.sampled_from(("none", "negated", "repeated")))
+    if then == "negated":
+        head += [(T.neg(a), b) for a, b in head]
+    elif then == "repeated":
+        head += head
+    return head + tail
+
+
 @bounded
-@given(tuple_dicts, tuple_dicts, tuple_dicts)
-def test_mul_acc_matches_tuple_kernel(out, a, b):
+@given(tuple_dicts, product_lists())
+def test_mul_acc_matches_tuple_kernel(out, pairs):
+    """Several mul_acc calls and one finish give the tuple kernel's sum."""
     want = dict(out)
-    T.mul_acc(want, a, b)
     got = packed(out)
-    K.mul_acc(got, packed(a), packed(b), PK)
+    for a, b in pairs:
+        T.mul_acc(want, a, b)
+        K.mul_acc(got, packed(a), packed(b), PK)
+    assert K.finish(got, PK) is got
     assert as_tuples(got) == want
 
 
@@ -168,6 +189,32 @@ def test_exponent_overflow_raises():
         low.diff("u1")
     with pytest.raises(StructureError):
         low ** 2
+
+
+@st.composite
+def keys(draw):
+    """A key whose fields are drawn in range, then guard bits set in random
+    fields; or any int of the key's width, of either sign."""
+    if draw(st.booleans()):
+        return draw(st.integers(-(1 << 16 * RING.nvars), 1 << 16 * RING.nvars))
+    key = 0
+    for s in PK.shifts:
+        key |= draw(st.integers(0, (1 << K.FIELD_BITS - 1) - 1)) << s
+    for s in draw(st.lists(st.sampled_from(PK.shifts), max_size=2)):
+        key |= 1 << s + K.FIELD_BITS - 1
+    return key
+
+
+@bounded
+@given(st.lists(keys(), max_size=8))
+def test_check_raises_exactly_when_a_key_has_a_guard_bit(ks):
+    flagged = any(k & PK.guard for k in ks)
+    try:
+        PK.check(dict.fromkeys(ks, 1))
+    except StructureError:
+        assert flagged
+    else:
+        assert not flagged
 
 
 def test_negative_exponent_on_non_laurent_slot_raises():
