@@ -57,6 +57,28 @@ def quartiles(xs):
     return {"q1": q1, "median": q2, "q3": q3}
 
 
+def fresh_sources(args, tmp):
+    """Copy the ``src`` of ``args.before`` and ``args.after`` under ``tmp``
+    without bytecode caches.  Return the two copies and the kernel, rational
+    backend, Python version, CPU count and machine the rows are measured on."""
+    sides = {}
+    for side in ("before", "after"):
+        sides[side] = Path(tmp) / side / "src"
+        shutil.copytree(Path(getattr(args, side)) / "src", sides[side],
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(sides["after"]))
+    from bilax import backend
+
+    return sides, {
+        "kernel": backend.KERNEL_BACKEND,
+        "rational_backend": backend.RATIONAL_BACKEND,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", required=True, help="checkout of the parent commit")
@@ -72,15 +94,7 @@ def main(argv=None):
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        sides = {}
-        for side in ("before", "after"):
-            sides[side] = Path(tmp) / side / "src"
-            shutil.copytree(Path(getattr(args, side)) / "src", sides[side],
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        sys.dont_write_bytecode = True
-        sys.path.insert(0, str(sides["after"]))
-        from bilax import backend
-
+        sides, environment = fresh_sources(args, tmp)
         for model in MODELS:
             for n in SIZES:
                 wall = {s: [] for s in sides}
@@ -125,11 +139,7 @@ def main(argv=None):
         "before": args.before_label,
         "after": args.after_label,
         "repeats": args.repeats,
-        "kernel": backend.KERNEL_BACKEND,
-        "rational_backend": backend.RATIONAL_BACKEND,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "machine": platform.machine(),
+        **environment,
         "rows": rows,
     }
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")

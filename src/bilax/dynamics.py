@@ -24,10 +24,10 @@ Python floats: the four RK4 stages are inlined, each takes ``u_j =
 exp(x_j)`` once, goes through the emitter with the scalar guard
 ``-eps < d < eps``, and has the parameters as literals.  A run whose state
 leaves the finite floats is truncated at the first non-finite sample.  The
-diagnostics evaluate each compiled channel once, on whole time columns
-(``state_columns``), through the same emitter with the column guard
-``np.any(np.abs(d) < eps)``, and agree with per-sample evaluation to
-roundoff.
+diagnostics evaluate each compiled channel on whole time columns
+(``state_columns``) with the column guard ``np.any(np.abs(d) < eps)``; the
+zero-curvature residual runs each matrix once per block of time rows for
+all mu samples, bitwise as one entry and one sample at a time.
 """
 
 from __future__ import annotations
@@ -76,15 +76,16 @@ def _terms(el: RingElement) -> list:
     ]
 
 
-def _emit(exprs, slots, targets, guard: str) -> list:
+def _emit(exprs, slots, targets, guard: str, powers=()) -> list:
     """Straight-line source lines that set ``targets[i]`` to ``exprs[i]``.
 
     ``exprs`` are RingElements or Fractions, ``slots[i]`` is the text of
-    ring slot i and ``guard % d`` the condition under which a denominator
-    ``d`` is singular.  The value of every line is bitwise that of the
-    plain form, one ``c*s0**e0*s1*...`` term per monomial summed left to
-    right: what changes is exact under IEEE round-to-nearest.  A ``1.0*``
-    is dropped (``1.0*x == x``), a negative term is subtracted
+    ring slot i (and ``powers[i] % k``, if given, that of its k-th power)
+    and ``guard % d`` the condition under which a denominator ``d`` is
+    singular.  The value of every line is bitwise that of the plain form,
+    one ``c*s0**e0*s1*...`` term per monomial summed left to right: what
+    changes is exact under IEEE round-to-nearest.  A ``1.0*`` is dropped
+    (``1.0*x == x``), a negative term is subtracted
     (``(-c*a)*b == -((c*a)*b)`` and ``s + (-t) == s - t``) or negated when
     it leads, and each ``slot**k``, each product prefix shared by two ±1
     terms and each distinct denominator (with its guard) is bound once,
@@ -114,8 +115,8 @@ def _emit(exprs, slots, targets, guard: str) -> list:
         return names[key]
 
     def term(fs, c) -> str:
-        texts = [slots[i] if e == 1 else bind((i, e), "%s**%d" % (slots[i], e))
-                 for i, e in fs]
+        texts = [slots[i] if e == 1 else bind((i, e), powers[i] % e if i in powers
+                                                else "%s**%d" % (slots[i], e)) for i, e in fs]
         if c != 1.0:
             return "*".join([repr(c)] + texts)
         text = texts[0] if texts else "1.0"
@@ -142,26 +143,26 @@ def _emit(exprs, slots, targets, guard: str) -> list:
     return lines
 
 
-def _compile_columns(value) -> Callable:
-    """``_f(v)`` for one expression over the ring value vector ``v``, whose
-    entries may be floats or numpy columns; the denominator guard tests a
-    whole column."""
-    slots = ["v[%d]" % i for i in range(value.ring.nvars)]
+def _compile_columns(ring, exprs, targets, args: str, tail: str, powers=()) -> Callable:
+    """``_f(args)`` that sets ``targets[i]`` to ``exprs[i]`` over the ring
+    value vector ``v``, whose entries may be floats or numpy arrays, then
+    runs ``tail``; the denominator guard tests a whole array."""
+    slots = ["v[%d]" % i for i in range(ring.nvars)]
     guard = "np.any(np.abs(%%s) < %g)" % DEN_EPS
-    body = _emit([value], slots, ["r"], guard) + ["return r"]
-    ns = {"SingularityError": SingularityError, "np": np}
-    exec("def _f(v):\n%s" % "".join("    %s\n" % line for line in body), ns)
+    body = _emit(exprs, slots, targets, guard, powers) + [tail]
+    ns = {"SingularityError": SingularityError, "np": np, "mu_power": _mu_power}
+    exec("def _f(%s):\n%s" % (args, "".join("    %s\n" % line for line in body)), ns)
     return ns["_f"]
 
 
 def compile_element(el: RingElement):
-    return _compile_columns(el)
+    return _compile_columns(el.ring, [el], ["r"], "v", "return r")
 
 
 def compile_fraction(fr: Fraction):
     if not fr.den_factors:
         return compile_element(fr.num)
-    return _compile_columns(fr)
+    return _compile_columns(fr.ring, [fr], ["r"], "v", "return r")
 
 
 def compile_any(value):
@@ -479,33 +480,30 @@ def conserved_channels(model: ModelSpec, traj: Trajectory) -> dict:
 
 
 def _compiled_matrix(model: ModelSpec, key, build_matrix):
-    """Compiled entries of ``build_matrix()``, once per model; an identically
-    zero entry is stored as None and never compiled."""
+    """``f(v, mus, out)``, compiled once per model: sets each nonzero entry
+    (a, b) of ``build_matrix()`` in ``out[..., a, b]``, mu**k as
+    ``_mu_power(mus, k)``, and returns ``out``."""
     def build():
-        m = build_matrix()
-        return [
-            [None if e.is_zero else compile_any(e) for e in row] for row in m.rows
-        ]
+        entries = {"out[..., %d, %d]" % (a, b): e for a, row in enumerate(build_matrix().rows)
+                   for b, e in enumerate(row) if not e.is_zero}
+        return _compile_columns(model.ring, list(entries.values()), list(entries), "v, mus, out",
+                                "return out", {model.ring.slot("mu"): "mu_power(mus, %d)"})
 
     return model.cached(key, build)
 
 
-def _stack(compiled, v: list, n_t: int) -> np.ndarray:
-    """(n_t, d, d) stack of a compiled d x d matrix over the columns ``v``;
-    a parameter-constant entry broadcasts along the time axis, and a None
-    entry stays zero."""
-    d = len(compiled)
-    out = np.zeros((n_t, d, d))
-    for a, row in enumerate(compiled):
-        for b, f in enumerate(row):
-            if f is not None:
-                out[:, a, b] = f(v)
-    return out
+def _mu_power(samples, k: int) -> np.ndarray:
+    """The (len(samples), 1) column of mu**k, each a Python-float power,
+    which numpy's ``x**k`` does not always round alike."""
+    try:
+        return np.array([m ** k for m in samples])[:, None]
+    except OverflowError:
+        raise StructureError("a mu sample overflows mu**%d" % k) from None
 
 
 def _frobenius(r: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # a residual past the float range reads inf
-        return np.sqrt(np.sum(r * r, axis=(1, 2)))
+        return np.sqrt(np.sum(r * r, axis=(-2, -1)))
 
 
 def zero_curvature_residual(
@@ -515,40 +513,41 @@ def zero_curvature_residual(
 
     For every term of ``double_row.zero_curvature_terms``,
     R = d/dT X(mu) - (M(jl, ±mu) X(mu) - X(mu) M(jr, ±mu)), with d/dT = {H, .}
-    pushed through the entries symbolically.  X and d/dT X are compiled once
-    per term, and the compiled M(j, mu) is evaluated at ±mu.  Every matrix is
-    an (n_t, 2, 2) stack; the worst site term per sample is ``zc_residual``,
-    the worse of the k- and k+ terms ``boundary_residual``.
+    pushed through the entries symbolically.  Each matrix is one compiled
+    function, run once per block of ceil(n_t / k) time rows for all k mu
+    samples as a (k, rows, 2, 2) stack (2k for M: +mu, then -mu), so each
+    mu-free subexpression is computed once per row.  ``zc_residual`` is the
+    worst site term per sample, ``boundary_residual`` the worse k± term.
     """
-    ps, m_ = model.ps, mu(model.ring)
-    ham = hamiltonian(model)
-    terms = [
-        (
-            _compiled_matrix(model, ("cX", label), lambda X=X: X(m_)),
-            _compiled_matrix(
-                model, ("cXdot", label),
-                lambda X=X: bracket_scalar_matrix(ps, ham, X(m_)),
-            ),
-            left,
-            right,
-        )
-        for label, X, left, right in zero_curvature_terms(model.derivation)
-    ]
-    flows = {  # (j, ±1) -> the compiled M(j, mu), evaluated at ±mu
-        (j, s): _compiled_matrix(model, ("cM", j), lambda j=j: model_flow_matrix(model, j))
-        for *_, left, right in terms for j, s in (left, right)
-    }
+    if not mu_samples:
+        raise StructureError("the zero-curvature residual needs a mu sample")
+    ps, m_, ham = model.ps, mu(model.ring), hamiltonian(model)
+    terms = [(_compiled_matrix(model, ("cX", label), lambda X=X: X(m_)),
+              _compiled_matrix(model, ("cXdot", label),
+                               lambda X=X: bracket_scalar_matrix(ps, ham, X(m_))),
+              left, right)
+             for label, X, left, right in zero_curvature_terms(model.derivation)]
+    flows = {j: _compiled_matrix(model, ("cM", j), lambda j=j: model_flow_matrix(model, j))
+             for *_, left, right in terms for j, _ in (left, right)}
 
-    n_t = len(traj.times)
+    k, n_t, slot = len(mu_samples), len(traj.times), model.ring.slot("mu")
+    plus = [float(m) for m in mu_samples]
+    both = plus + [-m for m in plus]
+    columns = state_columns(model, traj.states)
     peaks = [np.zeros(n_t), np.zeros(n_t)]  # site terms, k± terms
-    for mu_v in mu_samples:
-        v = {s: state_columns(model, traj.states, s * mu_v) for s in (1, -1)}
-        ms = {(j, s): _stack(c, v[s], n_t) for (j, s), c in flows.items()}
-        for i, (x_c, dot_c, left, right) in enumerate(terms):
-            x = _stack(x_c, v[1], n_t)
-            r = _stack(dot_c, v[1], n_t) - (ms[left] @ x - x @ ms[right])
-            k = int(i >= model.N)
-            peaks[k] = np.maximum(peaks[k], _frobenius(r))
+    size = -(-n_t // k) or 1
+    for lo in range(0, n_t, size):
+        v = [c[lo:lo + size] if isinstance(c, np.ndarray) else c for c in columns]
+        n, ms = min(size, n_t - lo), {}
+        v[slot] = _mu_power(both, 1)
+        for j, f in flows.items():  # the rows at +mu, then those at -mu
+            ms[j, 1], ms[j, -1] = np.split(f(v, both, np.zeros((2 * k, n, 2, 2))), 2)
+        v[slot] = _mu_power(plus, 1)
+        for i, (x_f, dot_f, left, right) in enumerate(terms):
+            x = x_f(v, plus, np.zeros((k, n, 2, 2)))
+            r = dot_f(v, plus, np.zeros((k, n, 2, 2))) - (ms[left] @ x - x @ ms[right])
+            peak = peaks[int(i >= model.N)][lo:lo + n]
+            np.maximum(peak, np.max(_frobenius(r), axis=0), out=peak)
     channels = {"zc_residual": peaks[0], "boundary_residual": peaks[1]}
     traj.channels.update(channels)
     return channels

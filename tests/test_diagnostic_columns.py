@@ -11,7 +11,9 @@ expression, not bitwise.
 The emitter oracle (``emitter_oracle``) compiles the same expressions one
 plain term per monomial; on the same columns the package's compiled
 functions must give ``tobytes()``-equal results, or raise the same
-``SingularityError``.
+``SingularityError``.  So must the zero-curvature residual, which evaluates
+each matrix once per block of time rows for all mu samples, against the
+per-entry, per-sample path (``zero_curvature_oracle``).
 """
 
 import numpy as np
@@ -20,12 +22,14 @@ import pytest
 from bilax.dynamics import (
     DEFAULT_MU_SAMPLES,
     SingularityError,
+    Trajectory,
     compile_any,
     compile_element,
     integrate,
     random_phase_point,
     ring_values,
     state_columns,
+    zero_curvature_residual,
 )
 from bilax.phase_ring import Fraction
 from bilax.spectral_matrix import bracket_scalar_matrix, mu
@@ -40,6 +44,7 @@ from bilax.toda_models import (
 )
 
 import emitter_oracle
+import zero_curvature_oracle
 
 MU_SAMPLES = (0.3, 1.9)
 ROUNDOFF = 1e-12
@@ -185,3 +190,46 @@ def test_columns_bitwise_equal_reference_emitter(name, n):
                 singular += got[0] == "singular"
     # dn's Hamiltonian and x0 relation divide by a multiple of F - e^{x1}
     assert (singular > 0) == (name == "dn")
+
+
+def _square_mismatch() -> float:
+    """The first value of a fixed sequence whose square numpy's ``x**2``
+    rounds other than Python's ``x ** 2`` (libm ``pow``)."""
+    for m in np.random.default_rng(0).uniform(0.1, 3.0, 100_000).tolist():
+        if (np.array([m]) ** 2)[0] != m ** 2:
+            return m
+    raise AssertionError("numpy's and Python's squares agree on the whole sequence")
+
+
+def _residual(fn, model, traj, mu_samples):
+    """The two channels' bytes, or the SingularityError raised."""
+    try:
+        ch = fn(model, traj, mu_samples)
+    except SingularityError as exc:
+        return "singular", str(exc)
+    return ch["zc_residual"].tobytes(), ch["boundary_residual"].tobytes()
+
+
+@pytest.mark.parametrize("name,n", [("dn", 2), ("dn", 3), ("bcn", 2), ("bcn", 3)])
+def test_zero_curvature_bitwise_equal_per_sample_oracle(name, n):
+    model = {"bcn": build_bcn, "dn": build_dn}[name](n)
+    p0 = random_phase_point(model, np.random.default_rng(n), amplitude=0.3)
+    # n_t = 204 is a multiple of neither 5 nor 7 samples; n_t = 3 is below 5
+    trajs = [integrate(model, p0, 1e-3, steps) for steps in (203, 2)]
+    m = _square_mismatch()
+    mu_lists = [DEFAULT_MU_SAMPLES, (0.7,), (-0.7, 0.7, 0.7, -2.3, 1.1, 0.0, -1.1),
+                (0.3, m, -m)]
+    if name == "dn":
+        # one row 1e-13 off the singular manifold F = e^{x1}, mid-trajectory
+        states = trajs[0].states.copy()
+        states[100, 2 * n + 1] = np.exp(states[100, 0]) + 1e-13
+        trajs.append(Trajectory(name, trajs[0].state_names, trajs[0].times, states))
+    singular = 0
+    for traj in trajs:
+        for mu_samples in mu_lists:
+            got = _residual(zero_curvature_residual, model, traj, mu_samples)
+            want = _residual(zero_curvature_oracle.zero_curvature_residual,
+                             model, traj, mu_samples)
+            assert got == want, (len(traj.times), mu_samples)
+            singular += got[0] == "singular"
+    assert singular == (len(mu_lists) if name == "dn" else 0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bilax import dynamics
 from bilax.dynamics import (
     SingularityError,
     conserved_channels,
@@ -357,46 +358,55 @@ def test_min_abs_f_minus_ex1(dn2, bcn2):
 
 
 def test_zero_curvature_catches_flipped_flow_entry():
-    # a wrong time part must show in the numeric channel: flip the sign of
-    # each nonzero entry of each compiled flow matrix in turn (the compiled
-    # matrices are cached on the model under ("cM", j))
+    # a wrong time part must show in the numeric channel: negate each nonzero
+    # entry of each compiled flow matrix in turn (the compiled M(j) is cached
+    # on the model under ("cM", j) and sets entry (a, b) in out[..., a, b])
     model = build_bcn(2)
     p0 = random_phase_point(model, np.random.default_rng(2))
     traj = integrate(model, p0, 1e-3, 50)
     assert float(zero_curvature_residual(model, traj)["zc_residual"].max()) <= 1e-12
     peaks = {}
     for j in range(1, model.N + 2):
-        compiled = model._cache[("cM", j)]
+        f = model._cache[("cM", j)]
         for a, b in nonzero_positions(model_flow_matrix(model, j)):
-            f = compiled[a][b]
-            compiled[a][b] = lambda v, f=f: -f(v)
+            def flipped(v, mus, out, f=f, a=a, b=b):
+                out = f(v, mus, out)
+                out[..., a, b] *= -1.0
+                return out
+
+            model._cache[("cM", j)] = flipped
             try:
                 ch = zero_curvature_residual(model, traj)
             finally:
-                compiled[a][b] = f
+                model._cache[("cM", j)] = f
             peaks[j, a, b] = float(ch["zc_residual"].max())
     assert len(peaks) >= 3 * model.N
     assert all(p >= 1e-3 for p in peaks.values()), peaks
 
 
-def test_zero_curvature_skips_identically_zero_entries(dn2):
-    # an identically zero entry of X, {H, X} or M(j) is cached as None and
-    # never compiled; dn N=2 has 12 such entries among its 44
-    p0 = random_phase_point(dn2, np.random.default_rng(1), amplitude=0.2)
-    zero_curvature_residual(dn2, integrate(dn2, p0, 1e-3, 20))
-    for j in range(1, dn2.N + 2):
-        compiled = dn2._cache[("cM", j)]
-        assert [[f is None for f in row] for row in compiled] == [
-            [e.is_zero for e in row] for row in model_flow_matrix(dn2, j).rows
-        ]
-    entries = [
-        f
-        for key, compiled in dn2._cache.items()
-        if isinstance(key, tuple) and key[0] in ("cX", "cXdot", "cM")
-        for row in compiled
-        for f in row
-    ]
-    assert (len(entries), sum(f is None for f in entries)) == (44, 12)
+def test_zero_curvature_skips_identically_zero_entries(monkeypatch):
+    # an identically zero entry of X, {H, X} or M(j) is emitted nowhere: each
+    # matrix compiles to one function over its nonzero entries, and dn N=2
+    # emits 32 of its 44 entries (a fresh model, so that every matrix compiles)
+    model = build_dn(2)
+    calls = []
+    compile_columns = dynamics._compile_columns
+
+    def recording(ring, exprs, targets, args, tail, powers=()):
+        if tail == "return out":
+            calls.append((targets, exprs))
+        return compile_columns(ring, exprs, targets, args, tail, powers)
+
+    monkeypatch.setattr(dynamics, "_compile_columns", recording)
+    p0 = random_phase_point(model, np.random.default_rng(1), amplitude=0.2)
+    zero_curvature_residual(model, integrate(model, p0, 1e-3, 20))
+    assert not any(e.is_zero for _, exprs in calls for e in exprs)
+    assert (4 * len(calls), sum(len(t) for t, _ in calls)) == (44, 32)
+    for j in range(1, model.N + 2):
+        m = model_flow_matrix(model, j)
+        pos = nonzero_positions(m)
+        want = (["out[..., %d, %d]" % ab for ab in pos], [m.rows[a][b] for a, b in pos])
+        assert want in calls, j
 
 
 def test_dn_boundary_flow_residual_small(dn2):
