@@ -4,10 +4,10 @@ The double-row transfer scalar b(lam) = tr_a(k+ L(lam) k- L(-lam)^{-1})
 generates commuting Hamiltonians through its lam expansion.  The time part
 of the Lax pair comes from a boundary partial-trace formula with two
 r-insertions, one at lam - mu and one at lam + mu; its lam-expansion
-coefficients (asymptotic series at lam = infinity, after clearing the
-poles) pair power-by-power with the Hamiltonians extracted from b(lam),
-which is what makes the zero-curvature representation drop out of the
-Hamiltonian formalism.
+coefficients (asymptotic series at lam = infinity, read by long division
+in 1/lam in ring arithmetic) pair power-by-power with the Hamiltonians
+extracted from b(lam), which is what makes the zero-curvature
+representation drop out of the Hamiltonian formalism.
 
 Two extraction recipes cover the models here: a scaled single coefficient
 and a scaled ratio of two coefficients (quotient rule for the flow matrix).
@@ -23,12 +23,10 @@ them to every check; the module-level builders (``double_row_transfer``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .backend import kernel as K
-from .kernel import canon, quo
+from .backend import QQ
 from .phase_ring import (
     Fraction,
     PhaseRing,
@@ -390,64 +388,51 @@ def flow_matrix(lax, km, kp, N: int, j: int, mu_expr, exp, recipe, r_builder=Non
 
 
 # ---------------------------------------------------------------------------
-# asymptotic lam-expansion (the pole-cleared coefficient pairing)
+# asymptotic lam-expansion: long division in 1/lam (the pole-cleared
+# coefficient pairing)
 
 
 def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
     """Coefficient of lam^p in the lam -> infinity Laurent expansion.
 
-    Denominator factors linear in lam (lam, lam-mu, lam+mu, ...) are expanded
-    as geometric series in 1/lam; lam-free factors pass through into the
-    result's denominator.  This is the extraction aligned with reading off
+    The denominator factors linear in lam (lam, lam-mu, lam+mu, ...) multiply
+    into D(lam) = sum_{i<=s} d_i lam^i, whose lead d_s is a constant.  With
+    n = deg_lam N for the numerator N, N/D = sum_{m>=0} q_m lam^(n-s-m), and
+    long division in 1/lam reads the q_m off one by one:
+
+        q_m = (n_{n-m} - sum_{i=1}^{min(m,s)} d_{s-i} q_{m-i}) / d_s.
+
+    lam^p is q_{n-s-p}; lam-free factors pass through into the result's
+    denominator.  This is the extraction aligned with reading off
     Hamiltonians from the transfer scalar.
     """
     ring = value.ring
     side = []  # lam-free denominator factors
-    series_factors = []  # (c, g, e): factor (c*lam + g)^e
+    den = ring.one  # D(lam)
     for el, e in value.den_factors:
         if not el.involves("lam"):
             side.append((el, e))
             continue
         if el.degree_in("lam") != 1:
             raise StructureError("denominator factor is nonlinear in lam")
-        c = el.coeff_of("lam", 1)
-        if not c.is_constant:
+        if not el.coeff_of("lam", 1).is_constant:
             raise StructureError("lam coefficient of a pole factor must be constant")
-        series_factors.append((c.constant_value(), el.coeff_of("lam", 0), e))
+        den = den * el ** e
 
     num = value.num
-    deg = num.degree_in("lam")
-    shift = sum(e for _, _, e in series_factors)
-    depth = deg - shift - p
+    n, s = num.degree_in("lam"), den.degree_in("lam")
+    depth = n - s - p
     if depth < 0:
         return Fraction(ring.zero)
-
-    # S_m coefficients of lam^-(shift+m) in prod 1/(c*lam+g)^e
-    pk = ring.pk
-    series = {0: {ring.zero_exp: 1}}
-    for c, g, e in series_factors:
-        inv_c = quo(1, c)
-        fac = {}
-        gk = {ring.zero_exp: 1}  # g^k, built incrementally
-        for k_ in range(depth + 1):
-            coef = canon(math.comb(e - 1 + k_, k_) * (-1) ** k_ * inv_c ** (e + k_))
-            fac[k_] = K.scale(gk, coef)
-            gk = K.mul(gk, g.terms, pk)
-        new = {}
-        for m1, t1 in series.items():
-            for m2, t2 in fac.items():
-                m = m1 + m2
-                if m > depth:
-                    continue
-                K.mul_acc(new.setdefault(m, {}), t1, t2, pk)
-        series = {m: K.finish(t, pk) for m, t in new.items()}
-
-    out: dict = {}
-    for m_, sm in series.items():
-        a_q = num.coeff_of("lam", p + shift + m_)
-        if not a_q.is_zero and sm:
-            K.mul_acc(out, a_q.terms, sm, pk)
-    result = Fraction(RingElement(ring, K.finish(out, pk)))
+    d = [den.coeff_of("lam", i) for i in range(s + 1)]
+    inv_lead = QQ(1, d[s].constant_value())
+    q = []
+    for m in range(depth + 1):
+        r = num.coeff_of("lam", n - m)
+        for i in range(1, min(m, s) + 1):
+            r = r - d[s - i] * q[m - i]
+        q.append(r * inv_lead)
+    result = Fraction(q[depth])
     for el, e in side:
         result = result / Fraction(el) ** e
     return result

@@ -246,46 +246,36 @@ def displayed_flow_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
     Interior sites share the bulk form [[-mu/2, e^{x_j}], [-e^{-x_{j-1}},
     mu/2]]; the lower-left exponent is negative, as the zero-curvature
     equation at entry (1,1) requires to reproduce the bulk force
-    e^{x_j - x_{j-1}}.
+    e^{x_j - x_{j-1}}.  dn keeps the bulk form at its last site, with no
+    e^{x_{N+1}}, and at site 2, with a rational lower-left entry.
     """
     ring = model.ring
     m_ = mu(ring)
     if not 1 <= j <= model.N + 1:
         raise StructureError("site index %d out of range" % j)
-    if model.name == "bcn":
-        if j == 1:
-            u1 = ring.gen("u1")
-            th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
-            return matrix(
-                ring,
-                [
-                    [-(m_ * HALF) + th1 * u1, u1],
-                    [m_ * th1 - a1 - b1 * u1, m_ * HALF - th1 * u1],
-                ],
-            )
-        if j == model.N + 1:
-            un = ring.gen("u%d" % model.N)
-            thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
-            return matrix(
-                ring,
-                [
-                    [-(m_ * HALF) + thn * un ** -1, -(m_ * thn) + an + bn * un ** -1],
-                    [-(un ** -1), m_ * HALF - thn * un ** -1],
-                ],
-            )
+    if model.name == "bcn" and j == 1:
+        u1 = ring.gen("u1")
+        th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
         return matrix(
             ring,
             [
-                [-(m_ * HALF), ring.gen("u%d" % j)],
-                [-(ring.gen("u%d" % (j - 1)) ** -1), m_ * HALF],
+                [-(m_ * HALF) + th1 * u1, u1],
+                [m_ * th1 - a1 - b1 * u1, m_ * HALF - th1 * u1],
             ],
         )
-    # dn
-    u1 = ring.gen("u1")
-    E, F, H = ring.gen("E"), ring.gen("F"), ring.gen("H")
-    if j == 1:
-        x1 = ring.gen("X1")
-        u2 = ring.gen("u2")
+    if model.name == "bcn" and j == model.N + 1:
+        un = ring.gen("u%d" % model.N)
+        thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
+        return matrix(
+            ring,
+            [
+                [-(m_ * HALF) + thn * un ** -1, -(m_ * thn) + an + bn * un ** -1],
+                [-(un ** -1), m_ * HALF - thn * un ** -1],
+            ],
+        )
+    if model.name == "dn" and j == 1:
+        u1, x1, u2 = ring.gen("u1"), ring.gen("X1"), ring.gen("u2")
+        E, F, H = ring.gen("E"), ring.gen("F"), ring.gen("H")
         pref = Fraction(ring.one, 2 * (u1 - F))
         tl = m_ * F + u1 * (2 * H - x1)
         tr = u1 * (u1 - 2 * F)
@@ -301,28 +291,12 @@ def displayed_flow_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
                 [pref * bl, -(pref * as_fraction(ring, tl))],
             ],
         )
-    if j == 2:
-        u2 = ring.gen("u2")
-        return matrix(
-            ring,
-            [
-                [-(m_ * HALF), u2],
-                [Fraction(u1 - 2 * F, 2 * u1 * (F - u1)), m_ * HALF],
-            ],
-        )
-    if j == model.N + 1:
-        un = ring.gen("u%d" % model.N)
-        return matrix(
-            ring,
-            [[-(m_ * HALF), ring.zero], [-(un ** -1), m_ * HALF]],
-        )
-    return matrix(
-        ring,
-        [
-            [-(m_ * HALF), ring.gen("u%d" % j)],
-            [-(ring.gen("u%d" % (j - 1)) ** -1), m_ * HALF],
-        ],
-    )
+    upper = ring.zero if j == model.N + 1 else ring.gen("u%d" % j)
+    lower = -(ring.gen("u%d" % (j - 1)) ** -1)
+    if model.name == "dn" and j == 2:
+        u1, F = ring.gen("u1"), ring.gen("F")
+        lower = Fraction(u1 - 2 * F, 2 * u1 * (F - u1))
+    return matrix(ring, [[-(m_ * HALF), upper], [lower, m_ * HALF]])
 
 
 def displayed_flow_indices(model: ModelSpec):
@@ -378,49 +352,37 @@ def closed_form_eom(model: ModelSpec) -> EquationsOfMotion:
     displays in first-order form are included (x_j for j >= 2, bulk momenta,
     and the last momentum for N >= 3); the boundary site and the sl(2)
     triple evolve by genuinely rational expressions that are only written
-    second-order after elimination.
+    second-order after elimination.  Both share xdot_j = X_j and the bulk
+    force e^{x_{j+1} - x_j} - e^{x_j - x_{j-1}}.
     """
-    ring = model.ring
-    xdot: dict = {}
-    pdot: dict = {}
-    if model.name == "bcn":
-        th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
-        thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
-        u1, un = ring.gen("u1"), ring.gen("u%d" % model.N)
-        x1, xn = ring.gen("X1"), ring.gen("X%d" % model.N)
-        for j in range(1, model.N + 1):
-            xdot[j] = Fraction(ring.gen("X%d" % j))
-        xdot[1] = xdot[1] + Fraction(th1 * u1)
-        xdot[model.N] = xdot[model.N] + Fraction(thn * un ** -1)
-        for j in range(2, model.N):
-            up, uj, um = (
-                ring.gen("u%d" % (j + 1)),
-                ring.gen("u%d" % j),
-                ring.gen("u%d" % (j - 1)),
-            )
-            pdot[j] = Fraction(up * uj ** -1 - uj * um ** -1)
-        bminus = -(a1 * u1) - b1 * u1 ** 2 - th1 * x1 * u1
-        bplus = an * un ** -1 + bn * un ** -2 + thn * xn * un ** -1
-        if model.N == 1:
-            pdot[1] = Fraction(bminus + bplus)
-        else:
-            u2 = ring.gen("u2")
-            unm = ring.gen("u%d" % (model.N - 1))
-            pdot[1] = Fraction(u2 * u1 ** -1 + bminus)
-            pdot[model.N] = Fraction(-(un * unm ** -1) + bplus)
+    ring, n = model.ring, model.N
+
+    def u(j):
+        return ring.gen("u%d" % j)
+
+    first = 1 if model.name == "bcn" else 2
+    xdot = {j: Fraction(ring.gen("X%d" % j)) for j in range(first, n + 1)}
+    pdot = {
+        j: Fraction(u(j + 1) * u(j) ** -1 - u(j) * u(j - 1) ** -1)
+        for j in range(first + 1, n)
+    }
+    if model.name == "dn":
+        if n >= 3:
+            pdot[n] = Fraction(-(u(n) * u(n - 1) ** -1))
         return EquationsOfMotion(xdot, pdot, {})
-    for j in range(2, model.N + 1):
-        xdot[j] = Fraction(ring.gen("X%d" % j))
-    for j in range(3, model.N):
-        up, uj, um = (
-            ring.gen("u%d" % (j + 1)),
-            ring.gen("u%d" % j),
-            ring.gen("u%d" % (j - 1)),
-        )
-        pdot[j] = Fraction(up * uj ** -1 - uj * um ** -1)
-    if model.N >= 3:
-        un, unm = ring.gen("u%d" % model.N), ring.gen("u%d" % (model.N - 1))
-        pdot[model.N] = Fraction(-(un * unm ** -1))
+    th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
+    thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
+    u1, un = u(1), u(n)
+    x1, xn = ring.gen("X1"), ring.gen("X%d" % n)
+    xdot[1] = xdot[1] + Fraction(th1 * u1)
+    xdot[n] = xdot[n] + Fraction(thn * un ** -1)
+    bminus = -(a1 * u1) - b1 * u1 ** 2 - th1 * x1 * u1
+    bplus = an * un ** -1 + bn * un ** -2 + thn * xn * un ** -1
+    if n == 1:
+        pdot[1] = Fraction(bminus + bplus)
+    else:
+        pdot[1] = Fraction(u(2) * u1 ** -1 + bminus)
+        pdot[n] = Fraction(-(un * u(n - 1) ** -1) + bplus)
     return EquationsOfMotion(xdot, pdot, {})
 
 
@@ -518,21 +480,18 @@ class DnElimination:
     xtilde: Fraction
 
     def bc_x0(self, v: Fraction) -> Fraction:
-        ring = v.ring
-        c0, c1 = ring.gen("c0"), ring.gen("c1")
-        u2 = ring.gen("u2")
-        c0sq = Fraction(c0 * c0)
-        return Fraction(u2) / c0sq + (v * v - Fraction(c1)) * self.xtilde / (
-            c0sq - self.xtilde * self.xtilde
-        )
+        return self._bc_x0(v, self.xtilde)
 
     def bc_x0_as_printed(self, v: Fraction) -> Fraction:
         """The literal reading with e^{x_1}; kept to document that it fails."""
+        return self._bc_x0(v, Fraction(v.ring.gen("u1")))
+
+    def _bc_x0(self, v: Fraction, exp_x1: Fraction) -> Fraction:
+        """e^{-x0} with exp_x1 in the second numerator."""
         ring = v.ring
         c0, c1 = ring.gen("c0"), ring.gen("c1")
-        u1, u2 = ring.gen("u1"), ring.gen("u2")
         c0sq = Fraction(c0 * c0)
-        return Fraction(u2) / c0sq + (v * v - Fraction(c1)) * Fraction(u1) / (
+        return Fraction(ring.gen("u2")) / c0sq + (v * v - Fraction(c1)) * exp_x1 / (
             c0sq - self.xtilde * self.xtilde
         )
 

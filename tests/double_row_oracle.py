@@ -17,10 +17,19 @@ as products of whole monodromies and their inverses; ``boundary_M`` and
 multiplies them into the products B A that the derivation moves from site
 to site by conjugation.  The derivation also reflects M(j, mu) in mu for
 M(j, -mu), which ``generating_matrix`` builds afresh.
+
+``lambda_series_coefficient`` is the lam-series extraction the package used
+before it read coefficients by long division in 1/lam: it expands each pole
+factor as a binomial series in 1/lam and convolves the series term dict by
+term dict in the kernel.
 """
 
+import math
+
+from bilax.backend import kernel as K
 from bilax.double_row import monodromy, scalar_report
-from bilax.phase_ring import StructureError
+from bilax.kernel import canon, quo
+from bilax.phase_ring import Fraction, RingElement, StructureError
 from bilax.spectral_matrix import (
     embed_a,
     inverse_2x2,
@@ -111,3 +120,63 @@ def generating_matrix(d, j, mu_expr):
     """M(j, mu_expr) built afresh for any mu_expr, -mu included, with the
     derivation's lax, k+-, lam and r-builder."""
     return boundary_M(d.lax, d.km, d.kp, d.N, j, d.lam, mu_expr, d.r_builder)
+
+
+def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
+    """Coefficient of lam^p in the lam -> infinity Laurent expansion.
+
+    Denominator factors linear in lam (lam, lam-mu, lam+mu, ...) are expanded
+    as geometric series in 1/lam; lam-free factors pass through into the
+    result's denominator.  This is the extraction aligned with reading off
+    Hamiltonians from the transfer scalar.
+    """
+    ring = value.ring
+    side = []  # lam-free denominator factors
+    series_factors = []  # (c, g, e): factor (c*lam + g)^e
+    for el, e in value.den_factors:
+        if not el.involves("lam"):
+            side.append((el, e))
+            continue
+        if el.degree_in("lam") != 1:
+            raise StructureError("denominator factor is nonlinear in lam")
+        c = el.coeff_of("lam", 1)
+        if not c.is_constant:
+            raise StructureError("lam coefficient of a pole factor must be constant")
+        series_factors.append((c.constant_value(), el.coeff_of("lam", 0), e))
+
+    num = value.num
+    deg = num.degree_in("lam")
+    shift = sum(e for _, _, e in series_factors)
+    depth = deg - shift - p
+    if depth < 0:
+        return Fraction(ring.zero)
+
+    # S_m coefficients of lam^-(shift+m) in prod 1/(c*lam+g)^e
+    pk = ring.pk
+    series = {0: {ring.zero_exp: 1}}
+    for c, g, e in series_factors:
+        inv_c = quo(1, c)
+        fac = {}
+        gk = {ring.zero_exp: 1}  # g^k, built incrementally
+        for k_ in range(depth + 1):
+            coef = canon(math.comb(e - 1 + k_, k_) * (-1) ** k_ * inv_c ** (e + k_))
+            fac[k_] = K.scale(gk, coef)
+            gk = K.mul(gk, g.terms, pk)
+        new = {}
+        for m1, t1 in series.items():
+            for m2, t2 in fac.items():
+                m = m1 + m2
+                if m > depth:
+                    continue
+                K.mul_acc(new.setdefault(m, {}), t1, t2, pk)
+        series = {m: K.finish(t, pk) for m, t in new.items()}
+
+    out: dict = {}
+    for m_, sm in series.items():
+        a_q = num.coeff_of("lam", p + shift + m_)
+        if not a_q.is_zero and sm:
+            K.mul_acc(out, a_q.terms, sm, pk)
+    result = Fraction(RingElement(ring, K.finish(out, pk)))
+    for el, e in side:
+        result = result / Fraction(el) ** e
+    return result

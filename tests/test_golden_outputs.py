@@ -2,7 +2,8 @@
 
 The pins cover what users and scripts read: ``verify`` stdout and its
 ``--output`` JSON (N = 2..5, and dn N=6, the largest sums of products
-``verify`` finishes), ``derive`` stdout (N = 2..5), the residual strings of
+``verify`` finishes), ``derive`` stdout (N = 2..6: every flow the
+lam-series extraction reads), the residual strings of
 every FAIL report of the zero-curvature checks under r-matrix sign flips
 (they fix the printed form of every Fraction the generating and flow
 matrices carry), every FAIL report of ``verify`` under each sign flip of
@@ -222,6 +223,10 @@ CASES = {
         for m, n in MODELS
     },
     "verify-dn6": lambda w: verify_outputs("dn", 6, w),
+    **{
+        "derive-%s6" % m: (lambda w, m=m: derive_outputs(m, 6, w))
+        for m in ("bcn", "dn")
+    },
     "theorem-zc-flips": theorem_flip_outputs,
     "zc-check-flips": zc_check_flip_outputs,
     "verify-sign-flips": sign_flip_outputs,
