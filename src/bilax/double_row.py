@@ -43,8 +43,8 @@ from .spectral_matrix import (
     inverse_2x2,
     lam,
     mu,
+    permute_legs,
     rational_r_builder,
-    swap_legs,
 )
 from .structure_checks import RelationReport, matrix_report, merge_reports
 
@@ -270,7 +270,7 @@ class Derivation:
         def build():
             _, c1, c2 = self.chain(j)
             r_ab = self.r_builder(self.lam - mu_expr)
-            r_ba = swap_legs(self.r_builder(self.lam + mu_expr))
+            r_ba = permute_legs(self.r_builder(self.lam + mu_expr), (1, 0))
             return contract(r_ab, c1, r_ba, c2)
 
         return self._memoised(self.generating, self.M, j, mu_expr, build)

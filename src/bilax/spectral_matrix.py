@@ -2,13 +2,15 @@
 
 The auxiliary space is two-dimensional; tensor-square objects are 4x4 with
 the a-leg first: row ``2*i + k`` / column ``2*j + l`` holds the ((i,k),(j,l))
-component, i.e. ``kron(m, n)[(i,k),(j,l)] = m[i,j] * n[k,l]``.  An 8x8
-triple-tensor embedding exists only for the Yang-Baxter check.
+component, i.e. ``kron(m, n)[(i,k),(j,l)] = m[i,j] * n[k,l]``.  ``legs`` is
+the one decoder of that layout.  The 8x8 triple-tensor objects of the
+Yang-Baxter check are ``kron`` with the identity, and r_ac is
+``permute_legs(kron(r, 1), (0, 2, 1))``.
 
 ``contract(r, c)`` is the one partial trace: the entries commute, so
 tr_a(A_a r B_a) = contract(r, B A) for 2x2 A, B and any 4x4 r, and
-``partial_trace_a(m)`` is ``contract(m, 1)``.  ``swap_legs`` permutes
-indices instead of multiplying by P.
+``partial_trace_a(m)`` is ``contract(m, 1)``.  ``permute_legs`` moves
+entries instead of multiplying by P: ``permute_legs(r, (1, 0))`` is r_ba.
 
 Every sum of products here is one ``phase_ring.dot``: each entry of ``@``,
 of ``contract`` (over all its r-insertions at once) and ``det_2x2``
@@ -160,21 +162,20 @@ def zeros(ring: PhaseRing, dim: int = 2) -> SpectralMatrix:
     return SpectralMatrix(ring, [[ring.zero] * dim for _ in range(dim)])
 
 
+def legs(x: int, n: int) -> tuple:
+    """The leg indices of tensor index x over n two-dimensional legs, the
+    a-leg first: x = sum_t legs(x, n)[t] * 2**(n - 1 - t)."""
+    return tuple(x >> (n - 1 - t) & 1 for t in range(n))
+
+
 def kron(m: SpectralMatrix, n: SpectralMatrix) -> SpectralMatrix:
-    """Tensor product; a-leg (first factor) indexes vary slowest."""
-    ring = m.ring
-    dm, dn = m.dim, n.dim
-    rows = []
-    for i in range(dm):
-        for k in range(dn):
-            rows.append(
-                [
-                    m.rows[i][j] * n.rows[k][l]
-                    for j in range(dm)
-                    for l in range(dn)
-                ]
-            )
-    return SpectralMatrix(ring, rows)
+    """Tensor product; a-leg (first factor) indexes vary slowest.  A zero
+    factor gives the canonical zero without forming the product."""
+    zero = Fraction(m.ring.zero)
+    return SpectralMatrix(m.ring, [
+        [zero if a.is_zero or b.is_zero else a * b for a in row_m for b in row_n]
+        for row_m in m.rows for row_n in n.rows
+    ])
 
 
 def embed_a(m: SpectralMatrix) -> SpectralMatrix:
@@ -192,18 +193,12 @@ def embed_b(m: SpectralMatrix) -> SpectralMatrix:
 
 
 def permutation(ring: PhaseRing) -> SpectralMatrix:
-    """P with P (m (x) n) P = n (x) m and P^2 = 1."""
-    rows = []
-    for i in range(2):
-        for k in range(2):
-            rows.append(
-                [
-                    ring.one if (i == l and k == j) else ring.zero
-                    for j in range(2)
-                    for l in range(2)
-                ]
-            )
-    return SpectralMatrix(ring, rows)
+    """P with P (m (x) n) P = n (x) m and P^2 = 1: entry ((i,k),(j,l)) is 1
+    iff (i,k) = (l,j)."""
+    index = [legs(x, 2) for x in range(4)]
+    return SpectralMatrix(ring, [
+        [ring.one if r == c[::-1] else ring.zero for c in index] for r in index
+    ])
 
 
 def partial_trace_a(m: SpectralMatrix) -> SpectralMatrix:
@@ -230,17 +225,17 @@ def contract(r: SpectralMatrix, c: SpectralMatrix, *more) -> SpectralMatrix:
     ])
 
 
-def swap_legs(m: SpectralMatrix) -> SpectralMatrix:
-    """Conjugation by P, which maps r_ab to r_ba: the entry ((i,k),(j,l))
-    of the result is the entry ((k,i),(l,j)) of m."""
-    if m.dim != 4:
-        raise StructureError("swap_legs expects a 4x4 matrix")
-    rows = m.rows
-    return SpectralMatrix(
-        m.ring,
-        [[rows[2 * k + i][2 * l + j] for j in range(2) for l in range(2)]
-         for i in range(2) for k in range(2)],
-    )
+def permute_legs(m: SpectralMatrix, order) -> SpectralMatrix:
+    """Leg t of the result is leg ``order[t]`` of m, on rows and columns
+    alike; the entries are moved, never multiplied.  ``(1, 0)`` is the
+    conjugation by P that maps r_ab to r_ba, and ``(0, 2, 1)`` maps
+    r_ab (x) 1 to r_ac."""
+    n = len(order)
+    if m.dim != 2 ** n or sorted(order) != list(range(n)):
+        raise StructureError("permute_legs expects an order of the legs of m")
+    source = [sum(i << (n - 1 - p) for i, p in zip(legs(x, n), order))
+              for x in range(m.dim)]
+    return SpectralMatrix(m.ring, [[m.rows[r][c] for c in source] for r in source])
 
 
 def rational_r(ring: PhaseRing, arg: RingElement) -> SpectralMatrix:
@@ -306,38 +301,6 @@ def inverse_2x2(m: SpectralMatrix) -> SpectralMatrix:
             [-r[1][0] / d, r[0][0] / d],
         ],
     )
-
-
-def embed_pair(m: SpectralMatrix, legs: tuple, nlegs: int = 3) -> SpectralMatrix:
-    """Embed a two-leg 4x4 object into the n-fold tensor space (dim 2^n)."""
-    if m.dim != 4:
-        raise StructureError("embed_pair expects a 4x4 matrix")
-    p, q = legs
-    ring = m.ring
-    dim = 2 ** nlegs
-    zero = Fraction(ring.zero)
-
-    def digits(x):
-        out = [0] * nlegs
-        for pos in range(nlegs - 1, -1, -1):
-            out[pos] = x & 1
-            x >>= 1
-        return out
-
-    rows = []
-    for r in range(dim):
-        ri = digits(r)
-        row = []
-        for c in range(dim):
-            ci = digits(c)
-            ok = all(ri[t] == ci[t] for t in range(nlegs) if t not in (p, q))
-            if not ok:
-                row.append(zero)
-                continue
-            entry = m.rows[2 * ri[p] + ri[q]][2 * ci[p] + ci[q]]
-            row.append(entry if not entry.is_zero else zero)
-        rows.append(row)
-    return SpectralMatrix(ring, rows)
 
 
 def commutator(a: SpectralMatrix, b: SpectralMatrix) -> SpectralMatrix:

@@ -21,11 +21,13 @@ from .spectral_matrix import (
     commutator,
     embed_a,
     embed_b,
-    embed_pair,
+    identity,
+    kron,
     lam,
+    legs,
     mu,
     nu,
-    swap_legs,
+    permute_legs,
     tensor_bracket,
 )
 
@@ -60,18 +62,11 @@ class RelationReport:
 
 
 def _tensor_index(dim: int, i: int, j: int) -> str:
-    if dim == 2:
-        return "(%d,%d)" % (i + 1, j + 1)
-    if dim == 4:
-        return "((%d,%d),(%d,%d))" % (i // 2 + 1, i % 2 + 1, j // 2 + 1, j % 2 + 1)
-    return "((%d,%d,%d),(%d,%d,%d))" % (
-        i // 4 + 1,
-        (i // 2) % 2 + 1,
-        i % 2 + 1,
-        j // 4 + 1,
-        (j // 2) % 2 + 1,
-        j % 2 + 1,
-    )
+    """The 1-based label of entry (i, j): "(i,j)" at dim 2, and the legs of
+    each index, as in "((i1,i2),(j1,j2))", in tensor space."""
+    n = dim.bit_length() - 1
+    row, col = (",".join(str(t + 1) for t in legs(x, n)) for x in (i, j))
+    return "(%s,%s)" % (row, col) if n == 1 else "((%s),(%s))" % (row, col)
 
 
 def matrix_report(name: str, residual: SpectralMatrix, prefix: str = "") -> RelationReport:
@@ -100,9 +95,10 @@ def check_cybe(r_builder, ring) -> RelationReport:
       + [r_ab(lam-mu), r_bc(mu-nu)] = 0, pole-cleared.
     """
     lm, m_, n_ = lam(ring), mu(ring), nu(ring)
-    r_ab = embed_pair(r_builder(lm - m_), (0, 1))
-    r_ac = embed_pair(r_builder(lm - n_), (0, 2))
-    r_bc = embed_pair(r_builder(m_ - n_), (1, 2))
+    one = identity(ring, 2)
+    r_ab = kron(r_builder(lm - m_), one)
+    r_ac = permute_legs(kron(r_builder(lm - n_), one), (0, 2, 1))
+    r_bc = kron(one, r_builder(m_ - n_))
     resid = (
         commutator(r_ac, r_bc)
         + commutator(r_ab, r_ac)
@@ -139,7 +135,7 @@ def _check_reflection(name, k_builder, r_builder, ps) -> RelationReport:
     ka, kb = embed_a(kl), embed_b(km_)
     r1 = r_builder(lm - m_)
     r2 = r_builder(lm + m_)
-    r1s, r2s = swap_legs(r1), swap_legs(r2)
+    r1s, r2s = permute_legs(r1, (1, 0)), permute_legs(r2, (1, 0))
     # r_ab(l-m) k_a k_b - k_a k_b r_ba(l-m) + k_a r_ba(l+m) k_b - k_b r_ab(l+m) k_a
     rhs = r1 @ ka @ kb - ka @ kb @ r1s + ka @ r2s @ kb - kb @ r2 @ ka
     return matrix_report(name, tensor_bracket(ps, kl, km_) - rhs)
@@ -154,7 +150,7 @@ def check_reflection_minus(k_builder, r_builder, ps) -> RelationReport:
 def check_reflection_plus(k_builder, r_builder, ps) -> RelationReport:
     """Dynamical reflection algebra for k^+ (r_ab and r_ba exchanged)."""
     return _check_reflection(
-        "reflection_plus", k_builder, lambda arg: swap_legs(r_builder(arg)), ps
+        "reflection_plus", k_builder, lambda arg: permute_legs(r_builder(arg), (1, 0)), ps
     )
 
 

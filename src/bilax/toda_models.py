@@ -308,45 +308,39 @@ def displayed_flow_indices(model: ModelSpec):
 # equations of motion
 
 
-@dataclass
-class EquationsOfMotion:
-    """d/dT of each coordinate: x_j through u_j (xdot = udot/u), X_j, sl(2)."""
-
-    xdot: dict
-    momentum_dot: dict
-    sl2_dot: dict
-
-    def coordinates(self):
-        for j, v in self.xdot.items():
-            yield ("x%d" % j, v)
-        for j, v in self.momentum_dot.items():
-            yield ("X%d" % j, v)
-        for name, v in self.sl2_dot.items():
-            yield (name, v)
+def state_names(model: ModelSpec) -> list:
+    """The order of the simulate state: x_1..x_N, X_1..X_N, then E, F, H
+    for dn."""
+    names = ["x%d" % j for j in range(1, model.N + 1)]
+    names += ["X%d" % j for j in range(1, model.N + 1)]
+    if model.name == "dn":
+        names += ["E", "F", "H"]
+    return names
 
 
-def derived_eom(model: ModelSpec) -> EquationsOfMotion:
-    """Hamiltonian equations from the bracket: exact Fractions."""
+def derived_eom(model: ModelSpec) -> dict:
+    """{state name: d/dT} in ``state_names`` order, exact Fractions from the
+    bracket: {H, u_j}/u_j for x_j (u_j = e^{x_j}), {H, g} for every other
+    coordinate g."""
 
     def build():
         ring, ps = model.ring, model.ps
         ham = hamiltonian(model)
-        xdot, pdot, sl2 = {}, {}, {}
-        for j in range(1, model.N + 1):
-            uj = ring.gen("u%d" % j)
-            udot = ps.bracket_fraction(ham, Fraction(uj))
-            xdot[j] = udot / Fraction(uj)
-            pdot[j] = ps.bracket_fraction(ham, Fraction(ring.gen("X%d" % j)))
-        if model.name == "dn":
-            for name in ("E", "F", "H"):
-                sl2[name] = ps.bracket_fraction(ham, Fraction(ring.gen(name)))
-        return EquationsOfMotion(xdot, pdot, sl2)
+        eom = {}
+        for name in state_names(model):
+            if name[0] == "x":
+                uj = Fraction(ring.gen("u" + name[1:]))
+                eom[name] = ps.bracket_fraction(ham, uj) / uj
+            else:
+                eom[name] = ps.bracket_fraction(ham, Fraction(ring.gen(name)))
+        return eom
 
     return model.cached("derived_eom", build)
 
 
-def closed_form_eom(model: ModelSpec) -> EquationsOfMotion:
-    """The displayed closed-form equations of motion.
+def closed_form_eom(model: ModelSpec) -> dict:
+    """The displayed closed-form equations of motion, keyed like
+    ``derived_eom``.
 
     For bcn all coordinates are covered.  For dn only the sites the source
     displays in first-order form are included (x_j for j >= 2, bulk momenta,
@@ -361,29 +355,27 @@ def closed_form_eom(model: ModelSpec) -> EquationsOfMotion:
         return ring.gen("u%d" % j)
 
     first = 1 if model.name == "bcn" else 2
-    xdot = {j: Fraction(ring.gen("X%d" % j)) for j in range(first, n + 1)}
-    pdot = {
-        j: Fraction(u(j + 1) * u(j) ** -1 - u(j) * u(j - 1) ** -1)
-        for j in range(first + 1, n)
-    }
+    eom = {"x%d" % j: Fraction(ring.gen("X%d" % j)) for j in range(first, n + 1)}
+    for j in range(first + 1, n):
+        eom["X%d" % j] = Fraction(u(j + 1) * u(j) ** -1 - u(j) * u(j - 1) ** -1)
     if model.name == "dn":
         if n >= 3:
-            pdot[n] = Fraction(-(u(n) * u(n - 1) ** -1))
-        return EquationsOfMotion(xdot, pdot, {})
+            eom["X%d" % n] = Fraction(-(u(n) * u(n - 1) ** -1))
+        return eom
     th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
     thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
     u1, un = u(1), u(n)
     x1, xn = ring.gen("X1"), ring.gen("X%d" % n)
-    xdot[1] = xdot[1] + Fraction(th1 * u1)
-    xdot[n] = xdot[n] + Fraction(thn * un ** -1)
+    eom["x1"] = eom["x1"] + Fraction(th1 * u1)
+    eom["x%d" % n] = eom["x%d" % n] + Fraction(thn * un ** -1)
     bminus = -(a1 * u1) - b1 * u1 ** 2 - th1 * x1 * u1
     bplus = an * un ** -1 + bn * un ** -2 + thn * xn * un ** -1
     if n == 1:
-        pdot[1] = Fraction(bminus + bplus)
+        eom["X1"] = Fraction(bminus + bplus)
     else:
-        pdot[1] = Fraction(u(2) * u1 ** -1 + bminus)
-        pdot[n] = Fraction(-(un * u(n - 1) ** -1) + bplus)
-    return EquationsOfMotion(xdot, pdot, {})
+        eom["X1"] = Fraction(u(2) * u1 ** -1 + bminus)
+        eom["X%d" % n] = Fraction(-(un * u(n - 1) ** -1) + bplus)
+    return eom
 
 
 # ---------------------------------------------------------------------------
@@ -472,26 +464,18 @@ class DnElimination:
     with V the first tilde velocity; x0 is a defined abbreviation, never a
     dynamical variable.  The source prints e^{x_1} in the second numerator,
     but only the tilde exponential makes the second-order boundary equation
-    an exact identity (see bc_x0_as_printed and the test suite), so the
-    tilde reading is the implemented one.
+    an exact identity (the test suite shows that the literal reading
+    fails), so the tilde reading is the implemented one.
     """
 
     on_shell: dict
     xtilde: Fraction
 
     def bc_x0(self, v: Fraction) -> Fraction:
-        return self._bc_x0(v, self.xtilde)
-
-    def bc_x0_as_printed(self, v: Fraction) -> Fraction:
-        """The literal reading with e^{x_1}; kept to document that it fails."""
-        return self._bc_x0(v, Fraction(v.ring.gen("u1")))
-
-    def _bc_x0(self, v: Fraction, exp_x1: Fraction) -> Fraction:
-        """e^{-x0} with exp_x1 in the second numerator."""
         ring = v.ring
         c0, c1 = ring.gen("c0"), ring.gen("c1")
         c0sq = Fraction(c0 * c0)
-        return Fraction(ring.gen("u2")) / c0sq + (v * v - Fraction(c1)) * exp_x1 / (
+        return Fraction(ring.gen("u2")) / c0sq + (v * v - Fraction(c1)) * self.xtilde / (
             c0sq - self.xtilde * self.xtilde
         )
 

@@ -16,6 +16,12 @@ quotient rule; the package computes each operand's partial derivatives once
 per batch of brackets and skips the terms that bracket with a constant.  The
 differential tests require the package's results to be ``==``, ``str``- and
 ``den_factors``-equal to these.
+
+``embed_pair``, ``index_swap_legs`` and ``tensor_index`` are the package's
+own former leg decoders, each with its own index arithmetic: the
+triple-tensor embedding by binary digits, the leg swap by (i,k) <-> (k,i)
+and the residual label by division and remainder.  The package now reads
+every leg layout through ``spectral_matrix.legs``.
 """
 
 from bilax.backend import kernel as K
@@ -124,3 +130,63 @@ def bracket_fraction(ps, f, g):
     for el, pw in F.den_factors + G.den_factors:
         _factor_add(factors, el, 2 * pw)
     return Fraction._make(ring, num.terms, factors)
+
+
+def embed_pair(m: SpectralMatrix, legs: tuple, nlegs: int = 3) -> SpectralMatrix:
+    """Embed a two-leg 4x4 object into the n-fold tensor space (dim 2^n)."""
+    if m.dim != 4:
+        raise StructureError("embed_pair expects a 4x4 matrix")
+    p, q = legs
+    ring = m.ring
+    dim = 2 ** nlegs
+    zero = Fraction(ring.zero)
+
+    def digits(x):
+        out = [0] * nlegs
+        for pos in range(nlegs - 1, -1, -1):
+            out[pos] = x & 1
+            x >>= 1
+        return out
+
+    rows = []
+    for r in range(dim):
+        ri = digits(r)
+        row = []
+        for c in range(dim):
+            ci = digits(c)
+            ok = all(ri[t] == ci[t] for t in range(nlegs) if t not in (p, q))
+            if not ok:
+                row.append(zero)
+                continue
+            entry = m.rows[2 * ri[p] + ri[q]][2 * ci[p] + ci[q]]
+            row.append(entry if not entry.is_zero else zero)
+        rows.append(row)
+    return SpectralMatrix(ring, rows)
+
+
+def index_swap_legs(m: SpectralMatrix) -> SpectralMatrix:
+    """Conjugation by P, which maps r_ab to r_ba: the entry ((i,k),(j,l))
+    of the result is the entry ((k,i),(l,j)) of m."""
+    if m.dim != 4:
+        raise StructureError("swap_legs expects a 4x4 matrix")
+    rows = m.rows
+    return SpectralMatrix(
+        m.ring,
+        [[rows[2 * k + i][2 * l + j] for j in range(2) for l in range(2)]
+         for i in range(2) for k in range(2)],
+    )
+
+
+def tensor_index(dim: int, i: int, j: int) -> str:
+    if dim == 2:
+        return "(%d,%d)" % (i + 1, j + 1)
+    if dim == 4:
+        return "((%d,%d),(%d,%d))" % (i // 2 + 1, i % 2 + 1, j // 2 + 1, j % 2 + 1)
+    return "((%d,%d,%d),(%d,%d,%d))" % (
+        i // 4 + 1,
+        (i // 2) % 2 + 1,
+        i % 2 + 1,
+        j // 4 + 1,
+        (j // 2) % 2 + 1,
+        j % 2 + 1,
+    )

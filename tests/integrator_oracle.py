@@ -26,7 +26,7 @@ class VectorField:
     def __init__(self, model):
         ring, n = model.ring, model.N
         self.model = model
-        self.funcs = [compile_any(v) for _, v in derived_eom(model).coordinates()]
+        self.funcs = [compile_any(v) for v in derived_eom(model).values()]
         self.template = [0.0] * ring.nvars
         for name, val in model.params.items():
             self.template[ring.slot(name)] = float(val)
@@ -106,6 +106,6 @@ def integrate(model, p0, dt, steps, scheme="rk4"):
         truncated = True
         error = "coordinate overflow (trajectory left the representable range)"
     return Trajectory(
-        model.name, names, np.array(times), np.array(states), {},
+        names, np.array(times), np.array(states), {},
         truncated, error, accepted, rejected,
     )

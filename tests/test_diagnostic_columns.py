@@ -223,7 +223,7 @@ def test_zero_curvature_bitwise_equal_per_sample_oracle(name, n):
         # one row 1e-13 off the singular manifold F = e^{x1}, mid-trajectory
         states = trajs[0].states.copy()
         states[100, 2 * n + 1] = np.exp(states[100, 0]) + 1e-13
-        trajs.append(Trajectory(name, trajs[0].state_names, trajs[0].times, states))
+        trajs.append(Trajectory(trajs[0].state_names, trajs[0].times, states))
     singular = 0
     for traj in trajs:
         for mu_samples in mu_lists:

@@ -1,11 +1,15 @@
 """Each exact operation has one implementation; these pin what it computes.
 
-* The leg operations: ``partial_trace_a`` and ``swap_legs`` must give
-  entries that are ``==``, ``str``- and ``den_factors``-equal to the
-  reference constructions of ``tests/exact_oracle.py`` (the block-sum
-  loop and ``P @ m @ P``).  Inputs: the rational r at lam -+ mu, criterion
-  10's sign-flipped r mutants, and random 4x4 matrices whose entries have
-  factored denominators.
+* The leg operations: ``partial_trace_a``, the leg swap
+  ``permute_legs(m, (1, 0))`` and the three triple-tensor embeddings that
+  ``check_cybe`` builds from ``kron`` and ``permute_legs`` must give entries
+  that are ``==``, ``str``- and ``den_factors``-equal to the reference
+  constructions of ``tests/exact_oracle.py`` (the block-sum loop,
+  ``P @ m @ P``, the former index swap and the former ``embed_pair``).
+  Inputs: the rational r at lam -+ mu, criterion 10's sign-flipped r
+  mutants, and random 4x4 matrices whose entries have factored
+  denominators, some of them zero.  The residual labels read through
+  ``legs`` must equal the former division-and-remainder labels.
 * The sum of products: ``dot(pairs)`` must be ``==`` and ``str``-equal to
   the left-to-right ``+`` of the products, for operands with mixed factor
   sets (the atoms lam and mu, a Laurent field), zero operands, and lists
@@ -33,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracle as oracle
+from bilax import structure_checks
 from bilax.backend import kernel as K
 from bilax.phase_ring import Fraction, Kind, RingElement, StructureError, as_fraction, dot
 from bilax.spectral_matrix import (
@@ -40,16 +45,18 @@ from bilax.spectral_matrix import (
     lam,
     matrix,
     mu,
+    nu,
     partial_trace_a,
+    permute_legs,
     rational_r_builder,
-    swap_legs,
+    zeros,
 )
-from bilax.structure_checks import flip_entry
+from bilax.structure_checks import _tensor_index, check_cybe, flip_entry
 from bilax.toda_models import build_bcn
 from mutations import nonzero_positions
 
 RING = build_bcn(1).ring
-LAM, MU = lam(RING), mu(RING)
+LAM, MU, NU = lam(RING), mu(RING), nu(RING)
 RB = rational_r_builder(RING)
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -70,9 +77,37 @@ def assert_same(got, want):
             assert_same_fraction(g, w)
 
 
-def assert_leg_operations_match(m):
+def cybe_embeddings(r_builder):
+    """(r_ab, r_ac, r_bc) as ``check_cybe`` builds them, read off the
+    arguments of its three commutators."""
+    seen = []
+
+    def spy(a, b):
+        seen.append((a, b))
+        return zeros(RING, 8)
+
+    original = structure_checks.commutator
+    structure_checks.commutator = spy
+    try:
+        assert check_cybe(r_builder, RING).holds
+    finally:
+        structure_checks.commutator = original
+    (r_ac, r_bc), (r_ab, r_ac2), (r_ab2, r_bc2) = seen
+    assert r_ab is r_ab2 and r_ac is r_ac2 and r_bc is r_bc2
+    return r_ab, r_ac, r_bc
+
+
+def assert_leg_operations_match(m, r_builder=None):
+    """The leg operations on m; with ``r_builder``, m is
+    ``r_builder(lam - mu)`` and the CYBE embeddings are checked too."""
     assert_same(partial_trace_a(m), oracle.partial_trace_a(m))
-    assert_same(swap_legs(m), oracle.swap_legs(m))
+    swapped = permute_legs(m, (1, 0))
+    assert_same(swapped, oracle.swap_legs(m))
+    assert_same(swapped, oracle.index_swap_legs(m))
+    builder = r_builder or (lambda arg: m)
+    args = {(0, 1): LAM - MU, (0, 2): LAM - NU, (1, 2): MU - NU}
+    for got, (pair, arg) in zip(cybe_embeddings(builder), args.items()):
+        assert_same(got, oracle.embed_pair(builder(arg), pair))
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +115,8 @@ def assert_leg_operations_match(m):
 
 
 def test_leg_operations_on_the_rational_r():
-    for arg in (LAM - MU, LAM + MU):
-        assert_leg_operations_match(RB(arg))
+    assert_leg_operations_match(RB(LAM - MU), RB)
+    assert_leg_operations_match(RB(LAM + MU))
 
 
 def test_leg_operations_on_criterion_10_r_mutants():
@@ -89,8 +124,22 @@ def test_leg_operations_on_criterion_10_r_mutants():
     assert len(positions) == 4
     for i, j in positions:
         mutant = flip_entry(RB, i, j)
-        for arg in (LAM - MU, LAM + MU):
-            assert_leg_operations_match(mutant(arg))
+        assert_leg_operations_match(mutant(LAM - MU), mutant)
+        assert_leg_operations_match(mutant(LAM + MU))
+
+
+def test_tensor_index_matches_the_former_labels():
+    for dim in (2, 4, 8):
+        for i in range(dim):
+            for j in range(dim):
+                assert _tensor_index(dim, i, j) == oracle.tensor_index(dim, i, j)
+
+
+def test_permute_legs_rejects_an_order_that_is_not_one_of_the_legs():
+    m = RB(LAM - MU)
+    for order in ((0,), (0, 1, 2), (0, 0), (1, 2)):
+        with pytest.raises(StructureError):
+            permute_legs(m, order)
 
 
 GENS = ("u1", "X1", "th1", "a1", "lam", "mu")
@@ -246,7 +295,7 @@ def test_leg_operations_by_hand():
         ["10", "12"], ["18", "20"]
     ]
     # the swap reads entry ((k,i),(l,j)): rows and columns 1 and 2 exchange
-    assert [[str(e) for e in row] for row in swap_legs(m).rows] == [
+    assert [[str(e) for e in row] for row in permute_legs(m, (1, 0)).rows] == [
         ["0", "2", "1", "3"],
         ["8", "10", "9", "11"],
         ["4", "6", "5", "7"],

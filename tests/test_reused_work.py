@@ -224,7 +224,7 @@ def test_derivation_brackets_match_per_pair_brackets(name, n):
                 ps, exp.coefficient(p), exp.coefficient(q)
             ).is_zero
     eom = derived_eom(model)
-    for label, value in eom.coordinates():
+    for label, value in eom.items():
         gen = model.ring.gen(("u" + label[1:]) if label[0] == "x" else label)
         want = exact_oracle.bracket_fraction(ps, ham, Fraction(gen))
         if label[0] == "x":

@@ -34,6 +34,7 @@ from bilax.toda_models import (
     closed_form_eom,
     parameter_constant_difference,
     sl2_casimir,
+    state_names,
     theta_absorbed_hamiltonian,
 )
 
@@ -143,10 +144,17 @@ def test_dn_flow_matrix_m1_quadratic_entry(dn2):
 def test_closed_form_eom_matches_brackets(bcn1, bcn2, bcn3, dn2, dn3):
     for m in (bcn1, bcn2, bcn3, dn2, dn3):
         pe, de = closed_form_eom(m), derived_eom(m)
-        for j, v in pe.xdot.items():
-            assert (v - de.xdot[j]).is_zero
-        for j, v in pe.momentum_dot.items():
-            assert (v - de.momentum_dot[j]).is_zero
+        for name, v in pe.items():
+            assert (v - de[name]).is_zero
+
+
+def test_eom_are_keyed_by_the_state_names(bcn1, bcn2, bcn3, dn2, dn3):
+    for m in (bcn1, bcn2, bcn3, dn2, dn3):
+        assert list(derived_eom(m)) == state_names(m)
+        assert set(closed_form_eom(m)) <= set(state_names(m))
+    assert state_names(dn2) == ["x1", "x2", "X1", "X2", "E", "F", "H"]
+    assert sorted(closed_form_eom(dn3)) == ["X3", "x2", "x3"]
+    assert sorted(closed_form_eom(bcn2)) == ["X1", "X2", "x1", "x2"]
 
 
 def test_bcn_boundary_eom_values(bcn2):
@@ -154,16 +162,16 @@ def test_bcn_boundary_eom_values(bcn2):
     pe = closed_form_eom(bcn2)
     u1, u2, x1 = ring.gen("u1"), ring.gen("u2"), ring.gen("X1")
     th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
-    assert pe.xdot[1] == Fraction(x1 + th1 * u1)
+    assert pe["x1"] == Fraction(x1 + th1 * u1)
     want = u2 * u1 ** -1 - a1 * u1 - b1 * u1 ** 2 - th1 * x1 * u1
-    assert pe.momentum_dot[1] == Fraction(want)
+    assert pe["X1"] == Fraction(want)
 
 
 def test_bcn_bulk_eom(bcn3):
     ring = bcn3.ring
     pe = closed_form_eom(bcn3)
     u1, u2, u3 = ring.gen("u1"), ring.gen("u2"), ring.gen("u3")
-    assert pe.momentum_dot[2] == Fraction(u3 * u2 ** -1 - u2 * u1 ** -1)
+    assert pe["X2"] == Fraction(u3 * u2 ** -1 - u2 * u1 ** -1)
 
 
 def test_dn_f_flow_relation(dn2):
@@ -282,15 +290,30 @@ def test_dn_second_order_boundary_equation(dn2, dn3):
         assert resid.is_zero
 
 
+def bc_x0_reading(elim, v, exp_x1):
+    """e^{-x0} = u2/c0^2 + (V^2 - c1) exp_x1 / (c0^2 - e^{2 xt_1}), with
+    exp_x1 in the second numerator."""
+    ring = v.ring
+    c0, c1 = ring.gen("c0"), ring.gen("c1")
+    c0sq = Fraction(c0 * c0)
+    return Fraction(ring.gen("u2")) / c0sq + (v * v - Fraction(c1)) * exp_x1 / (
+        c0sq - elim.xtilde * elim.xtilde
+    )
+
+
 def test_dn_x0_printed_reading_fails(dn2):
-    # documents that the literal e^{x1} numerator does not close the identity
+    # documents that the literal e^{x1} numerator does not close the identity,
+    # while the tilde reading that bc_x0 implements does
     ring = dn2.ring
     elim = dn_boundary_elimination(dn2)
     v = dn_xtilde_velocity(dn2)
     acc = dn_second_derivative(dn2, v).substitute(elim.on_shell)
     v_on = v.substitute(elim.on_shell)
     u2 = ring.gen("u2")
-    resid = acc - Fraction(u2) / elim.xtilde + elim.xtilde * elim.bc_x0_as_printed(v_on)
+    tilde, implemented = bc_x0_reading(elim, v_on, elim.xtilde), elim.bc_x0(v_on)
+    assert tilde == implemented and str(tilde) == str(implemented)
+    printed = bc_x0_reading(elim, v_on, Fraction(ring.gen("u1")))
+    resid = acc - Fraction(u2) / elim.xtilde + elim.xtilde * printed
     assert not resid.is_zero
 
 
