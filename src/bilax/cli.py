@@ -27,7 +27,6 @@ from .double_row import (
     verify_corollary,
 )
 from .phase_ring import StructureError
-from .spectral_matrix import rational_r_builder
 from .structure_checks import (
     RelationReport,
     check_cybe,
@@ -93,7 +92,7 @@ def _closed_form_comparison(model):
 
 def _verify_reports(model) -> list:
     ring, ps, d = model.ring, model.ps, model.derivation
-    rb = rational_r_builder(ring)
+    rb = d.r_builder
     offsite = (1, 2) if model.N >= 2 else (1, 1)
 
     # b(lam), its expansion and H first; every later check reads them, and
@@ -106,7 +105,7 @@ def _verify_reports(model) -> list:
     nondynamical = {"kminus": model.km, "kplus": model.kp} if bcn else {"kplus": model.kp}
     reports = [
         check_cybe(rb, ring),
-        check_rll(model.lax, rb, ps, site=1, offsite=offsite),
+        check_rll(model.lax, rb, ps, offsite=offsite),
         check_k_locality(model.km, model.kp, model.lax, ps),
         check_reflection_minus(model.km, rb, ps),
         check_reflection_plus(model.kp, rb, ps),
@@ -160,7 +159,7 @@ def cmd_derive(args) -> int:
     model = _build_model(args)
     ham, diff, flows = _closed_form_comparison(model)
     print("model %s N=%d" % (model.name, model.N))
-    print("transfer powers: %s" % expansion(model).powers())
+    print("transfer powers: %s" % list(expansion(model)))
     print("H = %s" % ham)
     if getattr(args, "params", None):
         exact = {name: PyFraction(str(v)) for name, v in model.params.items()}

@@ -53,6 +53,14 @@ from .structure_checks import RelationReport, matrix_report, merge_reports
 # Hamiltonian extraction recipes
 
 
+def _coefficient(exp: dict, p: int) -> Fraction:
+    """The lam^p coefficient of an expansion ``{power: coefficient}``."""
+    c = exp.get(p)
+    if c is None:
+        raise StructureError("expansion has no lam^%d coefficient" % p)
+    return c
+
+
 @dataclass(frozen=True)
 class ScaledCoefficient:
     """H = scalar * coeff(lam^power); flow matrix = scalar * M^(power)."""
@@ -60,13 +68,13 @@ class ScaledCoefficient:
     power: int
     scalar: object
 
-    def hamiltonian(self, exp: "TransferExpansion") -> Fraction:
-        return exp.coefficient(self.power, required=True) * as_fraction(
-            exp.ring, self.scalar
-        )
+    def hamiltonian(self, exp: dict) -> Fraction:
+        c = _coefficient(exp, self.power)
+        return c * as_fraction(c.ring, self.scalar)
 
-    def flow_entry(self, series, exp: "TransferExpansion") -> Fraction:
-        return series(self.power) * as_fraction(exp.ring, self.scalar)
+    def flow_entry(self, series, exp: dict) -> Fraction:
+        m = series(self.power)
+        return m * as_fraction(m.ring, self.scalar)
 
 
 @dataclass(frozen=True)
@@ -77,63 +85,29 @@ class RatioRecipe:
     den_power: int
     scalar: object
 
-    def hamiltonian(self, exp: "TransferExpansion") -> Fraction:
-        ha = exp.coefficient(self.num_power, required=True)
-        hb = exp.coefficient(self.den_power, required=True)
-        if hb.is_zero:
-            raise StructureError(
-                "zero denominator coefficient lam^%d" % self.den_power
-            )
-        return (ha / hb) * as_fraction(exp.ring, self.scalar)
+    def hamiltonian(self, exp: dict) -> Fraction:
+        ha = _coefficient(exp, self.num_power)
+        hb = _coefficient(exp, self.den_power)
+        return (ha / hb) * as_fraction(ha.ring, self.scalar)
 
-    def flow_entry(self, series, exp: "TransferExpansion") -> Fraction:
-        ha = exp.coefficient(self.num_power, required=True)
-        hb = exp.coefficient(self.den_power, required=True)
+    def flow_entry(self, series, exp: dict) -> Fraction:
+        ha = _coefficient(exp, self.num_power)
+        hb = _coefficient(exp, self.den_power)
         ma = series(self.num_power)
         mb = series(self.den_power)
-        s = as_fraction(exp.ring, self.scalar)
+        s = as_fraction(ha.ring, self.scalar)
         return s * (ma * hb - ha * mb) / (hb * hb)
 
 
-class TransferExpansion:
-    """Finitely many lam-powers with Fraction coefficients."""
-
-    def __init__(self, ring: PhaseRing, coefficients: dict):
-        self.ring = ring
-        self.coefficients = {
-            p: c for p, c in coefficients.items() if not c.is_zero
-        }
-
-    @classmethod
-    def from_scalar(cls, value: Fraction) -> "TransferExpansion":
-        """Expand a lam-polynomial scalar (denominator must be lam-free)."""
-        ring = value.ring
-        for el, _ in value.den_factors:
-            if el.involves("lam"):
-                raise StructureError(
-                    "transfer scalar has a lam-dependent denominator"
-                )
-        den = value.den
-        coeffs = {}
-        for p in range(value.num.degree_in("lam") + 1):
-            c = value.num.coeff_of("lam", p)
-            if not c.is_zero:
-                coeffs[p] = Fraction(c, den)
-        return cls(ring, coeffs)
-
-    def powers(self):
-        return sorted(self.coefficients)
-
-    def coefficient(self, p: int, required: bool = False) -> Fraction:
-        c = self.coefficients.get(p)
-        if c is None:
-            if required:
-                raise StructureError("expansion has no lam^%d coefficient" % p)
-            return Fraction(self.ring.zero)
-        return c
-
-    def degree(self) -> int:
-        return max(self.coefficients, default=0)
+def expand(value: Fraction) -> dict:
+    """{p: coefficient of lam^p} of a lam-polynomial scalar, powers
+    ascending and zeros left out; the denominator must be lam-free."""
+    for el, _ in value.den_factors:
+        if el.involves("lam"):
+            raise StructureError("transfer scalar has a lam-dependent denominator")
+    num, den = value.num, value.den
+    coeffs = ((p, num.coeff_of("lam", p)) for p in range(num.degree_in("lam") + 1))
+    return {p: Fraction(c, den) for p, c in coeffs if not c.is_zero}
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +222,9 @@ class Derivation:
         return self.chain(1)[2].trace()
 
     @cached_property
-    def expansion(self) -> TransferExpansion:
-        return TransferExpansion.from_scalar(self.b)
+    def expansion(self) -> dict:
+        """{p: coefficient of lam^p} of b(lam), powers ascending."""
+        return expand(self.b)
 
     @cached_property
     def hamiltonian(self) -> Fraction:
@@ -365,7 +340,7 @@ def double_row_transfer(lax, km, kp, N: int, arg: RingElement) -> Fraction:
     return Derivation(lax, km, kp, N, arg).b
 
 
-def transfer_expansion(lax, km, kp, N: int, ring: PhaseRing) -> TransferExpansion:
+def transfer_expansion(lax, km, kp, N: int, ring: PhaseRing) -> dict:
     return Derivation(lax, km, kp, N, lam(ring)).expansion
 
 
@@ -438,7 +413,7 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
     return result
 
 
-def extract_M(m_lam_mu: SpectralMatrix, exp: TransferExpansion, recipe) -> SpectralMatrix:
+def extract_M(m_lam_mu: SpectralMatrix, exp: dict, recipe) -> SpectralMatrix:
     """Flow matrix paired with the recipe's Hamiltonian.
 
     Entrywise lam-series coefficients of the generating matrix, combined
@@ -461,9 +436,9 @@ def scalar_report(name: str, value: Fraction) -> RelationReport:
     return RelationReport(name, [] if value.is_zero else [("scalar", str(value))])
 
 
-def transfer_commutator(ps, exp: TransferExpansion) -> Fraction:
-    """{s(lam), s(mu)} from the lam-coefficients s_p of the expansion of a
-    transfer scalar s, such as b or t.
+def transfer_commutator(ps, exp: dict) -> Fraction:
+    """{s(lam), s(mu)} from the lam-coefficients s_p of the expansion
+    ``{p: s_p}`` of a transfer scalar s, such as b or t.
 
     The expansion exists only when s is polynomial in lam (a lam-free
     denominator), and then
@@ -473,11 +448,11 @@ def transfer_commutator(ps, exp: TransferExpansion) -> Fraction:
     """
     ring = ps.ring
     l_, m_ = lam(ring), mu(ring)
-    powers = exp.powers()
+    items = list(exp.items())
     out = Fraction(ring.zero)
-    for i, p in enumerate(powers):
-        for q in powers[i + 1:]:
-            c = ps.bracket_fraction(exp.coefficient(p), exp.coefficient(q))
+    for i, (p, sp) in enumerate(items):
+        for q, sq in items[i + 1:]:
+            c = ps.bracket_fraction(sp, sq)
             if not c.is_zero:
                 out = out + c * Fraction(l_ ** p * m_ ** q - l_ ** q * m_ ** p)
     return out
@@ -491,17 +466,15 @@ def check_transfer_commutation(ps, d: Derivation) -> RelationReport:
 def check_single_row_commutation(ps, d: Derivation) -> RelationReport:
     """{t(lam), t(mu)} = 0 for the single-row transfer t = tr L(N, 1),
     decided coefficient by coefficient in lam like bb_commute."""
-    return scalar_report(
-        "tt_commute", transfer_commutator(ps, TransferExpansion.from_scalar(d.t))
-    )
+    return scalar_report("tt_commute", transfer_commutator(ps, expand(d.t)))
 
 
 def check_involution(ps, d: Derivation) -> RelationReport:
     """The extracted Hamiltonian commutes with every expansion coefficient."""
-    ham, exp = d.hamiltonian, d.expansion
+    ham = d.hamiltonian
     residual = []
-    for p in exp.powers():
-        r = ps.bracket_fraction(ham, exp.coefficient(p))
+    for p, c in d.expansion.items():
+        r = ps.bracket_fraction(ham, c)
         if not r.is_zero:
             residual.append(("lam^%d" % p, str(r)))
     return RelationReport("involution", residual)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .double_row import zero_curvature_terms
-from .phase_ring import Fraction, RingElement, StructureError
+from .phase_ring import Fraction, RingElement, StructureError, casimir
 from .spectral_matrix import bracket_scalar_matrix, mu
 from .toda_models import (
     ModelSpec,
@@ -50,7 +50,6 @@ from .toda_models import (
     expansion,
     hamiltonian,
     model_flow_matrix,
-    sl2_casimir,
     state_names,
 )
 
@@ -438,14 +437,12 @@ def conserved_channels(model: ModelSpec, traj: Trajectory) -> dict:
             model, "compiled_fshift", lambda: ring.gen("F") - ring.gen("u1")
         )(v)
         traj.min_abs_f_minus_ex1 = float(np.min(np.abs(fshift)))
-        cas_fn = _compiled(model, "compiled_casimir", lambda: sl2_casimir(model))
+        cas_fn = _compiled(model, "compiled_casimir", lambda: casimir(model.ps))
         channels["casimir_drift"] = _relative_drift(cas_fn(v))
         channels["f_minus_ex1_drift"] = _relative_drift(fshift)
     ham_fn = _compiled(model, "compiled_hamiltonian", lambda: hamiltonian(model))
     channels["H_drift"] = _relative_drift(ham_fn(v))
-    exp = expansion(model)
-    for p in exp.powers():
-        c = exp.coefficient(p)
+    for p, c in expansion(model).items():
         if c.num.is_parameter_constant():
             continue
         fn = _compiled(model, ("compiled_coeff", p), lambda c=c: c)

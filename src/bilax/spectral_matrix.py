@@ -3,8 +3,9 @@
 The auxiliary space is two-dimensional; tensor-square objects are 4x4 with
 the a-leg first: row ``2*i + k`` / column ``2*j + l`` holds the ((i,k),(j,l))
 component, i.e. ``kron(m, n)[(i,k),(j,l)] = m[i,j] * n[k,l]``.  ``legs`` is
-the one decoder of that layout.  The 8x8 triple-tensor objects of the
-Yang-Baxter check are ``kron`` with the identity, and r_ac is
+the one decoder of that layout.  A 2x2 m acting on one leg is
+``kron(m, 1)`` or ``kron(1, m)``; the 8x8 triple-tensor objects of the
+Yang-Baxter check are ``kron`` with the identity too, and r_ac is
 ``permute_legs(kron(r, 1), (0, 2, 1))``.
 
 ``contract(r, c)`` is the one partial trace: the entries commute, so
@@ -178,20 +179,6 @@ def kron(m: SpectralMatrix, n: SpectralMatrix) -> SpectralMatrix:
     ])
 
 
-def embed_a(m: SpectralMatrix) -> SpectralMatrix:
-    """m acting on the first tensor factor: m (x) 1."""
-    if m.dim != 2:
-        raise StructureError("embed_a expects a 2x2 matrix")
-    return kron(m, identity(m.ring, 2))
-
-
-def embed_b(m: SpectralMatrix) -> SpectralMatrix:
-    """m acting on the second tensor factor: 1 (x) m."""
-    if m.dim != 2:
-        raise StructureError("embed_b expects a 2x2 matrix")
-    return kron(identity(m.ring, 2), m)
-
-
 def permutation(ring: PhaseRing) -> SpectralMatrix:
     """P with P (m (x) n) P = n (x) m and P^2 = 1: entry ((i,k),(j,l)) is 1
     iff (i,k) = (l,j)."""
@@ -238,16 +225,17 @@ def permute_legs(m: SpectralMatrix, order) -> SpectralMatrix:
     return SpectralMatrix(m.ring, [[m.rows[r][c] for c in source] for r in source])
 
 
-def rational_r(ring: PhaseRing, arg: RingElement) -> SpectralMatrix:
-    """The rational classical r-matrix P/arg (arg = lam - mu, lam + mu, ...)."""
-    return permutation(ring).map_entries(
-        lambda e: e / Fraction(arg) if not e.is_zero else e
-    )
-
-
 def rational_r_builder(ring: PhaseRing):
-    """Callable arg -> P/arg, the form consumed by relation checkers."""
-    return lambda arg: rational_r(ring, arg)
+    """Callable arg -> P/arg, the rational classical r-matrix (arg = lam - mu,
+    lam + mu, ...) in the form relation checks consume.  P is built once;
+    each call puts one 1/arg at its four unit entries."""
+    p = permutation(ring).rows
+
+    def r(arg: RingElement) -> SpectralMatrix:
+        unit = Fraction(ring.one, arg)
+        return SpectralMatrix(ring, [[e if e.is_zero else unit for e in row] for row in p])
+
+    return r
 
 
 def tensor_bracket(

@@ -19,8 +19,6 @@ from .phase_ring import PoissonStructure
 from .spectral_matrix import (
     SpectralMatrix,
     commutator,
-    embed_a,
-    embed_b,
     identity,
     kron,
     lam,
@@ -107,18 +105,18 @@ def check_cybe(r_builder, ring) -> RelationReport:
     return matrix_report("cybe", resid)
 
 
-def check_rll(lax, r_builder, ps: PoissonStructure, site: int = 1, offsite=(1, 2)) -> RelationReport:
+def check_rll(lax, r_builder, ps: PoissonStructure, offsite=(1, 2)) -> RelationReport:
     """Ultralocal quadratic algebra of the site Lax matrix.
 
-    On-site: {l_a(j,lam), l_b(j,mu)} = [r_ab(lam-mu), l_a l_b];
-    off-site: the bracket between distinct sites vanishes.
+    On-site, at site 1: {l_a(1,lam), l_b(1,mu)} = [r_ab(lam-mu), l_a l_b];
+    off-site: the bracket between the distinct sites ``offsite`` vanishes.
     """
     ring = ps.ring
     lm, m_ = lam(ring), mu(ring)
-    la = lax(site, lm)
-    lb = lax(site, m_)
+    la = lax(1, lm)
+    lb = lax(1, m_)
     lhs = tensor_bracket(ps, la, lb)
-    rhs = commutator(r_builder(lm - m_), embed_a(la) @ embed_b(lb))
+    rhs = commutator(r_builder(lm - m_), kron(la, lb))
     onsite = matrix_report("rll", lhs - rhs, prefix="site ")
     j, k = offsite
     if j != k:
@@ -132,7 +130,8 @@ def _check_reflection(name, k_builder, r_builder, ps) -> RelationReport:
     ring = ps.ring
     lm, m_ = lam(ring), mu(ring)
     kl, km_ = k_builder(lm), k_builder(m_)
-    ka, kb = embed_a(kl), embed_b(km_)
+    one = identity(ring, 2)
+    ka, kb = kron(kl, one), kron(one, km_)
     r1 = r_builder(lm - m_)
     r2 = r_builder(lm + m_)
     r1s, r2s = permute_legs(r1, (1, 0)), permute_legs(r2, (1, 0))
@@ -161,11 +160,11 @@ def check_nondynamical(k_builder, ps) -> RelationReport:
     return matrix_report("nondynamical", resid)
 
 
-def check_k_locality(km_builder, kp_builder, lax, ps, site: int = 1) -> RelationReport:
-    """{k^-, k^+} = 0 and {k^pm, l(j)} = 0."""
+def check_k_locality(km_builder, kp_builder, lax, ps) -> RelationReport:
+    """{k^-, k^+} = 0 and {k^pm, l(1)} = 0."""
     ring = ps.ring
     lm, m_ = lam(ring), mu(ring)
-    l_site = functools.partial(lax, site)
+    l_site = functools.partial(lax, 1)
     reports = [
         matrix_report("k_locality", tensor_bracket(ps, a(lm), b(m_)), prefix=prefix)
         for prefix, a, b in (

@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .backend import QQ
-from .double_row import (
-    Derivation,
-    RatioRecipe,
-    ScaledCoefficient,
-    TransferExpansion,
-)
+from .double_row import Derivation, RatioRecipe, ScaledCoefficient, _memo
 from .phase_ring import (
     Fraction,
     Generator,
@@ -35,7 +30,6 @@ from .phase_ring import (
     RingElement,
     StructureError,
     as_fraction,
-    casimir,
     exact_divide,
 )
 from .spectral_matrix import SpectralMatrix, identity, lam, matrix, mu
@@ -80,9 +74,7 @@ class ModelSpec:
         ))
 
     def cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        return _memo(self._cache, key, build)
 
 
 def toda_ring(N: int, dynamical: bool = False) -> PhaseRing:
@@ -193,7 +185,7 @@ def model_from_config(cfg: dict) -> ModelSpec:
 # readers of the model's derivation
 
 
-def expansion(model: ModelSpec) -> TransferExpansion:
+def expansion(model: ModelSpec) -> dict:
     return model.derivation.expansion
 
 
@@ -399,24 +391,14 @@ def parameter_constant_difference(f, g):
 # canonical change of variables (bcn) and the shifted-matrix convention
 
 
-@dataclass
-class CanonicalMap:
-    """X_1 -> X_1 - th1*u_1, X_N -> X_N - thN/u_N (x_j fixed).
+def canonical_map_bcn(model: ModelSpec) -> dict:
+    """X_1 -> X_1 - th1*u_1, X_N -> X_N - thN/u_N (x_j fixed), the mapping
+    for ``substitute``.
 
-    This is the inverse image substitution: applying it to an expression
-    rewrites it in the tilde variables Xt_1 = X_1 + th1*u_1,
+    This is the inverse image substitution: substituting it into an
+    expression rewrites it in the tilde variables Xt_1 = X_1 + th1*u_1,
     Xt_N = X_N + thN/u_N, which are canonical.
     """
-
-    substitution: dict
-
-    def apply(self, value):
-        if isinstance(value, SpectralMatrix):
-            return value.substitute(self.substitution)
-        return as_fraction(value.ring, value).substitute(self.substitution)
-
-
-def canonical_map_bcn(model: ModelSpec) -> CanonicalMap:
     if model.name != "bcn":
         raise StructureError("canonical map applies to the bcn model")
     ring = model.ring
@@ -427,7 +409,7 @@ def canonical_map_bcn(model: ModelSpec) -> CanonicalMap:
         sub = {"X1": x1 - th1 * u1 - thn * u1 ** -1}
     else:
         sub = {"X1": x1 - th1 * u1, "X%d" % model.N: xn - thn * un ** -1}
-    return CanonicalMap(sub)
+    return sub
 
 
 def theta_absorbed_hamiltonian(model: ModelSpec) -> Fraction:
@@ -446,7 +428,7 @@ def ks_convention_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
     """M(j, mu) - mu/2 * 1, rewritten in the tilde variables."""
     ring = model.ring
     shift = identity(ring, 2) * as_fraction(ring, -(mu(ring) * HALF))
-    return canonical_map_bcn(model).apply(model_flow_matrix(model, j) + shift)
+    return (model_flow_matrix(model, j) + shift).substitute(canonical_map_bcn(model))
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +489,13 @@ def dn_xtilde_velocity(model: ModelSpec) -> Fraction:
     return xdot1 * Fraction(c0, c0 + u1)
 
 
-def dn_second_derivative(model: ModelSpec, value: Fraction) -> Fraction:
-    """Apply the flow derivative {H, .} to an off-shell expression."""
-    return model.ps.bracket_fraction(hamiltonian(model), value)
-
-
 def dn_x0_relation(model: ModelSpec) -> Fraction:
     """Off-shell residual xtdd_1 - (e^{x2 - xt1} - e^{xt1 - x0}) of the
     second-order boundary relation, with x0 eliminated through bc_x0; it
     vanishes on the level sets fixed by c0 and c1."""
     elim = dn_boundary_elimination(model)
     v = dn_xtilde_velocity(model)
-    acc = dn_second_derivative(model, v)
+    acc = model.ps.bracket_fraction(hamiltonian(model), v)
     x2_term = Fraction(model.ring.gen("u2")) / elim.xtilde
     return acc - x2_term + elim.xtilde * elim.bc_x0(v)
 
-
-def sl2_casimir(model: ModelSpec) -> RingElement:
-    return casimir(model.ps)

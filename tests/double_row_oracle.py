@@ -5,8 +5,8 @@ These are the one-shot constructions the package used before its
 both 4x4 r-insertion products, the single-row matrix is rebuilt from two
 fresh monodromies per call, and {b(lam), b(mu)} and {t(lam), t(mu)} are
 each one bivariate bracket.
-The partial trace and the leg swap are the reference ones of
-``exact_oracle``.
+The partial trace, the leg swap, the embedding and the r-matrix P/arg are
+the reference ones of ``exact_oracle``.
 The differential tests compare the derivation's memoised matrices, its
 single-row matrices and its coefficient-wise commutation checks against
 them.
@@ -30,14 +30,8 @@ from bilax.backend import kernel as K
 from bilax.double_row import monodromy, scalar_report
 from bilax.kernel import canon, quo
 from bilax.phase_ring import Fraction, RingElement, StructureError
-from bilax.spectral_matrix import (
-    embed_a,
-    inverse_2x2,
-    lam,
-    mu,
-    rational_r_builder,
-)
-from exact_oracle import partial_trace_a, swap_legs
+from bilax.spectral_matrix import inverse_2x2, lam, mu
+from exact_oracle import embed_a, partial_trace_a, rational_r, swap_legs
 
 
 def double_row_transfer(lax, km, kp, N, arg):
@@ -70,7 +64,7 @@ def boundary_M(lax, km, kp, N, j, lam_expr, mu_expr, r_builder=None):
     if not 1 <= j <= N + 1:
         raise StructureError("site index %d out of range 1..%d" % (j, N + 1))
     if r_builder is None:
-        r_builder = rational_r_builder(ring)
+        r_builder = lambda arg: rational_r(ring, arg)
     r_ab = r_builder(lam_expr - mu_expr)
     r_ba = swap_legs(r_builder(lam_expr + mu_expr))
     a1, b1, a2, b2 = mu_free_factors(lax, km, kp, N, j, lam_expr)
@@ -85,7 +79,7 @@ def sts_matrix(lax, N, j, lam_expr, mu_expr, r_builder=None):
     if not 1 <= j <= N + 1:
         raise StructureError("site index %d out of range 1..%d" % (j, N + 1))
     if r_builder is None:
-        r_builder = rational_r_builder(ring)
+        r_builder = lambda arg: rational_r(ring, arg)
     left = monodromy(lax, N, j, lam_expr)
     right = monodromy(lax, j - 1, 1, lam_expr)
     r_ab = r_builder(lam_expr - mu_expr)

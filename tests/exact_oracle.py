@@ -22,11 +22,25 @@ own former leg decoders, each with its own index arithmetic: the
 triple-tensor embedding by binary digits, the leg swap by (i,k) <-> (k,i)
 and the residual label by division and remainder.  The package now reads
 every leg layout through ``spectral_matrix.legs``.
+
+``rational_r``, ``embed_a``, ``embed_b`` and ``from_scalar`` are the
+package's former pass-through layers: P/arg with P rebuilt and every unit
+entry divided on each call, m (x) 1 and 1 (x) m as their own functions, and
+the lam-expansion of a transfer scalar as the ``TransferExpansion`` class
+built it (returned here as its coefficient dict).  The package now builds P
+once per r-builder, calls ``kron`` directly and reads ``double_row.expand``.
 """
 
 from bilax.backend import kernel as K
-from bilax.phase_ring import Fraction, RingElement, StructureError, _factor_add, as_fraction
-from bilax.spectral_matrix import SpectralMatrix, embed_a, permutation
+from bilax.phase_ring import (
+    Fraction,
+    PhaseRing,
+    RingElement,
+    StructureError,
+    _factor_add,
+    as_fraction,
+)
+from bilax.spectral_matrix import SpectralMatrix, identity, kron, permutation
 
 
 def matmul(a, b):
@@ -190,3 +204,40 @@ def tensor_index(dim: int, i: int, j: int) -> str:
         (j // 2) % 2 + 1,
         j % 2 + 1,
     )
+
+
+def rational_r(ring: PhaseRing, arg: RingElement) -> SpectralMatrix:
+    """The rational classical r-matrix P/arg (arg = lam - mu, lam + mu, ...)."""
+    return permutation(ring).map_entries(
+        lambda e: e / Fraction(arg) if not e.is_zero else e
+    )
+
+
+def embed_a(m: SpectralMatrix) -> SpectralMatrix:
+    """m acting on the first tensor factor: m (x) 1."""
+    if m.dim != 2:
+        raise StructureError("embed_a expects a 2x2 matrix")
+    return kron(m, identity(m.ring, 2))
+
+
+def embed_b(m: SpectralMatrix) -> SpectralMatrix:
+    """m acting on the second tensor factor: 1 (x) m."""
+    if m.dim != 2:
+        raise StructureError("embed_b expects a 2x2 matrix")
+    return kron(identity(m.ring, 2), m)
+
+
+def from_scalar(value: Fraction) -> dict:
+    """Expand a lam-polynomial scalar (denominator must be lam-free)."""
+    for el, _ in value.den_factors:
+        if el.involves("lam"):
+            raise StructureError(
+                "transfer scalar has a lam-dependent denominator"
+            )
+    den = value.den
+    coeffs = {}
+    for p in range(value.num.degree_in("lam") + 1):
+        c = value.num.coeff_of("lam", p)
+        if not c.is_zero:
+            coeffs[p] = Fraction(c, den)
+    return {p: c for p, c in coeffs.items() if not c.is_zero}

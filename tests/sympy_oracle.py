@@ -1,0 +1,85 @@
+"""The double-row transfer scalar rebuilt with sympy alone, as a test oracle.
+
+Nothing here imports ``bilax``: the site Lax matrix and both boundary
+matrices are written out as ``sympy.Matrix`` from the model definitions,
+
+    l(j, lam) = [[lam + X_j, -u_j], [1/u_j, 0]]          (u_j = e^{x_j})
+    bcn: k-(lam) = [[th1 lam + a1, lam], [-b1 lam, -th1 lam + a1]],
+         k+(lam) = [[thN lam + aN, bN lam], [-lam, -thN lam + aN]]
+    dn:  k-(lam) = [[lam/2 - H, F], [E, lam/2 + H]],  k+ = [[0, 0], [-1, 0]]
+
+and b(lam) = tr(k+ L(lam) k- L(-lam)^{-1}) with L(lam) = l(N) ... l(1)
+is formed by sympy's own matrix product, inverse and cancellation.  Its
+lam-coefficients are read off the polynomial in lam, so a power whose
+coefficient cancels is absent, as in the package's expansion.  The symbols
+carry the package's generator names, so ``to_sympy`` converts a package
+element (or Fraction) to the same sympy expression by name, reading only
+its monomials.
+"""
+
+import sympy
+
+LAM = sympy.Symbol("lam")
+
+
+def sym(name):
+    return sympy.Symbol(name)
+
+
+def site_lax(j, arg):
+    u, x = sym("u%d" % j), sym("X%d" % j)
+    return sympy.Matrix([[arg + x, -u], [1 / u, 0]])
+
+
+def boundary(model, arg):
+    """(k-(arg), k+(arg)) of ``model``, "bcn" or "dn"."""
+    if model == "bcn":
+        th1, a1, b1 = sym("th1"), sym("a1"), sym("b1")
+        thn, an, bn = sym("thN"), sym("aN"), sym("bN")
+        km = sympy.Matrix([[th1 * arg + a1, arg], [-b1 * arg, -th1 * arg + a1]])
+        kp = sympy.Matrix([[thn * arg + an, bn * arg], [-arg, -thn * arg + an]])
+        return km, kp
+    E, F, H = sym("E"), sym("F"), sym("H")
+    km = sympy.Matrix([[arg / 2 - H, F], [E, arg / 2 + H]])
+    return km, sympy.Matrix([[0, 0], [-1, 0]])
+
+
+def monodromy(n, arg):
+    """L(arg) = l(n, arg) ... l(1, arg)."""
+    out = sympy.eye(2)
+    for j in range(n, 0, -1):
+        out = out * site_lax(j, arg)
+    return out
+
+
+def transfer_scalar(model, n):
+    """b(lam) = tr(k+ L(lam) k- L(-lam)^{-1}), cancelled."""
+    km, kp = boundary(model, LAM)
+    b = (kp * monodromy(n, LAM) * km * monodromy(n, -LAM).inv()).trace()
+    return sympy.cancel(sympy.together(b))
+
+
+def expansion(model, n):
+    """{p: coefficient of lam^p} of b(lam), powers ascending, zeros absent;
+    b must be a polynomial in lam over a lam-free denominator."""
+    num, den = sympy.fraction(transfer_scalar(model, n))
+    if den.has(LAM):
+        raise ValueError("b(lam) has a lam-dependent denominator")
+    poly = sympy.Poly(num, LAM)
+    coeffs = {p: sympy.cancel(c / den) for (p,), c in poly.terms()}
+    return {p: coeffs[p] for p in sorted(coeffs) if coeffs[p] != 0}
+
+
+def to_sympy(value):
+    """A package RingElement, or a Fraction as num/den, as a sympy
+    expression over symbols named like the ring's generators."""
+    if hasattr(value, "den"):
+        return to_sympy(value.num) / to_sympy(value.den)
+    symbols = [sym(name) for name in value.ring.names]
+    out = sympy.Integer(0)
+    for exps, c in value.monomials():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, e in zip(symbols, exps):
+            term *= s ** e
+        out += term
+    return out

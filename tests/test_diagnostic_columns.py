@@ -31,7 +31,7 @@ from bilax.dynamics import (
     state_columns,
     zero_curvature_residual,
 )
-from bilax.phase_ring import Fraction
+from bilax.phase_ring import Fraction, casimir
 from bilax.spectral_matrix import bracket_scalar_matrix, mu
 from bilax.toda_models import (
     build_bcn,
@@ -40,7 +40,6 @@ from bilax.toda_models import (
     expansion,
     hamiltonian,
     model_flow_matrix,
-    sl2_casimir,
 )
 
 import emitter_oracle
@@ -63,13 +62,11 @@ def _diagnostic_expressions(model):
     m_ = mu(ring)
     ham = hamiltonian(model)
     exprs = {"H": ham}
-    exp = expansion(model)
-    for p in exp.powers():
-        c = exp.coefficient(p)
+    for p, c in expansion(model).items():
         if not c.num.is_parameter_constant():
             exprs["H%d" % p] = c
     if model.name == "dn":
-        exprs["casimir"] = sl2_casimir(model)
+        exprs["casimir"] = casimir(ps)
         exprs["F-u1"] = ring.gen("F") - ring.gen("u1")
         exprs["x0"] = dn_x0_relation(model)
     matrices = {"M%d" % j: model_flow_matrix(model, j) for j in range(1, model.N + 2)}

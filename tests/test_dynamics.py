@@ -46,9 +46,9 @@ def test_evaluate_square(bcn1):
 
 
 def test_evaluate_casimir_quarter(dn2):
-    from bilax.toda_models import sl2_casimir
+    from bilax.phase_ring import casimir
 
-    c = sl2_casimir(dn2)
+    c = casimir(dn2.ps)
     point = {"x1": 0.0, "x2": 0.0, "X1": 0.0, "X2": 0.0, "H": 0.5, "E": 1.0, "F": 0.0}
     assert compile_any(Fraction(c))(ring_values(dn2, point)) == 0.25
 

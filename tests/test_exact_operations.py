@@ -22,6 +22,14 @@
   build of the negated numerator and ``x + (-y)``.
 * The Fraction power: ``f ** p`` must equal, in the same three ways, the
   repeated squaring of Fraction products in ``tests/exact_oracle.py``.
+* The former pass-through layers: ``rational_r_builder``, which builds P
+  once, against the former ``rational_r`` (P rebuilt and each unit entry
+  divided per call); ``kron(l_a, l_b)``, which ``check_rll`` commutes with
+  r, against the former ``embed_a(l_a) @ embed_b(l_b)``, for the bcn and dn
+  site Lax matrices and their sign-flip mutants; and ``double_row.expand``
+  against the former ``TransferExpansion.from_scalar`` on b and t of bcn
+  N=1..4 and dn N=2..4 and on a value with a lam-free nontrivial
+  denominator.  All in the same three ways.
 * The coercion rule of ``RingElement`` and ``as_fraction``: for each kind of
   operand the result type, or the exception, is pinned, and an exact result
   must equal the one built from ``ring.const`` of the operand's value.
@@ -37,8 +45,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracle as oracle
-from bilax import structure_checks
+from bilax import spectral_matrix, structure_checks
 from bilax.backend import kernel as K
+from bilax.double_row import expand
 from bilax.phase_ring import Fraction, Kind, RingElement, StructureError, as_fraction, dot
 from bilax.spectral_matrix import (
     contract,
@@ -51,8 +60,14 @@ from bilax.spectral_matrix import (
     rational_r_builder,
     zeros,
 )
-from bilax.structure_checks import _tensor_index, check_cybe, flip_entry
-from bilax.toda_models import build_bcn
+from bilax.structure_checks import (
+    _tensor_index,
+    check_cybe,
+    check_rll,
+    flip_entry,
+    flip_lax_entry,
+)
+from bilax.toda_models import build_bcn, build_dn
 from mutations import nonzero_positions
 
 RING = build_bcn(1).ring
@@ -301,6 +316,69 @@ def test_leg_operations_by_hand():
         ["4", "6", "5", "7"],
         ["12", "14", "13", "15"],
     ]
+
+
+# ---------------------------------------------------------------------------
+# the former pass-through layers
+
+
+def test_rational_r_builder_matches_the_former_rational_r():
+    rb = rational_r_builder(RING)
+    for arg in (LAM - MU, LAM + MU, LAM - NU, MU - NU, 3 * MU, LAM + 1, RING.gen("X1")):
+        assert_same(rb(arg), oracle.rational_r(RING, arg))
+
+
+def test_rational_r_builder_builds_p_once(monkeypatch):
+    calls = []
+    build = spectral_matrix.permutation
+    monkeypatch.setattr(
+        spectral_matrix, "permutation", lambda ring: calls.append(ring) or build(ring)
+    )
+    rb = rational_r_builder(RING)
+    for arg in (LAM - MU, LAM + MU, MU - NU):
+        rb(arg)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["bcn2", "dn2"])
+def test_rll_product_matches_the_former_embedded_product(request, monkeypatch, name):
+    model = request.getfixturevalue(name)
+    ring = model.ring
+    l_, m_ = lam(ring), mu(ring)
+    laxes = [model.lax] + [
+        flip_lax_entry(model.lax, i, j) for i, j in nonzero_positions(model.lax(1, l_))
+    ]
+    assert len(laxes) == 4
+    seen = []
+    monkeypatch.setattr(
+        structure_checks, "commutator", lambda r, lalb: seen.append(lalb) or zeros(ring, 4)
+    )
+    for lax in laxes:
+        check_rll(lax, rational_r_builder(ring), model.ps)
+        la, lb = lax(1, l_), lax(1, m_)
+        assert_same(seen.pop(), oracle.embed_a(la) @ oracle.embed_b(lb))
+
+
+@pytest.mark.parametrize(
+    "name,n", [("bcn", n) for n in range(1, 5)] + [("dn", n) for n in range(2, 5)], ids=str
+)
+def test_expand_matches_the_former_transfer_expansion(name, n):
+    d = (build_bcn(n) if name == "bcn" else build_dn(n)).derivation
+    for value in (d.b, d.t):
+        got, want = expand(value), oracle.from_scalar(value)
+        assert list(got) == list(want)
+        for p in want:
+            assert_same_fraction(got[p], want[p])
+
+
+def test_expand_keeps_a_lam_free_denominator():
+    u1, x1 = RING.gen("u1"), RING.gen("X1")
+    value = Fraction(LAM ** 3 * x1 - LAM * 2 + u1 * x1, x1 * (x1 + u1 * 3))
+    assert value.den_factors
+    got, want = expand(value), oracle.from_scalar(value)
+    assert list(got) == list(want) == [0, 1, 3]
+    for p in want:
+        assert_same_fraction(got[p], want[p])
 
 
 # ---------------------------------------------------------------------------

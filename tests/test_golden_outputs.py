@@ -26,7 +26,6 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -114,14 +113,12 @@ def zc_check_flip_outputs(workdir) -> dict:
 
 def verify_fail_reports(model, rb=None) -> list:
     """str and to_dict of every FAIL report of ``verify``'s checks on model;
-    with rb, the r-matrix of every check and of the derivation is rb."""
-    builder = cli.rational_r_builder
+    with rb, the model's derivation is built with rb, and every check reads
+    its r-matrix from there."""
     if rb is not None:
         model.cached("derivation", lambda: Derivation(
             model.lax, model.km, model.kp, model.N, lam(model.ring), rb, model.recipe))
-        builder = lambda ring: rb
-    with mock.patch.object(cli, "rational_r_builder", builder):
-        reports = cli._verify_reports(model)
+    reports = cli._verify_reports(model)
     return [{"str": str(r), **r.to_dict()} for r in reports if not r.holds]
 
 

@@ -1,4 +1,5 @@
-"""Tensor-space matrix algebra: embeddings, partial traces, r-matrix."""
+"""Tensor-space matrix algebra: embeddings (``kron`` with the identity),
+partial traces, r-matrix."""
 
 import random
 
@@ -9,8 +10,6 @@ from bilax.spectral_matrix import (
     commutator,
     contract,
     det_2x2,
-    embed_a,
-    embed_b,
     identity,
     inverse_2x2,
     kron,
@@ -20,7 +19,7 @@ from bilax.spectral_matrix import (
     partial_trace_a,
     permutation,
     permute_legs,
-    rational_r,
+    rational_r_builder,
     tensor_bracket,
 )
 from bilax.toda_models import build_bcn
@@ -43,35 +42,31 @@ def rand_matrix(ring, rng, dim=2):
 
 
 def test_embed_identity(model):
-    ring = model.ring
-    assert embed_a(identity(ring, 2)) == identity(ring, 4)
-    assert embed_b(identity(ring, 2)) == identity(ring, 4)
+    one = identity(model.ring, 2)
+    assert kron(one, one) == identity(model.ring, 4)
 
 
 def test_embed_factors_commute(model):
     ring = model.ring
+    one = identity(ring, 2)
     rng = random.Random(2)
     m, n = rand_matrix(ring, rng), rand_matrix(ring, rng)
-    assert embed_a(m) @ embed_b(n) == embed_b(n) @ embed_a(m)
-    assert embed_a(m) @ embed_b(n) == kron(m, n)
+    assert kron(m, one) @ kron(one, n) == kron(one, n) @ kron(m, one)
+    assert kron(m, one) @ kron(one, n) == kron(m, n)
 
 
 def test_embed_entries_kronecker_oracle(model):
-    # embed_a(E_12) against the explicit Kronecker product layout
+    # E_12 on the a-leg, kron(E_12, 1), against the explicit Kronecker
+    # product layout
     ring = model.ring
     e12 = matrix(ring, [[ring.zero, ring.one], [ring.zero, ring.zero]])
-    m4 = embed_a(e12)
+    m4 = kron(e12, identity(ring, 2))
     for i in range(2):
         for k in range(2):
             for j in range(2):
                 for l in range(2):
                     want = e12.rows[i][j] * (ring.one if k == l else ring.zero)
                     assert m4.rows[2 * i + k][2 * j + l] == want
-
-
-def test_embed_requires_2x2(model):
-    with pytest.raises(StructureError):
-        embed_a(identity(model.ring, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +118,17 @@ def test_partial_trace_permutation(model):
 def test_partial_trace_pullout(model):
     # tr_a(A_ab B_b C_a) = B tr_a(A_ab C_a) and the left-multiplied variant
     ring = model.ring
+    one = identity(ring, 2)
     rng = random.Random(13)
     for _ in range(5):
         a4 = rand_matrix(ring, rng, dim=4)
         b, c = rand_matrix(ring, rng), rand_matrix(ring, rng)
-        lhs = partial_trace_a(a4 @ embed_b(b) @ embed_a(c))
-        rhs = partial_trace_a(a4 @ embed_a(c)) @ b
+        b_b, c_a = kron(one, b), kron(c, one)
+        lhs = partial_trace_a(a4 @ b_b @ c_a)
+        rhs = partial_trace_a(a4 @ c_a) @ b
         assert lhs == rhs
-        lhs2 = partial_trace_a(embed_b(b) @ a4 @ embed_a(c))
-        assert lhs2 == b @ partial_trace_a(a4 @ embed_a(c))
+        lhs2 = partial_trace_a(b_b @ a4 @ c_a)
+        assert lhs2 == b @ partial_trace_a(a4 @ c_a)
 
 
 def test_trace_a_matches_embedded_product(model):
@@ -150,6 +147,7 @@ def test_trace_a_matches_embedded_product(model):
         Fraction(ring.gen("u2"), l_ + m_),
         Fraction(ring.gen("X2") * 3, (l_ - m_) * (l_ + m_)),
     ]
+    one = identity(ring, 2)
     rng = random.Random(29)
     for _ in range(20):
         a, b = (
@@ -157,7 +155,7 @@ def test_trace_a_matches_embedded_product(model):
             for _ in range(2)
         )
         r = matrix(ring, [[rng.choice(pool) for _ in range(4)] for _ in range(4)])
-        want = partial_trace_a(embed_a(a) @ r @ embed_a(b))
+        want = partial_trace_a(kron(a, one) @ r @ kron(b, one))
         got = contract(r, b @ a)
         assert got == want
         assert str(got) == str(want)
@@ -177,14 +175,15 @@ def test_partial_trace_requires_4x4(model):
 def test_rational_r_is_permutation_over_pole(model):
     ring = model.ring
     arg = lam(ring) - mu(ring)
-    r = rational_r(ring, arg)
+    r = rational_r_builder(ring)(arg)
     assert r * Fraction(arg) == permutation(ring)
 
 
 def test_rational_r_skew_symmetry(model):
     ring = model.ring
     arg = lam(ring) - mu(ring)
-    assert (rational_r(ring, arg) + permute_legs(rational_r(ring, -arg), (1, 0))).is_zero
+    rb = rational_r_builder(ring)
+    assert (rb(arg) + permute_legs(rb(-arg), (1, 0))).is_zero
 
 
 def test_scalar_associativity_cross_multiplied(model):

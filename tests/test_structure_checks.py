@@ -41,7 +41,7 @@ def test_rll_toda(bcn2):
 
 def test_rll_offsite_included(bcn2):
     rep = check_rll(
-        bcn2.lax, rational_r_builder(bcn2.ring), bcn2.ps, site=1, offsite=(1, 2)
+        bcn2.lax, rational_r_builder(bcn2.ring), bcn2.ps, offsite=(1, 2)
     )
     assert rep.holds
 
