@@ -339,10 +339,7 @@ def main(argv=None) -> int:
         args.output = "bilax_%s_N%d.csv" % (args.model, args.N)
     try:
         return args.fn(args)
-    except StructureError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError) as exc:
+    except (StructureError, json.JSONDecodeError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -474,8 +474,7 @@ def _mu_power(samples, k: int) -> np.ndarray:
 
 
 def _frobenius(r: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # a residual past the float range reads inf
-        return np.sqrt(np.sum(r * r, axis=(-2, -1)))
+    return np.sqrt(np.sum(r * r, axis=(-2, -1)))
 
 
 def zero_curvature_residual(
@@ -508,18 +507,21 @@ def zero_curvature_residual(
     columns = state_columns(model, traj.states)
     peaks = [np.zeros(n_t), np.zeros(n_t)]  # site terms, k± terms
     size = -(-n_t // k) or 1
-    for lo in range(0, n_t, size):
-        v = [c[lo:lo + size] if isinstance(c, np.ndarray) else c for c in columns]
-        n, ms = min(size, n_t - lo), {}
-        v[slot] = _mu_power(both, 1)
-        for j, f in flows.items():  # the rows at +mu, then those at -mu
-            ms[j, 1], ms[j, -1] = np.split(f(v, both, np.zeros((2 * k, n, 2, 2))), 2)
-        v[slot] = _mu_power(plus, 1)
-        for i, (x_f, dot_f, left, right) in enumerate(terms):
-            x = x_f(v, plus, np.zeros((k, n, 2, 2)))
-            r = dot_f(v, plus, np.zeros((k, n, 2, 2))) - (ms[left] @ x - x @ ms[right])
-            peak = peaks[int(i >= model.N)][lo:lo + n]
-            np.maximum(peak, np.max(_frobenius(r), axis=0), out=peak)
+    # a product past the float range reads as an inf or nan peak, and the
+    # gate reports it; numpy does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_t, size):
+            v = [c[lo:lo + size] if isinstance(c, np.ndarray) else c for c in columns]
+            n, ms = min(size, n_t - lo), {}
+            v[slot] = _mu_power(both, 1)
+            for j, f in flows.items():  # the rows at +mu, then those at -mu
+                ms[j, 1], ms[j, -1] = np.split(f(v, both, np.zeros((2 * k, n, 2, 2))), 2)
+            v[slot] = _mu_power(plus, 1)
+            for i, (x_f, dot_f, left, right) in enumerate(terms):
+                x = x_f(v, plus, np.zeros((k, n, 2, 2)))
+                r = dot_f(v, plus, np.zeros((k, n, 2, 2))) - (ms[left] @ x - x @ ms[right])
+                peak = peaks[int(i >= model.N)][lo:lo + n]
+                np.maximum(peak, np.max(_frobenius(r), axis=0), out=peak)
     channels = {"zc_residual": peaks[0], "boundary_residual": peaks[1]}
     traj.channels.update(channels)
     return channels

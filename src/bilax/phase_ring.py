@@ -16,12 +16,15 @@ multivariate gcd; equality is decided by cross-multiplication.
 Each operation has one implementation: ``RingElement._coerce`` is the one
 coercion rule (``as_fraction`` uses it too), ``RingElement.__pow__`` the one
 power (cached by ``PhaseRing._pow_terms``, used by ``Fraction.__pow__``),
-``Fraction._init`` the one constructor, ``dot`` the one sum of products
-(sharing ``_lcd``, the common-denominator step, with ``Fraction.__add__``
-and ``__sub__``) and ``RingElement.partials`` the one derivative that
-brackets read.  An element's ``terms`` never change once it is built, so it
-keeps its partial derivatives and its ``key()``.  Every Fraction is
-canonical, so negation keeps its factors as they are.
+``_push_den`` the one denominator normaliser (for ``reciprocal``,
+``reflect`` and negative powers too), ``Fraction._init`` the one
+constructor, ``dot`` the one sum of products (``substitute`` too; it shares
+``_lcd``, the common-denominator step, with ``Fraction.__add__`` and
+``__sub__``) and ``RingElement.partials`` the one derivative that brackets
+read.  An element's ``terms`` never change once it is built, so it keeps
+its partial derivatives and its ``key()``.  Every Fraction is canonical, so
+negation keeps its factors as they are.  The model declares the bracket
+table (``toda_models.toda_structure``).
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ SPECTRAL_NAMES = ("lam", "mu", "nu")
 class Generator:
     name: str
     kind: Kind
-    site: int | None = None
 
 
 def _qq(c):
@@ -260,16 +262,11 @@ class RingElement:
         if p < 0:
             if len(self.terms) != 1:
                 raise StructureError("negative power of a non-monomial")
-            (key, c), = self.terms.items()
-            exp = pk.unpack(key)
-            for i, e in enumerate(exp):
-                if e and not self.ring._laurent[i]:
-                    raise StructureError(
-                        "negative power touches non-Laurent generator"
-                    )
-            return RingElement(
-                self.ring, {pk.pack([e * p for e in exp]): quo(1, c ** (-p))}
-            )
+            factors: dict = {}
+            terms = _push_den(self.ring, self.ring.one.terms, factors, self, -p)
+            if factors:
+                raise StructureError("negative power touches non-Laurent generator")
+            return RingElement(self.ring, terms)
         out = {self.ring.zero_exp: 1}
         base = self.terms
         k = p
@@ -341,39 +338,27 @@ class RingElement:
         for e, c in self.terms.items():
             yield unpack(e), c
 
-    def leading(self):
-        """(exponent tuple, coefficient) of the lexicographically largest term."""
-        e = max(self.terms)
-        return self.ring.pk.unpack(e), self.terms[e]
-
     def substitute(self, mapping: dict) -> "Fraction":
-        """Substitute generators by elements/fractions/rationals.
+        """Substitute generators by elements/fractions/rationals: one ``dot``
+        of (term, power product) pairs, one pair per monomial.
 
         Negative powers of a substituted generator require the value to be
         invertible (handled at the Fraction level).
         """
         ring = self.ring
         exponent, shifts = ring.pk.exponent, ring.pk.shifts
-        sub = {}
-        for name, val in mapping.items():
-            sub[ring.slot(name)] = as_fraction(ring, val)
-        out = Fraction(ring.zero)
-        powcache: dict = {}
+        sub = {ring.slot(name): as_fraction(ring, val) for name, val in mapping.items()}
+        one = Fraction(ring.one)
+        pairs = []
         for key, c in self.terms.items():
-            rest = key
-            fac = None
+            rest, fac = key, one
             for i, val in sub.items():
                 e = exponent(key, i)
                 if e:
                     rest -= e << shifts[i]
-                    p = powcache.get((i, e))
-                    if p is None:
-                        p = val ** e
-                        powcache[(i, e)] = p
-                    fac = p if fac is None else fac * p
-            term = Fraction(RingElement(ring, {rest: c}))
-            out = out + (term if fac is None else term * fac)
-        return out
+                    fac = val ** e if fac is one else fac * val ** e
+            pairs.append((Fraction(RingElement(ring, {rest: c})), fac))
+        return dot(pairs) if pairs else Fraction(self)
 
     # -- formatting ------------------------------------------------------
 
@@ -460,8 +445,7 @@ def _cancel(ring: PhaseRing, num_terms: dict, factors: dict) -> tuple:
             live = [i for i, e in enumerate(exp) if e]
             if c == 1 and len(live) == 1 and exp[live[0]] == 1:
                 i = live[0]
-                take = p if ring._laurent[i] else min(
-                    p, max(min(pk.exponent(e, i) for e in num_terms), 0))
+                take = min(p, max(min(pk.exponent(e, i) for e in num_terms), 0))
                 if take > 0:
                     shift = [0] * ring.nvars
                     shift[i] = -take
@@ -524,11 +508,6 @@ class Fraction:
     @property
     def is_zero(self) -> bool:
         return not self.num.terms
-
-    def as_ring_element(self) -> RingElement:
-        if self._factors:
-            raise StructureError("fraction has a nontrivial denominator")
-        return self.num
 
     def is_parameter_constant(self) -> bool:
         return self.num.is_parameter_constant() and all(
@@ -619,8 +598,7 @@ class Fraction:
 
     def reflect(self, name: str) -> "Fraction":
         """name -> -name, factored as a fresh build would be: odd-degree terms
-        change sign, and a factor whose leading coefficient turns -1 is
-        negated back, its sign going to the numerator for an odd power."""
+        change sign, and ``_push_den`` normalises each reflected factor."""
         ring, i = self.ring, self.ring.slot(name)
 
         def odd(terms):
@@ -628,10 +606,7 @@ class Fraction:
 
         num, factors = odd(self.num.terms), {}
         for el, p in self._factors:
-            t = odd(el.terms)
-            if t[max(t)] == -1:
-                t, num = K.neg(t), K.neg(num) if p & 1 else num
-            _factor_add(factors, RingElement(ring, t), p)
+            num = _push_den(ring, num, factors, RingElement(ring, odd(el.terms)), p)
         return Fraction._make(ring, num, factors)
 
     def __eq__(self, other):
@@ -765,33 +740,6 @@ class PoissonStructure:
             el = self._table.get((j, i))
             return -el if el is not None else ring.zero
         return ring.zero
-
-    @classmethod
-    def standard(cls, ring: PhaseRing) -> "PoissonStructure":
-        """Canonical pairs {X_j, u_j} = u_j plus the sl(2) triple.
-
-        Parameters and spectral variables are central; sl(2) commutes with
-        the canonical pairs.
-        """
-        ps = cls(ring)
-        by_site = {}
-        for g in ring.generators:
-            if g.kind is Kind.COORD_EXP:
-                by_site.setdefault(g.site, {})["u"] = g.name
-            elif g.kind is Kind.MOMENTUM:
-                by_site.setdefault(g.site, {})["X"] = g.name
-        for site, pair in sorted(by_site.items(), key=lambda kv: str(kv[0])):
-            if "u" in pair and "X" in pair:
-                ps.set_bracket(pair["X"], pair["u"], ring.gen(pair["u"]))
-        e = ring.gens_of_kind(Kind.SL2_E)
-        f = ring.gens_of_kind(Kind.SL2_F)
-        h = ring.gens_of_kind(Kind.SL2_H)
-        if e and f and h:
-            E, F, H = e[0], f[0], h[0]
-            ps.set_bracket(H, E, ring.gen(E))
-            ps.set_bracket(H, F, -ring.gen(F))
-            ps.set_bracket(E, F, 2 * ring.gen(H))
-        return ps
 
     # -- brackets ----------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 The auxiliary space is two-dimensional; tensor-square objects are 4x4 with
 the a-leg first: row ``2*i + k`` / column ``2*j + l`` holds the ((i,k),(j,l))
-component, i.e. ``kron(m, n)[(i,k),(j,l)] = m[i,j] * n[k,l]``.  ``legs`` is
-the one decoder of that layout.  A 2x2 m acting on one leg is
+component, i.e. ``kron(m, n)[(i,k),(j,l)] = m[i,j] * n[k,l]``.  ``_tensor``
+is the one builder of that layout, for ``kron`` and ``tensor_bracket``
+alike, and ``legs`` the one decoder.  A 2x2 m acting on one leg is
 ``kron(m, 1)`` or ``kron(1, m)``; the 8x8 triple-tensor objects of the
 Yang-Baxter check are ``kron`` with the identity too, and r_ac is
 ``permute_legs(kron(r, 1), (0, 2, 1))``.
@@ -169,14 +170,20 @@ def legs(x: int, n: int) -> tuple:
     return tuple(x >> (n - 1 - t) & 1 for t in range(n))
 
 
-def kron(m: SpectralMatrix, n: SpectralMatrix) -> SpectralMatrix:
-    """Tensor product; a-leg (first factor) indexes vary slowest.  A zero
-    factor gives the canonical zero without forming the product."""
-    zero = Fraction(m.ring.zero)
+def _tensor(m: SpectralMatrix, n: SpectralMatrix, op) -> SpectralMatrix:
+    """The one tensor layout: entry ((i,k),(j,l)) is op(m_ij, n_kl), the
+    a-leg (first factor) indexes varying slowest."""
     return SpectralMatrix(m.ring, [
-        [zero if a.is_zero or b.is_zero else a * b for a in row_m for b in row_n]
+        [op(a, b) for a in row_m for b in row_n]
         for row_m in m.rows for row_n in n.rows
     ])
+
+
+def kron(m: SpectralMatrix, n: SpectralMatrix) -> SpectralMatrix:
+    """Tensor product.  A zero factor gives the canonical zero without
+    forming the product."""
+    zero = Fraction(m.ring.zero)
+    return _tensor(m, n, lambda a, b: zero if a.is_zero or b.is_zero else a * b)
 
 
 def permutation(ring: PhaseRing) -> SpectralMatrix:
@@ -247,18 +254,7 @@ def tensor_bracket(
     spectral variables and tensor legs."""
     if a.dim != 2 or b.dim != 2:
         raise StructureError("tensor_bracket expects 2x2 matrices")
-    ring = ps.ring
-    rows = []
-    for i in range(2):
-        for k in range(2):
-            rows.append(
-                [
-                    ps.bracket_fraction(a.rows[i][j], b.rows[k][l])
-                    for j in range(2)
-                    for l in range(2)
-                ]
-            )
-    return SpectralMatrix(ring, rows)
+    return _tensor(a, b, ps.bracket_fraction)
 
 
 def bracket_scalar_matrix(

@@ -12,7 +12,6 @@ at one site and the off-site bracket at one pair.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 from .phase_ring import PoissonStructure
@@ -49,9 +48,6 @@ class RelationReport:
                 {"index": idx, "value": val} for idx, val in self.residual
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def __str__(self):
         status = "PASS" if self.holds else "FAIL"

@@ -78,8 +78,8 @@ class ModelSpec:
 
 
 def toda_ring(N: int, dynamical: bool = False) -> PhaseRing:
-    gens = [Generator("u%d" % j, Kind.COORD_EXP, j) for j in range(1, N + 1)]
-    gens += [Generator("X%d" % j, Kind.MOMENTUM, j) for j in range(1, N + 1)]
+    gens = [Generator("u%d" % j, Kind.COORD_EXP) for j in range(1, N + 1)]
+    gens += [Generator("X%d" % j, Kind.MOMENTUM) for j in range(1, N + 1)]
     if dynamical:
         gens += [
             Generator("E", Kind.SL2_E),
@@ -90,6 +90,20 @@ def toda_ring(N: int, dynamical: bool = False) -> PhaseRing:
     else:
         gens += [Generator(p, Kind.PARAMETER) for p in BCN_PARAMS]
     return PhaseRing(gens)
+
+
+def toda_structure(ring: PhaseRing) -> PoissonStructure:
+    """{X_j, u_j} = u_j for every u_j in ring order and, if the ring has E, F
+    and H, {H, E} = E, {H, F} = -F, {E, F} = 2H; all else is central."""
+    ps = PoissonStructure(ring)
+    for u in ring.gens_of_kind(Kind.COORD_EXP):
+        ps.set_bracket("X" + u[1:], u, ring.gen(u))
+    if {"E", "F", "H"} <= set(ring.names):
+        E, F, H = ring.gen("E"), ring.gen("F"), ring.gen("H")
+        ps.set_bracket("H", "E", E)
+        ps.set_bracket("H", "F", -F)
+        ps.set_bracket("E", "F", 2 * H)
+    return ps
 
 
 def toda_lax(ring: PhaseRing):
@@ -108,7 +122,7 @@ def build_bcn(N: int, params: dict | None = None) -> ModelSpec:
     if N < 1:
         raise StructureError("bcn needs N >= 1")
     ring = toda_ring(N, dynamical=False)
-    ps = PoissonStructure.standard(ring)
+    ps = toda_structure(ring)
     th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
     thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
 
@@ -141,7 +155,7 @@ def build_dn(N: int, params: dict | None = None) -> ModelSpec:
     if N < 2:
         raise StructureError("dn needs N >= 2 (the Hamiltonian couples site 2)")
     ring = toda_ring(N, dynamical=True)
-    ps = PoissonStructure.standard(ring)
+    ps = toda_structure(ring)
     E, F, H = ring.gen("E"), ring.gen("F"), ring.gen("H")
 
     def km(arg):

@@ -29,12 +29,28 @@ entry divided on each call, m (x) 1 and 1 (x) m as their own functions, and
 the lam-expansion of a transfer scalar as the ``TransferExpansion`` class
 built it (returned here as its coefficient dict).  The package now builds P
 once per r-builder, calls ``kron`` directly and reads ``double_row.expand``.
+
+``negative_power``, ``reflect``, ``standard``, ``tensor_bracket``,
+``substitute`` and ``fraction_substitute`` are the package's former second
+owners of four decisions, bodies unchanged: the negative power of a
+monomial with its own Laurent loop, the mu-reflection with its own sign fix
+of each factor, the bracket table decoded from generator kinds and sites,
+the tensor bracket's own leg loop, and the substitution with its own power
+cache and ``+`` loop.  The package now sends the first two through
+``_push_den``, states the table in ``toda_models.toda_structure``, builds
+every tensor layout in ``spectral_matrix._tensor`` and sums a substitution
+with ``dot``.  ``Generator.site`` is gone, so ``standard`` reads the site
+from the number in the generator's name, which is where ``toda_ring`` took
+it from.
 """
 
 from bilax.backend import kernel as K
+from bilax.kernel import quo
 from bilax.phase_ring import (
     Fraction,
+    Kind,
     PhaseRing,
+    PoissonStructure,
     RingElement,
     StructureError,
     _factor_add,
@@ -241,3 +257,122 @@ def from_scalar(value: Fraction) -> dict:
         if not c.is_zero:
             coeffs[p] = Fraction(c, den)
     return {p: c for p, c in coeffs.items() if not c.is_zero}
+
+
+def negative_power(el: RingElement, p: int) -> RingElement:
+    """el ** p for p < 0 by the former Laurent loop."""
+    pk = el.ring.pk
+    if len(el.terms) != 1:
+        raise StructureError("negative power of a non-monomial")
+    (key, c), = el.terms.items()
+    exp = pk.unpack(key)
+    for i, e in enumerate(exp):
+        if e and not el.ring._laurent[i]:
+            raise StructureError(
+                "negative power touches non-Laurent generator"
+            )
+    return RingElement(
+        el.ring, {pk.pack([e * p for e in exp]): quo(1, c ** (-p))}
+    )
+
+
+def reflect(f: Fraction, name: str) -> Fraction:
+    """name -> -name, factored as a fresh build would be: odd-degree terms
+    change sign, and a factor whose leading coefficient turns -1 is
+    negated back, its sign going to the numerator for an odd power."""
+    ring, i = f.ring, f.ring.slot(name)
+
+    def odd(terms):
+        return {e: -c if ring.pk.exponent(e, i) & 1 else c for e, c in terms.items()}
+
+    num, factors = odd(f.num.terms), {}
+    for el, p in f.den_factors:
+        t = odd(el.terms)
+        if t[max(t)] == -1:
+            t, num = K.neg(t), K.neg(num) if p & 1 else num
+        _factor_add(factors, RingElement(ring, t), p)
+    return Fraction._make(ring, num, factors)
+
+
+def _site(g):
+    return int(g.name[1:])
+
+
+def standard(ring: PhaseRing) -> PoissonStructure:
+    """Canonical pairs {X_j, u_j} = u_j plus the sl(2) triple.
+
+    Parameters and spectral variables are central; sl(2) commutes with
+    the canonical pairs.
+    """
+    ps = PoissonStructure(ring)
+    by_site = {}
+    for g in ring.generators:
+        if g.kind is Kind.COORD_EXP:
+            by_site.setdefault(_site(g), {})["u"] = g.name
+        elif g.kind is Kind.MOMENTUM:
+            by_site.setdefault(_site(g), {})["X"] = g.name
+    for site, pair in sorted(by_site.items(), key=lambda kv: str(kv[0])):
+        if "u" in pair and "X" in pair:
+            ps.set_bracket(pair["X"], pair["u"], ring.gen(pair["u"]))
+    e = ring.gens_of_kind(Kind.SL2_E)
+    f = ring.gens_of_kind(Kind.SL2_F)
+    h = ring.gens_of_kind(Kind.SL2_H)
+    if e and f and h:
+        E, F, H = e[0], f[0], h[0]
+        ps.set_bracket(H, E, ring.gen(E))
+        ps.set_bracket(H, F, -ring.gen(F))
+        ps.set_bracket(E, F, 2 * ring.gen(H))
+    return ps
+
+
+def tensor_bracket(ps, a: SpectralMatrix, b: SpectralMatrix) -> SpectralMatrix:
+    """{A_a, B_b}: entry ((i,k),(j,l)) holds {A_ij, B_kl}."""
+    if a.dim != 2 or b.dim != 2:
+        raise StructureError("tensor_bracket expects 2x2 matrices")
+    ring = ps.ring
+    rows = []
+    for i in range(2):
+        for k in range(2):
+            rows.append(
+                [
+                    ps.bracket_fraction(a.rows[i][j], b.rows[k][l])
+                    for j in range(2)
+                    for l in range(2)
+                ]
+            )
+    return SpectralMatrix(ring, rows)
+
+
+def substitute(el: RingElement, mapping: dict) -> Fraction:
+    """Substitute generators by elements/fractions/rationals, summed left
+    to right with a cache of the powers."""
+    ring = el.ring
+    exponent, shifts = ring.pk.exponent, ring.pk.shifts
+    sub = {}
+    for name, val in mapping.items():
+        sub[ring.slot(name)] = as_fraction(ring, val)
+    out = Fraction(ring.zero)
+    powcache: dict = {}
+    for key, c in el.terms.items():
+        rest = key
+        fac = None
+        for i, val in sub.items():
+            e = exponent(key, i)
+            if e:
+                rest -= e << shifts[i]
+                p = powcache.get((i, e))
+                if p is None:
+                    p = val ** e
+                    powcache[(i, e)] = p
+                fac = p if fac is None else fac * p
+        term = Fraction(RingElement(ring, {rest: c}))
+        out = out + (term if fac is None else term * fac)
+    return out
+
+
+def fraction_substitute(f: Fraction, mapping: dict) -> Fraction:
+    """``Fraction.substitute`` over the former ``substitute``."""
+    out = substitute(f.num, mapping)
+    for el, p in f.den_factors:
+        out = out / (substitute(el, mapping) ** p)
+    return out

@@ -11,15 +11,32 @@ matrices are written out as ``sympy.Matrix`` from the model definitions,
 and b(lam) = tr(k+ L(lam) k- L(-lam)^{-1}) with L(lam) = l(N) ... l(1)
 is formed by sympy's own matrix product, inverse and cancellation.  Its
 lam-coefficients are read off the polynomial in lam, so a power whose
-coefficient cancels is absent, as in the package's expansion.  The symbols
-carry the package's generator names, so ``to_sympy`` converts a package
-element (or Fraction) to the same sympy expression by name, reading only
-its monomials.
+coefficient cancels is absent, as in the package's expansion.  The
+Hamiltonian applies each model's recipe to them:
+
+    bcn: H = (-1)^N / 2 * b_2N,    dn: H = -b_(2N-2) / (2 b_2N).
+
+The time-part generating matrix is the two-insertion partial trace
+
+    M(j, lam, mu) = tr_a(k+_a L_a(N,j,lam) P/(lam-mu) L_a(j-1,1,lam) k-_a L_a(-lam)^{-1})
+                  + tr_a(k+_a L_a(lam) k-_a L_a(j-1,1,-lam)^{-1} P/(lam+mu) L_a(N,j,-lam)^{-1})
+
+with L(n, m, arg) = l(n, arg) ... l(m, arg), the identity when n = m - 1,
+X_a = X (x) 1 by ``sympy.kronecker_product`` (the a-leg first), and the
+trace over the a-leg written out.  M(j, lam, -mu) is the same formula with
+P/(lam+mu) first and P/(lam-mu) second, so it checks the package's
+reflection in mu without going through it.  The symbols carry the
+package's generator names, so ``to_sympy`` converts a package element (or
+Fraction) to the same sympy expression by name, reading only its
+monomials.
 """
 
 import sympy
 
 LAM = sympy.Symbol("lam")
+MU = sympy.Symbol("mu")
+#: the permutation of the two legs: entry ((i,k),(j,l)) is 1 iff (i,k) = (l,j)
+P = sympy.Matrix(4, 4, lambda r, c: int((r // 2, r % 2) == (c % 2, c // 2)))
 
 
 def sym(name):
@@ -44,10 +61,10 @@ def boundary(model, arg):
     return km, sympy.Matrix([[0, 0], [-1, 0]])
 
 
-def monodromy(n, arg):
-    """L(arg) = l(n, arg) ... l(1, arg)."""
+def monodromy(n, arg, m=1):
+    """L(n, m, arg) = l(n, arg) ... l(m, arg); the identity when n = m - 1."""
     out = sympy.eye(2)
-    for j in range(n, 0, -1):
+    for j in range(n, m - 1, -1):
         out = out * site_lax(j, arg)
     return out
 
@@ -68,6 +85,30 @@ def expansion(model, n):
     poly = sympy.Poly(num, LAM)
     coeffs = {p: sympy.cancel(c / den) for (p,), c in poly.terms()}
     return {p: coeffs[p] for p in sorted(coeffs) if coeffs[p] != 0}
+
+
+def hamiltonian(model, n):
+    """H by the model's recipe from the sympy expansion of b(lam)."""
+    b = expansion(model, n)
+    if model == "bcn":
+        return sympy.Rational((-1) ** n, 2) * b[2 * n]
+    return sympy.cancel(-b[2 * n - 2] / (2 * b[2 * n]))
+
+
+def trace_a(m):
+    """The trace of a 4x4 matrix over its first leg."""
+    return sympy.Matrix(2, 2, lambda k, l: m[k, l] + m[2 + k, 2 + l])
+
+
+def generating_matrix(model, n, j, sign):
+    """M(j, lam, sign * mu), each entry cancelled."""
+    a = lambda x: sympy.kronecker_product(x, sympy.eye(2))
+    km, kp = boundary(model, LAM)
+    first = (a(kp * monodromy(n, LAM, j)) * P / (LAM - sign * MU)
+             * a(monodromy(j - 1, LAM) * km * monodromy(n, -LAM).inv()))
+    second = (a(kp * monodromy(n, LAM) * km * monodromy(j - 1, -LAM).inv())
+              * P / (LAM + sign * MU) * a(monodromy(n, -LAM, j).inv()))
+    return (trace_a(first) + trace_a(second)).applyfunc(sympy.cancel)
 
 
 def to_sympy(value):

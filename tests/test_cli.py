@@ -300,6 +300,19 @@ def test_simulate_json_is_strict_on_a_non_finite_peak(tmp_path, capsys):
     assert payload["failures"] == ["zero-curvature residual above 1.0e-08"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model,samples", [("dn", "1e150"), ("bcn", "1e200")])
+def test_simulate_overflowing_mu_sample_fails_without_numpy_warnings(
+    tmp_path, capsys, model, samples
+):
+    # the matrix products overflow at this mu although mu's own powers do
+    # not: the overflow reads as a non-finite peak and the FAIL line only
+    argv = ["simulate", "--model", model, "--N", "2", "--steps", "5",
+            "--mu-samples", samples, "--output", str(tmp_path / "s.csv")]
+    assert main(argv) == 1
+    assert "FAIL zero-curvature residual above 1.0e-08" in capsys.readouterr().out
+
+
 def test_simulate_non_finite_inputs_are_config_errors(tmp_path):
     base = ["simulate", "--model", "dn", "--N", "2", "--steps", "5",
             "--format", "json", "--output", str(tmp_path / "s.csv")]

@@ -30,6 +30,18 @@
   against the former ``TransferExpansion.from_scalar`` on b and t of bcn
   N=1..4 and dn N=2..4 and on a value with a lam-free nontrivial
   denominator.  All in the same three ways.
+* The former second owners of four decisions: a negative power of a random
+  Laurent monomial against the former Laurent loop (same terms and
+  ``str``); ``reflect("mu")`` of every entry of M(j, mu) and flow(j, mu) at
+  bcn N=1..4 and dn N=2..4, and ``reflect`` of random factored Fractions,
+  against the former sign fix; ``tensor_bracket`` of the site Lax matrix
+  and k± of bcn N=2 and dn N=2, and of their sign-flip mutants, against
+  the former leg loop; ``substitute`` of H at configured parameters, of H
+  and every flow matrix under the bcn canonical map at N=1..3, and of
+  random factored Fractions under random mappings, against the former
+  power cache and ``+`` loop.  All in the same three ways.
+  ``toda_structure`` must give the former ``standard`` table, in the same
+  order, at bcn N=1..4 and dn N=2..4; at N=10 only the order differs.
 * The coercion rule of ``RingElement`` and ``as_fraction``: for each kind of
   operand the result type, or the exception, is pinned, and an exact result
   must equal the one built from ``ring.const`` of the operand's value.
@@ -51,6 +63,7 @@ from bilax.double_row import expand
 from bilax.phase_ring import Fraction, Kind, RingElement, StructureError, as_fraction, dot
 from bilax.spectral_matrix import (
     contract,
+    kron,
     lam,
     matrix,
     mu,
@@ -58,6 +71,7 @@ from bilax.spectral_matrix import (
     partial_trace_a,
     permute_legs,
     rational_r_builder,
+    tensor_bracket,
     zeros,
 )
 from bilax.structure_checks import (
@@ -67,7 +81,16 @@ from bilax.structure_checks import (
     flip_entry,
     flip_lax_entry,
 )
-from bilax.toda_models import build_bcn, build_dn
+from bilax.toda_models import (
+    build_bcn,
+    build_dn,
+    canonical_map_bcn,
+    hamiltonian,
+    model_flow_matrix,
+    model_from_config,
+    toda_ring,
+    toda_structure,
+)
 from mutations import nonzero_positions
 
 RING = build_bcn(1).ring
@@ -379,6 +402,159 @@ def test_expand_keeps_a_lam_free_denominator():
     assert list(got) == list(want) == [0, 1, 3]
     for p in want:
         assert_same_fraction(got[p], want[p])
+
+
+# ---------------------------------------------------------------------------
+# one owner per decision: the former second owners as oracles
+
+#: three Laurent slots, u1..u3
+LAURENT_RING = toda_ring(3)
+
+
+@st.composite
+def laurent_monomials(draw):
+    powers = {"u%d" % j: draw(st.integers(-3, 3)) for j in (1, 2, 3)}
+    coeff = QQ(draw(st.integers(-5, 5).filter(bool)), draw(st.sampled_from((1, 2, 3, 4))))
+    return LAURENT_RING.monomial(powers, coeff)
+
+
+@bounded
+@given(laurent_monomials(), st.integers(-4, -1))
+def test_negative_power_matches_the_former_laurent_loop(m, p):
+    got, want = m ** p, oracle.negative_power(m, p)
+    assert got.terms == want.terms
+    assert str(got) == str(want)
+
+
+def test_negative_power_keeps_its_errors():
+    u1, x1 = LAURENT_RING.gen("u1"), LAURENT_RING.gen("X1")
+    for el, message in ((u1 * x1, "non-Laurent"), (u1 + 1, "non-monomial"),
+                        (LAURENT_RING.zero, "non-monomial")):
+        for power in (el.__pow__, functools.partial(oracle.negative_power, el)):
+            with pytest.raises(StructureError, match=message):
+                power(-1)
+
+
+@pytest.mark.parametrize(
+    "name,n", [("bcn", n) for n in range(1, 5)] + [("dn", n) for n in range(2, 5)], ids=str
+)
+def test_reflect_matches_the_former_sign_fix(name, n):
+    model = build_bcn(n) if name == "bcn" else build_dn(n)
+    d, m_ = model.derivation, mu(model.ring)
+    for j in range(1, n + 2):
+        for m in (d.M(j, m_), d.flow(j, m_)):
+            for e in (e for row in m.rows for e in row):
+                assert_same_fraction(e.reflect("mu"), oracle.reflect(e, "mu"))
+
+
+@bounded
+@given(entries(DOT_FACTORS), st.sampled_from(("mu", "lam", "th1", "u1")))
+def test_reflect_of_random_factored_fractions_matches(f, name):
+    assert_same_fraction(f.reflect(name), oracle.reflect(f, name))
+
+
+@pytest.mark.parametrize("name", ["bcn2", "dn2"])
+def test_tensor_bracket_matches_the_former_leg_loop(request, name):
+    model = request.getfixturevalue(name)
+    ring, ps = model.ring, model.ps
+    l_, m_ = lam(ring), mu(ring)
+    site = functools.partial(model.lax, 1)
+    builders = [model.km, model.kp, site]
+    mutants = builders + [
+        flip_entry(b, i, j) for b in builders for i, j in nonzero_positions(b(l_))
+    ]
+    seen = 0
+    for a in mutants:
+        for b in (a, model.km, model.kp, site, functools.partial(model.lax, 2)):
+            got = tensor_bracket(ps, a(l_), b(m_))
+            assert_same(got, oracle.tensor_bracket(ps, a(l_), b(m_)))
+            seen += not got.is_zero
+    assert seen  # some of the brackets are nonzero
+    with pytest.raises(StructureError, match="2x2"):
+        tensor_bracket(ps, kron(site(l_), site(m_)), site(m_))
+
+
+def former_substitute(value, mapping):
+    if isinstance(value, RingElement):
+        return oracle.substitute(value, mapping)
+    return oracle.fraction_substitute(value, mapping)
+
+
+def assert_same_substitution(value, mapping):
+    assert_same_fraction(value.substitute(mapping), former_substitute(value, mapping))
+
+
+@pytest.mark.parametrize("name,n,params", [
+    ("bcn", 1, {"th1": 0.3, "a1": -2, "bN": 1.5}),
+    ("bcn", 3, {"th1": 0.25, "aN": 3}),
+    ("dn", 2, {"c0": 3}),
+    ("dn", 3, {"c0": 0.5, "c1": -2}),
+], ids=str)
+def test_substitute_matches_the_former_sum_on_h_at_the_parameters(name, n, params):
+    model = model_from_config({"model": name, "N": n, "params": params})
+    exact = {p: QQ(str(v)) for p, v in model.params.items()}
+    assert_same_substitution(hamiltonian(model), exact)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_substitute_matches_the_former_sum_on_the_canonical_map(n):
+    model = build_bcn(n)
+    cm = canonical_map_bcn(model)
+    assert_same_substitution(hamiltonian(model), cm)
+    for j in range(1, n + 2):
+        for e in (e for row in model_flow_matrix(model, j).rows for e in row):
+            assert_same_substitution(e, cm)
+
+
+@st.composite
+def substitutions(draw):
+    """A mapping of up to three of X1, th1, lam and u1; u1's value is a
+    monomial, so its negative powers exist."""
+    values = {"X1": entries(), "th1": st.integers(-3, 3), "lam": monomials(),
+              "u1": monomials().filter(lambda m: not m.is_zero)}
+    names = draw(st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True))
+    return {name: draw(values[name]) for name in names}
+
+
+@bounded
+@given(entries(), substitutions())
+def test_substitute_matches_the_former_sum_on_random_fractions(f, mapping):
+    for value in (f.num, f):
+        try:
+            want = former_substitute(value, mapping)
+        except StructureError:  # a denominator that the mapping sends to 0
+            with pytest.raises(StructureError):
+                value.substitute(mapping)
+            continue
+        assert_same_fraction(value.substitute(mapping), want)
+
+
+def test_substitute_of_zero_is_the_canonical_zero():
+    assert_same_fraction(RING.zero.substitute({"X1": LAM}), Fraction(RING.zero))
+
+
+@pytest.mark.parametrize(
+    "name,n", [("bcn", n) for n in range(1, 5)] + [("dn", n) for n in range(2, 5)], ids=str
+)
+def test_toda_structure_matches_the_former_standard(name, n):
+    ring = toda_ring(n, dynamical=name == "dn")
+    got, want = toda_structure(ring)._table, oracle.standard(ring)._table
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key] and str(got[key]) == str(want[key])
+
+
+def test_toda_structure_orders_the_sites_as_the_ring_does():
+    # the former table sorted the sites as strings, so "10" came before "2";
+    # only the order differs, and each bracket is an exact sum over it
+    ring = toda_ring(10)
+    got, want = toda_structure(ring)._table, oracle.standard(ring)._table
+    assert list(got) != list(want)
+    assert got == want
+    x1, u2, x10 = ring.gen("X1"), ring.gen("u2"), ring.gen("X10")
+    f = x1 * u2 + x10 * ring.gen("u10") ** -1
+    g = ring.gen("u1") * ring.gen("X2") + ring.gen("u10")
+    assert toda_structure(ring).bracket(f, g).terms == oracle.standard(ring).bracket(f, g).terms
 
 
 # ---------------------------------------------------------------------------

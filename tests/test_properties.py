@@ -12,11 +12,11 @@ from fractions import Fraction as PyFraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilax.phase_ring import Fraction, Kind, PoissonStructure
-from bilax.toda_models import toda_ring
+from bilax.phase_ring import Fraction, Kind
+from bilax.toda_models import toda_ring, toda_structure
 
 RING = toda_ring(2, dynamical=True)
-PS = PoissonStructure.standard(RING)
+PS = toda_structure(RING)
 GENS = ("u1", "u2", "X1", "X2", "E", "F", "H", "c0")
 
 bounded = settings(max_examples=40, deadline=None, derandomize=True, database=None)

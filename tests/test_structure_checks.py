@@ -123,7 +123,7 @@ def test_report_json(bcn2):
     rep = check_rll(
         flip_lax_entry(bcn2.lax, 0, 1), rational_r_builder(bcn2.ring), bcn2.ps
     )
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_dict()))
     assert payload["relation"] == "rll"
     assert isinstance(payload["holds"], bool)
     assert all({"index", "value"} <= set(e) for e in payload["residual"])
