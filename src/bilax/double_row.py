@@ -17,8 +17,11 @@ factors is contract(r, B A): one 2x2 product per r-insertion, which moves
 from site j to site j+1 by conjugation with l(j, +-lam).
 
 A :class:`Derivation` builds these objects once for one model and hands
-them to every check; the module-level builders (``double_row_transfer``,
-``boundary_M``, ...) are one-shot wrappers that make a fresh one per call.
+them to every check.  Every reader asks for them at the spectral points of
+the zero-curvature layout, mu and -mu, so the derivation keys them by site
+and sign, (j, +-1).  The module-level builders (``double_row_transfer``,
+``boundary_M``, ...) are one-shot wrappers that make a fresh derivation per
+call, at any spectral point.
 """
 
 from __future__ import annotations
@@ -134,9 +137,10 @@ class Derivation:
 
     Every check reads the same objects from here instead of rebuilding them:
     the transfer scalars t(lam) and b(lam), b's expansion, the site matrices
-    l(k, +-lam) and their inverses, the chain of products C(j) below, and a
-    memo of each generating matrix M(j, mu_expr), single-row matrix, flow
-    matrix extracted from M and layout matrix X(mu).
+    l(k, +-lam) and their inverses, the chain of products C(j) below, the
+    zero-curvature ``layout``, and a memo of each generating matrix, single-row
+    matrix and flow matrix extracted from M, keyed (j, s) for the matrix at
+    s*mu, s = +-1.
 
     The entries commute, so tr_a(A_a r B_a) = contract(r, B A) for 2x2
     factors A, B around an r-insertion, for any 4x4 r: only the product
@@ -150,9 +154,8 @@ class Derivation:
     so a mutated r-builder runs through the same code as the stock one; the
     two r-insertions of M are one ``contract``, each entry one ``dot`` of
     eight products, as each entry of an M-pairing M_l X - X M_r is one
-    ``dot`` of four (``_paired``);
-    M(j, -mu) and flow(j, -mu) are M(j, mu) and flow(j, mu) reflected in mu
-    (``Fraction.reflect``).
+    ``dot`` of four (``_paired``).  While lam is mu-free, each matrix at -mu
+    is the one at +mu reflected in mu (``Fraction.reflect``).
 
     Build one per model and r-builder: the memo trusts that lax, k-, k+ and
     the r-builder never change.
@@ -165,10 +168,9 @@ class Derivation:
         self.r_builder = r_builder or rational_r_builder(self.ring)
         self.recipe = recipe
         self.chains = {}  # j -> (C0, C1, C2)(j)
-        self.generating = {}  # (j, mu_expr.key()) -> M(j, lam, mu_expr)
-        self.single_row = {}  # (j, mu_expr.key()) -> the single-row matrix
-        self.flows = {}  # (j, mu_expr.key()) -> flow matrix extracted from M
-        self.layout = {}  # (label, arg.key()) -> X(arg) of a zero-curvature term
+        self.generating = {}  # (j, s) -> M(j, lam, s*mu)
+        self.single_row = {}  # (j, s) -> the single-row matrix at s*mu
+        self.flows = {}  # (j, s) -> flow matrix extracted from M(j, s)
 
     # -- site matrices, monodromies and the chain, site index j = 1..N+1 ---
 
@@ -237,39 +239,65 @@ class Derivation:
 
     # -- time part ----------------------------------------------------------
 
-    def M(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
-        """Boundary generating function M(j, lam, mu_expr) of boundary_M:
+    def M_at(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
+        """Boundary generating function M(j, lam, mu_expr) of boundary_M,
+        built afresh at any spectral point:
         contract(r(lam-mu), C1) + contract(r_ba(lam+mu), C2), summed as one
         contract."""
+        _, c1, c2 = self.chain(j)
+        r_ab = self.r_builder(self.lam - mu_expr)
+        r_ba = permute_legs(self.r_builder(self.lam + mu_expr), (1, 0))
+        return contract(r_ab, c1, r_ba, c2)
 
-        def build():
-            _, c1, c2 = self.chain(j)
-            r_ab = self.r_builder(self.lam - mu_expr)
-            r_ba = permute_legs(self.r_builder(self.lam + mu_expr), (1, 0))
-            return contract(r_ab, c1, r_ba, c2)
+    def M(self, j: int, s: int) -> SpectralMatrix:
+        """M(j, lam, s*mu), memoised."""
+        return self._signed(self.generating, self.M, j, s,
+                            lambda: self.M_at(j, s * mu(self.ring)))
 
-        return self._memoised(self.generating, self.M, j, mu_expr, build)
-
-    def sts(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
-        """Single-row generating function tr_a(L_a(N,j) r_ab(lam-mu) L_a(j-1,1))
-        = contract(r(lam-mu), C0)."""
-        return _memo(self.single_row, (j, mu_expr.key()), lambda: contract(
-            self.r_builder(self.lam - mu_expr), self.chain(j)[0]
+    def sts(self, j: int, s: int) -> SpectralMatrix:
+        """Single-row generating function tr_a(L_a(N,j) r_ab(lam-s*mu) L_a(j-1,1))
+        = contract(r(lam-s*mu), C0)."""
+        return self._signed(self.single_row, self.sts, j, s, lambda: contract(
+            self.r_builder(self.lam - s * mu(self.ring)), self.chain(j)[0]
         ))
 
-    def flow(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
-        """Time part of the Lax pair at site index j, at spectral point mu_expr."""
-        return self._memoised(self.flows, self.flow, j, mu_expr, lambda: extract_M(
-            self.M(j, mu_expr), self.expansion, self._recipe()
+    def flow(self, j: int, s: int) -> SpectralMatrix:
+        """Time part of the Lax pair at site index j, at spectral point s*mu."""
+        return self._signed(self.flows, self.flow, j, s, lambda: extract_M(
+            self.M(j, s), self.expansion, self._recipe()
         ))
 
-    def _memoised(self, table: dict, getter, j: int, mu_expr: RingElement, build):
-        """table's matrix at (j, mu_expr), built on first use; at -mu it is
-        getter(j, mu) reflected in mu, which is what a fresh build gives, as
+    def _signed(self, table: dict, getter, j: int, s: int, build):
+        """table's matrix at (j, s), built on first use; at s = -1 it is
+        getter(j, 1) reflected in mu, which is what a fresh build gives, as
         all but the r-builder's argument is mu-free."""
-        if mu_expr == -mu(self.ring) and not self.lam.involves("mu"):
-            build = lambda: getter(j, mu(self.ring)).map_entries(lambda e: e.reflect("mu"))
-        return _memo(table, (j, mu_expr.key()), build)
+        if s not in (1, -1):
+            raise StructureError("spectral sign %r is not 1 or -1" % (s,))
+        if s == -1 and not self.lam.involves("mu"):
+            build = lambda: getter(j, 1).map_entries(lambda e: e.reflect("mu"))
+        return _memo(table, (j, s), build)
+
+    @cached_property
+    def layout(self) -> tuple:
+        """One term (label, X, (jl, sl), (jr, sr)) per zero-curvature identity
+
+            {s, X} = M(jl, sl) X - X M(jr, sr)
+
+        of the double-row Lax pair (Sklyanin, J. Phys. A 21 (1988) 2375), X
+        at mu: first the sites X = l(j, mu), "j=1".."j=N", with M(j+1, 1) and
+        M(j, 1); then "kminus", X = k-(mu), with M(1, 1) and M(1, -1), and
+        "kplus", X = k+(mu), with M(N+1, -1) and M(N+1, 1).  Every symbolic
+        zero-curvature check and the numeric residual of ``dynamics`` read
+        this tuple, so each X keeps its partial derivatives across checks.
+        """
+        m_, n = mu(self.ring), self.N
+        sites = tuple(
+            ("j=%d" % j, self.lax(j, m_), (j + 1, 1), (j, 1)) for j in range(1, n + 1)
+        )
+        return sites + (
+            ("kminus", self.km(m_), (1, 1), (1, -1)),
+            ("kplus", self.kp(m_), (n + 1, -1), (n + 1, 1)),
+        )
 
 
 def _memo(table: dict, key, build):
@@ -280,55 +308,27 @@ def _memo(table: dict, key, build):
 
 
 # ---------------------------------------------------------------------------
-# the zero-curvature layout
+# the zero-curvature pairings
 
 
-def zero_curvature_terms(d: Derivation) -> list:
-    """One term (label, X, (jl, sl), (jr, sr)) per zero-curvature identity
-
-        {s, X(mu)} = M(jl, sl*mu) X(mu) - X(mu) M(jr, sr*mu)
-
-    of the double-row Lax pair (Sklyanin, J. Phys. A 21 (1988) 2375): first
-    the sites l(j), "j=1".."j=N", with M(j+1, mu) and M(j, mu); then
-    "kminus" with M(1, mu) and M(1, -mu), and "kplus" with M(N+1, -mu) and
-    M(N+1, mu).  Every symbolic zero-curvature check and the numeric
-    residual of ``dynamics`` read this list.  Each X(arg) is built once, in
-    ``d.layout``, so its entries keep their partial derivatives across checks.
-    """
-    n = d.N
-
-    def kept(label, X):
-        return lambda arg: _memo(d.layout, (label, arg.key()), lambda: X(arg))
-
-    terms = [
-        ("j=%d" % j, kept("j=%d" % j, lambda arg, j=j: d.lax(j, arg)), (j + 1, 1), (j, 1))
-        for j in range(1, n + 1)
-    ]
-    terms.append(("kminus", kept("kminus", d.km), (1, 1), (1, -1)))
-    terms.append(("kplus", kept("kplus", d.kp), (n + 1, -1), (n + 1, 1)))
-    return terms
-
-
-def _paired(term, M, m_) -> SpectralMatrix:
-    """M(jl, sl*mu) X(mu) - X(mu) M(jr, sr*mu) for one layout term, each
-    entry one ``dot`` of four products with the X entry negated in the
-    last two."""
-    _, X, (jl, sl), (jr, sr) = term
-    x = X(m_).rows
-    ml, mr = M(jl, sl * m_).rows, M(jr, sr * m_).rows
+def _paired(term, M) -> SpectralMatrix:
+    """M(jl, sl) X - X M(jr, sr) for one layout term, each entry one ``dot``
+    of four products with the X entry negated in the last two."""
+    _, X, left, right = term
+    x, ml, mr = X.rows, M(*left).rows, M(*right).rows
     neg = [[-e for e in row] for row in x]
-    return SpectralMatrix(m_.ring, [
+    return SpectralMatrix(X.ring, [
         [dot([(ml[i][0], x[0][j]), (ml[i][1], x[1][j]),
               (neg[i][0], mr[0][j]), (neg[i][1], mr[1][j])]) for j in range(2)]
         for i in range(2)
     ])
 
 
-def _zc_residual(ps, scalar, M, term, m_) -> SpectralMatrix:
-    """{scalar, X(mu)} minus the term's M-pairing.  The ``-`` stays outside
-    the pairing's ``dot``: where the pairing vanishes, a FAIL entry prints
-    the bracket over its own denominator, not one widened by M's factors."""
-    return bracket_scalar_matrix(ps, scalar, term[1](m_)) - _paired(term, M, m_)
+def _zc_residual(ps, scalar, M, term) -> SpectralMatrix:
+    """{scalar, X} minus the term's M-pairing.  The ``-`` stays outside the
+    pairing's ``dot``: where the pairing vanishes, a FAIL entry prints the
+    bracket over its own denominator, not one widened by M's factors."""
+    return bracket_scalar_matrix(ps, scalar, term[1]) - _paired(term, M)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def boundary_M(lax, km, kp, N: int, j: int, lam_expr, mu_expr, r_builder=None) -
 
     for j = 1..N+1 with the empty-range conventions L(0,1) = L(N,N+1) = 1.
     """
-    return Derivation(lax, km, kp, N, lam_expr, r_builder).M(j, mu_expr)
+    return Derivation(lax, km, kp, N, lam_expr, r_builder).M_at(j, mu_expr)
 
 
 def flow_matrix(lax, km, kp, N: int, j: int, mu_expr, exp, recipe, r_builder=None) -> SpectralMatrix:
@@ -482,32 +482,30 @@ def check_involution(ps, d: Derivation) -> RelationReport:
 
 def _site_report(ps, d: Derivation, scalar, M, name: str) -> RelationReport:
     """The site terms of the layout, merged into one report."""
-    m_ = mu(ps.ring)
     return merge_reports(name, [
-        matrix_report(name, _zc_residual(ps, scalar, M, t, m_), prefix=t[0] + " ")
-        for t in zero_curvature_terms(d)[:d.N]
+        matrix_report(name, _zc_residual(ps, scalar, M, t), prefix=t[0] + " ")
+        for t in d.layout[:d.N]
     ])
 
 
 def check_sts_identity(ps, d: Derivation) -> RelationReport:
     """{t(lam), l(j,mu)} = S(j+1) l(j,mu) - l(j,mu) S(j) for all sites, with
-    t = tr L(N, 1) and the single-row matrices S(j) = d.sts(j, mu)."""
+    t = tr L(N, 1) and the single-row matrices S(j) = d.sts(j, 1)."""
     return _site_report(ps, d, d.t, d.sts, "sts_identity")
 
 
 def _zero_curvature(ps, d: Derivation, scalar, M, names) -> list:
     """{scalar, .} against the M-pairings of every layout term: the sites
     merged under names[0], then k- and k+ under names[1] and names[2]."""
-    m_ = mu(ps.ring)
     return [_site_report(ps, d, scalar, M, names[0])] + [
-        matrix_report(name, _zc_residual(ps, scalar, M, t, m_))
-        for name, t in zip(names[1:], zero_curvature_terms(d)[d.N:])
+        matrix_report(name, _zc_residual(ps, scalar, M, t))
+        for name, t in zip(names[1:], d.layout[d.N:])
     ]
 
 
 def check_theorem_zc(ps, d: Derivation) -> list:
     """The generating-function zero-curvature identities of the layout,
-    with s = b(lam) and the generating matrices M(j, lam, mu)."""
+    with s = b(lam) and the generating matrices M(j, lam, +-mu)."""
     return _zero_curvature(
         ps, d, d.b, d.M,
         ("theorem_zc_lax", "theorem_zc_kminus", "theorem_zc_kplus"),
@@ -532,12 +530,11 @@ def check_nondynamical_intertwining(ps, d: Derivation) -> list:
     M(N+1,-mu) k+(mu) = k+(mu) M(N+1,mu),
     stated with the double-row matrices, not single-row ones.
     """
-    m_ = mu(ps.ring)
-    boundary = zero_curvature_terms(d)[d.N:]
+    boundary = d.layout[d.N:]
     return [
-        matrix_report("b_%s_commute" % t[0], bracket_scalar_matrix(ps, d.b, t[1](m_)))
+        matrix_report("b_%s_commute" % t[0], bracket_scalar_matrix(ps, d.b, t[1]))
         for t in boundary
     ] + [
-        matrix_report("%s_intertwine" % t[0], _paired(t, d.flow, m_))
+        matrix_report("%s_intertwine" % t[0], _paired(t, d.flow))
         for t in boundary
     ]

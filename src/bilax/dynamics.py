@@ -40,9 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .double_row import zero_curvature_terms
 from .phase_ring import Fraction, RingElement, StructureError, casimir
-from .spectral_matrix import bracket_scalar_matrix, mu
+from .spectral_matrix import bracket_scalar_matrix
 from .toda_models import (
     ModelSpec,
     derived_eom,
@@ -482,7 +481,7 @@ def zero_curvature_residual(
 ) -> dict:
     """Max Frobenius-norm residual of the zero-curvature equation per sample.
 
-    For every term of ``double_row.zero_curvature_terms``,
+    For every term of the derivation's ``layout``,
     R = d/dT X(mu) - (M(jl, ±mu) X(mu) - X(mu) M(jr, ±mu)), with d/dT = {H, .}
     pushed through the entries symbolically.  Each matrix is one compiled
     function, run once per block of ceil(n_t / k) time rows for all k mu
@@ -492,12 +491,12 @@ def zero_curvature_residual(
     """
     if not mu_samples:
         raise StructureError("the zero-curvature residual needs a mu sample")
-    ps, m_, ham = model.ps, mu(model.ring), hamiltonian(model)
-    terms = [(_compiled_matrix(model, ("cX", label), lambda X=X: X(m_)),
+    ps, ham = model.ps, hamiltonian(model)
+    terms = [(_compiled_matrix(model, ("cX", label), lambda X=X: X),
               _compiled_matrix(model, ("cXdot", label),
-                               lambda X=X: bracket_scalar_matrix(ps, ham, X(m_))),
+                               lambda X=X: bracket_scalar_matrix(ps, ham, X)),
               left, right)
-             for label, X, left, right in zero_curvature_terms(model.derivation)]
+             for label, X, left, right in model.derivation.layout]
     flows = {j: _compiled_matrix(model, ("cM", j), lambda j=j: model_flow_matrix(model, j))
              for *_, left, right in terms for j, _ in (left, right)}
 

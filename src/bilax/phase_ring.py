@@ -157,6 +157,10 @@ class PhaseRing:
         return RingElement(self, out)
 
     def _pow_terms(self, el: "RingElement", p: int) -> dict:
+        """The terms of el ** p, kept per (element, power).  Almost every
+        lookup is at p = 1, but a hit still skips the dict copy and the
+        ``finish`` of ``el ** 1``: without the cache, verify at N=3 and 5 ran
+        2-14 % slower and dn N=2 simulate 10 % slower (2 vCPU)."""
         key = (el.key(), p)
         out = self._pow_cache.get(key)
         if out is None:

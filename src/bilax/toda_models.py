@@ -209,7 +209,7 @@ def hamiltonian(model: ModelSpec) -> Fraction:
 
 def model_flow_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
     """Extracted time-part matrix M(j, mu)."""
-    return model.derivation.flow(j, mu(model.ring))
+    return model.derivation.flow(j, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +496,8 @@ def dn_boundary_elimination(model: ModelSpec) -> DnElimination:
 
 def dn_xtilde_velocity(model: ModelSpec) -> Fraction:
     """d/dT of xt_1 along the flow, off-shell."""
-    ring, ps = model.ring, model.ps
-    u1, c0 = ring.gen("u1"), ring.gen("c0")
-    ham = hamiltonian(model)
-    xdot1 = ps.bracket_fraction(ham, Fraction(u1)) / Fraction(u1)
-    return xdot1 * Fraction(c0, c0 + u1)
+    c0 = model.ring.gen("c0")
+    return derived_eom(model)["x1"] * Fraction(c0, c0 + model.ring.gen("u1"))
 
 
 def dn_x0_relation(model: ModelSpec) -> Fraction:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import double_row_oracle as oracle
-from bilax import double_row, dynamics
 from bilax.cli import _verify_reports
 from bilax.double_row import (
     Derivation,
@@ -23,7 +22,6 @@ from bilax.double_row import (
     check_transfer_commutation,
     transfer_commutator,
     verify_corollary,
-    zero_curvature_terms,
 )
 from bilax.dynamics import integrate, random_phase_point, zero_curvature_residual
 from bilax.phase_ring import StructureError
@@ -52,34 +50,60 @@ def test_generating_matrices_match_oracle(name, n):
     b = oracle.double_row_transfer(model.lax, model.km, model.kp, n, l_)
     assert d.b == b and str(d.b) == str(b)
     for j in range(1, n + 2):
-        for s in (m_, -m_):
-            want = oracle.boundary_M(model.lax, model.km, model.kp, n, j, l_, s)
+        for s in (1, -1):
+            want = oracle.boundary_M(model.lax, model.km, model.kp, n, j, l_, s * m_)
             got = d.M(j, s)
             assert got == want
             assert str(got) == str(want)
             assert d.M(j, s) is got  # memoised
         want = oracle.sts_matrix(model.lax, n, j, l_, m_)
-        got = d.sts(j, m_)
+        got = d.sts(j, 1)
         assert got == want
         assert str(got) == str(want)
-        assert d.sts(j, m_) is got  # memoised
+        assert d.sts(j, 1) is got  # memoised
     assert len(d.generating) == 2 * (n + 1)
     for j in (0, n + 2):
         with pytest.raises(StructureError):
-            d.M(j, m_)
+            d.M(j, 1)
         with pytest.raises(StructureError):
-            d.sts(j, m_)
+            d.sts(j, 1)
+
+
+def test_a_sign_other_than_plus_or_minus_one_raises():
+    d = build_bcn(2).derivation
+    for read, s in ((d.M, 0), (d.M, 2), (d.flow, -2)):
+        with pytest.raises(StructureError):
+            read(1, s)
+    assert d.generating == {} and d.flows == {}
+
+
+@pytest.mark.parametrize("name,n", [("bcn", 3), ("dn", 3)], ids=str)
+def test_verify_builds_interior_matrices_at_plus_mu_only(name, n):
+    # the layout reads M and the flows at -mu only at the boundary sites
+    model = build(name, n)
+    _verify_reports(model)
+    d = model.derivation
+    plus = {(j, 1) for j in range(1, n + 2)}
+    assert set(d.generating) == set(d.flows) == plus | {(1, -1), (n + 1, -1)}
+    assert set(d.single_row) == plus
 
 
 def test_derivation_holds_no_4x4_matrix_after_verify():
     model = build_bcn(2)
     _verify_reports(model)
-    held = []
-    for value in vars(model.derivation).values():
-        tables = value.values() if isinstance(value, dict) else [value]
-        for item in tables:
-            held += item if isinstance(item, tuple) else [item]
+    # the memo tables, the chains and the layout's (label, X, left, right)
+    # terms, opened down to their matrices
+    held, todo = [], list(vars(model.derivation).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, dict):
+            todo += item.values()
+        elif isinstance(item, tuple):
+            todo += item
+        else:
+            held.append(item)
     matrices = [m for m in held if isinstance(m, SpectralMatrix)]
+    assert any(m is model.derivation.layout[0][1] for m in matrices)
     assert matrices and all(m.dim == 2 for m in matrices)
 
 
@@ -87,7 +111,7 @@ def test_sts_identity_builds_each_single_row_matrix_once():
     model = build_bcn(3)
     d = model.derivation
     assert check_sts_identity(model.ps, d).holds
-    assert sorted(j for j, _ in d.single_row) == [1, 2, 3, 4]
+    assert sorted(d.single_row) == [(1, 1), (2, 1), (3, 1), (4, 1)]
 
 
 @pytest.mark.parametrize("name", ["bcn", "dn"])
@@ -188,7 +212,6 @@ def test_theorem_fails_on_each_flipped_memoised_entry(name):
     model = build(name, 2)
     d = model.derivation
     assert all(r.holds for r in check_theorem_zc(model.ps, d))
-    minus = (-mu(model.ring)).key()
     blind = []
     for key, m in list(d.generating.items()):
         for i, j in nonzero_positions(m):
@@ -198,11 +221,11 @@ def test_theorem_fails_on_each_flipped_memoised_entry(name):
             finally:
                 d.generating[key] = m
             if all(r.holds for r in reports):
-                blind.append((key[0], key[1] == minus, i, j))
+                blind.append((key, i, j))
     assert len(d.generating) == 5
     # the dn k+ = [[0, 0], [-1, 0]] is nilpotent: M(N+1,-mu) k+ reads only
     # the second column of M(N+1,-mu), and no other identity reads it at all
-    assert blind == ([] if name == "bcn" else [(3, True, 0, 0), (3, True, 1, 0)])
+    assert blind == ([] if name == "bcn" else [((3, -1), 0, 0), ((3, -1), 1, 0)])
 
 
 @pytest.mark.parametrize("name", ["bcn", "dn"])
@@ -239,7 +262,7 @@ def mu_parity_mismatches(d, n):
     bad = []
     for table in (d.M, d.flow):
         for j in (1, n + 1):
-            if table(j, -m_) != table(j, m_).substitute({"mu": -m_}):
+            if table(j, -1) != table(j, 1).substitute({"mu": -m_}):
                 bad.append((table.__name__, j))
     return bad
 
@@ -256,10 +279,9 @@ def test_mu_parity_catches_a_flipped_first_column_entry(i):
     # the two entries the theorem cannot see (see the memo flip test above)
     model = build("dn", 2)
     d = model.derivation
-    key = (3, (-mu(model.ring)).key())
-    m = d.M(3, -mu(model.ring))
+    m = d.M(3, -1)
     assert not m[i, 0].is_zero
-    d.generating[key] = flipped(m, i, 0)
+    d.generating[3, -1] = flipped(m, i, 0)
     assert ("M", 3) in mu_parity_mismatches(d, 2)
 
 
@@ -272,7 +294,8 @@ def test_zero_curvature_layout():
     model = build_bcn(3)
     d = model.derivation
     m_ = mu(model.ring)
-    terms = zero_curvature_terms(d)
+    terms = d.layout
+    assert d.layout is terms  # built once
     assert [(label, left, right) for label, _, left, right in terms] == [
         ("j=1", (2, 1), (1, 1)),
         ("j=2", (3, 1), (2, 1)),
@@ -281,22 +304,15 @@ def test_zero_curvature_layout():
         ("kplus", (4, -1), (4, 1)),
     ]
     xs = [model.lax(j, m_) for j in (1, 2, 3)] + [model.km(m_), model.kp(m_)]
-    assert [X(m_) for _, X, _, _ in terms] == xs
+    assert [X for _, X, _, _ in terms] == xs
 
 
-LAYOUT = zero_curvature_terms
-
-
-def swapped_layout(i):
-    """zero_curvature_terms with the left and right M of term i exchanged."""
-
-    def terms(d):
-        out = LAYOUT(d)
-        label, X, left, right = out[i]
-        out[i] = (label, X, right, left)
-        return out
-
-    return terms
+def swapped_layout(layout, i):
+    """layout with the left and right M of term i exchanged."""
+    out = list(layout)
+    label, X, left, right = out[i]
+    out[i] = (label, X, right, left)
+    return tuple(out)
 
 
 @pytest.mark.parametrize("name", ["bcn", "dn"])
@@ -307,11 +323,11 @@ def test_swapped_layout_term_fails_symbolic_and_numeric(name, monkeypatch):
     d = model.derivation
     p0 = random_phase_point(model, np.random.default_rng(2), amplitude=0.2)
     traj = integrate(model, p0, 1e-3, 50)
+    layout = d.layout
     blind = []
     for i in range(model.N + 2):
         with monkeypatch.context() as mp:
-            mp.setattr(double_row, "zero_curvature_terms", swapped_layout(i))
-            mp.setattr(dynamics, "zero_curvature_terms", swapped_layout(i))
+            mp.setattr(d, "layout", swapped_layout(layout, i))
             reports = check_theorem_zc(model.ps, d) + verify_corollary(model.ps, d)
             channels = zero_curvature_residual(model, traj)
         group = max(0, i - model.N + 1)  # 0 sites, 1 k-, 2 k+

@@ -440,9 +440,9 @@ def test_negative_power_keeps_its_errors():
 )
 def test_reflect_matches_the_former_sign_fix(name, n):
     model = build_bcn(n) if name == "bcn" else build_dn(n)
-    d, m_ = model.derivation, mu(model.ring)
+    d = model.derivation
     for j in range(1, n + 2):
-        for m in (d.M(j, m_), d.flow(j, m_)):
+        for m in (d.M(j, 1), d.flow(j, 1)):
             for e in (e for row in m.rows for e in row):
                 assert_same_fraction(e.reflect("mu"), oracle.reflect(e, "mu"))
 

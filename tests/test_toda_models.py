@@ -288,6 +288,18 @@ def test_dn_second_order_boundary_equation(dn2, dn3):
         assert resid.is_zero
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dn_xtilde_velocity_reads_the_derived_x1_flow(n):
+    # the x1 equation of motion, not a second {H, u1}: same value and print
+    m = build_dn(n)
+    ring = m.ring
+    u1, c0 = Fraction(ring.gen("u1")), ring.gen("c0")
+    want = m.ps.bracket_fraction(hamiltonian(m), u1) / u1 * Fraction(c0, c0 + ring.gen("u1"))
+    got = dn_xtilde_velocity(m)
+    assert got == want and str(got) == str(want)
+    assert got.den_factors == want.den_factors
+
+
 def bc_x0_reading(elim, v, exp_x1):
     """e^{-x0} = u2/c0^2 + (V^2 - c1) exp_x1 / (c0^2 - e^{2 xt_1}), with
     exp_x1 in the second numerator."""

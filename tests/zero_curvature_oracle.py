@@ -11,9 +11,8 @@ where mu is a Python float.  The package's residual must be
 
 import numpy as np
 
-from bilax.double_row import zero_curvature_terms
 from bilax.dynamics import compile_any, state_columns
-from bilax.spectral_matrix import bracket_scalar_matrix, mu
+from bilax.spectral_matrix import bracket_scalar_matrix
 from bilax.toda_models import hamiltonian, model_flow_matrix
 
 
@@ -37,16 +36,16 @@ def _stack(compiled, v, n_t):
 
 def zero_curvature_residual(model, traj, mu_samples):
     """``{"zc_residual": ..., "boundary_residual": ...}``, sample by sample."""
-    ps, m_, ham = model.ps, mu(model.ring), hamiltonian(model)
+    ps, ham = model.ps, hamiltonian(model)
     terms = [
         (
-            _compiled_entries(model, ("X", label), lambda X=X: X(m_)),
+            _compiled_entries(model, ("X", label), lambda X=X: X),
             _compiled_entries(model, ("Xdot", label),
-                              lambda X=X: bracket_scalar_matrix(ps, ham, X(m_))),
+                              lambda X=X: bracket_scalar_matrix(ps, ham, X)),
             left,
             right,
         )
-        for label, X, left, right in zero_curvature_terms(model.derivation)
+        for label, X, left, right in model.derivation.layout
     ]
     flows = {  # (j, ±1) -> the compiled M(j, mu), evaluated at ±mu
         (j, s): _compiled_entries(model, ("M", j), lambda j=j: model_flow_matrix(model, j))
