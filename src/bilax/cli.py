@@ -206,11 +206,9 @@ def cmd_simulate(args) -> int:
         if not getattr(args, tol) >= 0:
             raise StructureError("--%s must be non-negative" % tol.replace("_", "-"))
     try:
-        mu_samples = [float(x) for x in args.mu_samples.split(",") if x]
+        mu_samples = [float(x) for x in args.mu_samples.split(",")]
     except ValueError:
         raise StructureError("--mu-samples takes comma-separated numbers") from None
-    if not mu_samples:
-        raise StructureError("--mu-samples needs at least one value")
     if not all(map(math.isfinite, mu_samples)):
         raise StructureError("mu samples must be finite")
     model = _build_model(args)

@@ -149,10 +149,6 @@ class SpectralMatrix:
         return "<SpectralMatrix dim=%d>\n%s" % (self.dim, self)
 
 
-def matrix(ring: PhaseRing, rows) -> SpectralMatrix:
-    return SpectralMatrix(ring, rows)
-
-
 def identity(ring: PhaseRing, dim: int = 2) -> SpectralMatrix:
     return SpectralMatrix(
         ring,

@@ -22,6 +22,7 @@ from typing import Callable
 from .backend import QQ
 from .double_row import Derivation, RatioRecipe, ScaledCoefficient, _memo
 from .phase_ring import (
+    FIELD_KINDS,
     Fraction,
     Generator,
     Kind,
@@ -32,7 +33,7 @@ from .phase_ring import (
     as_fraction,
     exact_divide,
 )
-from .spectral_matrix import SpectralMatrix, identity, lam, matrix, mu
+from .spectral_matrix import SpectralMatrix, identity, lam, mu
 
 HALF = QQ(1, 2)
 
@@ -112,7 +113,7 @@ def toda_lax(ring: PhaseRing):
     def lax(j: int, arg: RingElement) -> SpectralMatrix:
         uj = ring.gen("u%d" % j)
         xj = ring.gen("X%d" % j)
-        return matrix(ring, [[arg + xj, -uj], [uj ** -1, ring.zero]])
+        return SpectralMatrix(ring, [[arg + xj, -uj], [uj ** -1, ring.zero]])
 
     return lax
 
@@ -127,13 +128,13 @@ def build_bcn(N: int, params: dict | None = None) -> ModelSpec:
     thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
 
     def km(arg):
-        return matrix(
+        return SpectralMatrix(
             ring,
             [[th1 * arg + a1, arg], [-(b1 * arg), -(th1 * arg) + a1]],
         )
 
     def kp(arg):
-        return matrix(
+        return SpectralMatrix(
             ring,
             [[thn * arg + an, bn * arg], [-arg, -(thn * arg) + an]],
         )
@@ -159,10 +160,10 @@ def build_dn(N: int, params: dict | None = None) -> ModelSpec:
     E, F, H = ring.gen("E"), ring.gen("F"), ring.gen("H")
 
     def km(arg):
-        return matrix(ring, [[arg * HALF - H, F], [E, arg * HALF + H]])
+        return SpectralMatrix(ring, [[arg * HALF - H, F], [E, arg * HALF + H]])
 
     def kp(arg):
-        return matrix(ring, [[ring.zero, ring.zero], [-ring.one, ring.zero]])
+        return SpectralMatrix(ring, [[ring.zero, ring.zero], [-ring.one, ring.zero]])
 
     recipe = RatioRecipe(2 * N - 2, 2 * N, QQ(-1, 2))
     p = dict(DEFAULT_PARAMS["dn"])
@@ -262,7 +263,7 @@ def displayed_flow_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
     if model.name == "bcn" and j == 1:
         u1 = ring.gen("u1")
         th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
-        return matrix(
+        return SpectralMatrix(
             ring,
             [
                 [-(m_ * HALF) + th1 * u1, u1],
@@ -272,7 +273,7 @@ def displayed_flow_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
     if model.name == "bcn" and j == model.N + 1:
         un = ring.gen("u%d" % model.N)
         thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
-        return matrix(
+        return SpectralMatrix(
             ring,
             [
                 [-(m_ * HALF) + thn * un ** -1, -(m_ * thn) + an + bn * un ** -1],
@@ -290,7 +291,7 @@ def displayed_flow_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
             F - u1,
         )
         bl = Fraction(m_ * m_ + 2 * m_ * H) + inner
-        return matrix(
+        return SpectralMatrix(
             ring,
             [
                 [pref * as_fraction(ring, tl), pref * as_fraction(ring, tr)],
@@ -302,7 +303,7 @@ def displayed_flow_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
     if model.name == "dn" and j == 2:
         u1, F = ring.gen("u1"), ring.gen("F")
         lower = Fraction(u1 - 2 * F, 2 * u1 * (F - u1))
-    return matrix(ring, [[-(m_ * HALF), upper], [lower, m_ * HALF]])
+    return SpectralMatrix(ring, [[-(m_ * HALF), upper], [lower, m_ * HALF]])
 
 
 def displayed_flow_indices(model: ModelSpec):
@@ -315,13 +316,14 @@ def displayed_flow_indices(model: ModelSpec):
 
 
 def state_names(model: ModelSpec) -> list:
-    """The order of the simulate state: x_1..x_N, X_1..X_N, then E, F, H
-    for dn."""
-    names = ["x%d" % j for j in range(1, model.N + 1)]
-    names += ["X%d" % j for j in range(1, model.N + 1)]
-    if model.name == "dn":
-        names += ["E", "F", "H"]
-    return names
+    """The order of the simulate state: the ring's field generators in ring
+    order (``toda_ring``: u_1..u_N, X_1..X_N, then E, F, H for dn), with u_j
+    named x_j."""
+    return [
+        "x" + g.name[1:] if g.kind is Kind.COORD_EXP else g.name
+        for g in model.ring.generators
+        if g.kind in FIELD_KINDS
+    ]
 
 
 def derived_eom(model: ModelSpec) -> dict:

@@ -1,10 +1,12 @@
-"""The span tracer of ``perfbench/spans.py`` still fits the package.
+"""The benchmark tools still fit the package.
 
-The tracer resolves every function named in its LAYERS, COUNTED and CHECKS
-tables and rebinds it; the after-call hooks unpack the leading positional
-arguments of ``boundary_M`` and ``transfer_expansion`` and read the
-trajectory ``integrate`` returns.  The module is loaded from its file and
-not modified.
+The span tracer of ``perfbench/spans.py`` resolves every function named in
+its LAYERS, COUNTED and CHECKS tables and rebinds it; the after-call hooks
+unpack the leading positional arguments of ``boundary_M`` and
+``transfer_expansion`` and read the trajectory ``integrate`` returns.  The
+A/B harness ``benchmarks/bench.py`` summarises each metric and runs a fixed
+list of rows; its tests start no process.  Both modules are loaded from
+their files and not modified.
 """
 
 import importlib.util
@@ -12,17 +14,18 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bilax.cli  # noqa: F401  (loads every module the tracer wraps)
 from bilax import double_row, dynamics
 from bilax.spectral_matrix import lam, mu
 from bilax.toda_models import build_dn
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -45,7 +48,7 @@ def bindings():
 
 
 def test_tracer_installs_traces_and_restores(bcn1):
-    spans = load_spans()
+    spans = load(ROOT / "perfbench" / "spans.py")
     before = bindings()
     tracer = spans.Tracer()
     try:
@@ -71,7 +74,7 @@ def test_tracer_counts_a_simulate_run():
     # a fresh model, so that compilation runs under the tracer too
     model = build_dn(2)
     p0 = dynamics.random_phase_point(model, np.random.default_rng(1), amplitude=0.3)
-    spans = load_spans()
+    spans = load(ROOT / "perfbench" / "spans.py")
     before = bindings()
     tracer = spans.Tracer()
     try:
@@ -95,3 +98,33 @@ def test_tracer_counts_a_simulate_run():
     for name in ("integrate", "conserved_channels", "zero_curvature_residual",
                  "dn_x0_relation_residual"):
         assert metrics["dynamics.%s.s" % name] > 0
+
+
+def test_harness_summary_reads_median_change_and_pairs_won():
+    bench = load(ROOT / "benchmarks" / "bench.py")
+    got = bench.summary([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1.0, 3.5, 4.0, 4.0])
+    assert got["before"] == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert got["after"]["median"] == 3.5
+    assert got["runs"] == {"before": [1.0, 2.0, 3.0, 4.0, 5.0],
+                           "after": [1.0, 1.0, 3.5, 4.0, 4.0]}
+    assert got["change_pct"] == pytest.approx(100 * (3.5 / 3.0 - 1))
+    # pairs 1 and 4 tie and count for neither side
+    assert got["pairs_won"] == {"before": 1, "after": 2}
+
+
+def test_harness_needs_two_repeats(capsys):
+    bench = load(ROOT / "benchmarks" / "bench.py")
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--before", "a", "--after", "b", "--tag", "t", "--repeats", "1"])
+    assert exc.value.code == 2
+    assert "--repeats must be at least 2" in capsys.readouterr().err
+
+
+def test_harness_rows_are_verify_then_simulate():
+    bench = load(ROOT / "benchmarks" / "bench.py")
+    assert bench.ROWS == (
+        *(("verify", "bcn", n) for n in (2, 3, 4, 5, 6)),
+        *(("verify", "dn", n) for n in (2, 3, 4, 5, 6)),
+        ("simulate", "dn", 2),
+        ("simulate", "bcn", 3),
+    )

@@ -359,10 +359,13 @@ def test_simulate_infinite_tolerance_turns_its_gate_off(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("samples", ["", ",", "0.3,abc", "1e200"])
+@pytest.mark.parametrize(
+    "samples", ["", ",", "0.3,,0.7", ",0.3", "0.3,", "0.3,abc", "1e200"]
+)
 def test_simulate_bad_mu_samples_are_config_errors(tmp_path, capsys, samples):
     # with no sample the zero-curvature channels would read 0.0, a vacuous
-    # pass; dn's M(1) carries mu**2, which overflows the floats at mu = 1e200
+    # pass, and an empty field is no number either; dn's M(1) carries mu**2,
+    # which overflows the floats at mu = 1e200
     out = tmp_path / "s.csv"
     argv = ["simulate", "--model", "dn", "--N", "2", "--steps", "50",
             "--mu-samples", samples, "--format", "json", "--output", str(out)]

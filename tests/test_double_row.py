@@ -18,7 +18,7 @@ from bilax.double_row import (
     transfer_expansion,
 )
 from bilax.phase_ring import Fraction, StructureError
-from bilax.spectral_matrix import identity, inverse_2x2, lam, matrix, mu
+from bilax.spectral_matrix import SpectralMatrix, identity, inverse_2x2, lam, mu
 from bilax.toda_models import expansion, hamiltonian
 
 
@@ -67,7 +67,7 @@ def test_single_row_constant_lax_field_free(bcn2):
     ring = bcn2.ring
 
     def const_lax(j, arg):
-        return matrix(ring, [[arg, ring.one], [ring.one, arg]])
+        return SpectralMatrix(ring, [[arg, ring.one], [ring.one, arg]])
 
     t = monodromy(const_lax, 2, 1, lam(ring)).trace()
     assert not any(
@@ -199,7 +199,7 @@ def test_sts_field_free_lax(bcn2):
     ring = bcn2.ring
 
     def const_lax(j, arg):
-        return matrix(ring, [[ring.const(2), ring.zero], [ring.zero, ring.const(3)]])
+        return SpectralMatrix(ring, [[ring.const(2), ring.zero], [ring.zero, ring.const(3)]])
 
     t = monodromy(const_lax, 2, 1, lam(ring)).trace()
     lhs = bcn2.ps.bracket_fraction(t, Fraction(ring.gen("u1")))

@@ -62,10 +62,10 @@ from bilax.backend import kernel as K
 from bilax.double_row import expand
 from bilax.phase_ring import Fraction, Kind, RingElement, StructureError, as_fraction, dot
 from bilax.spectral_matrix import (
+    SpectralMatrix,
     contract,
     kron,
     lam,
-    matrix,
     mu,
     nu,
     partial_trace_a,
@@ -213,7 +213,7 @@ def entries(draw, factors=DEN_FACTORS):
 
 def square(n, es=entries()):
     return st.lists(es, min_size=n * n, max_size=n * n).map(
-        lambda es: matrix(RING, [es[n * i:n * i + n] for i in range(n)])
+        lambda es: SpectralMatrix(RING, [es[n * i:n * i + n] for i in range(n)])
     )
 
 
@@ -328,7 +328,7 @@ def test_contract_of_two_insertions_is_their_sum(r1, c1, r2, c2):
 
 def test_leg_operations_by_hand():
     # entry ((i,k),(j,l)) of m holds 8i + 4k + 2j + l
-    m = matrix(RING, [[RING.const(4 * r + c) for c in range(4)] for r in range(4)])
+    m = SpectralMatrix(RING, [[RING.const(4 * r + c) for c in range(4)] for r in range(4)])
     assert [[str(e) for e in row] for row in partial_trace_a(m).rows] == [
         ["10", "12"], ["18", "20"]
     ]

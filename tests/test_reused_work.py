@@ -39,9 +39,9 @@ from bilax.double_row import (
 )
 from bilax.phase_ring import FIELD_KINDS, Fraction, Kind
 from bilax.spectral_matrix import (
+    SpectralMatrix,
     bracket_scalar_matrix,
     lam,
-    matrix,
     mu,
     rational_r_builder,
     tensor_bracket,
@@ -195,8 +195,8 @@ def test_second_sts_identity_check_differentiates_nothing(name, monkeypatch):
 @given(st.lists(fractions(), min_size=5, max_size=5))
 def test_matrix_brackets_match_per_entry_brackets(es):
     # the first entry appears twice in each matrix
-    a = matrix(RING, [[es[0], es[1]], [es[2], es[0]]])
-    b = matrix(RING, [[es[3], es[0]], [es[4], es[3]]])
+    a = SpectralMatrix(RING, [[es[0], es[1]], [es[2], es[0]]])
+    b = SpectralMatrix(RING, [[es[3], es[0]], [es[4], es[3]]])
     tb = tensor_bracket(PS, a, b)
     for i in range(2):
         for k in range(2):

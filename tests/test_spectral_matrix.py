@@ -7,6 +7,7 @@ import pytest
 
 from bilax.phase_ring import Fraction, StructureError
 from bilax.spectral_matrix import (
+    SpectralMatrix,
     commutator,
     contract,
     det_2x2,
@@ -14,7 +15,6 @@ from bilax.spectral_matrix import (
     inverse_2x2,
     kron,
     lam,
-    matrix,
     mu,
     partial_trace_a,
     permutation,
@@ -31,7 +31,7 @@ def model():
 
 
 def rand_matrix(ring, rng, dim=2):
-    return matrix(
+    return SpectralMatrix(
         ring,
         [[ring.const(rng.randint(-4, 4)) for _ in range(dim)] for _ in range(dim)],
     )
@@ -59,7 +59,7 @@ def test_embed_entries_kronecker_oracle(model):
     # E_12 on the a-leg, kron(E_12, 1), against the explicit Kronecker
     # product layout
     ring = model.ring
-    e12 = matrix(ring, [[ring.zero, ring.one], [ring.zero, ring.zero]])
+    e12 = SpectralMatrix(ring, [[ring.zero, ring.one], [ring.zero, ring.zero]])
     m4 = kron(e12, identity(ring, 2))
     for i in range(2):
         for k in range(2):
@@ -151,10 +151,10 @@ def test_trace_a_matches_embedded_product(model):
     rng = random.Random(29)
     for _ in range(20):
         a, b = (
-            matrix(ring, [[rng.choice(pool) for _ in range(2)] for _ in range(2)])
+            SpectralMatrix(ring, [[rng.choice(pool) for _ in range(2)] for _ in range(2)])
             for _ in range(2)
         )
-        r = matrix(ring, [[rng.choice(pool) for _ in range(4)] for _ in range(4)])
+        r = SpectralMatrix(ring, [[rng.choice(pool) for _ in range(4)] for _ in range(4)])
         want = partial_trace_a(kron(a, one) @ r @ kron(b, one))
         got = contract(r, b @ a)
         assert got == want
@@ -247,7 +247,7 @@ def test_inverse_adjugate_oracle(model):
     ring = model.ring
     u1, x1 = ring.gen("u1"), ring.gen("X1")
     li = inverse_2x2(model.lax(1, -lam(ring)))
-    want = matrix(
+    want = SpectralMatrix(
         ring, [[ring.zero, u1], [-(u1 ** -1), x1 - lam(ring)]]
     )
     assert li == want
@@ -259,13 +259,13 @@ def test_inverse_identity(model):
 
 def test_inverse_product_cross_multiplied(model):
     ring = model.ring
-    m = matrix(ring, [[lam(ring) + 1, ring.gen("u1")], [ring.one, lam(ring)]])
+    m = SpectralMatrix(ring, [[lam(ring) + 1, ring.gen("u1")], [ring.one, lam(ring)]])
     assert m @ inverse_2x2(m) == identity(ring, 2)
 
 
 def test_inverse_rejects_singular(model):
     ring = model.ring
-    m = matrix(ring, [[ring.one, ring.one], [ring.one, ring.one]])
+    m = SpectralMatrix(ring, [[ring.one, ring.one], [ring.one, ring.one]])
     with pytest.raises(StructureError):
         inverse_2x2(m)
 

@@ -3,7 +3,7 @@
 import json
 
 from bilax.backend import QQ
-from bilax.spectral_matrix import identity, lam, matrix, rational_r_builder, zeros
+from bilax.spectral_matrix import SpectralMatrix, identity, lam, rational_r_builder, zeros
 from bilax.structure_checks import (
     check_cybe,
     check_k_locality,
@@ -51,7 +51,7 @@ def test_rll_constant_lax(bcn2):
     ring = bcn2.ring
 
     def const_lax(j, arg):
-        return matrix(ring, [[ring.const(1), ring.const(2)], [ring.const(3), ring.const(5)]])
+        return SpectralMatrix(ring, [[ring.const(1), ring.const(2)], [ring.const(3), ring.const(5)]])
 
     rep = check_rll(const_lax, rational_r_builder(ring), bcn2.ps)
     assert rep.holds
@@ -93,7 +93,7 @@ def test_reflection_wrong_corner_fails(dn2):
     E, F, H = ring.gen("E"), ring.gen("F"), ring.gen("H")
 
     def bad(arg):
-        return matrix(
+        return SpectralMatrix(
             ring,
             [[arg * QQ(1, 2) - H, E], [F, arg * QQ(1, 2) + H]],
         )
@@ -110,7 +110,7 @@ def test_nondynamical(bcn2, dn2):
 
 def test_nondynamical_scalar_matrix(bcn2):
     ring = bcn2.ring
-    k = lambda arg: matrix(ring, [[arg, ring.zero], [ring.zero, arg]])
+    k = lambda arg: SpectralMatrix(ring, [[arg, ring.zero], [ring.zero, arg]])
     assert check_nondynamical(k, bcn2.ps).holds
 
 
@@ -135,7 +135,7 @@ def test_residual_entries_index_failures(dn2):
     F, H = ring.gen("F"), ring.gen("H")
 
     def printed(arg):
-        return matrix(
+        return SpectralMatrix(
             ring, [[arg * QQ(1, 2) - H, F], [F, arg * QQ(1, 2) + H]]
         )
 

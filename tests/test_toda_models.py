@@ -155,6 +155,16 @@ def test_eom_are_keyed_by_the_state_names(bcn1, bcn2, bcn3, dn2, dn3):
     assert sorted(closed_form_eom(bcn2)) == ["X1", "X2", "x1", "x2"]
 
 
+def test_state_names_follow_the_ring(bcn1, bcn2, bcn3, dn2, dn3):
+    # the simulate CSV columns and the integrator state vector are in this
+    # order: x_1..x_N, X_1..X_N, then E, F, H for dn
+    for m in (bcn1, bcn2, bcn3, dn2, dn3):
+        want = ["x%d" % j for j in range(1, m.N + 1)]
+        want += ["X%d" % j for j in range(1, m.N + 1)]
+        want += ["E", "F", "H"] if m.name == "dn" else []
+        assert state_names(m) == want
+
+
 def test_bcn_boundary_eom_values(bcn2):
     ring = bcn2.ring
     pe = closed_form_eom(bcn2)
