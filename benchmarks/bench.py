@@ -20,10 +20,10 @@ system) and peak RSS, from ``wait4``.  A child that exits nonzero stops the
 session.  Stdout and every output file of both sides are compared byte for
 byte, and the exit status is 1 if any row differs.
 
-    python3 benchmarks/bench.py --before PARENT_CHECKOUT --after . \\
-        --repeats 5 --tag my_change
+    python3 benchmarks/bench.py --before PARENT_CHECKOUT --after . --tag my_change
 
-writes ``BENCH_my_change.json`` with the kernel, the rational backend, the
+runs ten pairs (``--repeats``: a claim needs at least ten) and writes
+``BENCH_my_change.json`` with the kernel, the rational backend, the
 Python version and the CPU count next to the rows.
 """
 
@@ -160,7 +160,7 @@ def main(argv=None):
     parser.add_argument("--after", required=True, help="checkout of the change")
     parser.add_argument("--before-label", default="parent")
     parser.add_argument("--tag", required=True, help="label of the change; names the output")
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=10)
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2")

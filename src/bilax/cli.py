@@ -211,6 +211,11 @@ def cmd_simulate(args) -> int:
         raise StructureError("--mu-samples takes comma-separated numbers") from None
     if not all(map(math.isfinite, mu_samples)):
         raise StructureError("mu samples must be finite")
+    out = args.output
+    side = None if args.format == "csv" else os.path.splitext(out)[0] + "." + args.format
+    if side == out:
+        raise StructureError("--output %s names the file that --format %s writes"
+                             % (out, args.format))
     model = _build_model(args)
     rng = np.random.default_rng(args.seed)
     point = dynamics.random_phase_point(model, rng, amplitude=args.amplitude)
@@ -227,13 +232,11 @@ def cmd_simulate(args) -> int:
         except dynamics.SingularityError as exc:
             diagnostics_error = str(exc)
 
-    out = args.output
     dynamics.write_csv(model, traj, out)
     print("wrote %s (%d samples)" % (out, len(traj.times)))
     if args.format == "svg":
-        svg_path = os.path.splitext(out)[0] + ".svg"
-        dynamics.write_svg(traj, svg_path)
-        print("wrote %s" % svg_path)
+        dynamics.write_svg(traj, side)
+        print("wrote %s" % side)
 
     failures = []
     if traj.truncated:
@@ -270,10 +273,9 @@ def cmd_simulate(args) -> int:
         }
         if model.name == "dn":
             payload["min_abs_f_minus_ex1"] = _json_number(traj.min_abs_f_minus_ex1)
-        json_path = os.path.splitext(out)[0] + ".json"
-        with open(json_path, "w") as fh:
+        with open(side, "w") as fh:
             json.dump(payload, fh, indent=2, allow_nan=False)
-        print("wrote %s" % json_path)
+        print("wrote %s" % side)
     for f in failures:
         print("FAIL %s" % f)
     return 1 if failures else 0

@@ -168,15 +168,13 @@ compile_element = compile_fraction = compile_any
 
 
 def _value_vector(model: ModelSpec, coords, exp, mu_value: float) -> list:
-    """Ring value vector from state coordinates in ``state_names`` order;
-    x_j enters as u_j = exp(x_j), parameters and mu as floats."""
+    """Ring value vector from the state in ``state_names`` order: coordinate
+    i sets field slot i (through ``exp`` when Laurent); parameters and mu as
+    floats."""
     ring = model.ring
     v = [0.0] * ring.nvars
-    for name, val in zip(state_names(model), coords):
-        if name[0] == "x":
-            v[ring.slot("u" + name[1:])] = exp(val)
-        else:
-            v[ring.slot(name)] = val
+    for i, val in zip(ring.field_slots, coords):
+        v[i] = exp(val) if ring.laurent[i] else val
     for name, val in model.params.items():
         v[ring.slot(name)] = float(val)
     v[ring.slot("mu")] = mu_value
@@ -250,17 +248,18 @@ def _stage_template(model: ModelSpec, eqs: list) -> str:
     """Indented source that sets ``{k}i`` to the i-th equation at the state
     ``{y[0]}, {y[1]}, ...``; ``str.format`` names the state and outputs.
 
-    Every u_j = exp(x_j) is taken first; ``_emit`` writes the rest, with
-    the scalar guard ``-eps < d < eps``.  The parameters enter as literals
-    and any other slot (lam, mu) as 0.0."""
-    ring, n = model.ring, model.N
+    Coordinate k sets field slot k, a Laurent one as ``u<k> = exp(y)`` taken
+    first; ``_emit`` writes the rest, with the scalar guard ``-eps < d < eps``.
+    The parameters enter as literals and any other slot (lam, mu) as 0.0."""
+    ring = model.ring
     slots = ["0.0"] * ring.nvars
     lines = []
-    for j in range(n):
-        slots[ring.slot("u%d" % (j + 1))] = "u%d" % j
-        lines.append("u%d = exp({y[%d]})" % (j, j))
-    for i, name in enumerate(state_names(model)[n:], n):
-        slots[ring.slot(name)] = "{y[%d]}" % i
+    for k, i in enumerate(ring.field_slots):
+        if ring.laurent[i]:
+            slots[i] = "u%d" % k
+            lines.append("u%d = exp({y[%d]})" % (k, k))
+        else:
+            slots[i] = "{y[%d]}" % k
     for name, val in model.params.items():
         slots[ring.slot(name)] = "(%r)" % float(val)
     targets = ["{k}%d" % i for i in range(len(eqs))]
@@ -332,8 +331,9 @@ def integrate(
     """Integrate the double-row flow from p0; deterministic given inputs.
 
     ``rk4-adaptive`` accepts a step when the step-doubling error is at most
-    ADAPTIVE_TOL.  A singular denominator (dn: F -> e^{x1}) truncates the
-    trajectory and sets the error flag instead of raising.  So does
+    ADAPTIVE_TOL or is NaN, so that a non-finite state ends the run as below.
+    A singular denominator (dn: F -> e^{x1}) truncates the trajectory and
+    sets the error flag instead of raising.  So does
     ``rk4-adaptive`` when it has accepted 100 * steps steps short of
     t_end = dt * steps, and so does a state that is not finite: the
     trajectory then ends before the first non-finite sample, and
@@ -372,7 +372,7 @@ def integrate(
                 half = step(step(y, h / 2.0), h / 2.0)
                 # np.max, unlike max(), propagates a NaN difference
                 err = float(np.max(np.abs(np.subtract(full, half))))
-                if err <= ADAPTIVE_TOL or h < 1e-12:
+                if not err > ADAPTIVE_TOL or h < 1e-12:
                     y = half
                     t += h
                     accepted += 1

@@ -145,11 +145,6 @@ def finish(out, pk):
 
 def mul(a, b, pk):
     """Product of two term dicts."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        (eb, cb), = b.items()
-        return mul_term(a, eb - pk.one, cb, pk)
     out = {}
     _mul_into(out, a, b, pk)
     return finish(out, pk)

@@ -78,7 +78,8 @@ def _qq(c):
 
 
 class PhaseRing:
-    """Ordered generator registry; all elements carry a reference to it."""
+    """Ordered generator registry; all elements carry a reference to it, and
+    only elements of the same ring object mix."""
 
     def __init__(self, generators):
         gens = list(generators)
@@ -93,9 +94,10 @@ class PhaseRing:
         self.names = tuple(names)
         self.index = {n: i for i, n in enumerate(names)}
         self.nvars = len(gens)
-        self._laurent = tuple(g.kind is Kind.COORD_EXP for g in gens)
+        #: per slot: may its exponent go negative (u_j = e^{x_j})
+        self.laurent = tuple(g.kind is Kind.COORD_EXP for g in gens)
         #: exponent packing of this ring's term keys
-        self.pk = Packing(self._laurent)
+        self.pk = Packing(self.laurent)
         #: key of the constant monomial
         self.zero_exp = self.pk.one
         self._nonparameter_slots = tuple(
@@ -103,16 +105,14 @@ class PhaseRing:
             for i, g in enumerate(gens)
             if g.kind in FIELD_KINDS or g.kind is Kind.SPECTRAL
         )
-        self._field_slots = tuple(i for i, g in enumerate(gens) if g.kind in FIELD_KINDS)
+        #: field generator slots in ring order; simulate state i drives slot i
+        self.field_slots = tuple(i for i, g in enumerate(gens) if g.kind in FIELD_KINDS)
         self._pow_cache: dict = {}
         self.zero = RingElement(self, {})
         self.one = RingElement(self, {self.zero_exp: 1})
 
     def __repr__(self):
         return "PhaseRing(%s)" % ", ".join(self.names)
-
-    def compatible(self, other) -> bool:
-        return self is other or self.names == other.names
 
     def slot(self, name: str) -> int:
         i = self.index.get(name)
@@ -139,7 +139,7 @@ class PhaseRing:
         exp = [0] * self.nvars
         for name, e in powers.items():
             i = self.slot(name)
-            if e < 0 and not self._laurent[i]:
+            if e < 0 and not self.laurent[i]:
                 raise StructureError(
                     "negative exponent on non-Laurent generator %r" % name
                 )
@@ -216,7 +216,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if not self.ring.compatible(other.ring):
+            if other.ring is not self.ring:
                 raise StructureError("elements from incompatible rings")
             return other
         if isinstance(other, Fraction):
@@ -307,7 +307,7 @@ class RingElement:
         except AttributeError:
             terms, pk = self.terms, self.ring.pk
             self._partials = {
-                i: d for i in self.ring._field_slots if (d := K.diff(terms, i, pk))
+                i: d for i in self.ring.field_slots if (d := K.diff(terms, i, pk))
             }
             return self._partials
 
@@ -420,7 +420,7 @@ def _push_den(ring: PhaseRing, num_terms: dict, factors: dict, el: RingElement, 
         fold = [0] * ring.nvars
         for i, e in enumerate(pk.unpack(key)):
             if e:
-                if ring._laurent[i]:
+                if ring.laurent[i]:
                     fold[i] = -e * power
                 else:
                     _factor_add(factors, ring.gen(ring.names[i]), e * power)
@@ -474,7 +474,7 @@ class Fraction:
         factors: dict = {}
         terms = num.terms
         if den is not None and den.terms != ring.one.terms:
-            if not ring.compatible(den.ring):
+            if den.ring is not ring:
                 raise StructureError("num/den from incompatible rings")
             terms = _push_den(ring, terms, factors, den, 1)
         self._init(ring, terms, factors)
@@ -706,7 +706,7 @@ def dot(pairs) -> Fraction:
 def as_fraction(ring: PhaseRing, value) -> Fraction | None:
     """Coerce to a Fraction over ring; None when the value is foreign."""
     if isinstance(value, Fraction):
-        if not ring.compatible(value.ring):
+        if value.ring is not ring:
             raise StructureError("fraction from incompatible ring")
         return value
     el = ring.zero._coerce(value)
@@ -728,7 +728,7 @@ class PoissonStructure:
         for name in (a, b):
             if ring.kind_of(name) not in FIELD_KINDS:
                 raise StructureError("%r is central: it has no bracket" % name)
-        if not ring.compatible(value.ring):
+        if value.ring is not ring:
             raise StructureError("table entry from incompatible ring")
         if i < j:
             self._table[(i, j)] = value
@@ -751,7 +751,7 @@ class PoissonStructure:
         """Exact Poisson bracket: bilinear, antisymmetric, Leibniz in both;
         it reads the partial derivatives each operand keeps."""
         ring = self.ring
-        if not (ring.compatible(f.ring) and ring.compatible(g.ring)):
+        if f.ring is not ring or g.ring is not ring:
             raise StructureError("bracket arguments from incompatible rings")
         df, dg = f.partials(), g.partials()
         pk = ring.pk
@@ -773,8 +773,6 @@ class PoissonStructure:
         G = as_fraction(ring, g)
         if F is None or G is None:
             raise StructureError("bracket_fraction on non-algebraic input")
-        if not F._factors and not G._factors:
-            return Fraction(self.bracket(F.num, G.num))
         p, s = F.num, G.num
         q, t = F.den, G.den
         num = ring.zero  # q t {p,s} - q s {p,t} - p t {q,s} + p s {q,t}
@@ -838,7 +836,7 @@ def exact_divide(num: RingElement, den: RingElement) -> RingElement | None:
     nlo, nhi = _degree_box(num.terms, pk)
     dlo, dhi = _degree_box(den.terms, pk)
     box = [(a - b, c - d) for a, b, c, d in zip(nlo, dlo, nhi, dhi)]
-    if any(lo < 0 and not lau for (lo, _), lau in zip(box, ring._laurent)):
+    if any(lo < 0 and not lau for (lo, _), lau in zip(box, ring.laurent)):
         return None
     ed = max(den.terms)
     cd = den.terms[ed]

@@ -176,10 +176,8 @@ def _tensor(m: SpectralMatrix, n: SpectralMatrix, op) -> SpectralMatrix:
 
 
 def kron(m: SpectralMatrix, n: SpectralMatrix) -> SpectralMatrix:
-    """Tensor product.  A zero factor gives the canonical zero without
-    forming the product."""
-    zero = Fraction(m.ring.zero)
-    return _tensor(m, n, lambda a, b: zero if a.is_zero or b.is_zero else a * b)
+    """Tensor product."""
+    return _tensor(m, n, operator.mul)
 
 
 def permutation(ring: PhaseRing) -> SpectralMatrix:

@@ -22,7 +22,6 @@ from typing import Callable
 from .backend import QQ
 from .double_row import Derivation, RatioRecipe, ScaledCoefficient, _memo
 from .phase_ring import (
-    FIELD_KINDS,
     Fraction,
     Generator,
     Kind,
@@ -316,14 +315,12 @@ def displayed_flow_indices(model: ModelSpec):
 
 
 def state_names(model: ModelSpec) -> list:
-    """The order of the simulate state: the ring's field generators in ring
-    order (``toda_ring``: u_1..u_N, X_1..X_N, then E, F, H for dn), with u_j
-    named x_j."""
-    return [
-        "x" + g.name[1:] if g.kind is Kind.COORD_EXP else g.name
-        for g in model.ring.generators
-        if g.kind in FIELD_KINDS
-    ]
+    """The order of the simulate state: the ring's field slots in ring order
+    (``toda_ring``: u_1..u_N, X_1..X_N, then E, F, H for dn), with a
+    Laurent u_j named x_j."""
+    ring = model.ring
+    return ["x" + ring.names[i][1:] if ring.laurent[i] else ring.names[i]
+            for i in ring.field_slots]
 
 
 def derived_eom(model: ModelSpec) -> dict:
@@ -335,12 +332,10 @@ def derived_eom(model: ModelSpec) -> dict:
         ring, ps = model.ring, model.ps
         ham = hamiltonian(model)
         eom = {}
-        for name in state_names(model):
-            if name[0] == "x":
-                uj = Fraction(ring.gen("u" + name[1:]))
-                eom[name] = ps.bracket_fraction(ham, uj) / uj
-            else:
-                eom[name] = ps.bracket_fraction(ham, Fraction(ring.gen(name)))
+        for name, i in zip(state_names(model), ring.field_slots):
+            g = Fraction(ring.gen(ring.names[i]))
+            dg = ps.bracket_fraction(ham, g)
+            eom[name] = dg / g if ring.laurent[i] else dg
         return eom
 
     return model.cached("derived_eom", build)

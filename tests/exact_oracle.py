@@ -267,7 +267,7 @@ def negative_power(el: RingElement, p: int) -> RingElement:
     (key, c), = el.terms.items()
     exp = pk.unpack(key)
     for i, e in enumerate(exp):
-        if e and not el.ring._laurent[i]:
+        if e and not el.ring.laurent[i]:
             raise StructureError(
                 "negative power touches non-Laurent generator"
             )

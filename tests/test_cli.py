@@ -247,6 +247,17 @@ def test_simulate_svg(tmp_path):
     assert (tmp_path / "run.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("fmt", ["json", "svg"])
+def test_simulate_output_that_format_writes_is_a_config_error(tmp_path, capsys, fmt):
+    # the summary or plot would overwrite the CSV at --output
+    out = tmp_path / ("run." + fmt)
+    argv = ["simulate", "--model", "bcn", "--N", "1", "--steps", "20",
+            "--format", fmt, "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: --output ")
+    assert not out.exists()
+
+
 def test_simulate_non_finite_state_exits_1(tmp_path, capsys):
     # the state goes NaN from t = 4.0 without raising; every channel peak
     # used to read NaN, which no "peak > tol" gate caught

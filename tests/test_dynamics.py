@@ -1,6 +1,7 @@
 """Numeric evaluation, integration, and trajectory diagnostics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,6 +285,26 @@ def test_non_finite_state_truncates(dn2):
     assert float(traj.times[-1]) == 3.5 and len(traj.times) == 8
     assert np.isfinite(traj.states).all()
     assert traj.steps_accepted == 7
+
+
+def test_adaptive_ends_on_a_non_finite_error_estimate(bcn1, monkeypatch):
+    # a NaN step-doubling error fails both "err <= tol" and "err > 0": were
+    # the step rejected, h would grow and nothing would ever be accepted
+    # again; the fake step raises past 10,000 calls instead of hanging
+    real, calls = vector_field(bcn1).step, []
+
+    def step(y, h):
+        calls.append(h)
+        assert len(calls) <= 10_000, "rk4-adaptive did not end"
+        y = real(y, h)
+        return (math.nan,) * len(y) if len(calls) > 30 else y
+
+    monkeypatch.setattr(dynamics, "vector_field", lambda model: SimpleNamespace(step=step))
+    p0 = random_phase_point(bcn1, np.random.default_rng(0))
+    traj = integrate(bcn1, p0, 0.01, 50, scheme="rk4-adaptive")
+    assert traj.truncated and traj.error.startswith("non-finite state at t = ")
+    assert np.isfinite(traj.states).all()
+    assert traj.steps_accepted == len(traj.times) - 1 > 0
 
 
 def test_non_finite_initial_state_rejected(bcn1):

@@ -41,7 +41,7 @@ coefficients = st.builds(
 def exponents(draw):
     exp = [0] * RING.nvars
     for i in LIVE:
-        lo = -2 if RING._laurent[i] else 0
+        lo = -2 if RING.laurent[i] else 0
         exp[i] = draw(st.integers(lo, 2))
     return tuple(exp)
 

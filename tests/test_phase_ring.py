@@ -24,7 +24,8 @@ from bilax.phase_ring import (
     exact_divide,
 )
 from bilax.kernel import canon, quo
-from bilax.toda_models import toda_structure
+from bilax.spectral_matrix import SpectralMatrix
+from bilax.toda_models import toda_ring, toda_structure
 
 
 def make_ring(sl2=True):
@@ -198,6 +199,18 @@ def test_unknown_generator_rejected(ring, ps):
     other = PhaseRing([Generator("q", Kind.MOMENTUM)])
     with pytest.raises(StructureError):
         ps.bracket(other.gen("q"), ring.gen("u1"))
+
+
+def test_rings_with_equal_names_do_not_mix():
+    # a ring is its own object: equal generator names are not enough
+    a, b = toda_ring(2), toda_ring(2)
+    assert a.names == b.names
+    x, y, ps = a.gen("u1"), b.gen("X1"), toda_structure(a)
+    for mix in (lambda: x + y, lambda: x * y, lambda: ps.bracket(x, y),
+                lambda: ps.bracket_fraction(x, y), lambda: Fraction(x, y),
+                lambda: SpectralMatrix(a, [[x, Fraction(y)], [x, x]])):
+        with pytest.raises(StructureError):
+            mix()
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +399,7 @@ def _max_scan_divide(num, den):
     nlo, nhi = _degree_box(num.terms, pk)
     dlo, dhi = _degree_box(den.terms, pk)
     box = [(a - b, c - d) for a, b, c, d in zip(nlo, dlo, nhi, dhi)]
-    if any(lo < 0 and not lau for (lo, _), lau in zip(box, ring._laurent)):
+    if any(lo < 0 and not lau for (lo, _), lau in zip(box, ring.laurent)):
         return None
     ed = max(den.terms)
     cd = den.terms[ed]
