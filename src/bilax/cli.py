@@ -53,11 +53,13 @@ DEFAULT_MU_SAMPLES = ",".join(map(str, dynamics.DEFAULT_MU_SAMPLES))
 def _load_params(raw: str | None) -> dict:
     if not raw:
         return {}
-    if os.path.exists(raw):
-        with open(raw) as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(raw)
+    if os.path.exists(raw):  # a path: its text is the JSON
+        try:
+            with open(raw, encoding="utf-8") as fh:
+                raw = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StructureError("params file %s is not UTF-8: %s" % (raw, exc)) from None
+    data = json.loads(raw)
     if not isinstance(data, dict):
         raise StructureError("params must be a JSON object")
     return data

@@ -20,11 +20,11 @@ power (cached by ``PhaseRing._pow_terms``, used by ``Fraction.__pow__``),
 ``reflect`` and negative powers too), ``Fraction._init`` the one
 constructor, ``dot`` the one sum of products (``substitute`` too; it shares
 ``_lcd``, the common-denominator step, with ``Fraction.__add__`` and
-``__sub__``) and ``RingElement.partials`` the one derivative that brackets
-read.  An element's ``terms`` never change once it is built, so it keeps
-its partial derivatives and its ``key()``.  Every Fraction is canonical, so
-negation keeps its factors as they are.  The model declares the bracket
-table (``toda_models.toda_structure``).
+``__sub__``), ``Fraction.partials`` the one derivative and
+``bracket_fraction`` the one bracket, which ``bracket`` runs through.  No
+element or Fraction changes once built: each keeps its ``key()`` or its
+partials.  Every Fraction is canonical, so negation keeps its factors.  The
+model declares the bracket table (``toda_models.toda_structure``).
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class RingElement:
     tuples.
     """
 
-    __slots__ = ("ring", "terms", "_partials", "_key")
+    __slots__ = ("ring", "terms", "_key")
 
     def __init__(self, ring: PhaseRing, terms: dict):
         self.ring = ring
@@ -298,18 +298,6 @@ class RingElement:
     def diff(self, name: str) -> "RingElement":
         ring = self.ring
         return RingElement(ring, K.diff(self.terms, ring.slot(name), ring.pk))
-
-    def partials(self) -> dict:
-        """{slot: d(self)/d(slot) term dict} over the ring's field slots,
-        nonzero ones only; worked out on first use and kept."""
-        try:
-            return self._partials
-        except AttributeError:
-            terms, pk = self.terms, self.ring.pk
-            self._partials = {
-                i: d for i in self.ring.field_slots if (d := K.diff(terms, i, pk))
-            }
-            return self._partials
 
     def coeff_of(self, name: str, power: int) -> "RingElement":
         """Coefficient of name**power (the slot is zeroed in the result)."""
@@ -465,7 +453,7 @@ def _cancel(ring: PhaseRing, num_terms: dict, factors: dict) -> tuple:
 class Fraction:
     """Quotient of ring elements with a factored, content-reduced denominator."""
 
-    __slots__ = ("ring", "num", "_factors", "_den")
+    __slots__ = ("ring", "num", "_factors", "_den", "_partials")
 
     def __init__(self, num: RingElement, den: RingElement | None = None):
         if isinstance(num, Fraction):
@@ -512,6 +500,27 @@ class Fraction:
     @property
     def is_zero(self) -> bool:
         return not self.num.terms
+
+    def partials(self) -> dict:
+        """{slot: den**2 * d(self)/d(slot)} over the ring's field slots,
+        nonzero ones only: ``den*dnum - num*dden`` by the quotient rule, or
+        ``dnum`` without denominator factors; worked out once and kept."""
+        if hasattr(self, "_partials"):
+            return self._partials
+        pk, p, out = self.ring.pk, self.num.terms, {}
+        q = self.den.terms if self._factors else None
+        for i in self.ring.field_slots:
+            d = K.diff(p, i, pk)
+            if q is not None:
+                if d:
+                    d = K.mul(q, d, pk)
+                dq = K.diff(q, i, pk)
+                if dq:
+                    d = K.sub(d, K.mul(p, dq, pk))
+            if d:
+                out[i] = d
+        self._partials = out
+        return out
 
     def is_parameter_constant(self) -> bool:
         return self.num.is_parameter_constant() and all(
@@ -748,12 +757,17 @@ class PoissonStructure:
     # -- brackets ----------------------------------------------------------
 
     def bracket(self, f: RingElement, g: RingElement) -> RingElement:
-        """Exact Poisson bracket: bilinear, antisymmetric, Leibniz in both;
-        it reads the partial derivatives each operand keeps."""
+        """Exact Poisson bracket of two ring elements."""
+        return self.bracket_fraction(f, g).num
+
+    def bracket_fraction(self, f, g) -> Fraction:
+        """Exact Poisson bracket on the fraction field: the table summed
+        over the partials each operand keeps, so {p/q, s/t} is over (q t)^2."""
         ring = self.ring
-        if f.ring is not ring or g.ring is not ring:
-            raise StructureError("bracket arguments from incompatible rings")
-        df, dg = f.partials(), g.partials()
+        F, G = as_fraction(ring, f), as_fraction(ring, g)
+        if F is None or G is None:
+            raise StructureError("bracket_fraction on non-algebraic input")
+        df, dg = F.partials(), G.partials()
         pk = ring.pk
         out: dict = {}
         for (i, j), el in self._table.items():
@@ -763,28 +777,10 @@ class PoissonStructure:
                 s = K.sub(s, K.mul(dfj, dgi, pk))
             if s:
                 K.mul_acc(out, s, el.terms, pk)
-        return RingElement(ring, K.finish(out, pk))
-
-    def bracket_fraction(self, f, g) -> Fraction:
-        """Bracket on the fraction field via the quotient rule; a term that
-        brackets with a constant is skipped."""
-        ring = self.ring
-        F = as_fraction(ring, f)
-        G = as_fraction(ring, g)
-        if F is None or G is None:
-            raise StructureError("bracket_fraction on non-algebraic input")
-        p, s = F.num, G.num
-        q, t = F.den, G.den
-        num = ring.zero  # q t {p,s} - q s {p,t} - p t {q,s} + p s {q,t}
-        for x, y, a, b, sign in ((p, s, q, t, 1), (p, t, q, s, -1),
-                                 (q, s, p, t, -1), (q, t, p, s, 1)):
-            if x.partials() and y.partials():
-                term = a * b * self.bracket(x, y)
-                num = num + term if sign > 0 else num - term
         factors: dict = {}
         for el, pw in F._factors + G._factors:
             _factor_add(factors, el, 2 * pw)
-        return Fraction._make(ring, num.terms, factors)
+        return Fraction._make(ring, K.finish(out, pk), factors)
 
     # -- structure checks ---------------------------------------------------
 

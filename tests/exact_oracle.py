@@ -12,10 +12,10 @@ squaring of Fraction products, which the package replaced by the power of
 the numerator over scaled denominator exponents.  ``bracket`` and
 ``bracket_fraction`` are the per-pair Poisson brackets, which take every
 partial derivative of both operands afresh and expand all four terms of the
-quotient rule; the package computes each operand's partial derivatives once
-per batch of brackets and skips the terms that bracket with a constant.  The
-differential tests require the package's results to be ``==``, ``str``- and
-``den_factors``-equal to these.
+quotient rule as nested brackets; the package keeps each Fraction's
+quotient-rule partials (``Fraction.partials``) and sums the bracket table
+over them once.  The differential tests require the package's results to be
+``==``, ``str``- and ``den_factors``-equal to these.
 
 ``embed_pair``, ``index_swap_legs`` and ``tensor_index`` are the package's
 own former leg decoders, each with its own index arithmetic: the

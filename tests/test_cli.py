@@ -102,6 +102,13 @@ def test_params_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_params_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    assert main(["verify", "--model", "bcn", "--N", "1", "--params", str(cfg)]) == 2
+    assert "config error: params file %s is not UTF-8" % cfg in capsys.readouterr().err
+
+
 def test_derive_output(capsys):
     assert main(["derive", "--model", "bcn", "--N", "1"]) == 0
     out = capsys.readouterr().out

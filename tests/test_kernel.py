@@ -4,7 +4,9 @@
   coefficients; every kernel function is run on the same random Laurent
   inputs through both and the results must agree term for term.
 * sympy's ``expand`` recomputes products, derivatives and Poisson brackets
-  of the same elements as symbolic expressions.
+  of the same elements as symbolic expressions, and sympy's ``cancel``
+  decides ``bracket_fraction`` of quotients that sympy differentiates
+  itself, over denominators with and without field generators.
 
 Also checked: coefficients come out canonical, a sum of ``mul_acc`` products
 is exact once ``finish`` ends it, and an exponent that leaves its packed
@@ -12,6 +14,8 @@ field raises instead of aliasing another monomial (``Packing.check`` raises
 exactly when some key has a guard bit set).
 """
 
+import functools
+import operator
 from fractions import Fraction as PyFraction
 
 import pytest
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 
 import tuple_kernel as T
 from bilax.backend import kernel as K
-from bilax.phase_ring import RingElement, StructureError
+from bilax.phase_ring import Fraction, RingElement, StructureError
 from bilax.toda_models import toda_ring, toda_structure
 
 RING = toda_ring(2, dynamical=True)
@@ -164,6 +168,46 @@ def test_mul_diff_bracket_match_sympy(f, g, i):
     name = RING.names[i]
     assert same(to_sympy(f.diff(name)), sympy.diff(sf, SYMBOLS[i]))
     assert same(to_sympy(PS.bracket(f, g)), sympy_bracket(sf, sg))
+
+
+U1, U2, X1, X2, E, F, H, C0, _, LAM, MU, _ = map(RING.gen, RING.names)
+#: field-free denominators (no partials of their own) and field ones
+DENOMINATORS = (C0, LAM - MU, F - U1, E + 2)
+
+
+def assert_bracket_fraction_matches_sympy(f, g):
+    # sympy differentiates the quotients itself: no bilax quotient rule
+    r = PS.bracket_fraction(f, g)
+    sf = to_sympy(f.num) / to_sympy(f.den)
+    sg = to_sympy(g.num) / to_sympy(g.den)
+    want = sympy_bracket(sf, sg)
+    assert sympy.cancel(to_sympy(r.num) / to_sympy(r.den) - want) == 0
+
+
+# a denominator without field generators still enters the quotient rule:
+# {X1*E/c0, u1} is over c0, not c0^2
+@pytest.mark.parametrize("f,g", [
+    (Fraction(X1 * E, C0), Fraction(U1)),
+    (Fraction(X1 * E, LAM - MU), Fraction(H, C0)),
+    (Fraction(E * U1 + X1, F - U1), Fraction(H + X2 * U2, E + 2)),
+    (Fraction(X1, F - U1), Fraction(E * X1, C0)),
+    (Fraction(H, E + 2), Fraction(F, E + 2)),
+], ids=["c0-1", "lam-mu-c0", "F-u1-E+2", "F-u1-c0", "E+2-E+2"])
+def test_bracket_fraction_matches_sympy_explicit(f, g):
+    assert not PS.bracket_fraction(f, g).is_zero
+    assert_bracket_fraction_matches_sympy(f, g)
+
+
+small_fractions = st.builds(
+    lambda num, dens: Fraction(num, functools.reduce(operator.mul, dens, RING.one)),
+    small_elements, st.lists(st.sampled_from(DENOMINATORS), max_size=2),
+)
+
+
+@settings(bounded, max_examples=25)
+@given(small_fractions, small_fractions)
+def test_bracket_fraction_matches_sympy(f, g):
+    assert_bracket_fraction_matches_sympy(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,17 @@
 * Site steps: the products C0, C1, C2 of ``Derivation.chain(j)``, each
   conjugated one site from those of j - 1, must equal the products B A of
   the whole-monodromy factors of ``double_row_oracle``.
-* Kept partial derivatives: each element works out its partial
-  derivatives once (``RingElement.partials``) and keeps them; they must
-  equal a fresh ``kernel.diff`` in every field slot, also after the element
-  has been an operand.  Brackets read them, and quotient-rule terms with a
-  constant operand are skipped; the results must equal, in the same three
-  ways, the per-pair brackets of ``exact_oracle``, for Laurent exponents,
-  rational coefficients, constant operands and operands repeated across a
-  batch of brackets.  A second zero-curvature or sts check differentiates
-  nothing.
+* Kept partial derivatives: each Fraction p/q works out its quotient-rule
+  partials once (``Fraction.partials``) and keeps them; they must equal the
+  numerators ``q*dp - p*dq`` built afresh from ``kernel.diff`` in every
+  field slot, also after the Fraction has been an operand.  Every bracket
+  sums the table over them; the results must equal, in the same three ways,
+  the per-pair brackets of ``exact_oracle``, for Laurent exponents,
+  rational coefficients, constant operands, field-free and field
+  denominators and operands repeated across a batch of brackets.  A second
+  zero-curvature, corollary, involution or sts check differentiates
+  nothing, and a second corollary or involution check never multiplies by
+  the Hamiltonian's denominator.
 """
 
 from fractions import Fraction as QQ
@@ -36,6 +38,7 @@ from bilax.double_row import (
     check_theorem_zc,
     extract_M,
     transfer_commutator,
+    verify_corollary,
 )
 from bilax.phase_ring import FIELD_KINDS, Fraction, Kind
 from bilax.spectral_matrix import (
@@ -47,7 +50,7 @@ from bilax.spectral_matrix import (
     tensor_bracket,
 )
 from bilax.structure_checks import flip_entry
-from bilax.toda_models import build_bcn, build_dn, derived_eom
+from bilax.toda_models import build_bcn, build_dn, derived_eom, hamiltonian
 from mutations import nonzero_positions
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -137,44 +140,69 @@ FIELD_SLOTS = [RING.slot(g.name) for g in RING.generators if g.kind in FIELD_KIN
 C0 = RING.gen("c0")
 
 
-def assert_partials_are_derivatives(el):
-    kept = el.partials()
+def assert_partials_are_derivatives(f):
+    # d(p/q)/d(slot) = (q dp - p dq) / q^2, which is dp when q = 1
+    kept = f.partials()
     assert set(kept) <= set(FIELD_SLOTS)
+    p, q, pk = f.num.terms, f.den.terms, RING.pk
     for i in FIELD_SLOTS:
-        assert kept.get(i, {}) == kernel.diff(el.terms, i, RING.pk)
+        want = kernel.sub(
+            kernel.mul(q, kernel.diff(p, i, pk), pk),
+            kernel.mul(p, kernel.diff(q, i, pk), pk),
+        )
+        assert kept.get(i, {}) == want
 
 
 @bounded
 @given(fractions(), fractions(), st.integers(0, 3))
 def test_kept_partials_are_fresh_derivatives(f, g, p):
     # the operands keep their partials from before they were operands
-    x, y = f.num, g.num
-    terms, kept = dict(x.terms), x.partials()
-    y.partials()
+    num, factors, kept = dict(f.num.terms), f.den_factors, f.partials()
+    g.partials()
     results = [
-        x + y, x * y, x ** p,
-        Fraction(x, g.den).num,
-        (f + g).num, (f * g).num,
-        Fraction(x * C0, C0 * (LAM - MU)).num,  # the c0 atom cancels
+        f + g, f * g, f ** p, -f, f.reflect("mu"),
+        Fraction(f.num, g.den),
+        Fraction(f.num * C0, C0 * (LAM - MU)),  # the c0 atom cancels
     ]
-    assert x.terms == terms and x.partials() is kept
-    for el in [x, y] + results:
-        assert_partials_are_derivatives(el)
+    assert f.num.terms == num and f.den_factors == factors
+    assert f.partials() is kept
+    for h in [f, g] + results:
+        assert_partials_are_derivatives(h)
 
 
-@pytest.mark.parametrize("name", ["bcn", "dn"])
-def test_second_zero_curvature_check_differentiates_nothing(name, monkeypatch):
-    # b, the layout's X(mu) and the M(j, +-mu) are kept by the derivation,
-    # and each of their entries keeps its partial derivatives
-    model = build_bcn(3) if name == "bcn" else build_dn(3)
+def _zero_curvature(model):
+    return check_theorem_zc(model.ps, model.derivation)
+
+
+def _corollary_and_involution(model):
     ps, d = model.ps, model.derivation
-    assert all(r.holds for r in check_theorem_zc(ps, d))
-    calls = []
-    real = kernel.diff
-    monkeypatch.setattr(kernel, "diff", lambda *a: calls.append(a) or real(*a))
-    assert all(r.holds for r in check_theorem_zc(ps, d))
-    assert calls == []
-    model.ring.gen("X1").partials()  # a fresh element does call it
+    return verify_corollary(ps, d) + [check_involution(ps, d)]
+
+
+@pytest.mark.parametrize("name,check", [
+    pytest.param("bcn", _zero_curvature, id="bcn"),
+    pytest.param("dn", _zero_curvature, id="dn"),
+    pytest.param("dn", _corollary_and_involution, id="dn-corollary"),
+])
+def test_second_zero_curvature_check_differentiates_nothing(name, check, monkeypatch):
+    # b, H, the layout's X(mu), the M(j, +-mu) and their flows are kept by
+    # the derivation, and each of their entries keeps its partials
+    model = build_bcn(3) if name == "bcn" else build_dn(3)
+    den = hamiltonian(model).den.terms
+    assert all(r.holds for r in check(model))
+    calls, by_den = [], []
+    real_diff, real_mul = kernel.diff, kernel.mul
+
+    def mul(a, b, pk):
+        if a is den or b is den:
+            by_den.append((a, b))
+        return real_mul(a, b, pk)
+
+    monkeypatch.setattr(kernel, "diff", lambda *a: calls.append(a) or real_diff(*a))
+    monkeypatch.setattr(kernel, "mul", mul)
+    assert all(r.holds for r in check(model))
+    assert calls == [] and by_den == []
+    Fraction(model.ring.gen("X1")).partials()  # a fresh element does call it
     assert calls
 
 
