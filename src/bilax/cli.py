@@ -8,15 +8,13 @@ so its outcome is seed-independent; only simulate consumes the seed.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import sys
 from fractions import Fraction as PyFraction
 
-import numpy as np
-
-from . import dynamics
 from .double_row import (
     check_involution,
     check_nondynamical_intertwining,
@@ -37,6 +35,7 @@ from .structure_checks import (
     check_rll,
 )
 from .toda_models import (
+    DEFAULT_MU_SAMPLES,
     displayed_flow_indices,
     displayed_flow_matrix,
     displayed_hamiltonian,
@@ -47,7 +46,33 @@ from .toda_models import (
     parameter_constant_difference,
 )
 
-DEFAULT_MU_SAMPLES = ",".join(map(str, dynamics.DEFAULT_MU_SAMPLES))
+
+def _lazy_submodule(name: str):
+    """The submodule ``bilax.<name>``, run on its first attribute access.
+
+    ``verify`` and ``derive`` never read ``dynamics``, so they never run it
+    and never import numpy; ``simulate`` loads both on its first
+    ``dynamics.`` call.  A function-local import would not do: the span
+    tracer (``perfbench/spans.py``) reads ``sys.modules["bilax.dynamics"]``
+    when it installs, also on a verify run.  So the module is registered in
+    ``sys.modules`` and as an attribute of the package, as an import does,
+    and ``import bilax.dynamics`` loads and returns this same object.  A
+    module that is already loaded is returned as it is.
+    """
+    full = "%s.%s" % (__package__, name)
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    loader.exec_module(module)
+    return module
+
+
+dynamics = _lazy_submodule("dynamics")
 
 
 def _load_params(raw: str | None) -> dict:
@@ -201,6 +226,8 @@ GATES = (
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np  # the numeric stack loads on simulate only
+
     if args.seed < 0:
         raise StructureError("--seed must be non-negative")
     for _, tol, _ in GATES:
@@ -321,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--amplitude", type=float, default=0.3,
                    help="half-width of the random initial data box")
-    p.add_argument("--mu-samples", default=DEFAULT_MU_SAMPLES,
+    p.add_argument("--mu-samples", default=",".join(map(str, DEFAULT_MU_SAMPLES)),
                    help="comma-separated spectral points for the residual channel")
     p.add_argument("--tol-energy", type=float, default=1e-8)
     p.add_argument("--tol-zc", type=float, default=1e-8)

@@ -43,6 +43,7 @@ import numpy as np
 from .phase_ring import Fraction, RingElement, StructureError, casimir
 from .spectral_matrix import bracket_scalar_matrix
 from .toda_models import (
+    DEFAULT_MU_SAMPLES,
     ModelSpec,
     derived_eom,
     dn_x0_relation,
@@ -54,7 +55,6 @@ from .toda_models import (
 
 DEN_EPS = 1e-12
 ADAPTIVE_TOL = 1e-10  # max step-doubling error of an accepted rk4-adaptive step
-DEFAULT_MU_SAMPLES = (0.3, 0.7, 1.1, 1.9, 2.3)
 
 
 class SingularityError(RuntimeError):

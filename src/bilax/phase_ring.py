@@ -295,10 +295,6 @@ class RingElement:
 
     # -- calculus & structure -------------------------------------------
 
-    def diff(self, name: str) -> "RingElement":
-        ring = self.ring
-        return RingElement(ring, K.diff(self.terms, ring.slot(name), ring.pk))
-
     def coeff_of(self, name: str, power: int) -> "RingElement":
         """Coefficient of name**power (the slot is zeroed in the result)."""
         i = self.ring.slot(name)

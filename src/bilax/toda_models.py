@@ -47,6 +47,9 @@ DEFAULT_PARAMS = {
     "dn": {"c0": 2.0, "c1": -1.0},
 }
 
+# spectral points of simulate's zero-curvature residual channel
+DEFAULT_MU_SAMPLES = (0.3, 0.7, 1.1, 1.9, 2.3)
+
 
 @dataclass
 class ModelSpec:

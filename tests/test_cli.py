@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,3 +404,78 @@ def test_simulate_non_positive_steps_is_a_config_error(tmp_path, steps):
             "--output", str(out)]
     assert main(argv) == 2
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# start-up: the numeric stack loads on the first simulate call
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(code, cwd):
+    """Run ``code`` in a fresh interpreter with this checkout's ``src`` on
+    the path; return its stdout's last line, read as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_verify_and_derive_do_not_load_numpy_and_simulate_still_does(tmp_path):
+    got = run_fresh("""
+        import hashlib, json, sys
+        from bilax.cli import main
+        codes = [main(["verify", "--model", "bcn", "--N", "2"]),
+                 main(["derive", "--model", "dn", "--N", "3"])]
+        symbolic_numpy = "numpy" in sys.modules
+        codes.append(main(["simulate", "--model", "dn", "--N", "2", "--steps", "2000",
+                           "--seed", "1", "--format", "json", "--output", "sim.csv"]))
+        with open("sim.csv", "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        print(json.dumps([codes, symbolic_numpy, "numpy" in sys.modules, digest]))
+    """, tmp_path)
+    golden = (ROOT / "tests" / "golden" / "simulate-dn2-seed1-csv.sha256").read_text()
+    assert got == [[0, 0, 0], False, True, golden.strip()]
+
+
+@pytest.mark.parametrize("lookup", [
+    "import bilax.dynamics as d; d.integrate",
+    "import bilax; d = bilax.dynamics; bilax.dynamics.integrate",
+], ids=["import-as", "package-attribute"])
+def test_dynamics_resolves_after_the_cli_import(lookup, tmp_path):
+    got = run_fresh("""
+        import json, sys
+        import bilax.cli
+        %s
+        print(json.dumps([callable(d.integrate), d is bilax.cli.dynamics,
+                          d is sys.modules["bilax.dynamics"], "numpy" in sys.modules]))
+    """ % lookup, tmp_path)
+    assert got == [True, True, True, True]
+
+
+def test_span_tracer_installs_after_a_verify_run(tmp_path):
+    # the traced benchmark run: an untraced repetition, then the tracer
+    # resolves every function it wraps, dynamics' too, through sys.modules
+    got = run_fresh("""
+        import importlib.util, json
+        from bilax.cli import main
+        argv = ["verify", "--model", "bcn", "--N", "2"]
+        codes = [main(argv)]
+        spec = importlib.util.spec_from_file_location("spans", %r)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            codes.append(main(argv))
+            metrics = tracer.take()
+        finally:
+            tracer.restore()
+        print(json.dumps([codes, metrics["check.cybe.s"] > 0,
+                          metrics["kernel.mul.calls"] > 0,
+                          metrics["dynamics.compile.calls"]]))
+    """ % str(ROOT / "perfbench" / "spans.py"), tmp_path)
+    assert got == [[0, 0], True, True, 0]
