@@ -36,7 +36,6 @@ from .phase_ring import (
     RingElement,
     StructureError,
     as_fraction,
-    dot,
 )
 from .spectral_matrix import (
     SpectralMatrix,
@@ -46,6 +45,7 @@ from .spectral_matrix import (
     inverse_2x2,
     lam,
     mu,
+    nonzero_dot,
     permute_legs,
     rational_r_builder,
 )
@@ -318,8 +318,9 @@ def _paired(term, M) -> SpectralMatrix:
     x, ml, mr = X.rows, M(*left).rows, M(*right).rows
     neg = [[-e for e in row] for row in x]
     return SpectralMatrix(X.ring, [
-        [dot([(ml[i][0], x[0][j]), (ml[i][1], x[1][j]),
-              (neg[i][0], mr[0][j]), (neg[i][1], mr[1][j])]) for j in range(2)]
+        [nonzero_dot(X.ring, [(ml[i][0], x[0][j]), (ml[i][1], x[1][j]),
+                              (neg[i][0], mr[0][j]), (neg[i][1], mr[1][j])])
+         for j in range(2)]
         for i in range(2)
     ])
 

@@ -252,6 +252,8 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self.terms and o.terms):
+            return self.ring.zero
         return RingElement(self.ring, K.mul(self.terms, o.terms, self.ring.pk))
 
     __rmul__ = __mul__
@@ -530,7 +532,13 @@ class Fraction:
 
     def _combine(self, o: "Fraction", op) -> "Fraction":
         """``op`` (``K.add`` or ``K.sub``) of the numerators over the common
-        denominator."""
+        denominator.  A zero operand is skipped: ``x op 0`` is x and ``0 op
+        x`` is x or -x, the Fraction the general path rebuilds (a zero has
+        no factors, and ``_cancel`` leaves a cancelled numerator as it is)."""
+        if o.is_zero:
+            return self
+        if self.is_zero:
+            return -o if op is K.sub else o
         if self._factors == o._factors:
             terms = op(self.num.terms, o.num.terms)
             return Fraction._make(self.ring, terms, self._factor_dict())
@@ -560,9 +568,17 @@ class Fraction:
         return o._combine(self, K.sub)
 
     def __mul__(self, other):
+        """The product over the joined factors.  ``x * 0`` is the zero and
+        ``x * 1`` (1 with no factors) is x, as the general path builds them:
+        the kernel product by ``{one: 1}`` keeps x's key order."""
         o = as_fraction(self.ring, other)
         if o is None:
             return NotImplemented
+        one = self.ring.one.terms
+        if o.is_zero or not self._factors and self.num.terms == one:
+            return o
+        if self.is_zero or not o._factors and o.num.terms == one:
+            return self
         factors = self._factor_dict()
         for el, p in o._factors:
             _factor_add(factors, el, p)
@@ -674,6 +690,8 @@ def _lcd(ring: PhaseRing, fa: dict, a: dict, fb: dict, b: dict) -> tuple:
 def dot(pairs) -> Fraction:
     """x1*y1 + x2*y2 + ... for (x, y) pairs of Fractions of one ring.
 
+    A pair with a zero factor adds nothing and is skipped; the matrix layer
+    hands over only pairs of nonzero factors (``spectral_matrix.nonzero_dot``).
     The result is the left-to-right sum of the products, representation
     and all, built without them: each product's numerator goes into one
     accumulator (``K.mul_acc``) over the running common denominator, which
@@ -758,12 +776,15 @@ class PoissonStructure:
 
     def bracket_fraction(self, f, g) -> Fraction:
         """Exact Poisson bracket on the fraction field: the table summed
-        over the partials each operand keeps, so {p/q, s/t} is over (q t)^2."""
+        over the partials each operand keeps, so {p/q, s/t} is over (q t)^2.
+        It is the zero when either operand has no field partials."""
         ring = self.ring
         F, G = as_fraction(ring, f), as_fraction(ring, g)
         if F is None or G is None:
             raise StructureError("bracket_fraction on non-algebraic input")
         df, dg = F.partials(), G.partials()
+        if not (df and dg):
+            return Fraction(ring.zero)
         pk = ring.pk
         out: dict = {}
         for (i, j), el in self._table.items():

@@ -42,6 +42,15 @@ every tensor layout in ``spectral_matrix._tensor`` and sums a substitution
 with ``dot``.  ``Generator.site`` is gone, so ``standard`` reads the site
 from the number in the generator's name, which is where ``toda_ring`` took
 it from.
+
+``dot_matmul``, ``dot_contract``, ``fraction_combine``, ``fraction_product``
+and ``ring_product`` are the package's former general paths, bodies
+unchanged: ``@`` and ``contract`` as one ``dot`` over every index pair,
+zero factors included, and the Fraction sum, difference and product and
+the ring product without their zero and unit shortcuts.  The package now
+hands ``dot`` only pairs of nonzero factors, returns the zero for an entry
+without one, and returns an operand as it is where the other is 0 (or, for
+a product, the unit 1 with no denominator factors).
 """
 
 from bilax.backend import kernel as K
@@ -54,7 +63,9 @@ from bilax.phase_ring import (
     RingElement,
     StructureError,
     _factor_add,
+    _lcd,
     as_fraction,
+    dot,
 )
 from bilax.spectral_matrix import SpectralMatrix, identity, kron, permutation
 
@@ -376,3 +387,43 @@ def fraction_substitute(f: Fraction, mapping: dict) -> Fraction:
     for el, p in f.den_factors:
         out = out / (substitute(el, mapping) ** p)
     return out
+
+
+def dot_matmul(a: SpectralMatrix, b: SpectralMatrix) -> SpectralMatrix:
+    """a @ b, each entry one ``dot`` over all its index pairs."""
+    cols = tuple(zip(*b.rows))
+    return SpectralMatrix(a.ring, [[dot(zip(row, col)) for col in cols] for row in a.rows])
+
+
+def dot_contract(r: SpectralMatrix, c: SpectralMatrix, *more) -> SpectralMatrix:
+    """``contract``, each entry one ``dot`` over every (r, c) pair and index."""
+    pairs = list(zip((r, *more[::2]), (c, *more[1::2])))
+    return SpectralMatrix(r.ring, [
+        [dot((x.rows[2 * j + k][2 * jp + l], y.rows[jp][j])
+             for x, y in pairs for j in range(2) for jp in range(2))
+         for l in range(2)]
+        for k in range(2)
+    ])
+
+
+def fraction_combine(x: Fraction, y: Fraction, op) -> Fraction:
+    """``op`` (``K.add`` or ``K.sub``) of the numerators over the common
+    denominator, zero operands included."""
+    if x._factors == y._factors:
+        return Fraction._make(x.ring, op(x.num.terms, y.num.terms), x._factor_dict())
+    union, a, b = _lcd(x.ring, x._factor_dict(), x.num.terms, y._factor_dict(), y.num.terms)
+    return Fraction._make(x.ring, op(a, b), union)
+
+
+def fraction_product(x: Fraction, y: Fraction) -> Fraction:
+    """x * y by the kernel product of the numerators, zero and unit operands
+    included."""
+    factors = x._factor_dict()
+    for el, p in y._factors:
+        _factor_add(factors, el, p)
+    return Fraction._make(x.ring, K.mul(x.num.terms, y.num.terms, x.ring.pk), factors)
+
+
+def ring_product(x: RingElement, y: RingElement) -> RingElement:
+    """x * y by the kernel product, zero operands included."""
+    return RingElement(x.ring, K.mul(x.terms, y.terms, x.ring.pk))
