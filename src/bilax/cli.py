@@ -84,7 +84,10 @@ def _load_params(raw: str | None) -> dict:
                 raw = fh.read()
         except UnicodeDecodeError as exc:
             raise StructureError("params file %s is not UTF-8: %s" % (raw, exc)) from None
-    data = json.loads(raw)
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:  # bad JSON, or an int past Python's int-string limit
+        raise StructureError(str(exc)) from None
     if not isinstance(data, dict):
         raise StructureError("params must be a JSON object")
     return data
@@ -226,7 +229,10 @@ GATES = (
 
 
 def cmd_simulate(args) -> int:
-    import numpy as np  # the numeric stack loads on simulate only
+    try:
+        import numpy as np  # the numeric stack loads on simulate only
+    except ModuleNotFoundError:
+        raise StructureError("simulate needs numpy") from None
 
     if args.seed < 0:
         raise StructureError("--seed must be non-negative")
@@ -368,7 +374,7 @@ def main(argv=None) -> int:
         args.output = "bilax_%s_N%d.csv" % (args.model, args.N)
     try:
         return args.fn(args)
-    except (StructureError, json.JSONDecodeError, OSError) as exc:
+    except (StructureError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 

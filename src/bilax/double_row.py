@@ -7,7 +7,8 @@ r-insertions, one at lam - mu and one at lam + mu; its lam-expansion
 coefficients (asymptotic series at lam = infinity, read by long division
 in 1/lam in ring arithmetic) pair power-by-power with the Hamiltonians
 extracted from b(lam), which is what makes the zero-curvature
-representation drop out of the Hamiltonian formalism.
+representation drop out of the Hamiltonian formalism.  Both read each
+polynomial's lam-coefficients from one ``RingElement.by_degree`` split.
 
 Two extraction recipes cover the models here: a scaled single coefficient
 and a scaled ratio of two coefficients (quotient rule for the flow matrix).
@@ -36,6 +37,7 @@ from .phase_ring import (
     RingElement,
     StructureError,
     as_fraction,
+    dot,
 )
 from .spectral_matrix import (
     SpectralMatrix,
@@ -45,7 +47,6 @@ from .spectral_matrix import (
     inverse_2x2,
     lam,
     mu,
-    nonzero_dot,
     permute_legs,
     rational_r_builder,
 )
@@ -108,9 +109,7 @@ def expand(value: Fraction) -> dict:
     for el, _ in value.den_factors:
         if el.involves("lam"):
             raise StructureError("transfer scalar has a lam-dependent denominator")
-    num, den = value.num, value.den
-    coeffs = ((p, num.coeff_of("lam", p)) for p in range(num.degree_in("lam") + 1))
-    return {p: Fraction(c, den) for p, c in coeffs if not c.is_zero}
+    return {p: Fraction(c, value.den) for p, c in value.num.by_degree("lam").items()}
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +317,8 @@ def _paired(term, M) -> SpectralMatrix:
     x, ml, mr = X.rows, M(*left).rows, M(*right).rows
     neg = [[-e for e in row] for row in x]
     return SpectralMatrix(X.ring, [
-        [nonzero_dot(X.ring, [(ml[i][0], x[0][j]), (ml[i][1], x[1][j]),
-                              (neg[i][0], mr[0][j]), (neg[i][1], mr[1][j])])
+        [dot(X.ring, [(ml[i][0], x[0][j]), (ml[i][1], x[1][j]),
+                      (neg[i][0], mr[0][j]), (neg[i][1], mr[1][j])])
          for j in range(2)]
         for i in range(2)
     ])
@@ -386,27 +385,27 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
     side = []  # lam-free denominator factors
     den = ring.one  # D(lam)
     for el, e in value.den_factors:
-        if not el.involves("lam"):
+        parts = el.by_degree("lam")
+        if max(parts) == 0:
             side.append((el, e))
             continue
-        if el.degree_in("lam") != 1:
+        if max(parts) != 1:
             raise StructureError("denominator factor is nonlinear in lam")
-        if not el.coeff_of("lam", 1).is_constant:
+        if not parts[1].is_constant:
             raise StructureError("lam coefficient of a pole factor must be constant")
         den = den * el ** e
 
-    num = value.num
-    n, s = num.degree_in("lam"), den.degree_in("lam")
+    num, d = value.num.by_degree("lam"), den.by_degree("lam")
+    n, s = max(num, default=0), max(d)
     depth = n - s - p
     if depth < 0:
         return Fraction(ring.zero)
-    d = [den.coeff_of("lam", i) for i in range(s + 1)]
     inv_lead = QQ(1, d[s].constant_value())
     q = []
     for m in range(depth + 1):
-        r = num.coeff_of("lam", n - m)
+        r = num.get(n - m, ring.zero)
         for i in range(1, min(m, s) + 1):
-            r = r - d[s - i] * q[m - i]
+            r = r - d.get(s - i, ring.zero) * q[m - i]
         q.append(r * inv_lead)
     result = Fraction(q[depth])
     for el, e in side:

@@ -19,9 +19,10 @@ power (cached by ``PhaseRing._pow_terms``, used by ``Fraction.__pow__``),
 ``_push_den`` the one denominator normaliser (for ``reciprocal``,
 ``reflect`` and negative powers too), ``Fraction._init`` the one
 constructor, ``dot`` the one sum of products (``substitute`` too; it shares
-``_lcd``, the common-denominator step, with ``Fraction.__add__`` and
-``__sub__``), ``Fraction.partials`` the one derivative and
-``bracket_fraction`` the one bracket, which ``bracket`` runs through.  No
+``_lcd``, the one common denominator, with ``Fraction.__add__`` and
+``__sub__``), ``Fraction.partials`` the one derivative,
+``bracket_fraction`` the one bracket, which ``bracket`` runs through, and
+``RingElement.by_degree`` the one reader of a generator's coefficients.  No
 element or Fraction changes once built: each keeps its ``key()`` or its
 partials.  Every Fraction is canonical, so negation keeps its factors.  The
 model declares the bracket table (``toda_models.toda_structure``).
@@ -297,21 +298,18 @@ class RingElement:
 
     # -- calculus & structure -------------------------------------------
 
-    def coeff_of(self, name: str, power: int) -> "RingElement":
-        """Coefficient of name**power (the slot is zeroed in the result)."""
-        i = self.ring.slot(name)
-        exponent = self.ring.pk.exponent
-        drop = power << self.ring.pk.shifts[i]
-        out = {}
+    def by_degree(self, name: str) -> dict:
+        """{p: coefficient of name**p}, p ascending (negative on a Laurent
+        slot), from one pass over the terms: each coefficient keeps their
+        order and has the slot zeroed.  The zero element gives {}."""
+        ring = self.ring
+        i = ring.slot(name)
+        exponent, shift = ring.pk.exponent, ring.pk.shifts[i]
+        parts: dict = {}
         for e, c in self.terms.items():
-            if exponent(e, i) == power:
-                out[e - drop] = c
-        return RingElement(self.ring, out)
-
-    def degree_in(self, name: str) -> int:
-        i = self.ring.slot(name)
-        exponent = self.ring.pk.exponent
-        return max((exponent(e, i) for e in self.terms), default=0)
+            p = exponent(e, i)
+            parts.setdefault(p, {})[e - (p << shift)] = c
+        return {p: RingElement(ring, parts[p]) for p in sorted(parts)}
 
     def key(self):
         """Hashable canonical form (sorted term tuple); worked out on first
@@ -348,7 +346,7 @@ class RingElement:
                     rest -= e << shifts[i]
                     fac = val ** e if fac is one else fac * val ** e
             pairs.append((Fraction(RingElement(ring, {rest: c})), fac))
-        return dot(pairs) if pairs else Fraction(self)
+        return dot(ring, pairs)
 
     # -- formatting ------------------------------------------------------
 
@@ -531,17 +529,14 @@ class Fraction:
     # -- arithmetic ------------------------------------------------------
 
     def _combine(self, o: "Fraction", op) -> "Fraction":
-        """``op`` (``K.add`` or ``K.sub``) of the numerators over the common
-        denominator.  A zero operand is skipped: ``x op 0`` is x and ``0 op
-        x`` is x or -x, the Fraction the general path rebuilds (a zero has
-        no factors, and ``_cancel`` leaves a cancelled numerator as it is)."""
+        """``op`` (``K.add`` or ``K.sub``) of the numerators over ``_lcd``'s
+        common denominator.  A zero operand is skipped: ``x op 0`` is x and
+        ``0 op x`` is x or -x, the Fraction the general path rebuilds (a zero
+        has no factors, and ``_cancel`` leaves a cancelled numerator as it is)."""
         if o.is_zero:
             return self
         if self.is_zero:
             return -o if op is K.sub else o
-        if self._factors == o._factors:
-            terms = op(self.num.terms, o.num.terms)
-            return Fraction._make(self.ring, terms, self._factor_dict())
         union, a, b = _lcd(
             self.ring, self._factor_dict(), self.num.terms, o._factor_dict(), o.num.terms
         )
@@ -687,28 +682,26 @@ def _lcd(ring: PhaseRing, fa: dict, a: dict, fb: dict, b: dict) -> tuple:
     return union, a, b
 
 
-def dot(pairs) -> Fraction:
-    """x1*y1 + x2*y2 + ... for (x, y) pairs of Fractions of one ring.
+def dot(ring: PhaseRing, pairs) -> Fraction:
+    """x1*y1 + x2*y2 + ... for (x, y) pairs of Fractions of ring.
 
-    A pair with a zero factor adds nothing and is skipped; the matrix layer
-    hands over only pairs of nonzero factors (``spectral_matrix.nonzero_dot``).
-    The result is the left-to-right sum of the products, representation
-    and all, built without them: each product's numerator goes into one
-    accumulator (``K.mul_acc``) over the running common denominator, which
-    grows only when a product brings factors it lacks and restarts when the
-    partial sum vanishes, as a vanishing ``+`` drops its factors.  Non-atom
-    factors never cancel, so each ends at the same power either way, and
-    ``_cancel`` then fixes the atom powers canonically.
+    A pair with a zero factor adds nothing and is skipped, so no pairs, or
+    zero pairs only, sum to the zero with no factors.  The result is the
+    left-to-right sum of the products, representation and all, built
+    without them: each product's numerator goes into one accumulator
+    (``K.mul_acc``) over the running common denominator, which grows only
+    when a product brings factors it lacks and restarts when the partial
+    sum vanishes, as a vanishing ``+`` drops its factors.  Non-atom factors
+    never cancel, so each ends at the same power either way, and ``_cancel``
+    then fixes the atom powers canonically.
 
     The accumulator is finished (``K.finish``) once at the end, and before
     a product with other factors rescales it; only there can a vanished
     partial sum change the result, so only there is the restart decided.
     """
-    ring = None
     acc: dict = {}
     union: dict = {}
     for x, y in pairs:
-        ring = x.ring
         if x.is_zero or y.is_zero:
             continue
         factors = x._factor_dict()
@@ -721,8 +714,6 @@ def dot(pairs) -> Fraction:
             else:
                 union = factors
         K.mul_acc(acc, a, y.num.terms, ring.pk)
-    if ring is None:
-        raise StructureError("dot of no pairs")
     return Fraction._make(ring, K.finish(acc, ring.pk), union)
 
 

@@ -14,13 +14,10 @@ tr_a(A_a r B_a) = contract(r, B A) for 2x2 A, B and any 4x4 r, and
 ``partial_trace_a(m)`` is ``contract(m, 1)``.  ``permute_legs`` moves
 entries instead of multiplying by P: ``permute_legs(r, (1, 0))`` is r_ba.
 
-Every sum of products here is one ``nonzero_dot``: each entry of ``@``, of
-``contract`` (over all its r-insertions at once) and ``det_2x2`` hands
-``phase_ring.dot`` only the pairs whose factors are both nonzero, and is the
-zero Fraction when no pair is.  ``dot`` adds nothing for a zero factor, so
-the entry is the one ``dot`` of all its pairs, with the representation a
-left-to-right ``+`` of the products would give; the structural zeros of
-P/arg, of ``kron(m, 1)`` and of the site Lax matrices cost no product.
+Every sum of products here is one ``phase_ring.dot``: each entry of ``@``,
+of ``contract`` (over all its r-insertions at once) and ``det_2x2``.  ``dot``
+skips a pair with a zero factor, so the structural zeros of P/arg, of
+``kron(m, 1)`` and of the site Lax matrices cost no product.
 
 Spectral variables stay formal throughout: poles such as 1/(lam - mu) live
 in factored denominators and every relation is decided after
@@ -105,13 +102,13 @@ class SpectralMatrix:
 
     def __matmul__(self, other):
         """Each row's and column's nonzero entries are listed once, and each
-        entry is the ``nonzero_dot`` of the index pairs both lists hold."""
+        entry is the ``dot`` of the index pairs both lists hold."""
         self._check(other)
         rows = [[(k, e) for k, e in enumerate(row) if not e.is_zero] for row in self.rows]
         cols = [{k: e for k, e in enumerate(col) if not e.is_zero}
                 for col in zip(*other.rows)]
         return SpectralMatrix(self.ring, [
-            [nonzero_dot(self.ring, [(e, col[k]) for k, e in row if k in col])
+            [dot(self.ring, [(e, col[k]) for k, e in row if k in col])
              for col in cols]
             for row in rows
         ])
@@ -156,14 +153,6 @@ class SpectralMatrix:
 
     def __repr__(self):
         return "<SpectralMatrix dim=%d>\n%s" % (self.dim, self)
-
-
-def nonzero_dot(ring: PhaseRing, pairs) -> Fraction:
-    """``dot`` of the pairs whose factors are both nonzero, and the zero
-    when no pair is: ``dot`` adds nothing for a zero factor, so the sum,
-    representation and all, is the one ``dot`` of all the pairs."""
-    pairs = [(x, y) for x, y in pairs if not (x.is_zero or y.is_zero)]
-    return dot(pairs) if pairs else Fraction(ring.zero)
 
 
 def identity(ring: PhaseRing, dim: int = 2) -> SpectralMatrix:
@@ -223,8 +212,8 @@ def contract(r: SpectralMatrix, c: SpectralMatrix, *more) -> SpectralMatrix:
     if len(more) % 2 or any(x.dim != 4 or y.dim != 2 for x, y in pairs):
         raise StructureError("contract expects 4x4 and 2x2 matrices in turn")
     return SpectralMatrix(r.ring, [
-        [nonzero_dot(r.ring, [(x.rows[2 * j + k][2 * jp + l], y.rows[jp][j])
-                              for x, y in pairs for j in range(2) for jp in range(2)])
+        [dot(r.ring, [(x.rows[2 * j + k][2 * jp + l], y.rows[jp][j])
+                      for x, y in pairs for j in range(2) for jp in range(2)])
          for l in range(2)]
         for k in range(2)
     ])
@@ -280,7 +269,7 @@ def det_2x2(m: SpectralMatrix) -> Fraction:
     if m.dim != 2:
         raise StructureError("det_2x2 expects a 2x2 matrix")
     r = m.rows
-    return nonzero_dot(m.ring, [(r[0][0], r[1][1]), (-r[0][1], r[1][0])])
+    return dot(m.ring, [(r[0][0], r[1][1]), (-r[0][1], r[1][0])])
 
 
 def inverse_2x2(m: SpectralMatrix) -> SpectralMatrix:

@@ -180,7 +180,7 @@ def model_from_config(cfg: dict) -> ModelSpec:
     if name not in ("bcn", "dn"):
         raise StructureError("unknown model %r" % name)
     n = cfg.get("N")
-    if not isinstance(n, int):
+    if type(n) is not int:  # not bool
         raise StructureError("N must be an integer")
     params = cfg.get("params") or {}
     known = BCN_PARAMS if name == "bcn" else DN_PARAMS

@@ -31,7 +31,7 @@ from bilax.double_row import monodromy, scalar_report
 from bilax.kernel import canon, quo
 from bilax.phase_ring import Fraction, RingElement, StructureError
 from bilax.spectral_matrix import inverse_2x2, lam, mu
-from exact_oracle import embed_a, partial_trace_a, rational_r, swap_legs
+from exact_oracle import coefficient, degree, embed_a, partial_trace_a, rational_r, swap_legs
 
 
 def double_row_transfer(lax, km, kp, N, arg):
@@ -131,15 +131,15 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
         if not el.involves("lam"):
             side.append((el, e))
             continue
-        if el.degree_in("lam") != 1:
+        if degree(el, "lam") != 1:
             raise StructureError("denominator factor is nonlinear in lam")
-        c = el.coeff_of("lam", 1)
+        c = coefficient(el, "lam", 1)
         if not c.is_constant:
             raise StructureError("lam coefficient of a pole factor must be constant")
-        series_factors.append((c.constant_value(), el.coeff_of("lam", 0), e))
+        series_factors.append((c.constant_value(), coefficient(el, "lam", 0), e))
 
     num = value.num
-    deg = num.degree_in("lam")
+    deg = degree(num, "lam")
     shift = sum(e for _, _, e in series_factors)
     depth = deg - shift - p
     if depth < 0:
@@ -167,7 +167,7 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
 
     out: dict = {}
     for m_, sm in series.items():
-        a_q = num.coeff_of("lam", p + shift + m_)
+        a_q = coefficient(num, "lam", p + shift + m_)
         if not a_q.is_zero and sm:
             K.mul_acc(out, a_q.terms, sm, pk)
     result = Fraction(RingElement(ring, K.finish(out, pk)))

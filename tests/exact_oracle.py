@@ -48,9 +48,15 @@ and ``ring_product`` are the package's former general paths, bodies
 unchanged: ``@`` and ``contract`` as one ``dot`` over every index pair,
 zero factors included, and the Fraction sum, difference and product and
 the ring product without their zero and unit shortcuts.  The package now
-hands ``dot`` only pairs of nonzero factors, returns the zero for an entry
-without one, and returns an operand as it is where the other is 0 (or, for
-a product, the unit 1 with no denominator factors).
+lists only the nonzero entries of each row and column for ``@``, lets
+``dot`` skip a pair with a zero factor, and returns an operand as it is
+where the other is 0 (or, for a product, the unit 1 with no denominator
+factors).
+
+``coefficient`` and ``degree`` read the coefficient and the degree of one
+generator term by term from ``monomials()``, the exponent tuples; the
+oracles here and in ``double_row_oracle`` read coefficients through them,
+so none shares code with ``RingElement.by_degree``.
 """
 
 from bilax.backend import kernel as K
@@ -254,6 +260,19 @@ def embed_b(m: SpectralMatrix) -> SpectralMatrix:
     return kron(identity(m.ring, 2), m)
 
 
+def coefficient(el: RingElement, name: str, power: int) -> RingElement:
+    """The coefficient of name**power in el, its terms in el's order."""
+    i = el.ring.slot(name)
+    return el.ring.element({exps[:i] + (0,) + exps[i + 1:]: c
+                            for exps, c in el.monomials() if exps[i] == power})
+
+
+def degree(el: RingElement, name: str) -> int:
+    """The largest exponent of name in el, 0 for the zero."""
+    i = el.ring.slot(name)
+    return max((exps[i] for exps, _ in el.monomials()), default=0)
+
+
 def from_scalar(value: Fraction) -> dict:
     """Expand a lam-polynomial scalar (denominator must be lam-free)."""
     for el, _ in value.den_factors:
@@ -263,8 +282,8 @@ def from_scalar(value: Fraction) -> dict:
             )
     den = value.den
     coeffs = {}
-    for p in range(value.num.degree_in("lam") + 1):
-        c = value.num.coeff_of("lam", p)
+    for p in range(degree(value.num, "lam") + 1):
+        c = coefficient(value.num, "lam", p)
         if not c.is_zero:
             coeffs[p] = Fraction(c, den)
     return {p: c for p, c in coeffs.items() if not c.is_zero}
@@ -392,15 +411,16 @@ def fraction_substitute(f: Fraction, mapping: dict) -> Fraction:
 def dot_matmul(a: SpectralMatrix, b: SpectralMatrix) -> SpectralMatrix:
     """a @ b, each entry one ``dot`` over all its index pairs."""
     cols = tuple(zip(*b.rows))
-    return SpectralMatrix(a.ring, [[dot(zip(row, col)) for col in cols] for row in a.rows])
+    return SpectralMatrix(a.ring, [[dot(a.ring, zip(row, col)) for col in cols]
+                                   for row in a.rows])
 
 
 def dot_contract(r: SpectralMatrix, c: SpectralMatrix, *more) -> SpectralMatrix:
     """``contract``, each entry one ``dot`` over every (r, c) pair and index."""
     pairs = list(zip((r, *more[::2]), (c, *more[1::2])))
     return SpectralMatrix(r.ring, [
-        [dot((x.rows[2 * j + k][2 * jp + l], y.rows[jp][j])
-             for x, y in pairs for j in range(2) for jp in range(2))
+        [dot(r.ring, ((x.rows[2 * j + k][2 * jp + l], y.rows[jp][j])
+                      for x, y in pairs for j in range(2) for jp in range(2)))
          for l in range(2)]
         for k in range(2)
     ])

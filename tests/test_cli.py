@@ -73,12 +73,15 @@ def test_unknown_parameter_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "value", ["[1]", '"abc"', "null", "true", '"0.5"', "1" + "0" * 400],
-    ids=["list", "string", "null", "bool", "numeric-string", "past-float-range"],
+    "value", ["[1]", '"abc"', "null", "true", '"0.5"', "1" + "0" * 400, "1" + "0" * 5000],
+    ids=["list", "string", "null", "bool", "numeric-string", "past-float-range",
+         "past-int-string-limit"],
 )
 def test_non_number_parameter_is_a_config_error(value, capsys):
     # only JSON numbers are parameter values; true and "0.5" would read as
-    # 1.0 and 0.5, the others would end in a traceback
+    # 1.0 and 0.5, the others would end in a traceback.  json.loads raises a
+    # plain ValueError, not JSONDecodeError, for an int literal past Python's
+    # int-string limit (4300 digits)
     argv = ["derive", "--model", "bcn", "--N", "1", "--params", '{"th1": %s}' % value]
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
@@ -439,6 +442,21 @@ def test_verify_and_derive_do_not_load_numpy_and_simulate_still_does(tmp_path):
     """, tmp_path)
     golden = (ROOT / "tests" / "golden" / "simulate-dn2-seed1-csv.sha256").read_text()
     assert got == [[0, 0, 0], False, True, golden.strip()]
+
+
+def test_simulate_without_numpy_is_a_config_error(tmp_path):
+    # exit 1 means a failed check; a missing numpy is a setup fault
+    got = run_fresh("""
+        import contextlib, io, json, os, sys
+        sys.modules["numpy"] = None  # any import of numpy now fails
+        from bilax.cli import main
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["simulate", "--model", "dn", "--N", "2", "--steps", "5",
+                         "--output", "sim.csv"])
+        print(json.dumps([code, err.getvalue(), os.path.exists("sim.csv")]))
+    """, tmp_path)
+    assert got == [2, "config error: simulate needs numpy\n", False]
 
 
 @pytest.mark.parametrize("lookup", [

@@ -10,8 +10,8 @@
   mutants, and random 4x4 matrices whose entries have factored
   denominators, some of them zero.  The residual labels read through
   ``legs`` must equal the former division-and-remainder labels.
-* The sum of products: ``dot(pairs)`` must be ``==`` and ``str``-equal to
-  the left-to-right ``+`` of the products, for operands with mixed factor
+* The sum of products: ``dot(ring, pairs)`` must be ``==`` and ``str``-equal
+  to the left-to-right ``+`` of the products, for operands with mixed factor
   sets (the atoms lam and mu, a Laurent field), zero operands, and lists
   whose partial sums vanish midway; ``@`` and ``contract``, which sum with
   ``dot``, must match the oracle's ``+`` loop and its embedded-product
@@ -261,7 +261,7 @@ def pair_lists(draw):
 @given(pair_lists())
 def test_dot_matches_left_to_right_sum(pairs):
     want = functools.reduce(operator.add, [x * y for x, y in pairs])
-    got = dot(pairs)
+    got = dot(RING, pairs)
     assert got == want
     assert str(got) == str(want)
     assert got.den_factors == want.den_factors
@@ -271,10 +271,8 @@ def test_dot_restarts_its_factors_where_the_partial_sum_vanishes():
     p = Fraction(RING.gen("X1"), LAM - MU)
     q = Fraction(RING.gen("u1"), LAM + MU)
     one = Fraction(RING.one)
-    got = dot([(p, one), (-p, one), (q, one)])
+    got = dot(RING, [(p, one), (-p, one), (q, one)])
     assert str(got) == str(q) == "(u1)/((lam + mu))"
-    with pytest.raises(StructureError):
-        dot([])
 
 
 def test_dot_finishes_its_accumulator_once(monkeypatch):
@@ -286,7 +284,7 @@ def test_dot_finishes_its_accumulator_once(monkeypatch):
         y = Fraction(RING.gen("a1") - 2 * LAM, den)
         pairs = [(Fraction(x ** k), y) for k in range(1, 6)]
         calls.clear()
-        got = dot(pairs)
+        got = dot(RING, pairs)
         assert len(calls) == 1
         assert_same_fraction(got, functools.reduce(operator.add, [a * b for a, b in pairs]))
 

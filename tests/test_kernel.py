@@ -222,7 +222,7 @@ def test_exponent_overflow_raises():
     with pytest.raises(StructureError):
         RING.monomial({"u1": top // 2})
     big = x1 ** (top // 2)  # the largest power of two that fits
-    assert big.degree_in("X1") == top // 2
+    assert list(big.by_degree("X1")) == [top // 2]
     with pytest.raises(StructureError):
         big * big
     low = u1 ** -(top // 2)  # the lowest Laurent exponent that fits

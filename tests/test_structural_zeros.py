@@ -1,10 +1,11 @@
 """Structural zeros and units are skipped in the matrix and ring layers.
 
-* Differential: ``@`` and ``contract`` hand ``dot`` only the pairs whose
-  factors are both nonzero, and return the zero for an entry with no such
-  pair.  Each must give entries that are ``==``, ``str``-,
-  ``den_factors``- and key-order-equal to the former one ``dot`` over every
-  pair (``exact_oracle.dot_matmul`` and ``dot_contract``), and ``==``,
+* Differential: ``@`` hands ``dot`` only the pairs of nonzero entries, and
+  ``contract`` hands it every pair, which ``dot`` skips where a factor is
+  zero; an entry with no nonzero pair is the zero.  Each must give entries
+  that are ``==``, ``str``-, ``den_factors``- and key-order-equal to the
+  former one ``dot`` over every pair (``exact_oracle.dot_matmul`` and
+  ``dot_contract``), and ``==``,
   ``str``- and ``den_factors``-equal to the left-to-right ``+`` loop and
   the embedded-product partial trace.  Inputs: random zero patterns,
   all-zero rows and columns, identity legs and the 8x8 CYBE operands.
@@ -14,9 +15,10 @@
   ``bracket_fraction`` of an operand without field partials must equal the
   per-pair quotient-rule oracle.
 * Structural: while ``_verify_reports`` runs for bcn N=2 and dn N=2, no
-  ``kernel.mul`` or ``mul_acc`` call gets an empty operand and no ``dot``
-  gets a pair with a zero factor.  Products of all-zero matrices, and
-  ``contract`` with an all-zero operand, return the zero.
+  ``kernel.mul`` or ``mul_acc`` call gets an empty operand, from ``dot``
+  or elsewhere.  ``dot`` of no pairs, or of zero pairs only, is the zero
+  with no factors.  Products of all-zero matrices, and ``contract`` with an
+  all-zero operand, return the zero.
 """
 
 import sys
@@ -195,8 +197,8 @@ def test_zero_and_unit_operands_match_the_general_path(x):
     assert_same_fraction(OVER * x, oracle.fraction_product(OVER, x))
     # the one-pair dot is a third build of x
     for got in (x + ZERO, ZERO + x, x - ZERO, x * ONE, ONE * x):
-        assert_same_fraction(got, dot([(x, ONE)]))
-    assert_same_fraction(ZERO - x, dot([(-x, ONE)]))
+        assert_same_fraction(got, dot(RING, [(x, ONE)]))
+    assert_same_fraction(ZERO - x, dot(RING, [(-x, ONE)]))
     n = x.num
     for a, b in ((n, RING.zero), (RING.zero, n)):
         got, want = a * b, oracle.ring_product(a, b)
@@ -220,7 +222,7 @@ def test_bracket_fraction_of_an_operand_without_partials_is_the_zero(f, g):
 
 @pytest.mark.parametrize("build", [build_bcn, build_dn], ids=["bcn2", "dn2"])
 def test_verify_hands_no_zero_operand_to_the_kernel_or_dot(monkeypatch, build):
-    calls, empty, zero_pairs = [0], [], []
+    calls, empty = [0], []
     mul, mul_acc = K.mul, K.mul_acc
 
     def counted(f):
@@ -232,11 +234,11 @@ def test_verify_hands_no_zero_operand_to_the_kernel_or_dot(monkeypatch, build):
             return f(*args)
         return wrapper
 
-    def dot_spy(pairs):
-        pairs = list(pairs)
+    def dot_spy(ring, pairs):
+        # counted only: dot skips a pair with a zero factor, so one that
+        # reached the kernel would show as an empty operand above
         calls[0] += 1
-        zero_pairs.extend((x, y) for x, y in pairs if x.is_zero or y.is_zero)
-        return dot(pairs)
+        return dot(ring, pairs)
 
     monkeypatch.setattr(K, "mul", counted(mul))
     monkeypatch.setattr(K, "mul_acc", counted(mul_acc))
@@ -247,7 +249,15 @@ def test_verify_hands_no_zero_operand_to_the_kernel_or_dot(monkeypatch, build):
         monkeypatch.setattr(module, "dot", dot_spy)
     _verify_reports(build(2))
     assert calls[0] > 1000
-    assert empty == [] and zero_pairs == []
+    assert empty == []
+
+
+def test_dot_of_no_pairs_or_of_zero_pairs_only_is_the_zero():
+    x = Fraction(RING.gen("X1"), LAM - MU)
+    for pairs in ([], [(ZERO, x)], [(x, ZERO), (ZERO, ZERO)], iter([(ZERO, x)])):
+        got = dot(RING, pairs)
+        assert got.is_zero and got.ring is RING
+        assert str(got) == "0" and got.den_factors == ()
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
