@@ -1,8 +1,9 @@
 """The exact term kernel and the rational type.
 
-There is one of each: ``kernel`` (int or ``fractions.Fraction``
-coefficients, packed exponent keys) and ``fractions.Fraction`` as ``QQ``
-for rationals built outside the kernel.  The two names below are recorded
+There is one of each: ``kernel`` (int coefficients, packed exponent keys;
+a rational polynomial is its int terms over one int denominator) and
+``fractions.Fraction`` as ``QQ`` for rationals outside the kernel: scalars,
+and the coefficients ``RingElement.monomials()`` yields.  The two names below are recorded
 in reports so that a result can be traced to the arithmetic that made it.
 """
 

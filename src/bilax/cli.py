@@ -86,8 +86,11 @@ def _load_params(raw: str | None) -> dict:
             raise StructureError("params file %s is not UTF-8: %s" % (raw, exc)) from None
     try:
         data = json.loads(raw)
-    except ValueError as exc:  # bad JSON, or an int past Python's int-string limit
+    except json.JSONDecodeError as exc:
         raise StructureError(str(exc)) from None
+    except ValueError:  # an int literal past Python's int-string limit
+        raise StructureError("an integer in params has more than %d digits, Python's "
+                             "int-string limit" % sys.get_int_max_str_digits()) from None
     if not isinstance(data, dict):
         raise StructureError("params must be a JSON object")
     return data

@@ -1,26 +1,26 @@
 """The exact term kernel: sparse Laurent polynomials as dicts.
 
-A polynomial is a dict from a packed exponent key to a nonzero coefficient.
+A polynomial is a dict from a packed exponent key to a nonzero ``int``
+coefficient.
 
-* A coefficient is an ``int`` whenever it is integral and a
-  ``fractions.Fraction`` only when it is not; ``canon`` is the one place
-  that decides, and every function here returns canonical coefficients.
-  No ``/`` is ever applied to coefficients (``int / int`` is a float); use
-  ``quo``.
+* Coefficients are ints only: a rational polynomial is an int dict over one
+  positive int denominator, which ``phase_ring.RingElement`` keeps next to
+  it, so no ``fractions.Fraction`` reaches a term product.  No ``/`` is
+  ever applied to coefficients.
 * A key packs one exponent vector into one int (see ``Packing``): a
   monomial product is one integer addition, and integer order is the
   lexicographic order of the exponent tuples.
 
 Inputs are never mutated unless the name says so; zero coefficients are
 never stored, with one exception: ``mul_acc`` accumulates a sum of products
-into a dict and leaves it unfinished (zero or integral ``Fraction``
-coefficients, unchecked keys), and the owner of the sum calls ``finish`` on
-it before anything reads it, normally once, after its last product.  The
+into a dict and leaves it unfinished (zero coefficients, unchecked keys),
+and the owner of the sum calls ``finish`` on it before anything reads it,
+normally once, after its last product.  The
 packed layout follows Monagan & Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors" (2007).
+arrays, heaps, and packed exponent vectors" (2007), whose packed-term
+products keep integer coefficients too (J. Symb. Comp. 46, 2011).
 """
 
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -32,20 +32,6 @@ LAURENT_BIAS = 1 << (FIELD_BITS - 2)
 
 class StructureError(ValueError):
     """Malformed algebraic input: unknown generator, zero denominator, ..."""
-
-
-def canon(c):
-    """The canonical form of an exact rational: int when integral."""
-    if type(c) is int:
-        return c
-    if c.denominator == 1:
-        return int(c.numerator)
-    return c
-
-
-def quo(a, b):
-    """Exact quotient of two rationals, in canonical form."""
-    return canon(Fraction(a, b))
 
 
 class Packing:
@@ -124,21 +110,15 @@ class Packing:
                 "non-Laurent exponent went negative" % FIELD_BITS)
 
 
-_INT = frozenset({int})
-
-
 def finish(out, pk):
-    """Finish ``out`` in place and return it: drop zeros, make integral
-    Fractions ints, check the keys.  The scan runs only when a coefficient
-    is zero or not an int."""
-    vals = out.values()
-    if set(map(type, vals)) - _INT or 0 in vals:
-        for e in [e for e, c in out.items() if type(c) is not int or not c]:
-            c = out[e]
-            if c:
-                out[e] = canon(c)
-            else:
-                del out[e]
+    """Finish ``out``: drop zeros and check the keys.  Returns ``out``
+    itself, or a fresh ``{}`` when every key cancelled, so that an empty
+    sum does not keep the table its accumulator grew."""
+    if 0 in out.values():
+        for e in [e for e, c in out.items() if not c]:
+            del out[e]
+        if not out:
+            return {}
     pk.check(out)
     return out
 
@@ -187,10 +167,10 @@ def add(a, b):
             out[e] = c
         else:
             c = c0 + c
-            if not c:
-                del out[e]
+            if c:
+                out[e] = c
             else:
-                out[e] = c if type(c) is int else canon(c)
+                del out[e]
     return out
 
 
@@ -204,10 +184,10 @@ def sub(a, b):
             out[e] = -c
         else:
             c = c0 - c
-            if not c:
-                del out[e]
+            if c:
+                out[e] = c
             else:
-                out[e] = c if type(c) is int else canon(c)
+                del out[e]
     return out
 
 
@@ -217,13 +197,8 @@ def neg(a):
 
 
 def scale(a, c):
-    """Multiply every coefficient by the rational ``c``."""
-    if not c:
-        return {}
-    out = {e: c * v for e, v in a.items()}
-    for e in [e for e, v in out.items() if type(v) is not int]:
-        out[e] = canon(out[e])
-    return out
+    """Multiply every coefficient by the int ``c``."""
+    return {e: c * v for e, v in a.items()} if c else {}
 
 
 def mul_term(a, shift, c, pk):

@@ -1,13 +1,14 @@
 """Exact phase-space algebra.
 
 Phase-space functions are Laurent polynomials in named generators with exact
-rational coefficients (``int`` when integral, ``fractions.Fraction`` when
-not; see ``kernel``): coordinates enter only through their exponentials
-``u_j = e^{x_j}`` (the one generator kind allowed negative exponents), so
-every identity we care about is decided by exact normalization.  A Poisson
-bracket is declared on generator pairs and extended to arbitrary elements as
-a biderivation; boundary parameters are central generators, so a verified
-identity holds for every parameter value at once.
+rational coefficients, held as ``int`` terms over one ``int`` denominator
+(``RingElement.den``; see ``kernel``): coordinates enter only through their
+exponentials ``u_j = e^{x_j}`` (the one generator kind allowed negative
+exponents), so every identity we care about is decided by exact
+normalization.  A Poisson bracket is declared on generator pairs and
+extended to arbitrary elements as a biderivation; boundary parameters are
+central generators, so a verified identity holds for every parameter value
+at once.
 
 A small fraction field (``Fraction``) sits on top for ratio Hamiltonians.
 Denominators are kept factored and reduced only by scalar content, never by
@@ -15,14 +16,15 @@ multivariate gcd; equality is decided by cross-multiplication.
 
 Each operation has one implementation: ``RingElement._coerce`` is the one
 coercion rule (``as_fraction`` uses it too), ``RingElement.__pow__`` the one
-power (cached by ``PhaseRing._pow_terms``, used by ``Fraction.__pow__``),
+power (cached by ``PhaseRing._pow``, used by ``Fraction.__pow__``),
 ``_push_den`` the one denominator normaliser (for ``reciprocal``,
 ``reflect`` and negative powers too), ``Fraction._init`` the one
 constructor, ``dot`` the one sum of products (``substitute`` too; it shares
 ``_lcd``, the one common denominator, with ``Fraction.__add__`` and
 ``__sub__``), ``Fraction.partials`` the one derivative,
 ``bracket_fraction`` the one bracket, which ``bracket`` runs through, and
-``RingElement.by_degree`` the one reader of a generator's coefficients.  No
+``RingElement.by_degree`` the one reader of a generator's coefficients;
+``_reduced`` is the one place an element is made canonical.  No
 element or Fraction changes once built: each keeps its ``key()`` or its
 partials.  Every Fraction is canonical, so negation keeps its factors.  The
 model declares the bracket table (``toda_models.toda_structure``).
@@ -34,10 +36,11 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .backend import QQ
 from .backend import kernel as K
-from .kernel import Packing, StructureError, canon, quo
+from .kernel import Packing, StructureError
 
 
 class Kind(enum.Enum):
@@ -65,17 +68,25 @@ class Generator:
     kind: Kind
 
 
-def _qq(c):
-    """Coerce to a canonical exact rational (``kernel.canon``); floats are
-    rejected."""
+def _qq(c) -> tuple:
+    """(numerator, positive denominator) of an exact rational in lowest
+    terms; floats are rejected."""
+    if type(c) is int:
+        return c, 1
     if isinstance(c, float):
         raise StructureError("floating point coefficient in exact ring: %r" % c)
-    if isinstance(c, (int, QQ)):
-        return canon(c)
-    try:
-        return canon(QQ(c))
-    except TypeError:
-        return canon(QQ(c.numerator, c.denominator))
+    if not isinstance(c, (int, QQ)):
+        try:
+            c = QQ(c)
+        except TypeError:
+            c = QQ(c.numerator, c.denominator)
+    return int(c.numerator), int(c.denominator)  # numpy ints stay numpy in a QQ
+
+
+def _rational(c: int, den: int):
+    """c/den as a canonical rational: an ``int`` when integral."""
+    q = QQ(c, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 class PhaseRing:
@@ -132,8 +143,8 @@ class PhaseRing:
         return tuple(g.name for g in self.generators if g.kind is kind)
 
     def const(self, c) -> "RingElement":
-        c = _qq(c)
-        return RingElement(self, {self.zero_exp: c} if c else {})
+        c, d = _qq(c)
+        return RingElement(self, {self.zero_exp: c} if c else {}, d)
 
     def monomial(self, powers: dict, coeff=1) -> "RingElement":
         """Monomial from {generator name: exponent}; only u may be negative."""
@@ -145,43 +156,46 @@ class PhaseRing:
                     "negative exponent on non-Laurent generator %r" % name
                 )
             exp[i] = e
-        c = _qq(coeff)
-        return RingElement(self, {self.pk.pack(exp): c} if c else {})
+        c, d = _qq(coeff)
+        return RingElement(self, {self.pk.pack(exp): c} if c else {}, d)
 
     def element(self, terms: dict) -> "RingElement":
-        """Element from {exponent tuple: coefficient}."""
-        out = {}
-        for exps, c in terms.items():
-            c = _qq(c)
-            if c:
-                out[self.pk.pack(exps)] = c
-        return RingElement(self, out)
+        """Element from {exponent tuple: coefficient}, over the lcm of the
+        coefficients' denominators: canonical, since each prime power of the
+        lcm divides one denominator, and so not the numerator it scales."""
+        ratios = [(exps, *_qq(c)) for exps, c in terms.items()]
+        den = lcm(*(d for _, c, d in ratios if c))
+        return RingElement(self, {self.pk.pack(exps): c * (den // d)
+                                  for exps, c, d in ratios if c}, den)
 
-    def _pow_terms(self, el: "RingElement", p: int) -> dict:
-        """The terms of el ** p, kept per (element, power).  Almost every
-        lookup is at p = 1, but a hit still skips the dict copy and the
-        ``finish`` of ``el ** 1``: without the cache, verify at N=3 and 5 ran
-        2-14 % slower and dn N=2 simulate 10 % slower (2 vCPU)."""
+    def _pow(self, el: "RingElement", p: int) -> "RingElement":
+        """el ** p, kept per (element, power).  Almost every lookup is at
+        p = 1, but a hit still skips the dict copy and the ``finish`` of
+        ``el ** 1``: without the cache, verify at N=3 and 5 ran 2-14 %
+        slower and dn N=2 simulate 10 % slower (2 vCPU)."""
         key = (el.key(), p)
         out = self._pow_cache.get(key)
         if out is None:
-            out = self._pow_cache[key] = (el ** p).terms
+            out = self._pow_cache[key] = el ** p
         return out
 
 
 class RingElement:
-    """Exact Laurent polynomial over a :class:`PhaseRing`.
+    """Exact Laurent polynomial over a :class:`PhaseRing`: ``terms / den``.
 
-    ``terms`` maps packed exponent keys (``ring.pk``) to canonical
-    coefficients, and is never changed; ``monomials()`` yields the exponent
-    tuples.
+    ``terms`` maps packed exponent keys (``ring.pk``) to nonzero ``int``
+    coefficients and is never changed; ``den`` is a positive ``int``, 1 when
+    the element is integral.  An element is canonical: ``den`` is coprime
+    to the gcd of the coefficients, so the zero has den 1.  ``monomials()``
+    yields the exponent tuples with the rational coefficients.
     """
 
-    __slots__ = ("ring", "terms", "_key")
+    __slots__ = ("ring", "terms", "den", "_key")
 
-    def __init__(self, ring: PhaseRing, terms: dict):
+    def __init__(self, ring: PhaseRing, terms: dict, den: int = 1):
         self.ring = ring
         self.terms = terms
+        self.den = den
 
     # -- predicates ------------------------------------------------------
 
@@ -200,7 +214,7 @@ class RingElement:
             return 0
         if not self.is_constant:
             raise StructureError("not a constant: %s" % self)
-        return self.terms[self.ring.zero_exp]
+        return _rational(self.terms[self.ring.zero_exp], self.den)
 
     def is_parameter_constant(self) -> bool:
         """True when no field or spectral generator appears."""
@@ -233,7 +247,7 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElement(self.ring, K.add(self.terms, o.terms))
+        return _combine(self, o, K.add)
 
     __radd__ = __add__
 
@@ -241,13 +255,13 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElement(self.ring, K.sub(self.terms, o.terms))
+        return _combine(self, o, K.sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElement(self.ring, K.sub(o.terms, self.terms))
+        return _combine(o, self, K.sub)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -255,12 +269,13 @@ class RingElement:
             return NotImplemented
         if not (self.terms and o.terms):
             return self.ring.zero
-        return RingElement(self.ring, K.mul(self.terms, o.terms, self.ring.pk))
+        return _reduced(self.ring, K.mul(self.terms, o.terms, self.ring.pk),
+                        self.den * o.den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RingElement(self.ring, K.neg(self.terms))
+        return RingElement(self.ring, K.neg(self.terms), self.den)
 
     def __pow__(self, p: int):
         if not isinstance(p, int):
@@ -270,10 +285,12 @@ class RingElement:
             if len(self.terms) != 1:
                 raise StructureError("negative power of a non-monomial")
             factors: dict = {}
-            terms = _push_den(self.ring, self.ring.one.terms, factors, self, -p)
+            out = _push_den(self.ring, self.ring.one, factors, self, -p)
             if factors:
                 raise StructureError("negative power touches non-Laurent generator")
-            return RingElement(self.ring, terms)
+            return out
+        # canonical without a gcd: by Gauss's lemma the content of a
+        # power is the power of the content, still coprime to den ** p
         out = {self.ring.zero_exp: 1}
         base = self.terms
         k = p
@@ -283,7 +300,7 @@ class RingElement:
             k >>= 1
             if k:
                 base = K.mul(base, base, pk)
-        return RingElement(self.ring, out)
+        return RingElement(self.ring, out, self.den ** p)
 
     def __eq__(self, other):
         if isinstance(other, Fraction):
@@ -292,7 +309,9 @@ class RingElement:
             o = self._coerce(other)
         except StructureError:  # a float, or an element of another ring
             return NotImplemented
-        return NotImplemented if o is None else self.terms == o.terms
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms and self.den == o.den
 
     __hash__ = None  # a dict of terms; use .key() when hashing is needed
 
@@ -301,7 +320,8 @@ class RingElement:
     def by_degree(self, name: str) -> dict:
         """{p: coefficient of name**p}, p ascending (negative on a Laurent
         slot), from one pass over the terms: each coefficient keeps their
-        order and has the slot zeroed.  The zero element gives {}."""
+        order, has the slot zeroed and is reduced over its own den.  The
+        zero element gives {}."""
         ring = self.ring
         i = ring.slot(name)
         exponent, shift = ring.pk.exponent, ring.pk.shifts[i]
@@ -309,21 +329,27 @@ class RingElement:
         for e, c in self.terms.items():
             p = exponent(e, i)
             parts.setdefault(p, {})[e - (p << shift)] = c
-        return {p: RingElement(ring, parts[p]) for p in sorted(parts)}
+        return {p: _reduced(ring, parts[p], self.den) for p in sorted(parts)}
+
+    def _rationals(self):
+        """(key, canonical rational coefficient) for every term, in order."""
+        d = self.den
+        return self.terms.items() if d == 1 else [
+            (e, _rational(c, d)) for e, c in self.terms.items()]
 
     def key(self):
-        """Hashable canonical form (sorted term tuple); worked out on first
-        use and kept."""
+        """Hashable canonical form (sorted (key, rational) tuple); worked out
+        on first use and kept."""
         try:
             return self._key
         except AttributeError:
-            self._key = tuple(sorted(self.terms.items()))
+            self._key = tuple(sorted(self._rationals()))
             return self._key
 
     def monomials(self):
-        """(exponent tuple, coefficient) for every term."""
+        """(exponent tuple, rational coefficient) for every term."""
         unpack = self.ring.pk.unpack
-        for e, c in self.terms.items():
+        for e, c in self._rationals():
             yield unpack(e), c
 
     def substitute(self, mapping: dict) -> "Fraction":
@@ -345,7 +371,7 @@ class RingElement:
                 if e:
                     rest -= e << shifts[i]
                     fac = val ** e if fac is one else fac * val ** e
-            pairs.append((Fraction(RingElement(ring, {rest: c})), fac))
+            pairs.append((Fraction(_reduced(ring, {rest: c}, self.den)), fac))
         return dot(ring, pairs)
 
     # -- formatting ------------------------------------------------------
@@ -356,8 +382,7 @@ class RingElement:
         names = self.ring.names
         unpack = self.ring.pk.unpack
         parts = []
-        for key in sorted(self.terms, reverse=True):
-            c = self.terms[key]
+        for key, c in sorted(self._rationals(), reverse=True):
             exps = unpack(key)
             mono = "*".join(
                 names[i] if e == 1 else "%s^%d" % (names[i], e)
@@ -379,6 +404,33 @@ class RingElement:
         return "<RingElement %s>" % self
 
 
+def _reduced(ring: PhaseRing, terms: dict, den: int) -> RingElement:
+    """The canonical element terms/den: both divided by the gcd of den and
+    every coefficient (the zero gets den 1)."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms, den = {e: c // g for e, c in terms.items()}, den // g
+    return RingElement(ring, terms, den)
+
+
+def _scaled(el: RingElement, den: int) -> dict:
+    """el's terms over den, a multiple of el.den."""
+    return el.terms if el.den == den else K.scale(el.terms, den // el.den)
+
+
+def _combine(a: RingElement, b: RingElement, op) -> RingElement:
+    """``op`` (``K.add`` or ``K.sub``) of two elements over the lcm of their
+    dens.  A zero operand makes no kernel call: ``x op 0`` is x and
+    ``0 op x`` is x or -x."""
+    if not b.terms:
+        return a
+    if not a.terms:
+        return -b if op is K.sub else b
+    den = a.den if a.den == b.den else lcm(a.den, b.den)
+    return _reduced(a.ring, op(_scaled(a, den), _scaled(b, den)), den)
+
+
 def _factor_add(factors: dict, el: RingElement, power: int):
     key = el.key()
     if key in factors:
@@ -388,7 +440,8 @@ def _factor_add(factors: dict, el: RingElement, power: int):
         factors[key] = (el, power)
 
 
-def _push_den(ring: PhaseRing, num_terms: dict, factors: dict, el: RingElement, power: int) -> dict:
+def _push_den(ring: PhaseRing, num: RingElement, factors: dict, el: RingElement,
+              power: int) -> RingElement:
     """Fold el**power into the denominator; returns the adjusted numerator.
 
     Monomial factors reduce to per-variable atoms (Laurent variables fold
@@ -408,20 +461,23 @@ def _push_den(ring: PhaseRing, num_terms: dict, factors: dict, el: RingElement, 
                     fold[i] = -e * power
                 else:
                     _factor_add(factors, ring.gen(ring.names[i]), e * power)
-        return K.mul_term(num_terms, pk.displacement(fold), quo(1, c ** power), pk)
+        c **= power  # num / (c/den)**power
+        return _reduced(ring, K.mul_term(num.terms, pk.displacement(fold),
+                                         el.den ** power * (1 if c > 0 else -1), pk),
+                        num.den * abs(c))
     lc = t[max(t)]
-    if lc != 1:
-        inv = quo(1, lc)
-        el = el * inv
-        num_terms = K.scale(num_terms, canon(inv ** power))
+    if lc != el.den:  # el / (lc/den) is monic: terms over lc
+        num = _reduced(ring, K.scale(num.terms, (el.den if lc > 0 else -el.den) ** power),
+                       num.den * abs(lc) ** power)
+        el = _reduced(ring, t if lc > 0 else K.neg(t), abs(lc))
     _factor_add(factors, el, power)
-    return num_terms
+    return num
 
 
-def _cancel(ring: PhaseRing, num_terms: dict, factors: dict) -> tuple:
+def _cancel(ring: PhaseRing, num: RingElement, factors: dict) -> tuple:
     """(numerator, factors) with single-variable atom factors cancelled."""
-    if not num_terms or not factors:
-        return num_terms, ()
+    if not num.terms or not factors:
+        return num, ()
     pk = ring.pk
     out = []
     for key, (el, p) in factors.items():
@@ -431,19 +487,20 @@ def _cancel(ring: PhaseRing, num_terms: dict, factors: dict) -> tuple:
             (ekey, c), = el.terms.items()
             exp = pk.unpack(ekey)
             live = [i for i, e in enumerate(exp) if e]
-            if c == 1 and len(live) == 1 and exp[live[0]] == 1:
+            if c == 1 == el.den and len(live) == 1 and exp[live[0]] == 1:
                 i = live[0]
-                take = min(p, max(min(pk.exponent(e, i) for e in num_terms), 0))
+                take = min(p, max(min(pk.exponent(e, i) for e in num.terms), 0))
                 if take > 0:
                     shift = [0] * ring.nvars
                     shift[i] = -take
-                    num_terms = K.mul_term(num_terms, pk.displacement(shift), 1, pk)
+                    num = RingElement(ring, K.mul_term(num.terms, pk.displacement(shift),
+                                                       1, pk), num.den)
                     p -= take
                 if p == 0:
                     continue
         out.append((key, el, p))
     out.sort(key=lambda kep: kep[0])
-    return num_terms, tuple((el, p) for _, el, p in out)
+    return num, tuple((el, p) for _, el, p in out)
 
 
 class Fraction:
@@ -456,24 +513,22 @@ class Fraction:
             raise TypeError("already a Fraction; use as_fraction()")
         ring = num.ring
         factors: dict = {}
-        terms = num.terms
-        if den is not None and den.terms != ring.one.terms:
+        if den is not None and den != ring.one:
             if den.ring is not ring:
                 raise StructureError("num/den from incompatible rings")
-            terms = _push_den(ring, terms, factors, den, 1)
-        self._init(ring, terms, factors)
+            num = _push_den(ring, num, factors, den, 1)
+        self._init(ring, num, factors)
 
-    def _init(self, ring: PhaseRing, num_terms: dict, factors: dict):
-        """Set the fields; factors are cancelled before num_terms is wrapped."""
-        num_terms, self._factors = _cancel(ring, num_terms, factors)
+    def _init(self, ring: PhaseRing, num: RingElement, factors: dict):
+        """Set the fields; factors are cancelled against num first."""
+        self.num, self._factors = _cancel(ring, num, factors)
         self.ring = ring
-        self.num = RingElement(ring, num_terms)
         self._den = None
 
     @classmethod
-    def _make(cls, ring: PhaseRing, num_terms: dict, factors: dict) -> "Fraction":
+    def _make(cls, ring: PhaseRing, num: RingElement, factors: dict) -> "Fraction":
         self = object.__new__(cls)
-        self._init(ring, num_terms, factors)
+        self._init(ring, num, factors)
         return self
 
     # -- structure -------------------------------------------------------
@@ -482,10 +537,9 @@ class Fraction:
     def den(self) -> RingElement:
         d = self._den
         if d is None:
-            terms = {self.ring.zero_exp: 1}
+            d = self.ring.one
             for el, p in self._factors:
-                terms = K.mul(terms, self.ring._pow_terms(el, p), self.ring.pk)
-            d = RingElement(self.ring, terms)
+                d = d * self.ring._pow(el, p)
             self._den = d
         return d
 
@@ -497,26 +551,28 @@ class Fraction:
     def is_zero(self) -> bool:
         return not self.num.terms
 
-    def partials(self) -> dict:
-        """{slot: den**2 * d(self)/d(slot)} over the ring's field slots,
-        nonzero ones only: ``den*dnum - num*dden`` by the quotient rule, or
-        ``dnum`` without denominator factors; worked out once and kept."""
+    def partials(self) -> tuple:
+        """({slot: terms}, den): ``terms / den`` is den(self)**2 *
+        d(self)/d(slot) over the ring's field slots, nonzero ones only, by
+        the quotient rule ``den*dnum - num*dden``, or ``dnum`` without
+        denominator factors.  One int den serves every slot; worked out once
+        and kept."""
         if hasattr(self, "_partials"):
             return self._partials
         pk, p, out = self.ring.pk, self.num.terms, {}
-        q = self.den.terms if self._factors else None
+        q = self.den if self._factors else self.ring.one
         for i in self.ring.field_slots:
             d = K.diff(p, i, pk)
-            if q is not None:
-                if d:
-                    d = K.mul(q, d, pk)
-                dq = K.diff(q, i, pk)
+            if self._factors:
+                d = K.mul(q.terms, d, pk) if d else d
+                dq = K.diff(q.terms, i, pk)
                 if dq:
-                    d = K.sub(d, K.mul(p, dq, pk))
+                    K.mul_acc(d, K.neg(p), dq, pk)
+                    d = K.finish(d, pk)
             if d:
                 out[i] = d
-        self._partials = out
-        return out
+        self._partials = out, self.num.den * q.den
+        return self._partials
 
     def is_parameter_constant(self) -> bool:
         return self.num.is_parameter_constant() and all(
@@ -537,10 +593,8 @@ class Fraction:
             return self
         if self.is_zero:
             return -o if op is K.sub else o
-        union, a, b = _lcd(
-            self.ring, self._factor_dict(), self.num.terms, o._factor_dict(), o.num.terms
-        )
-        return Fraction._make(self.ring, op(a, b), union)
+        union, a, b = _lcd(self.ring, self._factor_dict(), self.num, o._factor_dict(), o.num)
+        return Fraction._make(self.ring, _combine(a, b, op), union)
 
     def __add__(self, other):
         o = as_fraction(self.ring, other)
@@ -569,17 +623,15 @@ class Fraction:
         o = as_fraction(self.ring, other)
         if o is None:
             return NotImplemented
-        one = self.ring.one.terms
-        if o.is_zero or not self._factors and self.num.terms == one:
+        one = self.ring.one
+        if o.is_zero or not self._factors and self.num == one:
             return o
-        if self.is_zero or not o._factors and o.num.terms == one:
+        if self.is_zero or not o._factors and o.num == one:
             return self
         factors = self._factor_dict()
         for el, p in o._factors:
             _factor_add(factors, el, p)
-        return Fraction._make(
-            self.ring, K.mul(self.num.terms, o.num.terms, self.ring.pk), factors
-        )
+        return Fraction._make(self.ring, self.num * o.num, factors)
 
     __rmul__ = __mul__
 
@@ -598,15 +650,15 @@ class Fraction:
     def __neg__(self):
         out = object.__new__(Fraction)
         out.ring, out._factors, out._den = self.ring, self._factors, self._den
-        out.num = RingElement(self.ring, K.neg(self.num.terms))
+        out.num = -self.num
         return out
 
     def reciprocal(self) -> "Fraction":
         if self.is_zero:
             raise StructureError("zero denominator (reciprocal of zero)")
         factors: dict = {}
-        terms = _push_den(self.ring, self.den.terms, factors, self.num, 1)
-        return Fraction._make(self.ring, terms, factors)
+        num = _push_den(self.ring, self.den, factors, self.num, 1)
+        return Fraction._make(self.ring, num, factors)
 
     def __pow__(self, p: int):
         if not isinstance(p, int):
@@ -614,19 +666,20 @@ class Fraction:
         if p < 0:
             return self.reciprocal() ** (-p)
         factors = {key: (el, q * p) for key, (el, q) in self._factor_dict().items()}
-        return Fraction._make(self.ring, (self.num ** p).terms, factors)
+        return Fraction._make(self.ring, self.num ** p, factors)
 
     def reflect(self, name: str) -> "Fraction":
         """name -> -name, factored as a fresh build would be: odd-degree terms
         change sign, and ``_push_den`` normalises each reflected factor."""
         ring, i = self.ring, self.ring.slot(name)
 
-        def odd(terms):
-            return {e: -c if ring.pk.exponent(e, i) & 1 else c for e, c in terms.items()}
+        def odd(el):
+            return RingElement(ring, {e: -c if ring.pk.exponent(e, i) & 1 else c
+                                      for e, c in el.terms.items()}, el.den)
 
-        num, factors = odd(self.num.terms), {}
+        num, factors = odd(self.num), {}
         for el, p in self._factors:
-            num = _push_den(ring, num, factors, RingElement(ring, odd(el.terms)), p)
+            num = _push_den(ring, num, factors, odd(el), p)
         return Fraction._make(ring, num, factors)
 
     def __eq__(self, other):
@@ -634,11 +687,8 @@ class Fraction:
         if o is None:
             return NotImplemented
         if self._factors == o._factors:
-            return self.num.terms == o.num.terms
-        pk = self.ring.pk
-        left = K.mul(self.num.terms, o.den.terms, pk)
-        right = K.mul(o.num.terms, self.den.terms, pk)
-        return left == right
+            return self.num == o.num
+        return self.num * o.den == o.num * self.den
 
     __hash__ = None
 
@@ -663,7 +713,7 @@ class Fraction:
         return "<Fraction %s>" % self
 
 
-def _lcd(ring: PhaseRing, fa: dict, a: dict, fb: dict, b: dict) -> tuple:
+def _lcd(ring: PhaseRing, fa: dict, a: RingElement, fb: dict, b: RingElement) -> tuple:
     """(union, a', b'): the factor dicts fa and fb joined at the larger power
     of each factor, and the numerators a and b multiplied by the powers
     their own factors lack."""
@@ -671,14 +721,13 @@ def _lcd(ring: PhaseRing, fa: dict, a: dict, fb: dict, b: dict) -> tuple:
     for key, (el, p) in fb.items():
         if p > union.get(key, (None, 0))[1]:
             union[key] = (el, p)
-    pk = ring.pk
     for key, (el, p) in union.items():
         pa = p - fa.get(key, (None, 0))[1]
         pb = p - fb.get(key, (None, 0))[1]
         if pa:
-            a = K.mul(a, ring._pow_terms(el, pa), pk)
+            a = a * ring._pow(el, pa)
         if pb:
-            b = K.mul(b, ring._pow_terms(el, pb), pk)
+            b = b * ring._pow(el, pb)
     return union, a, b
 
 
@@ -698,8 +747,11 @@ def dot(ring: PhaseRing, pairs) -> Fraction:
     The accumulator is finished (``K.finish``) once at the end, and before
     a product with other factors rescales it; only there can a vanished
     partial sum change the result, so only there is the restart decided.
+    Its int terms are over a running den, rescaled only when a product
+    brings a den that den lacks; the other products are scaled up to it.
     """
     acc: dict = {}
+    den = 1
     union: dict = {}
     for x, y in pairs:
         if x.is_zero or y.is_zero:
@@ -707,14 +759,23 @@ def dot(ring: PhaseRing, pairs) -> Fraction:
         factors = x._factor_dict()
         for el, p in y._factors:
             _factor_add(factors, el, p)
-        a = x.num.terms
+        a, b = x.num, y.num
         if factors != union:
-            if acc and K.finish(acc, ring.pk):
-                union, acc, a = _lcd(ring, union, acc, factors, a)
+            acc = K.finish(acc, ring.pk) if acc else acc
+            if acc:
+                union, a_acc, a = _lcd(ring, union, RingElement(ring, acc, den), factors, a)
+                acc, den = a_acc.terms, a_acc.den
             else:
                 union = factors
-        K.mul_acc(acc, a, y.num.terms, ring.pk)
-    return Fraction._make(ring, K.finish(acc, ring.pk), union)
+        pden = a.den * b.den
+        if not acc:
+            den = pden
+        elif den % pden:
+            new = lcm(den, pden)
+            acc, den = K.scale(acc, new // den), new
+        K.mul_acc(acc, a.terms if pden == den else K.scale(a.terms, den // pden),
+                  b.terms, ring.pk)
+    return Fraction._make(ring, _reduced(ring, K.finish(acc, ring.pk), den), union)
 
 
 def as_fraction(ring: PhaseRing, value) -> Fraction | None:
@@ -773,22 +834,25 @@ class PoissonStructure:
         F, G = as_fraction(ring, f), as_fraction(ring, g)
         if F is None or G is None:
             raise StructureError("bracket_fraction on non-algebraic input")
-        df, dg = F.partials(), G.partials()
+        (df, fden), (dg, gden) = F.partials(), G.partials()
         if not (df and dg):
             return Fraction(ring.zero)
         pk = ring.pk
+        tden = lcm(*(el.den for el in self._table.values()))
         out: dict = {}
         for (i, j), el in self._table.items():
             dfi, dgj, dfj, dgi = df.get(i), dg.get(j), df.get(j), dg.get(i)
             s = K.mul(dfi, dgj, pk) if dfi and dgj else {}
-            if dfj and dgi:
-                s = K.sub(s, K.mul(dfj, dgi, pk))
+            if dfj and dgi:  # s -= dfj*dgi in place: no product or copy to hold
+                K.mul_acc(s, K.neg(dfj), dgi, pk)
+                s = K.finish(s, pk)
             if s:
-                K.mul_acc(out, s, el.terms, pk)
+                K.mul_acc(out, s, _scaled(el, tden), pk)
         factors: dict = {}
         for el, pw in F._factors + G._factors:
             _factor_add(factors, el, 2 * pw)
-        return Fraction._make(ring, K.finish(out, pk), factors)
+        num = _reduced(ring, K.finish(out, pk), fden * gden * tden)
+        return Fraction._make(ring, num, factors)
 
     # -- structure checks ---------------------------------------------------
 
@@ -830,6 +894,11 @@ def exact_divide(num: RingElement, den: RingElement) -> RingElement | None:
     step emits a quotient exponent strictly below the previous one in the
     term order, so the steps end within the box's size; a step outside the
     box proves that den does not divide.
+
+    By Gauss's lemma den divides num over the rationals exactly when the
+    primitive part of den's int terms divides that of num's over the ints,
+    so the division runs on ints, and a step whose coefficient does not
+    divide proves that den does not divide either.
     """
     ring = num.ring
     if den.is_zero:
@@ -842,11 +911,13 @@ def exact_divide(num: RingElement, den: RingElement) -> RingElement | None:
     box = [(a - b, c - d) for a, b, c, d in zip(nlo, dlo, nhi, dhi)]
     if any(lo < 0 and not lau for (lo, _), lau in zip(box, ring.laurent)):
         return None
-    ed = max(den.terms)
-    cd = den.terms[ed]
+    cn, cd = gcd(*num.terms.values()), gcd(*den.terms.values())
+    d = {e: c // cd for e, c in den.terms.items()}
+    ed = max(d)
+    lc = d[ed]
     d_exp = pk.unpack(ed)
     q: dict = {}
-    r = dict(num.terms)
+    r = {e: c // cn for e, c in num.terms.items()}
     # max-heap of remainder keys (negated), with lazy deletion: a key whose
     # term has cancelled stays in the heap and is skipped when it surfaces
     heap = [-e for e in r]
@@ -858,10 +929,12 @@ def exact_divide(num: RingElement, den: RingElement) -> RingElement | None:
         qexp = [a - b for a, b in zip(pk.unpack(er), d_exp)]
         if not all(lo <= e <= hi for e, (lo, hi) in zip(qexp, box)):
             return None
-        qc = quo(r[er], cd)
+        qc, rest = divmod(r[er], lc)
+        if rest:
+            return None
         qe = pk.pack(qexp)
         q[qe] = qc
-        for e, c in K.mul_term(den.terms, qe - pk.one, qc, pk).items():
+        for e, c in K.mul_term(d, qe - pk.one, qc, pk).items():
             c0 = r.get(e)
             if c0 is None:
                 r[e] = -c
@@ -869,10 +942,10 @@ def exact_divide(num: RingElement, den: RingElement) -> RingElement | None:
             else:
                 c0 = c0 - c
                 if c0:
-                    r[e] = canon(c0)
+                    r[e] = c0
                 else:
                     del r[e]
-    return RingElement(ring, q)
+    return _reduced(ring, K.scale(q, cn * den.den), cd * num.den)
 
 
 def casimir(ps: PoissonStructure) -> RingElement:

@@ -21,17 +21,17 @@ M(j, -mu), which ``generating_matrix`` builds afresh.
 ``lambda_series_coefficient`` is the lam-series extraction the package used
 before it read coefficients by long division in 1/lam: it expands each pole
 factor as a binomial series in 1/lam and convolves the series term dict by
-term dict in the kernel.
+term dict in the kernel, on rational term dicts (``rational_terms``).
 """
 
 import math
 
 from bilax.backend import kernel as K
 from bilax.double_row import monodromy, scalar_report
-from bilax.kernel import canon, quo
-from bilax.phase_ring import Fraction, RingElement, StructureError
+from bilax.phase_ring import Fraction, StructureError
 from bilax.spectral_matrix import inverse_2x2, lam, mu
 from exact_oracle import coefficient, degree, embed_a, partial_trace_a, rational_r, swap_legs
+from rational_terms import canon, element, quo, rational
 
 
 def double_row_transfer(lax, km, kp, N, arg):
@@ -155,7 +155,7 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
         for k_ in range(depth + 1):
             coef = canon(math.comb(e - 1 + k_, k_) * (-1) ** k_ * inv_c ** (e + k_))
             fac[k_] = K.scale(gk, coef)
-            gk = K.mul(gk, g.terms, pk)
+            gk = K.mul(gk, rational(g), pk)
         new = {}
         for m1, t1 in series.items():
             for m2, t2 in fac.items():
@@ -169,8 +169,8 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
     for m_, sm in series.items():
         a_q = coefficient(num, "lam", p + shift + m_)
         if not a_q.is_zero and sm:
-            K.mul_acc(out, a_q.terms, sm, pk)
-    result = Fraction(RingElement(ring, K.finish(out, pk)))
+            K.mul_acc(out, rational(a_q), sm, pk)
+    result = Fraction(element(ring, K.finish(out, pk)))
     for el, e in side:
         result = result / Fraction(el) ** e
     return result

@@ -57,10 +57,12 @@ factors).
 generator term by term from ``monomials()``, the exponent tuples; the
 oracles here and in ``double_row_oracle`` read coefficients through them,
 so none shares code with ``RingElement.by_degree``.
+
+The oracles that compute on term dicts use rational ones, read and made
+canonical through ``rational_terms``.
 """
 
 from bilax.backend import kernel as K
-from bilax.kernel import quo
 from bilax.phase_ring import (
     Fraction,
     Kind,
@@ -74,6 +76,7 @@ from bilax.phase_ring import (
     dot,
 )
 from bilax.spectral_matrix import SpectralMatrix, identity, kron, permutation
+from rational_terms import element, quo, rational
 
 
 def matmul(a, b):
@@ -141,7 +144,7 @@ def fraction_power(f, p):
 def bracket(ps, f, g):
     """{f, g} of two ring elements, from the generator table."""
     ring = ps.ring
-    ft, gt = f.terms, g.terms
+    ft, gt = rational(f), rational(g)
     if not ft or not gt:
         return ring.zero
     pk = ring.pk
@@ -155,8 +158,8 @@ def bracket(ps, f, g):
         if dfj and dgi:
             s = K.sub(s, K.mul(dfj, dgi, pk))
         if s:
-            out = K.add(out, K.mul(s, el.terms, pk))
-    return RingElement(ring, out)
+            out = K.add(out, K.mul(s, rational(el), pk))
+    return element(ring, out)
 
 
 def bracket_fraction(ps, f, g):
@@ -176,7 +179,7 @@ def bracket_fraction(ps, f, g):
     factors = {}
     for el, pw in F.den_factors + G.den_factors:
         _factor_add(factors, el, 2 * pw)
-    return Fraction._make(ring, num.terms, factors)
+    return Fraction._make(ring, num, factors)
 
 
 def embed_pair(m: SpectralMatrix, legs: tuple, nlegs: int = 3) -> SpectralMatrix:
@@ -294,14 +297,14 @@ def negative_power(el: RingElement, p: int) -> RingElement:
     pk = el.ring.pk
     if len(el.terms) != 1:
         raise StructureError("negative power of a non-monomial")
-    (key, c), = el.terms.items()
+    (key, c), = rational(el).items()
     exp = pk.unpack(key)
     for i, e in enumerate(exp):
         if e and not el.ring.laurent[i]:
             raise StructureError(
                 "negative power touches non-Laurent generator"
             )
-    return RingElement(
+    return element(
         el.ring, {pk.pack([e * p for e in exp]): quo(1, c ** (-p))}
     )
 
@@ -315,13 +318,13 @@ def reflect(f: Fraction, name: str) -> Fraction:
     def odd(terms):
         return {e: -c if ring.pk.exponent(e, i) & 1 else c for e, c in terms.items()}
 
-    num, factors = odd(f.num.terms), {}
+    num, factors = odd(rational(f.num)), {}
     for el, p in f.den_factors:
-        t = odd(el.terms)
+        t = odd(rational(el))
         if t[max(t)] == -1:
             t, num = K.neg(t), K.neg(num) if p & 1 else num
-        _factor_add(factors, RingElement(ring, t), p)
-    return Fraction._make(ring, num, factors)
+        _factor_add(factors, element(ring, t), p)
+    return Fraction._make(ring, element(ring, num), factors)
 
 
 def _site(g):
@@ -383,7 +386,7 @@ def substitute(el: RingElement, mapping: dict) -> Fraction:
         sub[ring.slot(name)] = as_fraction(ring, val)
     out = Fraction(ring.zero)
     powcache: dict = {}
-    for key, c in el.terms.items():
+    for key, c in rational(el).items():
         rest = key
         fac = None
         for i, val in sub.items():
@@ -395,7 +398,7 @@ def substitute(el: RingElement, mapping: dict) -> Fraction:
                     p = val ** e
                     powcache[(i, e)] = p
                 fac = p if fac is None else fac * p
-        term = Fraction(RingElement(ring, {rest: c}))
+        term = Fraction(element(ring, {rest: c}))
         out = out + (term if fac is None else term * fac)
     return out
 
@@ -430,9 +433,10 @@ def fraction_combine(x: Fraction, y: Fraction, op) -> Fraction:
     """``op`` (``K.add`` or ``K.sub``) of the numerators over the common
     denominator, zero operands included."""
     if x._factors == y._factors:
-        return Fraction._make(x.ring, op(x.num.terms, y.num.terms), x._factor_dict())
-    union, a, b = _lcd(x.ring, x._factor_dict(), x.num.terms, y._factor_dict(), y.num.terms)
-    return Fraction._make(x.ring, op(a, b), union)
+        num = op(rational(x.num), rational(y.num))
+        return Fraction._make(x.ring, element(x.ring, num), x._factor_dict())
+    union, a, b = _lcd(x.ring, x._factor_dict(), x.num, y._factor_dict(), y.num)
+    return Fraction._make(x.ring, element(x.ring, op(rational(a), rational(b))), union)
 
 
 def fraction_product(x: Fraction, y: Fraction) -> Fraction:
@@ -441,9 +445,10 @@ def fraction_product(x: Fraction, y: Fraction) -> Fraction:
     factors = x._factor_dict()
     for el, p in y._factors:
         _factor_add(factors, el, p)
-    return Fraction._make(x.ring, K.mul(x.num.terms, y.num.terms, x.ring.pk), factors)
+    num = K.mul(rational(x.num), rational(y.num), x.ring.pk)
+    return Fraction._make(x.ring, element(x.ring, num), factors)
 
 
 def ring_product(x: RingElement, y: RingElement) -> RingElement:
     """x * y by the kernel product, zero operands included."""
-    return RingElement(x.ring, K.mul(x.terms, y.terms, x.ring.pk))
+    return element(x.ring, K.mul(rational(x), rational(y), x.ring.pk))

@@ -114,7 +114,7 @@ def generating_matrix(model, n, j, sign):
 def to_sympy(value):
     """A package RingElement, or a Fraction as num/den, as a sympy
     expression over symbols named like the ring's generators."""
-    if hasattr(value, "den"):
+    if hasattr(value, "num"):
         return to_sympy(value.num) / to_sympy(value.den)
     symbols = [sym(name) for name in value.ring.names]
     out = sympy.Integer(0)

@@ -2,21 +2,26 @@
 
 * ``tuple_kernel`` is the earlier tuple-keyed kernel with ``Fraction``
   coefficients; every kernel function is run on the same random Laurent
-  inputs through both and the results must agree term for term.
+  inputs through both and the results must agree term for term.  The
+  packed kernel takes int coefficients only, so its inputs are the rational
+  ones times a common denominator, and its results are read back over it.
 * sympy's ``expand`` recomputes products, derivatives and Poisson brackets
   of the same elements as symbolic expressions, and sympy's ``cancel``
   decides ``bracket_fraction`` of quotients that sympy differentiates
   itself, over denominators with and without field generators.
 
-Also checked: coefficients come out canonical, a sum of ``mul_acc`` products
-is exact once ``finish`` ends it, and an exponent that leaves its packed
+Also checked: coefficients come out as nonzero ints, a sum of ``mul_acc``
+products is exact once ``finish`` ends it (a sum that cancels is a fresh
+``{}``), and an exponent that leaves its packed
 field raises instead of aliasing another monomial (``Packing.check`` raises
 exactly when some key has a guard bit set).
 """
 
 import functools
 import operator
+import sys
 from fractions import Fraction as PyFraction
+from math import lcm
 
 import pytest
 import sympy
@@ -25,8 +30,9 @@ from hypothesis import strategies as st
 
 import tuple_kernel as T
 from bilax.backend import kernel as K
-from bilax.phase_ring import Fraction, RingElement, StructureError
+from bilax.phase_ring import Fraction, StructureError
 from bilax.toda_models import toda_ring, toda_structure
+from rational_terms import element, quo
 
 RING = toda_ring(2, dynamical=True)
 PK = RING.pk
@@ -53,24 +59,35 @@ def exponents(draw):
 tuple_dicts = st.dictionaries(exponents(), coefficients, max_size=6)
 
 
-def packed(d):
-    return RING.element(d).terms
+def den_of(*dicts):
+    """The lcm of the denominators of the rational dicts' coefficients."""
+    return lcm(*(PyFraction(c).denominator for d in dicts for c in d.values()))
 
 
-def as_tuples(terms):
+def packed(d, den=1):
+    """The int terms of den * d, den a multiple of d's denominators."""
+    out = {PK.pack(e): c * den for e, c in d.items()}
+    assert all(PyFraction(c).denominator == 1 for c in out.values())
+    return {e: int(c) for e, c in out.items()}
+
+
+def as_tuples(terms, den=1):
+    """The tuple dict of terms / den; every stored coefficient must be a
+    nonzero int."""
     for c in terms.values():
-        assert (type(c) is int and c) or (type(c) is PyFraction and c.denominator != 1), c
-    return dict(RingElement(RING, terms).monomials())
+        assert type(c) is int and c, c
+    return {PK.unpack(e): quo(c, den) for e, c in terms.items()}
 
 
 @bounded
 @given(tuple_dicts, tuple_dicts)
 def test_mul_add_sub_match_tuple_kernel(a, b):
-    pa, pb = packed(a), packed(b)
-    assert as_tuples(K.mul(pa, pb, PK)) == T.mul(a, b)
-    assert as_tuples(K.add(pa, pb)) == T.add(a, b)
-    assert as_tuples(K.sub(pa, pb)) == T.sub(a, b)
-    assert as_tuples(K.neg(pa)) == T.neg(a)
+    d = den_of(a, b)
+    pa, pb = packed(a, d), packed(b, d)
+    assert as_tuples(K.mul(pa, pb, PK), d * d) == T.mul(a, b)
+    assert as_tuples(K.add(pa, pb), d) == T.add(a, b)
+    assert as_tuples(K.sub(pa, pb), d) == T.sub(a, b)
+    assert as_tuples(K.neg(pa), d) == T.neg(a)
     assert as_tuples(K.sub(pa, pa)) == {}
 
 
@@ -95,28 +112,45 @@ def product_lists(draw):
 def test_mul_acc_matches_tuple_kernel(out, pairs):
     """Several mul_acc calls and one finish give the tuple kernel's sum."""
     want = dict(out)
-    got = packed(out)
+    d = den_of(out, *(x for pair in pairs for x in pair))
+    got = packed(out, d * d)
     for a, b in pairs:
         T.mul_acc(want, a, b)
-        K.mul_acc(got, packed(a), packed(b), PK)
-    assert K.finish(got, PK) is got
-    assert as_tuples(got) == want
+        K.mul_acc(got, packed(a, d), packed(b, d), PK)
+    finished = K.finish(got, PK)
+    if want:
+        assert finished is got
+    else:  # a cancelled sum does not keep its accumulator's table
+        assert finished == {} and sys.getsizeof(finished) == sys.getsizeof({})
+    assert as_tuples(finished, d * d) == want
 
 
 @bounded
 @given(tuple_dicts, st.sampled_from(LIVE))
 def test_diff_matches_tuple_kernel(a, i):
-    assert as_tuples(K.diff(packed(a), i, PK)) == T.diff(a, i)
+    d = den_of(a)
+    assert as_tuples(K.diff(packed(a, d), i, PK), d) == T.diff(a, i)
 
 
 @bounded
 @given(tuple_dicts, coefficients | st.just(PyFraction(0)) | st.just(PyFraction(2)),
        exponents())
 def test_scale_and_mul_term_match_tuple_kernel(a, c, exp):
-    pa = packed(a)
-    assert as_tuples(K.scale(pa, K.canon(c))) == T.scale(a, c)
+    d = den_of(a)
+    pa, n, den = packed(a, d), c.numerator, d * c.denominator
+    assert as_tuples(K.scale(pa, n), den) == T.scale(a, c)
     shift = PK.displacement(exp)
-    assert as_tuples(K.mul_term(pa, shift, K.canon(c), PK)) == T.mul_term(a, exp, c)
+    assert as_tuples(K.mul_term(pa, shift, n, PK), den) == T.mul_term(a, exp, c)
+
+
+def test_finish_of_a_cancelled_sum_is_a_fresh_empty_dict():
+    x = {PK.pack((0,) * 11 + (k,)): 1 for k in range(40)}
+    acc = {}
+    K.mul_acc(acc, x, {PK.one: 1}, PK)
+    K.mul_acc(acc, x, {PK.one: -1}, PK)
+    assert len(acc) == 40 and sys.getsizeof(acc) > sys.getsizeof({})
+    got = K.finish(acc, PK)
+    assert got == {} and got is not acc and sys.getsizeof(got) == sys.getsizeof({})
 
 
 def test_key_order_is_tuple_order():
@@ -165,7 +199,7 @@ small_elements = st.dictionaries(exponents(), coefficients, max_size=3).map(RING
 def test_mul_diff_bracket_match_sympy(f, g, i):
     sf, sg = to_sympy(f), to_sympy(g)
     assert same(to_sympy(f * g), sf * sg)
-    df = RingElement(RING, K.diff(f.terms, i, PK))
+    df = element(RING, {e: PyFraction(c, f.den) for e, c in K.diff(f.terms, i, PK).items()})
     assert same(to_sympy(df), sympy.diff(sf, SYMBOLS[i]))
     assert same(to_sympy(PS.bracket(f, g)), sympy_bracket(sf, sg))
 

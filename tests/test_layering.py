@@ -1,4 +1,5 @@
-"""Only ``backend`` and ``phase_ring`` reach the term kernel.
+"""Only ``backend`` and ``phase_ring`` reach the term kernel, and the kernel
+imports no ``fractions``.
 
 Every layer above ``phase_ring`` works in ``RingElement`` and ``Fraction``
 arithmetic, so the kernel's unfinished-accumulator contract (``mul_acc``,
@@ -53,3 +54,14 @@ def test_detector_ignores_other_imports():
 def test_only_backend_and_phase_ring_import_the_kernel():
     users = {p.stem for p in SRC.glob("*.py") if reaches_kernel(p.read_text())}
     assert users == {"backend", "phase_ring"}
+
+
+def test_kernel_imports_no_fractions():
+    # the kernel's coefficients are ints: a rational polynomial is int
+    # terms over one den, kept by ``phase_ring.RingElement``
+    tree = ast.parse((SRC / "kernel.py").read_text())
+    imported = {a.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names}
+    imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in imported

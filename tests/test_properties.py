@@ -9,11 +9,12 @@ checks the same cases.
 """
 
 from fractions import Fraction as PyFraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilax.phase_ring import Fraction, Kind, RingElement
+from bilax.phase_ring import Fraction, Kind
 from bilax.toda_models import toda_ring, toda_structure
 
 RING = toda_ring(2, dynamical=True)
@@ -70,21 +71,25 @@ def test_fraction_eq_invariant_under_common_scaling(p, q, s, r, t):
 
 
 def _canonical(el):
+    """Nonzero int terms over a positive int den coprime to their gcd, read
+    as canonical rationals."""
+    assert type(el.den) is int and el.den > 0
     for c in el.terms.values():
-        if type(c) is int:
-            assert c != 0
-        else:
-            assert type(c) is PyFraction, type(c)
-            assert c != 0 and c.denominator != 1, c
+        assert type(c) is int and c != 0, c
+    assert gcd(el.den, *el.terms.values()) == 1
+    for _, c in el.monomials():
+        assert type(c) is int or (type(c) is PyFraction and c.denominator != 1), c
 
 
 @bounded
 @given(elements, elements, nonzero, st.integers(-4, 4).filter(bool), st.integers(-3, 3))
 def test_stored_coefficients_are_canonical(f, g, m, c, k):
     for el in (f, g, f + g, f - g, f * g, -f, f * PyFraction(2, 3),
-               f * PyFraction(3, 1), f ** 2, PS.bracket(f, g), *f.by_degree("u1").values(),
-               *[RingElement(RING, d) for d in Fraction(f).partials().values()]):
+               f * PyFraction(3, 1), f ** 2, PS.bracket(f, g), *f.by_degree("u1").values()):
         _canonical(el)
+    partials, den = Fraction(f).partials()
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for d in partials.values() for c in d.values())
     _canonical(RING.monomial({"u1": 1, "u2": -2}, PyFraction(c, 2)) ** k)
     fr = Fraction(f, m) + Fraction(g, m * m)
     _canonical(fr.num)

@@ -10,9 +10,10 @@
   conjugated one site from those of j - 1, must equal the products B A of
   the whole-monodromy factors of ``double_row_oracle``.
 * Kept partial derivatives: each Fraction p/q works out its quotient-rule
-  partials once (``Fraction.partials``) and keeps them; they must equal the
-  numerators ``q*dp - p*dq`` built afresh from ``kernel.diff`` in every
-  field slot, also after the Fraction has been an operand.  Every bracket
+  partials once (``Fraction.partials``) and keeps them, int terms over one
+  den; they must equal the numerators ``q*dp - p*dq`` built afresh from
+  ``kernel.diff`` on rational term dicts in every field slot, also after
+  the Fraction has been an operand.  Every bracket
   sums the table over them; the results must equal, in the same three ways,
   the per-pair brackets of ``exact_oracle``, for Laurent exponents,
   rational coefficients, constant operands, field-free and field
@@ -52,6 +53,7 @@ from bilax.spectral_matrix import (
 from bilax.structure_checks import flip_entry
 from bilax.toda_models import build_bcn, build_dn, derived_eom, hamiltonian
 from mutations import nonzero_positions
+from rational_terms import element, rational
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -141,16 +143,20 @@ C0 = RING.gen("c0")
 
 
 def assert_partials_are_derivatives(f):
-    # d(p/q)/d(slot) = (q dp - p dq) / q^2, which is dp when q = 1
-    kept = f.partials()
+    # d(p/q)/d(slot) = (q dp - p dq) / q^2, which is dp when q = 1; the
+    # kept int terms are over one den, and the fresh ones rational
+    kept, den = f.partials()
     assert set(kept) <= set(FIELD_SLOTS)
-    p, q, pk = f.num.terms, f.den.terms, RING.pk
+    assert type(den) is int and den > 0
+    p, q, pk = rational(f.num), rational(f.den), RING.pk
     for i in FIELD_SLOTS:
         want = kernel.sub(
             kernel.mul(q, kernel.diff(p, i, pk), pk),
             kernel.mul(p, kernel.diff(q, i, pk), pk),
         )
-        assert kept.get(i, {}) == want
+        got = kept.get(i, {})
+        assert all(type(c) is int and c for c in got.values())
+        assert element(RING, {e: QQ(c, den) for e, c in got.items()}) == element(RING, want)
 
 
 @bounded

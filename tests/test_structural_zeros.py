@@ -15,10 +15,10 @@
   ``bracket_fraction`` of an operand without field partials must equal the
   per-pair quotient-rule oracle.
 * Structural: while ``_verify_reports`` runs for bcn N=2 and dn N=2, no
-  ``kernel.mul`` or ``mul_acc`` call gets an empty operand, from ``dot``
-  or elsewhere.  ``dot`` of no pairs, or of zero pairs only, is the zero
-  with no factors.  Products of all-zero matrices, and ``contract`` with an
-  all-zero operand, return the zero.
+  ``kernel.mul``, ``mul_acc``, ``add`` or ``sub`` call gets an empty
+  operand, from ``dot`` or elsewhere.  ``dot`` of no pairs, or of zero
+  pairs only, is the zero with no factors.  Products of all-zero matrices,
+  and ``contract`` with an all-zero operand, return the zero.
 """
 
 import sys
@@ -209,7 +209,7 @@ def test_zero_and_unit_operands_match_the_general_path(x):
 @given(st.one_of(entries(CENTRAL, CENTRAL_FACTORS), st.just(ZERO)),
        st.one_of(entries(), entries(CENTRAL, CENTRAL_FACTORS)))
 def test_bracket_fraction_of_an_operand_without_partials_is_the_zero(f, g):
-    assert not f.partials()
+    assert not f.partials()[0]
     for a, b in ((f, g), (g, f)):
         got = PS.bracket_fraction(a, b)
         assert got.is_zero
@@ -222,8 +222,8 @@ def test_bracket_fraction_of_an_operand_without_partials_is_the_zero(f, g):
 
 @pytest.mark.parametrize("build", [build_bcn, build_dn], ids=["bcn2", "dn2"])
 def test_verify_hands_no_zero_operand_to_the_kernel_or_dot(monkeypatch, build):
-    calls, empty = [0], []
-    mul, mul_acc = K.mul, K.mul_acc
+    calls, sums, empty = [0], [0], []
+    mul, mul_acc, add, sub = K.mul, K.mul_acc, K.add, K.sub
 
     def counted(f):
         # the two factors come just before pk in mul and in mul_acc
@@ -234,6 +234,15 @@ def test_verify_hands_no_zero_operand_to_the_kernel_or_dot(monkeypatch, build):
             return f(*args)
         return wrapper
 
+    def summed(f):
+        # x + 0, 0 + x, x - 0 and 0 - x return without a kernel sum
+        def wrapper(a, b):
+            sums[0] += 1
+            if not (a and b):
+                empty.append(f.__name__)
+            return f(a, b)
+        return wrapper
+
     def dot_spy(ring, pairs):
         # counted only: dot skips a pair with a zero factor, so one that
         # reached the kernel would show as an empty operand above
@@ -242,13 +251,15 @@ def test_verify_hands_no_zero_operand_to_the_kernel_or_dot(monkeypatch, build):
 
     monkeypatch.setattr(K, "mul", counted(mul))
     monkeypatch.setattr(K, "mul_acc", counted(mul_acc))
+    monkeypatch.setattr(K, "add", summed(add))
+    monkeypatch.setattr(K, "sub", summed(sub))
     bound = [m for name, m in sys.modules.items()
              if name.startswith("bilax.") and getattr(m, "dot", None) is dot]
     assert phase_ring in bound
     for module in bound:
         monkeypatch.setattr(module, "dot", dot_spy)
     _verify_reports(build(2))
-    assert calls[0] > 1000
+    assert calls[0] > 1000 and sums[0] > 100
     assert empty == []
 
 
