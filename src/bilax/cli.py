@@ -96,10 +96,9 @@ def _load_params(raw: str | None) -> dict:
     return data
 
 
-def _build_model(args):
-    return model_from_config(
-        {"model": args.model, "N": args.N, "params": _load_params(args.params)}
-    )
+def _build_model(args, params: dict):
+    """The model of --model and --N with ``params``, the --params document."""
+    return model_from_config({"model": args.model, "N": args.N, "params": params})
 
 
 def _closed_form_comparison(model):
@@ -168,7 +167,7 @@ def _verify_reports(model) -> list:
 
 
 def cmd_verify(args) -> int:
-    model = _build_model(args)
+    model = _build_model(args, _load_params(args.params))
     reports = _verify_reports(model)
     for rep in reports:
         print(rep)
@@ -189,13 +188,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    model = _build_model(args)
+    written = _load_params(args.params)
+    model = _build_model(args, written)
     ham, diff, flows = _closed_form_comparison(model)
     print("model %s N=%d" % (model.name, model.N))
     print("transfer powers: %s" % list(expansion(model)))
     print("H = %s" % ham)
     if getattr(args, "params", None):
-        exact = {name: PyFraction(str(v)) for name, v in model.params.items()}
+        # the written numbers over model.params's floats: an int keeps every digit
+        exact = {name: PyFraction(str(v)) for name, v in {**model.params, **written}.items()}
         print("H at configured parameters = %s" % ham.substitute(exact))
     if diff is None:
         print("H vs closed form: MISMATCH")
@@ -254,7 +255,7 @@ def cmd_simulate(args) -> int:
     if side == out:
         raise StructureError("--output %s names the file that --format %s writes"
                              % (out, args.format))
-    model = _build_model(args)
+    model = _build_model(args, _load_params(args.params))
     rng = np.random.default_rng(args.seed)
     point = dynamics.random_phase_point(model, rng, amplitude=args.amplitude)
     traj = dynamics.integrate(

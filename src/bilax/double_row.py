@@ -10,8 +10,8 @@ extracted from b(lam), which is what makes the zero-curvature
 representation drop out of the Hamiltonian formalism.  Both read each
 polynomial's lam-coefficients from one ``RingElement.by_degree`` split.
 
-Two extraction recipes cover the models here: a scaled single coefficient
-and a scaled ratio of two coefficients (quotient rule for the flow matrix).
+One extraction ``Recipe`` covers the models here: a scaled coefficient,
+or a scaled ratio of two (quotient rule for the flow matrix).
 
 The entries commute, so each partial trace tr_a(A_a r B_a) over 2x2
 factors is contract(r, B A): one 2x2 product per r-insertion, which moves
@@ -66,41 +66,35 @@ def _coefficient(exp: dict, p: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ScaledCoefficient:
-    """H = scalar * coeff(lam^power); flow matrix = scalar * M^(power)."""
+class Recipe:
+    """H = scalar * coeff(lam^power), over coeff(lam^den_power) when there
+    is one; the flow matrix pairs each entry's M^(p) the same way (by the
+    quotient rule for a ratio)."""
 
     power: int
     scalar: object
+    den_power: int | None = None
+
+    @property
+    def powers(self) -> tuple:
+        """The lam powers the recipe reads, the numerator's first."""
+        return (self.power,) if self.den_power is None else (self.power, self.den_power)
 
     def hamiltonian(self, exp: dict) -> Fraction:
-        c = _coefficient(exp, self.power)
-        return c * as_fraction(c.ring, self.scalar)
-
-    def flow_entry(self, series, exp: dict) -> Fraction:
-        m = series(self.power)
-        return m * as_fraction(m.ring, self.scalar)
-
-
-@dataclass(frozen=True)
-class RatioRecipe:
-    """H = scalar * coeff(p1)/coeff(p2); flow by the quotient rule."""
-
-    num_power: int
-    den_power: int
-    scalar: object
-
-    def hamiltonian(self, exp: dict) -> Fraction:
-        ha = _coefficient(exp, self.num_power)
-        hb = _coefficient(exp, self.den_power)
-        return (ha / hb) * as_fraction(ha.ring, self.scalar)
-
-    def flow_entry(self, series, exp: dict) -> Fraction:
-        ha = _coefficient(exp, self.num_power)
-        hb = _coefficient(exp, self.den_power)
-        ma = series(self.num_power)
-        mb = series(self.den_power)
+        ha = _coefficient(exp, self.power)
         s = as_fraction(ha.ring, self.scalar)
-        return s * (ma * hb - ha * mb) / (hb * hb)
+        if self.den_power is None:
+            return ha * s
+        return (ha / _coefficient(exp, self.den_power)) * s
+
+    def flow_entry(self, series: dict, exp: dict) -> Fraction:
+        """The entry paired with H, from its lam-series ``{p: M^(p)}``."""
+        ma = series[self.power]
+        s = as_fraction(ma.ring, self.scalar)
+        if self.den_power is None:
+            return ma * s
+        ha, hb = _coefficient(exp, self.power), _coefficient(exp, self.den_power)
+        return s * (ma * hb - ha * series[self.den_power]) / (hb * hb)
 
 
 def expand(value: Fraction) -> dict:
@@ -367,8 +361,9 @@ def flow_matrix(lax, km, kp, N: int, j: int, mu_expr, exp, recipe, r_builder=Non
 # coefficient pairing)
 
 
-def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
-    """Coefficient of lam^p in the lam -> infinity Laurent expansion.
+def lambda_series_coefficient(value: Fraction, powers) -> dict:
+    """{p: coefficient of lam^p} in the lam -> infinity Laurent expansion,
+    for each p of ``powers``, from one long division.
 
     The denominator factors linear in lam (lam, lam-mu, lam+mu, ...) multiply
     into D(lam) = sum_{i<=s} d_i lam^i, whose lead d_s is a constant.  With
@@ -377,9 +372,10 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
 
         q_m = (n_{n-m} - sum_{i=1}^{min(m,s)} d_{s-i} q_{m-i}) / d_s.
 
-    lam^p is q_{n-s-p}; lam-free factors pass through into the result's
-    denominator.  This is the extraction aligned with reading off
-    Hamiltonians from the transfer scalar.
+    lam^p is q_{n-s-p}, so the division runs once, to the lowest power
+    asked; lam-free factors pass through into each result's denominator.
+    This is the extraction aligned with reading off Hamiltonians from the
+    transfer scalar.
     """
     ring = value.ring
     side = []  # lam-free denominator factors
@@ -397,35 +393,33 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
 
     num, d = value.num.by_degree("lam"), den.by_degree("lam")
     n, s = max(num, default=0), max(d)
-    depth = n - s - p
-    if depth < 0:
-        return Fraction(ring.zero)
     inv_lead = QQ(1, d[s].constant_value())
     q = []
-    for m in range(depth + 1):
+    for m in range(n - s - min(powers) + 1):
         r = num.get(n - m, ring.zero)
         for i in range(1, min(m, s) + 1):
             r = r - d.get(s - i, ring.zero) * q[m - i]
         q.append(r * inv_lead)
-    result = Fraction(q[depth])
-    for el, e in side:
-        result = result / Fraction(el) ** e
-    return result
+    out = {}
+    for p in powers:  # above lam^(n-s) the coefficient is the zero
+        c = Fraction(q[n - s - p] if p <= n - s else ring.zero)
+        for el, e in side:
+            c = c / Fraction(el) ** e
+        out[p] = c
+    return out
 
 
 def extract_M(m_lam_mu: SpectralMatrix, exp: dict, recipe) -> SpectralMatrix:
     """Flow matrix paired with the recipe's Hamiltonian.
 
-    Entrywise lam-series coefficients of the generating matrix, combined
-    exactly as the recipe combines expansion coefficients of b(lam); the
-    scalar weights commute with the matrix entries, which makes the
-    quotient-rule combination valid for the ratio recipe.
+    Each entry's lam-series coefficients at the recipe's powers, from one
+    division, combined exactly as the recipe combines expansion
+    coefficients of b(lam); the scalar weights commute with the matrix
+    entries, which makes the quotient-rule combination valid for a ratio.
     """
-
-    def entry(e: Fraction) -> Fraction:
-        return recipe.flow_entry(lambda q: lambda_series_coefficient(e, q), exp)
-
-    return m_lam_mu.map_entries(entry)
+    return m_lam_mu.map_entries(lambda e: recipe.flow_entry(
+        lambda_series_coefficient(e, recipe.powers), exp
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -810,16 +810,6 @@ class PoissonStructure:
         else:
             self._table[(j, i)] = -value
 
-    def gen_bracket(self, a: str, b: str) -> RingElement:
-        ring = self.ring
-        i, j = ring.slot(a), ring.slot(b)
-        if i < j:
-            return self._table.get((i, j), ring.zero)
-        if j < i:
-            el = self._table.get((j, i))
-            return -el if el is not None else ring.zero
-        return ring.zero
-
     # -- brackets ----------------------------------------------------------
 
     def bracket(self, f: RingElement, g: RingElement) -> RingElement:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .backend import QQ
-from .double_row import Derivation, RatioRecipe, ScaledCoefficient, _memo
+from .double_row import Derivation, Recipe, _memo
 from .phase_ring import (
     Fraction,
     Generator,
@@ -141,7 +141,7 @@ def build_bcn(N: int, params: dict | None = None) -> ModelSpec:
             [[thn * arg + an, bn * arg], [-arg, -(thn * arg) + an]],
         )
 
-    recipe = ScaledCoefficient(2 * N, QQ((-1) ** N, 2))
+    recipe = Recipe(2 * N, QQ((-1) ** N, 2))
     p = dict(DEFAULT_PARAMS["bcn"])
     if params:
         p.update(params)
@@ -167,7 +167,7 @@ def build_dn(N: int, params: dict | None = None) -> ModelSpec:
     def kp(arg):
         return SpectralMatrix(ring, [[ring.zero, ring.zero], [-ring.one, ring.zero]])
 
-    recipe = RatioRecipe(2 * N - 2, 2 * N, QQ(-1, 2))
+    recipe = Recipe(2 * N - 2, QQ(-1, 2), den_power=2 * N)
     p = dict(DEFAULT_PARAMS["dn"])
     if params:
         p.update(params)
@@ -252,36 +252,16 @@ def displayed_hamiltonian(model: ModelSpec) -> Fraction:
 def displayed_flow_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
     """Closed-form M(j, mu) for every site index 1..N+1.
 
-    Interior sites share the bulk form [[-mu/2, e^{x_j}], [-e^{-x_{j-1}},
-    mu/2]]; the lower-left exponent is negative, as the zero-curvature
-    equation at entry (1,1) requires to reproduce the bulk force
-    e^{x_j - x_{j-1}}.  dn keeps the bulk form at its last site, with no
-    e^{x_{N+1}}, and at site 2, with a rational lower-left entry.
+    All but dn's j=1 are the bulk form [[-mu/2 + d, e^{x_j}], [-e^{-x_{j-1}},
+    mu/2 - d]], d = 0, whose negative lower-left exponent reproduces the bulk
+    force e^{x_j - x_{j-1}} at entry (1,1).  bcn's boundary matrices set d and
+    replace the entry that would need e^{x_0} or e^{x_{N+1}}; dn has no
+    e^{x_{N+1}} and, at site 2, a rational lower-left entry.
     """
-    ring = model.ring
+    ring, n = model.ring, model.N
     m_ = mu(ring)
-    if not 1 <= j <= model.N + 1:
+    if not 1 <= j <= n + 1:
         raise StructureError("site index %d out of range" % j)
-    if model.name == "bcn" and j == 1:
-        u1 = ring.gen("u1")
-        th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
-        return SpectralMatrix(
-            ring,
-            [
-                [-(m_ * HALF) + th1 * u1, u1],
-                [m_ * th1 - a1 - b1 * u1, m_ * HALF - th1 * u1],
-            ],
-        )
-    if model.name == "bcn" and j == model.N + 1:
-        un = ring.gen("u%d" % model.N)
-        thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
-        return SpectralMatrix(
-            ring,
-            [
-                [-(m_ * HALF) + thn * un ** -1, -(m_ * thn) + an + bn * un ** -1],
-                [-(un ** -1), m_ * HALF - thn * un ** -1],
-            ],
-        )
     if model.name == "dn" and j == 1:
         u1, x1, u2 = ring.gen("u1"), ring.gen("X1"), ring.gen("u2")
         E, F, H = ring.gen("E"), ring.gen("F"), ring.gen("H")
@@ -300,12 +280,23 @@ def displayed_flow_matrix(model: ModelSpec, j: int) -> SpectralMatrix:
                 [pref * bl, -(pref * as_fraction(ring, tl))],
             ],
         )
-    upper = ring.zero if j == model.N + 1 else ring.gen("u%d" % j)
-    lower = -(ring.gen("u%d" % (j - 1)) ** -1)
+    shift = ring.zero
+    upper = ring.zero if j == n + 1 else ring.gen("u%d" % j)
+    lower = -(ring.gen("u%d" % (j - 1)) ** -1) if j > 1 else None
+    if model.name == "bcn" and j == 1:
+        u1 = ring.gen("u1")
+        th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
+        shift = th1 * u1
+        lower = m_ * th1 - a1 - b1 * u1
+    if model.name == "bcn" and j == n + 1:
+        un = ring.gen("u%d" % n)
+        thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
+        shift = thn * un ** -1
+        upper = -(m_ * thn) + an + bn * un ** -1
     if model.name == "dn" and j == 2:
         u1, F = ring.gen("u1"), ring.gen("F")
         lower = Fraction(u1 - 2 * F, 2 * u1 * (F - u1))
-    return SpectralMatrix(ring, [[-(m_ * HALF), upper], [lower, m_ * HALF]])
+    return SpectralMatrix(ring, [[-(m_ * HALF) + shift, upper], [lower, m_ * HALF - shift]])
 
 
 def displayed_flow_indices(model: ModelSpec):
@@ -352,36 +343,28 @@ def closed_form_eom(model: ModelSpec) -> dict:
     displays in first-order form are included (x_j for j >= 2, bulk momenta,
     and the last momentum for N >= 3); the boundary site and the sl(2)
     triple evolve by genuinely rational expressions that are only written
-    second-order after elimination.  Both share xdot_j = X_j and the bulk
-    force e^{x_{j+1} - x_j} - e^{x_j - x_{j-1}}.
+    second-order after elimination.  Both share xdot_j = X_j and the force
+    [j<N] e^{x_{j+1} - x_j} - [j>1] e^{x_j - x_{j-1}}; bcn adds boundary terms.
     """
     ring, n = model.ring, model.N
+    bcn = model.name == "bcn"
 
     def u(j):
         return ring.gen("u%d" % j)
 
-    first = 1 if model.name == "bcn" else 2
-    eom = {"x%d" % j: Fraction(ring.gen("X%d" % j)) for j in range(first, n + 1)}
-    for j in range(first + 1, n):
-        eom["X%d" % j] = Fraction(u(j + 1) * u(j) ** -1 - u(j) * u(j - 1) ** -1)
-    if model.name == "dn":
-        if n >= 3:
-            eom["X%d" % n] = Fraction(-(u(n) * u(n - 1) ** -1))
-        return eom
-    th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
-    thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
-    u1, un = u(1), u(n)
-    x1, xn = ring.gen("X1"), ring.gen("X%d" % n)
-    eom["x1"] = eom["x1"] + Fraction(th1 * u1)
-    eom["x%d" % n] = eom["x%d" % n] + Fraction(thn * un ** -1)
-    bminus = -(a1 * u1) - b1 * u1 ** 2 - th1 * x1 * u1
-    bplus = an * un ** -1 + bn * un ** -2 + thn * xn * un ** -1
-    if n == 1:
-        eom["X1"] = Fraction(bminus + bplus)
-    else:
-        eom["X1"] = Fraction(u(2) * u1 ** -1 + bminus)
-        eom["X%d" % n] = Fraction(-(un * u(n - 1) ** -1) + bplus)
-    return eom
+    eom = {"x%d" % j: ring.gen("X%d" % j) for j in range(1 if bcn else 2, n + 1)}
+    for j in range(1 if bcn else 3, n + 1):
+        eom["X%d" % j] = ((u(j + 1) * u(j) ** -1 if j < n else ring.zero)
+                          - (u(j) * u(j - 1) ** -1 if j > 1 else ring.zero))
+    if bcn:
+        th1, a1, b1 = ring.gen("th1"), ring.gen("a1"), ring.gen("b1")
+        thn, an, bn = ring.gen("thN"), ring.gen("aN"), ring.gen("bN")
+        u1, un, x1, xn = u(1), u(n), ring.gen("X1"), ring.gen("X%d" % n)
+        eom["x1"] = eom["x1"] + th1 * u1
+        eom["x%d" % n] = eom["x%d" % n] + thn * un ** -1
+        eom["X1"] = eom["X1"] - a1 * u1 - b1 * u1 ** 2 - th1 * x1 * u1
+        eom["X%d" % n] = eom["X%d" % n] + an * un ** -1 + bn * un ** -2 + thn * xn * un ** -1
+    return {name: Fraction(v) for name, v in eom.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -415,27 +398,18 @@ def canonical_map_bcn(model: ModelSpec) -> dict:
     """
     if model.name != "bcn":
         raise StructureError("canonical map applies to the bcn model")
-    ring = model.ring
-    u1, un = ring.gen("u1"), ring.gen("u%d" % model.N)
-    th1, thn = ring.gen("th1"), ring.gen("thN")
-    x1, xn = ring.gen("X1"), ring.gen("X%d" % model.N)
-    if model.N == 1:
-        sub = {"X1": x1 - th1 * u1 - thn * u1 ** -1}
-    else:
-        sub = {"X1": x1 - th1 * u1, "X%d" % model.N: xn - thn * un ** -1}
+    ring, xn = model.ring, "X%d" % model.N
+    sub = {"X1": ring.gen("X1") - ring.gen("th1") * ring.gen("u1")}
+    sub[xn] = sub.get(xn, ring.gen(xn)) - ring.gen("thN") * ring.gen("u%d" % model.N) ** -1
     return sub
 
 
 def theta_absorbed_hamiltonian(model: ModelSpec) -> Fraction:
     """eq-H with theta = 0 and beta shifted by -theta^2 (in tilde variables)."""
-    ring = model.ring
-    u1, un = ring.gen("u1"), ring.gen("u%d" % model.N)
-    x1, xn = ring.gen("X1"), ring.gen("X%d" % model.N)
-    a1, b1, th1 = ring.gen("a1"), ring.gen("b1"), ring.gen("th1")
-    an, bn, thn = ring.gen("aN"), ring.gen("bN"), ring.gen("thN")
-    bminus = a1 * u1 + (b1 - th1 ** 2) * HALF * u1 ** 2
-    bplus = an * un ** -1 + (bn - thn ** 2) * HALF * un ** -2
-    return Fraction(_chain_core(model) + bminus + bplus)
+    gen = model.ring.gen
+    return displayed_hamiltonian(model).substitute({
+        "th1": 0, "thN": 0, "b1": gen("b1") - gen("th1") ** 2, "bN": gen("bN") - gen("thN") ** 2,
+    })
 
 
 def ks_convention_matrix(model: ModelSpec, j: int) -> SpectralMatrix:

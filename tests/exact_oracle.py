@@ -79,6 +79,24 @@ from bilax.spectral_matrix import SpectralMatrix, identity, kron, permutation
 from rational_terms import element, quo, rational
 
 
+def assert_same_fraction(got, want, key_order=False):
+    """The differential tests' equality: ``==``, ``str``, ``den_factors``
+    and, with ``key_order``, the order of the numerator's terms."""
+    assert got == want
+    assert str(got) == str(want)
+    assert got.den_factors == want.den_factors
+    if key_order:
+        assert list(got.num.terms) == list(want.num.terms)
+
+
+def assert_same(got, want, key_order=False):
+    """``assert_same_fraction`` on every entry of two matrices."""
+    assert got.dim == want.dim
+    for row_g, row_w in zip(got.rows, want.rows):
+        for g, w in zip(row_g, row_w):
+            assert_same_fraction(g, w, key_order)
+
+
 def matmul(a, b):
     """a @ b, each entry summed left to right over Fraction products,
     skipping zero operands."""

@@ -124,3 +124,20 @@ def to_sympy(value):
             term *= s ** e
         out += term
     return out
+
+
+def sympy_bracket(f, g, ps):
+    """{f, g} of two sympy expressions by sympy's own derivatives, summed
+    over the bracket table of ``ps``, a package PoissonStructure."""
+    symbols = [sym(name) for name in ps.ring.names]
+    out = 0
+    for (i, j), el in ps._table.items():
+        si, sj = symbols[i], symbols[j]
+        out += (sympy.diff(f, si) * sympy.diff(g, sj)
+                - sympy.diff(f, sj) * sympy.diff(g, si)) * to_sympy(el)
+    return out
+
+
+def same(a, b):
+    """Whether two sympy polynomial expressions expand to the same one."""
+    return sympy.expand(a - b) == 0

@@ -144,6 +144,17 @@ def test_derive_zero_params_reduces_to_kinetic(capsys):
     assert "H at configured parameters = 1/2*X1^2" in out
 
 
+def test_derive_substitutes_the_parameters_as_written(capsys):
+    # 2^53 + 1 has no float: the written int is substituted, and the
+    # unwritten parameters keep their default 1/2
+    big = '{"a1": 9007199254740993, "b1": 0.1}'
+    assert main(["derive", "--model", "bcn", "--N", "1", "--params", big]) == 0
+    out = capsys.readouterr().out
+    line = next(l for l in out.splitlines() if l.startswith("H at configured parameters"))
+    assert "+ 9007199254740993*u1 +" in line
+    assert line.startswith("H at configured parameters = 1/20*u1^2 + 1/2*u1*X1 +")
+
+
 def test_simulate_default_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(

@@ -58,6 +58,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracle as oracle
+from exact_oracle import assert_same, assert_same_fraction
 from bilax import spectral_matrix, structure_checks
 from bilax.backend import kernel as K
 from bilax.double_row import expand
@@ -102,19 +103,6 @@ RB = rational_r_builder(RING)
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 #: for the matrix products, whose random operands are large
 few = settings(max_examples=20, deadline=None, derandomize=True, database=None)
-
-
-def assert_same_fraction(got, want):
-    assert got == want
-    assert str(got) == str(want)
-    assert got.den_factors == want.den_factors
-
-
-def assert_same(got, want):
-    assert got.dim == want.dim
-    for row_g, row_w in zip(got.rows, want.rows):
-        for g, w in zip(row_g, row_w):
-            assert_same_fraction(g, w)
 
 
 def cybe_embeddings(r_builder):

@@ -36,6 +36,7 @@ from bilax.cli import _verify_reports, build_parser
 from bilax.phase_ring import Fraction, casimir, dot, exact_divide
 from bilax.toda_models import model_from_config, toda_ring, toda_structure
 from rational_terms import canon
+from sympy_oracle import same, sympy_bracket, to_sympy
 
 RING = toda_ring(2, dynamical=True)
 PK = RING.pk
@@ -148,20 +149,6 @@ SYMBOLS = sympy.symbols(RING.names)
 LAURENT = [s for s, lau in zip(SYMBOLS, RING.laurent) if lau]
 
 
-def to_sympy(el):
-    out = sympy.Integer(0)
-    for exps, c in el.monomials():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for s, e in zip(SYMBOLS, exps):
-            term *= s ** e
-        out += term
-    return out
-
-
-def same(a, b):
-    return sympy.expand(a - b) == 0
-
-
 @few
 @given(tuple_dicts, tuple_dicts, st.integers(0, 3))
 def test_ring_operations_match_sympy(a, b, p):
@@ -201,15 +188,6 @@ def test_exact_divide_stops_at_a_quotient_coefficient_that_does_not_divide():
     den = 2 * U1 * X1 ** 2 + U1 * X1
     assert exact_divide(num, den) is None
     assert not sympy_divides(num, den)
-
-
-def sympy_bracket(f, g, ps=PS):
-    out = 0
-    for (i, j), el in ps._table.items():
-        si, sj = SYMBOLS[i], SYMBOLS[j]
-        out += (sympy.diff(f, si) * sympy.diff(g, sj)
-                - sympy.diff(f, sj) * sympy.diff(g, si)) * to_sympy(el)
-    return out
 
 
 U1, U2, X1, X2, E, F, H, C0, _, LAM, MU, _ = map(RING.gen, RING.names)

@@ -60,7 +60,7 @@ def ps(ring):
 
 def _gen_gen(ps, i, si, j, sj):
     ring = ps.ring
-    t = ps.gen_bracket(ring.names[i], ring.names[j])
+    t = ps.bracket(ring.gen(ring.names[i]), ring.gen(ring.names[j]))
     if si == -1:
         t = -(ring.gen(ring.names[i]) ** -2) * t
     if sj == -1:

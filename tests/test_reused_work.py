@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 import double_row_oracle
 import exact_oracle
+from exact_oracle import assert_same, assert_same_fraction
 from bilax import kernel
 from bilax.double_row import (
     Derivation,
@@ -56,19 +57,6 @@ from mutations import nonzero_positions
 from rational_terms import element, rational
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-def assert_same_fraction(got, want):
-    assert got == want
-    assert str(got) == str(want)
-    assert got.den_factors == want.den_factors
-
-
-def assert_same(got, want):
-    assert got.dim == want.dim
-    for row_g, row_w in zip(got.rows, want.rows):
-        for g, w in zip(row_g, row_w):
-            assert_same_fraction(g, w)
 
 
 # ---------------------------------------------------------------------------

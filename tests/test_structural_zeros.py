@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracle as oracle
+from exact_oracle import assert_same, assert_same_fraction
 from bilax import phase_ring
 from bilax.backend import kernel as K
 from bilax.cli import _verify_reports
@@ -60,21 +61,6 @@ OVER = Fraction(RING.one, LAM - MU)
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 few = settings(max_examples=20, deadline=None, derandomize=True, database=None)
-
-
-def assert_same_fraction(got, want, key_order=True):
-    assert got == want
-    assert str(got) == str(want)
-    assert got.den_factors == want.den_factors
-    if key_order:
-        assert list(got.num.terms) == list(want.num.terms)
-
-
-def assert_same(got, want, key_order=True):
-    assert got.dim == want.dim
-    for row_g, row_w in zip(got.rows, want.rows):
-        for g, w in zip(row_g, row_w):
-            assert_same_fraction(g, w, key_order)
 
 
 GENS = ("u1", "X1", "th1", "a1", "lam", "mu")
@@ -121,8 +107,8 @@ def sparse_square(draw, n):
 
 def assert_product_matches(a, b):
     got = a @ b
-    assert_same(got, oracle.dot_matmul(a, b))
-    assert_same(got, oracle.matmul(a, b), key_order=False)
+    assert_same(got, oracle.dot_matmul(a, b), key_order=True)
+    assert_same(got, oracle.matmul(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +149,18 @@ def test_matmul_of_the_cybe_operands_matches_the_dot_over_all_pairs(flip):
 @few
 @given(sparse_square(4), sparse_square(2), sparse_square(4), sparse_square(2))
 def test_contract_of_sparse_matrices_matches_the_dot_over_all_pairs(r1, c1, r2, c2):
-    assert_same(contract(r1, c1), oracle.dot_contract(r1, c1))
-    assert_same(contract(r1, c1), oracle.contract(r1, c1), key_order=False)
-    assert_same(contract(r1, c1, r2, c2), oracle.dot_contract(r1, c1, r2, c2))
+    assert_same(contract(r1, c1), oracle.dot_contract(r1, c1), key_order=True)
+    assert_same(contract(r1, c1), oracle.contract(r1, c1))
+    assert_same(contract(r1, c1, r2, c2), oracle.dot_contract(r1, c1, r2, c2), key_order=True)
 
 
 def test_contract_of_the_rational_r_matches_the_dot_over_all_pairs():
     c = SpectralMatrix(RING, [[Fraction(RING.gen("X1")), ZERO], [ONE, Fraction(RING.gen("u1"), LAM)]])
     for r in (RB(LAM - MU), RB(LAM + MU), kron(c, c)):
-        assert_same(contract(r, c), oracle.dot_contract(r, c))
-        assert_same(contract(r, c), oracle.contract(r, c), key_order=False)
-        assert_same(contract(r, c, RB(LAM), c), oracle.dot_contract(r, c, RB(LAM), c))
+        assert_same(contract(r, c), oracle.dot_contract(r, c), key_order=True)
+        assert_same(contract(r, c), oracle.contract(r, c))
+        assert_same(contract(r, c, RB(LAM), c), oracle.dot_contract(r, c, RB(LAM), c),
+                    key_order=True)
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +171,21 @@ def test_contract_of_the_rational_r_matches_the_dot_over_all_pairs():
 @given(st.one_of(entries(), st.just(ZERO), st.just(ONE)))
 def test_zero_and_unit_operands_match_the_general_path(x):
     add, sub = K.add, K.sub
-    assert_same_fraction(x + ZERO, oracle.fraction_combine(x, ZERO, add))
-    assert_same_fraction(ZERO + x, oracle.fraction_combine(ZERO, x, add))
-    assert_same_fraction(x - ZERO, oracle.fraction_combine(x, ZERO, sub))
-    assert_same_fraction(ZERO - x, oracle.fraction_combine(ZERO, x, sub))
-    assert_same_fraction(x * ZERO, oracle.fraction_product(x, ZERO))
-    assert_same_fraction(ZERO * x, oracle.fraction_product(ZERO, x))
-    assert_same_fraction(x * ONE, oracle.fraction_product(x, ONE))
-    assert_same_fraction(ONE * x, oracle.fraction_product(ONE, x))
+    assert_same_fraction(x + ZERO, oracle.fraction_combine(x, ZERO, add), key_order=True)
+    assert_same_fraction(ZERO + x, oracle.fraction_combine(ZERO, x, add), key_order=True)
+    assert_same_fraction(x - ZERO, oracle.fraction_combine(x, ZERO, sub), key_order=True)
+    assert_same_fraction(ZERO - x, oracle.fraction_combine(ZERO, x, sub), key_order=True)
+    assert_same_fraction(x * ZERO, oracle.fraction_product(x, ZERO), key_order=True)
+    assert_same_fraction(ZERO * x, oracle.fraction_product(ZERO, x), key_order=True)
+    assert_same_fraction(x * ONE, oracle.fraction_product(x, ONE), key_order=True)
+    assert_same_fraction(ONE * x, oracle.fraction_product(ONE, x), key_order=True)
     # a unit numerator over a factor is no unit
-    assert_same_fraction(x * OVER, oracle.fraction_product(x, OVER))
-    assert_same_fraction(OVER * x, oracle.fraction_product(OVER, x))
+    assert_same_fraction(x * OVER, oracle.fraction_product(x, OVER), key_order=True)
+    assert_same_fraction(OVER * x, oracle.fraction_product(OVER, x), key_order=True)
     # the one-pair dot is a third build of x
     for got in (x + ZERO, ZERO + x, x - ZERO, x * ONE, ONE * x):
-        assert_same_fraction(got, dot(RING, [(x, ONE)]))
-    assert_same_fraction(ZERO - x, dot(RING, [(-x, ONE)]))
+        assert_same_fraction(got, dot(RING, [(x, ONE)]), key_order=True)
+    assert_same_fraction(ZERO - x, dot(RING, [(-x, ONE)]), key_order=True)
     n = x.num
     for a, b in ((n, RING.zero), (RING.zero, n)):
         got, want = a * b, oracle.ring_product(a, b)
@@ -213,7 +200,7 @@ def test_bracket_fraction_of_an_operand_without_partials_is_the_zero(f, g):
     for a, b in ((f, g), (g, f)):
         got = PS.bracket_fraction(a, b)
         assert got.is_zero
-        assert_same_fraction(got, oracle.bracket_fraction(PS, a, b))
+        assert_same_fraction(got, oracle.bracket_fraction(PS, a, b), key_order=True)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,12 @@ from bilax.toda_models import (
 )
 
 
+@pytest.fixture(scope="module")
+def chains(bcn1, bcn2, bcn3, dn2, dn3):
+    """bcn N=1..5, then dn N=2..5."""
+    return [bcn1, bcn2, bcn3, build_bcn(4), build_bcn(5), dn2, dn3, build_dn(4), build_dn(5)]
+
+
 # ---------------------------------------------------------------------------
 # builders and config
 
@@ -119,8 +125,10 @@ def test_parameter_constant_difference_large_constant(bcn1):
     assert parameter_constant_difference(f, Fraction(x1u1, den)) == c
 
 
-def test_flow_matrices_match_closed_forms(bcn1, bcn2, dn2, dn3):
-    for m in (bcn1, bcn2, dn2, dn3):
+def test_flow_matrices_match_closed_forms(chains):
+    # at bcn N=1 both boundary matrices sit on the one site
+    for m in chains:
+        assert displayed_flow_indices(m) == list(range(1, m.N + 2))
         for j in displayed_flow_indices(m):
             assert model_flow_matrix(m, j) == displayed_flow_matrix(m, j)
 
@@ -144,9 +152,14 @@ def test_dn_flow_matrix_m1_quadratic_entry(dn2):
 # equations of motion
 
 
-def test_closed_form_eom_matches_brackets(bcn1, bcn2, bcn3, dn2, dn3):
-    for m in (bcn1, bcn2, bcn3, dn2, dn3):
+def test_closed_form_eom_matches_brackets(chains):
+    for m in chains:
         pe, de = closed_form_eom(m), derived_eom(m)
+        # bcn: every coordinate; dn: x_2..x_N and X_3..X_N
+        first = 1 if m.name == "bcn" else 2
+        want = ["x%d" % j for j in range(first, m.N + 1)]
+        want += ["X%d" % j for j in range(2 * first - 1, m.N + 1)]
+        assert sorted(pe) == sorted(want)
         for name, v in pe.items():
             assert (v - de[name]).is_zero
 
@@ -223,8 +236,8 @@ def test_canonical_map_identity_when_theta_zero(bcn2):
     assert transformed == h.substitute({"th1": 0, "thN": 0})
 
 
-def test_theta_absorbed_into_beta(bcn1, bcn2):
-    for m in (bcn1, bcn2):
+def test_theta_absorbed_into_beta(chains):
+    for m in chains[:4]:  # bcn N=1..4
         cm = canonical_map_bcn(m)
         got = hamiltonian(m).substitute(cm)
         assert parameter_constant_difference(got, theta_absorbed_hamiltonian(m)) is not None
