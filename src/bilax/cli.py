@@ -36,6 +36,7 @@ from .structure_checks import (
 )
 from .toda_models import (
     DEFAULT_MU_SAMPLES,
+    MODELS,
     displayed_flow_indices,
     displayed_flow_matrix,
     displayed_hamiltonian,
@@ -94,11 +95,6 @@ def _load_params(raw: str | None) -> dict:
     if not isinstance(data, dict):
         raise StructureError("params must be a JSON object")
     return data
-
-
-def _build_model(args, params: dict):
-    """The model of --model and --N with ``params``, the --params document."""
-    return model_from_config({"model": args.model, "N": args.N, "params": params})
 
 
 def _closed_form_comparison(model):
@@ -167,7 +163,7 @@ def _verify_reports(model) -> list:
 
 
 def cmd_verify(args) -> int:
-    model = _build_model(args, _load_params(args.params))
+    model = model_from_config({"model": args.model, "N": args.N, "params": _load_params(args.params)})
     reports = _verify_reports(model)
     for rep in reports:
         print(rep)
@@ -189,7 +185,7 @@ def cmd_verify(args) -> int:
 
 def cmd_derive(args) -> int:
     written = _load_params(args.params)
-    model = _build_model(args, written)
+    model = model_from_config({"model": args.model, "N": args.N, "params": written})
     ham, diff, flows = _closed_form_comparison(model)
     print("model %s N=%d" % (model.name, model.N))
     print("transfer powers: %s" % list(expansion(model)))
@@ -255,7 +251,7 @@ def cmd_simulate(args) -> int:
     if side == out:
         raise StructureError("--output %s names the file that --format %s writes"
                              % (out, args.format))
-    model = _build_model(args, _load_params(args.params))
+    model = model_from_config({"model": args.model, "N": args.N, "params": _load_params(args.params)})
     rng = np.random.default_rng(args.seed)
     point = dynamics.random_phase_point(model, rng, amplitude=args.amplitude)
     traj = dynamics.integrate(
@@ -324,7 +320,7 @@ def cmd_simulate(args) -> int:
 
 
 def _add_model_args(p):
-    p.add_argument("--model", choices=("bcn", "dn"), required=True)
+    p.add_argument("--model", choices=list(MODELS), required=True)
     p.add_argument("--N", type=int, required=True, help="number of chain sites")
     p.add_argument(
         "--params",

@@ -130,25 +130,25 @@ class Derivation:
 
     Every check reads the same objects from here instead of rebuilding them:
     the transfer scalars t(lam) and b(lam), b's expansion, the site matrices
-    l(k, +-lam) and their inverses, the chain of products C(j) below, the
-    zero-curvature ``layout``, and a memo of each generating matrix, single-row
-    matrix and flow matrix extracted from M, keyed (j, s) for the matrix at
-    s*mu, s = +-1.
+    l(k, +-lam) and their inverses, the zero-curvature ``layout``, and a memo
+    of each generating matrix and flow matrix, keyed (j, s) for the matrix
+    at s*mu, s = +-1, and of each single-row matrix at mu, keyed j.
 
     The entries commute, so tr_a(A_a r B_a) = contract(r, B A) for 2x2
     factors A, B around an r-insertion, for any 4x4 r: only the product
-    B A reaches the trace.  chain(j) keeps the three such products
-    C0 = L(j-1,1) L(N,j) of the single-row matrix and
+    B A reaches the trace: C0 = L(j-1,1) L(N,j) of the single-row matrix and
     C1 = L(j-1,1) k- L(-lam)^{-1} k+ L(N,j) and
-    C2 = L(N,j,-lam)^{-1} k+ L k- L(j-1,1,-lam)^{-1} of M(j).  C(1) comes
-    from the whole monodromies, and one site moves each by conjugation,
-    C(j+1) = l(j, +-lam) C(j) l(j, +-lam)^{-1}.  M and the single-row matrix
-    go through ``contract`` with the r-matrix the derivation was built with,
-    so a mutated r-builder runs through the same code as the stock one; the
-    two r-insertions of M are one ``contract``, each entry one ``dot`` of
-    eight products, as each entry of an M-pairing M_l X - X M_r is one
-    ``dot`` of four (``_paired``).  While lam is mu-free, each matrix at -mu
-    is the one at +mu reflected in mu (``Fraction.reflect``).
+    C2 = L(N,j,-lam)^{-1} k+ L k- L(j-1,1,-lam)^{-1} of M(j).  C0(1) = L and
+    ``ends`` = (C1, C2)(1) come from the whole monodromies, and one walk per
+    family (``_walk``) moves them site by site by conjugation,
+    C(j+1) = l(j, +-lam) C(j) l(j, +-lam)^{-1}, holding only the current
+    site's.  M and the single-row matrix go through ``contract`` with the
+    r-matrix the derivation was built with, built once per walk, so a
+    mutated r-builder runs through the same code as the stock one; the two
+    r-insertions of M are one ``contract``, each entry one ``dot`` of eight
+    products, as each entry of an M-pairing M_l X - X M_r is one ``dot`` of
+    four (``_paired``).  While lam is mu-free, each matrix at -mu is the one
+    at +mu reflected in mu (``Fraction.reflect``).
 
     Build one per model and r-builder: the memo trusts that lax, k-, k+ and
     the r-builder never change.
@@ -160,12 +160,11 @@ class Derivation:
         self.ring = lam_expr.ring
         self.r_builder = r_builder or rational_r_builder(self.ring)
         self.recipe = recipe
-        self.chains = {}  # j -> (C0, C1, C2)(j)
         self.generating = {}  # (j, s) -> M(j, lam, s*mu)
-        self.single_row = {}  # (j, s) -> the single-row matrix at s*mu
+        self.single_row = {}  # j -> the single-row matrix at mu
         self.flows = {}  # (j, s) -> flow matrix extracted from M(j, s)
 
-    # -- site matrices, monodromies and the chain, site index j = 1..N+1 ---
+    # -- site matrices, monodromies and the walk, site index j = 1..N+1 ---
 
     @cached_property
     def sites(self) -> dict:
@@ -186,23 +185,26 @@ class Derivation:
             L_inv = self.sites[-1, k][1] @ L_inv
         return L, L_inv
 
-    def chain(self, j: int) -> tuple:
-        """(C0, C1, C2)(j), one conjugation per site from the whole
-        monodromies at j = 1."""
+    @cached_property
+    def ends(self) -> tuple:
+        """(C1, C2)(1) = (k- P, P k-) with P = L(-lam)^{-1} k+ L(lam)."""
+        L, L_inv = self.monodromies
+        km = self.km(self.lam)
+        p = L_inv @ self.kp(self.lam) @ L
+        return km @ p, p @ km
+
+    def _walk(self, products: tuple, signs: tuple):
+        """(j, products at site j) for j = 1..N+1, from those at j = 1; each
+        moves one site on by conjugation with l(j, s*lam), s its sign."""
+        for j in range(1, self.N + 2):
+            if j > 1:
+                products = tuple(self.sites[s, j - 1][0] @ c @ self.sites[s, j - 1][1]
+                                 for c, s in zip(products, signs))
+            yield j, products
+
+    def _check_site(self, j: int):
         if not 1 <= j <= self.N + 1:
             raise StructureError("site index %d out of range 1..%d" % (j, self.N + 1))
-
-        def build():
-            if j == 1:
-                L, L_inv = self.monodromies
-                km = self.km(self.lam)
-                p = L_inv @ self.kp(self.lam) @ L
-                return L, km @ p, p @ km
-            (l, l_inv), (m, m_inv) = self.sites[1, j - 1], self.sites[-1, j - 1]
-            c0, c1, c2 = self.chain(j - 1)
-            return l @ c0 @ l_inv, l @ c1 @ l_inv, m @ c2 @ m_inv
-
-        return _memo(self.chains, j, build)
 
     # -- transfer scalars and Hamiltonian ---------------------------------
 
@@ -214,7 +216,7 @@ class Derivation:
     @cached_property
     def b(self) -> Fraction:
         """b(lam) = tr_a(k+ L(lam) k- L(-lam)^{-1}) = tr C2(1)."""
-        return self.chain(1)[2].trace()
+        return self.ends[1].trace()
 
     @cached_property
     def expansion(self) -> dict:
@@ -232,27 +234,38 @@ class Derivation:
 
     # -- time part ----------------------------------------------------------
 
-    def M_at(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
-        """Boundary generating function M(j, lam, mu_expr) of boundary_M,
-        built afresh at any spectral point:
+    def _generating(self, mu_expr: RingElement):
+        """(j, M(j, lam, mu_expr)) for j = 1..N+1, one walk:
         contract(r(lam-mu), C1) + contract(r_ba(lam+mu), C2), summed as one
         contract."""
-        _, c1, c2 = self.chain(j)
         r_ab = self.r_builder(self.lam - mu_expr)
         r_ba = permute_legs(self.r_builder(self.lam + mu_expr), (1, 0))
-        return contract(r_ab, c1, r_ba, c2)
+        for j, (c1, c2) in self._walk(self.ends, (1, -1)):
+            yield j, contract(r_ab, c1, r_ba, c2)
+
+    def M_at(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
+        """Boundary generating function M(j, lam, mu_expr) of boundary_M,
+        built afresh at any spectral point by a walk to site j."""
+        self._check_site(j)
+        return next(m for k, m in self._generating(mu_expr) if k == j)
 
     def M(self, j: int, s: int) -> SpectralMatrix:
-        """M(j, lam, s*mu), memoised."""
+        """M(j, lam, s*mu), memoised; a miss at +mu walks every site."""
+        self._check_site(j)
+        if s == 1 and (j, 1) not in self.generating:
+            self.generating.update(((k, 1), m) for k, m in self._generating(mu(self.ring)))
         return self._signed(self.generating, self.M, j, s,
                             lambda: self.M_at(j, s * mu(self.ring)))
 
-    def sts(self, j: int, s: int) -> SpectralMatrix:
-        """Single-row generating function tr_a(L_a(N,j) r_ab(lam-s*mu) L_a(j-1,1))
-        = contract(r(lam-s*mu), C0)."""
-        return self._signed(self.single_row, self.sts, j, s, lambda: contract(
-            self.r_builder(self.lam - s * mu(self.ring)), self.chain(j)[0]
-        ))
+    def sts(self, j: int) -> SpectralMatrix:
+        """Single-row generating function tr_a(L_a(N,j) r_ab(lam-mu) L_a(j-1,1))
+        = contract(r(lam-mu), C0), memoised; the first call walks every site."""
+        self._check_site(j)
+        if not self.single_row:
+            r = self.r_builder(self.lam - mu(self.ring))
+            self.single_row.update(
+                (k, contract(r, c0)) for k, (c0,) in self._walk(self.monodromies[:1], (1,)))
+        return self.single_row[j]
 
     def flow(self, j: int, s: int) -> SpectralMatrix:
         """Time part of the Lax pair at site index j, at spectral point s*mu."""
@@ -484,8 +497,8 @@ def _site_report(ps, d: Derivation, scalar, M, name: str) -> RelationReport:
 
 def check_sts_identity(ps, d: Derivation) -> RelationReport:
     """{t(lam), l(j,mu)} = S(j+1) l(j,mu) - l(j,mu) S(j) for all sites, with
-    t = tr L(N, 1) and the single-row matrices S(j) = d.sts(j, 1)."""
-    return _site_report(ps, d, d.t, d.sts, "sts_identity")
+    t = tr L(N, 1) and the single-row matrices S(j) = d.sts(j)."""
+    return _site_report(ps, d, d.t, lambda j, s: d.sts(j), "sts_identity")
 
 
 def _zero_curvature(ps, d: Derivation, scalar, M, names) -> list:

@@ -40,11 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_ring import Fraction, RingElement, StructureError, casimir
+from .phase_ring import Fraction, RingElement, StructureError
 from .spectral_matrix import bracket_scalar_matrix
 from .toda_models import (
     DEFAULT_MU_SAMPLES,
     ModelSpec,
+    casimir,
     derived_eom,
     dn_x0_relation,
     expansion,
@@ -55,6 +56,7 @@ from .toda_models import (
 
 DEN_EPS = 1e-12
 ADAPTIVE_TOL = 1e-10  # max step-doubling error of an accepted rk4-adaptive step
+ADAPTIVE_SLACK = 1e-15  # rk4-adaptive ends this close to t_end
 
 
 class SingularityError(RuntimeError):
@@ -345,6 +347,8 @@ def integrate(
         raise StructureError("steps must be at least 1")
     if scheme not in ("rk4", "rk4-adaptive"):
         raise StructureError("unknown scheme %r" % scheme)
+    if scheme == "rk4-adaptive" and not dt * steps > ADAPTIVE_SLACK:
+        raise StructureError("rk4-adaptive needs dt * steps above %g" % ADAPTIVE_SLACK)
     step = vector_field(model).step
     names = state_names(model)
     y = tuple(float(p0[n]) for n in names)
@@ -366,7 +370,7 @@ def integrate(
             t = 0.0
             t_end = dt * steps
             h = dt
-            while t < t_end - 1e-15 and accepted < 100 * steps:
+            while t < t_end - ADAPTIVE_SLACK and accepted < 100 * steps:
                 h = min(h, t_end - t)
                 full = step(y, h)
                 half = step(step(y, h / 2.0), h / 2.0)
@@ -382,7 +386,7 @@ def integrate(
                     rejected += 1
                 factor = 0.9 * (ADAPTIVE_TOL / err) ** 0.2 if err > 0 else 5.0
                 h *= min(5.0, max(0.2, factor))
-            if t < t_end - 1e-15:
+            if t < t_end - ADAPTIVE_SLACK:
                 truncated = True
                 error = (
                     "rk4-adaptive stopped at its cap of %d accepted steps "
@@ -436,7 +440,7 @@ def conserved_channels(model: ModelSpec, traj: Trajectory) -> dict:
             model, "compiled_fshift", lambda: ring.gen("F") - ring.gen("u1")
         )(v)
         traj.min_abs_f_minus_ex1 = float(np.min(np.abs(fshift)))
-        cas_fn = _compiled(model, "compiled_casimir", lambda: casimir(model.ps))
+        cas_fn = _compiled(model, "compiled_casimir", lambda: casimir(model.ring))
         channels["casimir_drift"] = _relative_drift(cas_fn(v))
         channels["f_minus_ex1_drift"] = _relative_drift(fshift)
     ham_fn = _compiled(model, "compiled_hamiltonian", lambda: hamiltonian(model))

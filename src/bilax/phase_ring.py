@@ -45,17 +45,12 @@ from .kernel import Packing, StructureError
 
 class Kind(enum.Enum):
     COORD_EXP = "coord_exp"  # u_j = e^{x_j}; Laurent (negative powers allowed)
-    MOMENTUM = "momentum"
-    SL2_E = "sl2_e"
-    SL2_F = "sl2_f"
-    SL2_H = "sl2_h"
+    FIELD = "field"  # any other phase-space coordinate
     PARAMETER = "parameter"
     SPECTRAL = "spectral"
 
 
-FIELD_KINDS = frozenset(
-    {Kind.COORD_EXP, Kind.MOMENTUM, Kind.SL2_E, Kind.SL2_F, Kind.SL2_H}
-)
+FIELD_KINDS = frozenset({Kind.COORD_EXP, Kind.FIELD})
 
 #: spectral slots appended to every ring (lam, mu for two-variable relations,
 #: nu only for the Yang-Baxter check)
@@ -112,11 +107,7 @@ class PhaseRing:
         self.pk = Packing(self.laurent)
         #: key of the constant monomial
         self.zero_exp = self.pk.one
-        self._nonparameter_slots = tuple(
-            i
-            for i, g in enumerate(gens)
-            if g.kind in FIELD_KINDS or g.kind is Kind.SPECTRAL
-        )
+        self._nonparameter_slots = tuple(i for i, g in enumerate(gens) if g.kind is not Kind.PARAMETER)
         #: field generator slots in ring order; simulate state i drives slot i
         self.field_slots = tuple(i for i, g in enumerate(gens) if g.kind in FIELD_KINDS)
         self._pow_cache: dict = {}
@@ -574,11 +565,6 @@ class Fraction:
         self._partials = out, self.num.den * q.den
         return self._partials
 
-    def is_parameter_constant(self) -> bool:
-        return self.num.is_parameter_constant() and all(
-            el.is_parameter_constant() for el, _ in self._factors
-        )
-
     def _factor_dict(self) -> dict:
         return {el.key(): (el, p) for el, p in self._factors}
 
@@ -936,15 +922,3 @@ def exact_divide(num: RingElement, den: RingElement) -> RingElement | None:
                 else:
                     del r[e]
     return _reduced(ring, K.scale(q, cn * den.den), cd * num.den)
-
-
-def casimir(ps: PoissonStructure) -> RingElement:
-    """The sl(2) Casimir H^2 + E*F of the structure's ring."""
-    ring = ps.ring
-    e = ring.gens_of_kind(Kind.SL2_E)
-    f = ring.gens_of_kind(Kind.SL2_F)
-    h = ring.gens_of_kind(Kind.SL2_H)
-    if not (e and f and h):
-        raise StructureError("ring has no sl(2) generators")
-    E, F, H = ring.gen(e[0]), ring.gen(f[0]), ring.gen(h[0])
-    return H * H + E * F

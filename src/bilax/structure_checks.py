@@ -115,11 +115,8 @@ def check_rll(lax, r_builder, ps: PoissonStructure, offsite=(1, 2)) -> RelationR
     rhs = commutator(r_builder(lm - m_), kron(la, lb))
     onsite = matrix_report("rll", lhs - rhs, prefix="site ")
     j, k = offsite
-    if j != k:
-        off = tensor_bracket(ps, lax(j, lm), lax(k, m_))
-        offr = matrix_report("rll", off, prefix="offsite ")
-        return merge_reports("rll", [onsite, offr])
-    return onsite
+    pairs = [("offsite ", lambda a: lax(j, a), lambda a: lax(k, a))] if j != k else []
+    return merge_reports("rll", [onsite, _commuting("rll", ps, pairs)])
 
 
 def _check_reflection(name, k_builder, r_builder, ps) -> RelationReport:
@@ -149,27 +146,29 @@ def check_reflection_plus(k_builder, r_builder, ps) -> RelationReport:
     )
 
 
+def _commuting(name: str, ps, pairs) -> RelationReport:
+    """{a(lam), b(mu)} = 0 entrywise for each (prefix, a, b) of ``pairs``:
+    the entries of A(lam) and B(mu) Poisson-commute."""
+    lm, m_ = lam(ps.ring), mu(ps.ring)
+    return merge_reports(name, [
+        matrix_report(name, tensor_bracket(ps, a(lm), b(m_)), prefix=prefix)
+        for prefix, a, b in pairs
+    ])
+
+
 def check_nondynamical(k_builder, ps) -> RelationReport:
     """Non-dynamical case: every entry of k Poisson-commutes with every other."""
-    ring = ps.ring
-    resid = tensor_bracket(ps, k_builder(lam(ring)), k_builder(mu(ring)))
-    return matrix_report("nondynamical", resid)
+    return _commuting("nondynamical", ps, [("", k_builder, k_builder)])
 
 
 def check_k_locality(km_builder, kp_builder, lax, ps) -> RelationReport:
     """{k^-, k^+} = 0 and {k^pm, l(1)} = 0."""
-    ring = ps.ring
-    lm, m_ = lam(ring), mu(ring)
     l_site = functools.partial(lax, 1)
-    reports = [
-        matrix_report("k_locality", tensor_bracket(ps, a(lm), b(m_)), prefix=prefix)
-        for prefix, a, b in (
-            ("k-/k+ ", km_builder, kp_builder),
-            ("k-/l ", km_builder, l_site),
-            ("k+/l ", kp_builder, l_site),
-        )
-    ]
-    return merge_reports("k_locality", reports)
+    return _commuting("k_locality", ps, [
+        ("k-/k+ ", km_builder, kp_builder),
+        ("k-/l ", km_builder, l_site),
+        ("k+/l ", kp_builder, l_site),
+    ])
 
 
 # ---------------------------------------------------------------------------

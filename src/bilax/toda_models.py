@@ -82,16 +82,9 @@ class ModelSpec:
 
 def toda_ring(N: int, dynamical: bool = False) -> PhaseRing:
     gens = [Generator("u%d" % j, Kind.COORD_EXP) for j in range(1, N + 1)]
-    gens += [Generator("X%d" % j, Kind.MOMENTUM) for j in range(1, N + 1)]
-    if dynamical:
-        gens += [
-            Generator("E", Kind.SL2_E),
-            Generator("F", Kind.SL2_F),
-            Generator("H", Kind.SL2_H),
-        ]
-        gens += [Generator(p, Kind.PARAMETER) for p in DN_PARAMS]
-    else:
-        gens += [Generator(p, Kind.PARAMETER) for p in BCN_PARAMS]
+    gens += [Generator("X%d" % j, Kind.FIELD) for j in range(1, N + 1)]
+    gens += [Generator(g, Kind.FIELD) for g in ("EFH" if dynamical else "")]
+    gens += [Generator(p, Kind.PARAMETER) for p in (DN_PARAMS if dynamical else BCN_PARAMS)]
     return PhaseRing(gens)
 
 
@@ -107,6 +100,12 @@ def toda_structure(ring: PhaseRing) -> PoissonStructure:
         ps.set_bracket("H", "F", -F)
         ps.set_bracket("E", "F", 2 * H)
     return ps
+
+
+def casimir(ring: PhaseRing) -> RingElement:
+    """The sl(2) Casimir H^2 + E*F of a ring with E, F and H."""
+    E, F, H = ring.gen("E"), ring.gen("F"), ring.gen("H")
+    return H * H + E * F
 
 
 def toda_lax(ring: PhaseRing):
@@ -142,9 +141,7 @@ def build_bcn(N: int, params: dict | None = None) -> ModelSpec:
         )
 
     recipe = Recipe(2 * N, QQ((-1) ** N, 2))
-    p = dict(DEFAULT_PARAMS["bcn"])
-    if params:
-        p.update(params)
+    p = {**DEFAULT_PARAMS["bcn"], **(params or {})}
     return ModelSpec("bcn", N, ring, ps, toda_lax(ring), km, kp, recipe, p)
 
 
@@ -168,22 +165,24 @@ def build_dn(N: int, params: dict | None = None) -> ModelSpec:
         return SpectralMatrix(ring, [[ring.zero, ring.zero], [-ring.one, ring.zero]])
 
     recipe = Recipe(2 * N - 2, QQ(-1, 2), den_power=2 * N)
-    p = dict(DEFAULT_PARAMS["dn"])
-    if params:
-        p.update(params)
+    p = {**DEFAULT_PARAMS["dn"], **(params or {})}
     return ModelSpec("dn", N, ring, ps, toda_lax(ring), km, kp, recipe, p)
 
 
+#: name -> (builder, parameter names) of every model
+MODELS = {"bcn": (build_bcn, BCN_PARAMS), "dn": (build_dn, DN_PARAMS)}
+
+
 def model_from_config(cfg: dict) -> ModelSpec:
-    """Build from {"model": "bcn"|"dn", "N": int, "params": {...}}."""
+    """Build from {"model": a name of MODELS, "N": int, "params": {...}}."""
     name = cfg.get("model")
-    if name not in ("bcn", "dn"):
+    if name not in MODELS:
         raise StructureError("unknown model %r" % name)
+    build, known = MODELS[name]
     n = cfg.get("N")
     if type(n) is not int:  # not bool
         raise StructureError("N must be an integer")
     params = cfg.get("params") or {}
-    known = BCN_PARAMS if name == "bcn" else DN_PARAMS
     bad = set(params) - set(known)
     if bad:
         raise StructureError("unknown parameters %s for model %s" % (sorted(bad), name))
@@ -195,7 +194,7 @@ def model_from_config(cfg: dict) -> ModelSpec:
         raise StructureError("parameters must be finite") from None
     if not all(map(math.isfinite, params.values())):
         raise StructureError("parameters must be finite")
-    return build_bcn(n, params) if name == "bcn" else build_dn(n, params)
+    return build(n, params)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ cache and ``+`` loop.  The package now sends the first two through
 every tensor layout in ``spectral_matrix._tensor`` and sums a substitution
 with ``dot``.  ``Generator.site`` is gone, so ``standard`` reads the site
 from the number in the generator's name, which is where ``toda_ring`` took
-it from.
+it from; ``Kind`` marks no momentum or sl(2) generator, so ``standard``
+pairs each u_j with the field generator of its site and finds the sl(2)
+triple by name.
 
 ``dot_matmul``, ``dot_contract``, ``fraction_combine``, ``fraction_product``
 and ``ring_product`` are the package's former general paths, bodies
@@ -360,19 +362,15 @@ def standard(ring: PhaseRing) -> PoissonStructure:
     for g in ring.generators:
         if g.kind is Kind.COORD_EXP:
             by_site.setdefault(_site(g), {})["u"] = g.name
-        elif g.kind is Kind.MOMENTUM:
+        elif g.kind is Kind.FIELD and g.name[1:].isdigit():
             by_site.setdefault(_site(g), {})["X"] = g.name
     for site, pair in sorted(by_site.items(), key=lambda kv: str(kv[0])):
         if "u" in pair and "X" in pair:
             ps.set_bracket(pair["X"], pair["u"], ring.gen(pair["u"]))
-    e = ring.gens_of_kind(Kind.SL2_E)
-    f = ring.gens_of_kind(Kind.SL2_F)
-    h = ring.gens_of_kind(Kind.SL2_H)
-    if e and f and h:
-        E, F, H = e[0], f[0], h[0]
-        ps.set_bracket(H, E, ring.gen(E))
-        ps.set_bracket(H, F, -ring.gen(F))
-        ps.set_bracket(E, F, 2 * ring.gen(H))
+    if {"E", "F", "H"} <= set(ring.names):  # the sl(2) triple, by name
+        ps.set_bracket("H", "E", ring.gen("E"))
+        ps.set_bracket("H", "F", -ring.gen("F"))
+        ps.set_bracket("E", "F", 2 * ring.gen("H"))
     return ps
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from bilax import dynamics
-from bilax.cli import main
+from bilax.cli import build_parser, main
+from bilax.toda_models import MODELS
 
 
 def test_verify_bcn_passes(capsys):
@@ -58,6 +59,13 @@ def test_verify_json_report(tmp_path, capsys):
     assert all(r["holds"] for r in payload["relations"])
     names = {r["relation"] for r in payload["relations"]}
     assert {"cybe", "rll", "bb_commute", "theorem_zc_lax"} <= names
+
+
+def test_model_choices_are_the_model_table():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for command, parser in sub.choices.items():
+        model = next(a for a in parser._actions if a.dest == "model")
+        assert model.choices == list(MODELS), command
 
 
 def test_usage_error_exit_code():
@@ -249,6 +257,16 @@ def test_simulate_json_step_counts_and_singular_distance(tmp_path):
     assert payload["steps_accepted"] > 5
     assert payload["steps_rejected"] >= 1
     assert "min_abs_f_minus_ex1" not in payload
+
+
+def test_simulate_adaptive_time_span_within_its_end_slack_is_a_config_error(tmp_path, capsys):
+    # dt * steps = 1e-16: the adaptive loop would accept no step and exit 0
+    out = tmp_path / "tiny.csv"
+    argv = ["simulate", "--model", "bcn", "--N", "2", "--dt", "1e-17", "--steps",
+            "10", "--scheme", "rk4-adaptive", "--format", "json", "--output", str(out)]
+    assert main(argv) == 2
+    assert "config error: rk4-adaptive" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "tiny.json").exists()
 
 
 def test_simulate_adaptive_cap_exits_1(tmp_path, capsys):

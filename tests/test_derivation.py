@@ -57,16 +57,16 @@ def test_generating_matrices_match_oracle(name, n):
             assert str(got) == str(want)
             assert d.M(j, s) is got  # memoised
         want = oracle.sts_matrix(model.lax, n, j, l_, m_)
-        got = d.sts(j, 1)
+        got = d.sts(j)
         assert got == want
         assert str(got) == str(want)
-        assert d.sts(j, 1) is got  # memoised
+        assert d.sts(j) is got  # memoised
     assert len(d.generating) == 2 * (n + 1)
     for j in (0, n + 2):
         with pytest.raises(StructureError):
             d.M(j, 1)
         with pytest.raises(StructureError):
-            d.sts(j, 1)
+            d.sts(j)
 
 
 def test_a_sign_other_than_plus_or_minus_one_raises():
@@ -85,24 +85,29 @@ def test_verify_builds_interior_matrices_at_plus_mu_only(name, n):
     d = model.derivation
     plus = {(j, 1) for j in range(1, n + 2)}
     assert set(d.generating) == set(d.flows) == plus | {(1, -1), (n + 1, -1)}
-    assert set(d.single_row) == plus
+    assert set(d.single_row) == {j for j, _ in plus}
+
+
+def held_matrices(d) -> list:
+    """Every matrix reachable from ``vars(d)``: the memo tables, the site
+    matrices, the walks' first-site products and the layout's
+    (label, X, left, right) terms, opened down to their matrices."""
+    held, todo = [], list(vars(d).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, dict):
+            todo += item.values()
+        elif isinstance(item, (tuple, list)):
+            todo += item
+        else:
+            held.append(item)
+    return [m for m in held if isinstance(m, SpectralMatrix)]
 
 
 def test_derivation_holds_no_4x4_matrix_after_verify():
     model = build_bcn(2)
     _verify_reports(model)
-    # the memo tables, the chains and the layout's (label, X, left, right)
-    # terms, opened down to their matrices
-    held, todo = [], list(vars(model.derivation).values())
-    while todo:
-        item = todo.pop()
-        if isinstance(item, dict):
-            todo += item.values()
-        elif isinstance(item, tuple):
-            todo += item
-        else:
-            held.append(item)
-    matrices = [m for m in held if isinstance(m, SpectralMatrix)]
+    matrices = held_matrices(model.derivation)
     assert any(m is model.derivation.layout[0][1] for m in matrices)
     assert matrices and all(m.dim == 2 for m in matrices)
 
@@ -111,7 +116,37 @@ def test_sts_identity_builds_each_single_row_matrix_once():
     model = build_bcn(3)
     d = model.derivation
     assert check_sts_identity(model.ps, d).holds
-    assert sorted(d.single_row) == [(1, 1), (2, 1), (3, 1), (4, 1)]
+    assert sorted(d.single_row) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("name,n", [("bcn", 4), ("dn", 4)], ids=str)
+def test_derivation_holds_no_moved_product_after_verify(name, n):
+    # each walk holds only the current site's products, so once M and the
+    # single-row matrices exist no C1(j) or C2(j) past the first site is kept
+    model = build(name, n)
+    _verify_reports(model)
+    d = model.derivation
+    held = [m for m in held_matrices(d) if m.dim == 2]
+    for j in range(2, n + 2):
+        _, c1, c2 = oracle.chain(d, j)
+        assert not any(m == c1 or m == c2 for m in held), j
+
+
+def test_each_walk_builds_its_r_matrices_once():
+    # r(lam-mu) and r(lam+mu) once for every M(j, mu), r(lam-mu) once for
+    # every single-row matrix; M(j, -mu) is a reflection and builds none
+    model = build_bcn(3)
+    rb, calls = rational_r_builder(model.ring), []
+
+    def spy(arg):
+        calls.append(arg)
+        return rb(arg)
+
+    d = Derivation(model.lax, model.km, model.kp, 3, lam(model.ring), spy, model.recipe)
+    for j in range(1, 5):
+        d.M(j, 1), d.flow(j, 1), d.sts(j)
+    d.M(1, -1), d.M(4, -1)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("name", ["bcn", "dn"])
@@ -228,22 +263,33 @@ def test_theorem_fails_on_each_flipped_memoised_entry(name):
     assert blind == ([] if name == "bcn" else [((3, -1), 0, 0), ((3, -1), 1, 0)])
 
 
+def first_site_products(d) -> list:
+    """C0(1) = L, the single-row walk's start, and C1(1), C2(1), the M
+    walk's (``ends``)."""
+    return [d.monodromies[0], *d.ends]
+
+
 @pytest.mark.parametrize("name", ["bcn", "dn"])
 @pytest.mark.parametrize("product", ["C0", "C1", "C2"])
 def test_checks_fail_on_each_flipped_chain_entry(name, product):
-    # chain(j) is one conjugation from chain(j-1), so a wrong kept product at
-    # j = 2 reaches j = 3 as well; C1 and C2 feed M(j), C0 only the
-    # single-row matrices.  No entry is blind, dn's nilpotent k+ included:
-    # contract(P, c) = c, so M(2, mu) carries every entry of C1(2) and C2(2)
-    # over its own pole, and the theorem reads all of M(2, mu)
+    # each walk conjugates its products on from the first site, so a wrong
+    # product there reaches every site; C1 and C2 feed M(j), C0 only the
+    # single-row matrices.  t and b are read first, from the products as
+    # built, so that only the walks see the flip.  No entry is blind, dn's
+    # nilpotent k+ included
     k = int(product[1])
     blind = []
-    for i, j in nonzero_positions(build(name, 2).derivation.chain(2)[k]):
+    for i, j in nonzero_positions(first_site_products(build(name, 2).derivation)[k]):
         model = build(name, 2)
         d = model.derivation
-        chain = list(d.chain(2))
-        chain[k] = flipped(chain[k], i, j)
-        d.chains[2] = tuple(chain)
+        d.t, d.b  # the scalars, from the stock products
+        if k:
+            ends = list(d.ends)
+            ends[k - 1] = flipped(ends[k - 1], i, j)
+            d.ends = tuple(ends)
+        else:
+            L, L_inv = d.monodromies
+            d.monodromies = (flipped(L, i, j), L_inv)
         reports = check_theorem_zc(model.ps, d) if k else [check_sts_identity(model.ps, d)]
         if all(r.holds for r in reports):
             blind.append((i, j))

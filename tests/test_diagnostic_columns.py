@@ -31,11 +31,12 @@ from bilax.dynamics import (
     state_columns,
     zero_curvature_residual,
 )
-from bilax.phase_ring import Fraction, casimir
+from bilax.phase_ring import Fraction
 from bilax.spectral_matrix import bracket_scalar_matrix, mu
 from bilax.toda_models import (
     build_bcn,
     build_dn,
+    casimir,
     dn_x0_relation,
     expansion,
     hamiltonian,
@@ -66,7 +67,7 @@ def _diagnostic_expressions(model):
         if not c.num.is_parameter_constant():
             exprs["H%d" % p] = c
     if model.name == "dn":
-        exprs["casimir"] = casimir(ps)
+        exprs["casimir"] = casimir(ps.ring)
         exprs["F-u1"] = ring.gen("F") - ring.gen("u1")
         exprs["x0"] = dn_x0_relation(model)
     matrices = {"M%d" % j: model_flow_matrix(model, j) for j in range(1, model.N + 2)}

@@ -47,9 +47,9 @@ def test_evaluate_square(bcn1):
 
 
 def test_evaluate_casimir_quarter(dn2):
-    from bilax.phase_ring import casimir
+    from bilax.toda_models import casimir
 
-    c = casimir(dn2.ps)
+    c = casimir(dn2.ring)
     point = {"x1": 0.0, "x2": 0.0, "X1": 0.0, "X2": 0.0, "H": 0.5, "E": 1.0, "F": 0.0}
     assert compile_any(Fraction(c))(ring_values(dn2, point)) == 0.25
 
@@ -246,6 +246,17 @@ def test_step_counts(bcn2):
     traj = integrate(bcn2, p0, 0.2, 5, scheme="rk4-adaptive")
     assert traj.steps_accepted == len(traj.times) - 1 > 5
     assert traj.steps_rejected >= 1
+
+
+def test_adaptive_needs_a_time_span_above_its_end_slack(bcn2):
+    # t_end = dt * steps = 1e-16 lies within the slack of the adaptive loop's
+    # end test, which would accept no step and pass with one sample; rk4
+    # takes the steps it is asked for
+    p0 = random_phase_point(bcn2, np.random.default_rng(0), amplitude=0.3)
+    with pytest.raises(StructureError, match="rk4-adaptive"):
+        integrate(bcn2, p0, 1e-17, 10, scheme="rk4-adaptive")
+    assert integrate(bcn2, p0, 1e-17, 10).steps_accepted == 10
+    assert integrate(bcn2, p0, 1e-14, 10, scheme="rk4-adaptive").steps_accepted >= 1
 
 
 def test_adaptive_cap_truncates(bcn2):

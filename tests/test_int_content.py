@@ -33,8 +33,8 @@ from hypothesis import strategies as st
 import tuple_kernel as T
 from bilax.backend import kernel as K
 from bilax.cli import _verify_reports, build_parser
-from bilax.phase_ring import Fraction, casimir, dot, exact_divide
-from bilax.toda_models import model_from_config, toda_ring, toda_structure
+from bilax.phase_ring import Fraction, dot, exact_divide
+from bilax.toda_models import casimir, model_from_config, toda_ring, toda_structure
 from rational_terms import canon
 from sympy_oracle import same, sympy_bracket, to_sympy
 
@@ -284,7 +284,7 @@ def test_only_ints_reach_the_kernel_while_simulate_sets_up(monkeypatch):
 def test_a_bracket_that_cancels_keeps_no_table(scale):
     # the Casimir is central in sl(2), and u1 commutes with sl(2), but each
     # table entry of sl(2) contributes terms that cancel only in the sum
-    f = casimir(PS) ** 3 * U1 * scale
+    f = casimir(PS.ring) ** 3 * U1 * scale
     g = E ** 2 + H * F
     got = PS.bracket_fraction(f, g)
     assert got.is_zero and got.num.den == 1

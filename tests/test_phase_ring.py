@@ -19,11 +19,10 @@ from bilax.phase_ring import (
     PoissonStructure,
     StructureError,
     _degree_box,
-    casimir,
     exact_divide,
 )
 from bilax.spectral_matrix import SpectralMatrix
-from bilax.toda_models import toda_ring, toda_structure
+from bilax.toda_models import casimir, toda_ring, toda_structure
 from rational_terms import element, quo, rational
 
 
@@ -31,14 +30,14 @@ def make_ring(sl2=True):
     gens = [
         Generator("u1", Kind.COORD_EXP),
         Generator("u2", Kind.COORD_EXP),
-        Generator("X1", Kind.MOMENTUM),
-        Generator("X2", Kind.MOMENTUM),
+        Generator("X1", Kind.FIELD),
+        Generator("X2", Kind.FIELD),
     ]
     if sl2:
         gens += [
-            Generator("E", Kind.SL2_E),
-            Generator("F", Kind.SL2_F),
-            Generator("H", Kind.SL2_H),
+            Generator("E", Kind.FIELD),
+            Generator("F", Kind.FIELD),
+            Generator("H", Kind.FIELD),
         ]
     gens += [Generator("th", Kind.PARAMETER), Generator("al", Kind.PARAMETER)]
     return PhaseRing(gens)
@@ -195,7 +194,7 @@ def test_set_bracket_rejects_central_generators(ring, central):
 
 
 def test_unknown_generator_rejected(ring, ps):
-    other = PhaseRing([Generator("q", Kind.MOMENTUM)])
+    other = PhaseRing([Generator("q", Kind.FIELD)])
     with pytest.raises(StructureError):
         ps.bracket(other.gen("q"), ring.gen("u1"))
 
@@ -333,14 +332,14 @@ def test_bracket_fraction_random_quotient_oracle(ring, ps):
 
 def test_casimir_value(ring, ps):
     E, F, H = ring.gen("E"), ring.gen("F"), ring.gen("H")
-    C = casimir(ps)
+    C = casimir(ring)
     assert C == H * H + E * F
 
 
 def test_casimir_central_by_expansion(ring, ps):
     # direct expansion oracle: {H^2+EF, E} = 2H*E + E*(-2H) = 0, etc.
     E, F, H = ring.gen("E"), ring.gen("F"), ring.gen("H")
-    C = casimir(ps)
+    C = casimir(ring)
     assert 2 * H * E + E * (-2 * H) == 0
     for g in (E, F, H):
         assert ps.bracket(C, g).is_zero
@@ -348,14 +347,18 @@ def test_casimir_central_by_expansion(ring, ps):
 
 
 def test_casimir_vanishes_at_origin(ring, ps):
-    C = casimir(ps)
+    C = casimir(ring)
     assert C.substitute({"E": 0, "F": 0, "H": 0}) == Fraction(ps.ring.zero)
+
+
+def test_kind_is_the_four_categories_the_ring_reads():
+    assert [k.name for k in Kind] == ["COORD_EXP", "FIELD", "PARAMETER", "SPECTRAL"]
 
 
 def test_casimir_requires_sl2():
     ring = make_ring(sl2=False)
     with pytest.raises(StructureError):
-        casimir(PoissonStructure(ring))
+        casimir(ring)
 
 
 # ---------------------------------------------------------------------------

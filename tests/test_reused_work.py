@@ -6,9 +6,9 @@
   the derivation reflects from +mu, to the fresh 4x4 build of
   ``double_row_oracle.generating_matrix`` (90 matrices: bcn N=1..5 and dn
   N=2..5, j = 1 and N+1, the rational r and its four sign-flip mutants).
-* Site steps: the products C0, C1, C2 of ``Derivation.chain(j)``, each
-  conjugated one site from those of j - 1, must equal the products B A of
-  the whole-monodromy factors of ``double_row_oracle``.
+* Site steps: the products C0(j), C1(j), C2(j) that the derivation's two
+  walks make, each conjugated one site from those of j - 1, must equal the
+  products B A of the whole-monodromy factors of ``double_row_oracle``.
 * Kept partial derivatives: each Fraction p/q works out its quotient-rule
   partials once (``Fraction.partials``) and keeps them, int terms over one
   den; they must equal the numerators ``q*dp - p*dq`` built afresh from
@@ -280,8 +280,22 @@ def test_minus_mu_matrices_match_a_fresh_build(name, n):
 
 @pytest.mark.parametrize("name,n", REFLECTION_MODELS, ids=str)
 def test_site_step_factors_match_monodromy_products(name, n):
+    # every product that the M walk (C1(j), C2(j)) and the single-row walk
+    # (C0(j)) make while the derivation builds M and the single-row matrices
     model = build_bcn(n) if name == "bcn" else build_dn(n)
     d = model.derivation
-    for j in range(n + 1, 0, -1):  # from the top, so each step recurses
-        for got, want in zip(d.chain(j), double_row_oracle.chain(d, j)):
+    made, walk = {}, d._walk
+
+    def spy(products, signs):
+        for j, ps in walk(products, signs):
+            made.setdefault(len(ps), []).append((j, ps))
+            yield j, ps
+
+    d._walk = spy
+    d.M(1, 1), d.sts(1)
+    sites = [j for j, _ in made[2]]
+    assert sites == [j for j, _ in made[1]]
+    for (j, (c0,)), (_, (c1, c2)) in zip(made[1], made[2]):
+        for got, want in zip((c0, c1, c2), double_row_oracle.chain(d, j)):
             assert_same(got, want)
+    assert sites == list(range(1, n + 2))

@@ -4,7 +4,7 @@ import pytest
 
 from bilax.backend import QQ
 from bilax.double_row import check_theorem_zc, check_transfer_commutation
-from bilax.phase_ring import Fraction, StructureError, casimir
+from bilax.phase_ring import Fraction, StructureError
 from bilax.spectral_matrix import (
     bracket_scalar_matrix,
     identity,
@@ -20,6 +20,7 @@ from bilax.toda_models import (
     build_bcn,
     build_dn,
     canonical_map_bcn,
+    casimir,
     derived_eom,
     displayed_flow_indices,
     displayed_flow_matrix,
@@ -208,8 +209,10 @@ def test_dn_f_flow_relation(dn2):
 
 
 def test_dn_casimir_conserved(dn2):
+    E, F, H = (dn2.ring.gen(g) for g in "EFH")
+    assert casimir(dn2.ring) == H * H + E * F
     assert dn2.ps.bracket_fraction(
-        hamiltonian(dn2), Fraction(casimir(dn2.ps))
+        hamiltonian(dn2), Fraction(casimir(dn2.ring))
     ).is_zero
 
 
