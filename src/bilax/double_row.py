@@ -22,7 +22,7 @@ them to every check.  Every reader asks for them at the spectral points of
 the zero-curvature layout, mu and -mu, so the derivation keys them by site
 and sign, (j, +-1).  The module-level builders (``double_row_transfer``,
 ``boundary_M``, ...) are one-shot wrappers that make a fresh derivation per
-call, at any spectral point.
+call; ``boundary_M`` reads its walk at any spectral point.
 """
 
 from __future__ import annotations
@@ -147,8 +147,9 @@ class Derivation:
     mutated r-builder runs through the same code as the stock one; the two
     r-insertions of M are one ``contract``, each entry one ``dot`` of eight
     products, as each entry of an M-pairing M_l X - X M_r is one ``dot`` of
-    four (``_paired``).  While lam is mu-free, each matrix at -mu is the one
-    at +mu reflected in mu (``Fraction.reflect``).
+    four (``_paired``).  Each matrix at -mu is the one at +mu reflected in mu
+    (``Fraction.reflect``, ``_signed``), so a derivation whose lam involves
+    mu has none.
 
     Build one per model and r-builder: the memo trusts that lax, k-, k+ and
     the r-builder never change.
@@ -202,9 +203,12 @@ class Derivation:
                                  for c, s in zip(products, signs))
             yield j, products
 
-    def _check_site(self, j: int):
+    def _check_site(self, j: int, s: int = 1):
+        """Raise, before any build, unless j is a site and ``_signed`` serves s."""
         if not 1 <= j <= self.N + 1:
             raise StructureError("site index %d out of range 1..%d" % (j, self.N + 1))
+        if s != 1 and (s != -1 or self.lam.involves("mu")):
+            raise StructureError("no matrix at sign %r (1, or -1 while lam is mu-free)" % (s,))
 
     # -- transfer scalars and Hamiltonian ---------------------------------
 
@@ -243,19 +247,12 @@ class Derivation:
         for j, (c1, c2) in self._walk(self.ends, (1, -1)):
             yield j, contract(r_ab, c1, r_ba, c2)
 
-    def M_at(self, j: int, mu_expr: RingElement) -> SpectralMatrix:
-        """Boundary generating function M(j, lam, mu_expr) of boundary_M,
-        built afresh at any spectral point by a walk to site j."""
-        self._check_site(j)
-        return next(m for k, m in self._generating(mu_expr) if k == j)
-
     def M(self, j: int, s: int) -> SpectralMatrix:
         """M(j, lam, s*mu), memoised; a miss at +mu walks every site."""
-        self._check_site(j)
-        if s == 1 and (j, 1) not in self.generating:
+        self._check_site(j, s)
+        if (j, 1) not in self.generating:
             self.generating.update(((k, 1), m) for k, m in self._generating(mu(self.ring)))
-        return self._signed(self.generating, self.M, j, s,
-                            lambda: self.M_at(j, s * mu(self.ring)))
+        return self._signed(self.generating, j, s)
 
     def sts(self, j: int) -> SpectralMatrix:
         """Single-row generating function tr_a(L_a(N,j) r_ab(lam-mu) L_a(j-1,1))
@@ -269,19 +266,19 @@ class Derivation:
 
     def flow(self, j: int, s: int) -> SpectralMatrix:
         """Time part of the Lax pair at site index j, at spectral point s*mu."""
-        return self._signed(self.flows, self.flow, j, s, lambda: extract_M(
-            self.M(j, s), self.expansion, self._recipe()
-        ))
+        self._check_site(j, s)
+        if (j, 1) not in self.flows:
+            self.flows[j, 1] = extract_M(self.M(j, 1), self.expansion, self._recipe())
+        return self._signed(self.flows, j, s)
 
-    def _signed(self, table: dict, getter, j: int, s: int, build):
-        """table's matrix at (j, s), built on first use; at s = -1 it is
-        getter(j, 1) reflected in mu, which is what a fresh build gives, as
-        all but the r-builder's argument is mu-free."""
-        if s not in (1, -1):
-            raise StructureError("spectral sign %r is not 1 or -1" % (s,))
-        if s == -1 and not self.lam.involves("mu"):
-            build = lambda: getter(j, 1).map_entries(lambda e: e.reflect("mu"))
-        return _memo(table, (j, s), build)
+    def _signed(self, table: dict, j: int, s: int) -> SpectralMatrix:
+        """table's matrix at (j, s), given the one at (j, 1); at s = -1 it is
+        that one reflected in mu, which is what a build at -mu gives, as all
+        but the r-builder's argument is mu-free."""
+        m = table.get((j, s))
+        if m is None:
+            m = table[j, s] = table[j, 1].map_entries(lambda e: e.reflect("mu"))
+        return m
 
     @cached_property
     def layout(self) -> tuple:
@@ -304,13 +301,6 @@ class Derivation:
             ("kminus", self.km(m_), (1, 1), (1, -1)),
             ("kplus", self.kp(m_), (n + 1, -1), (n + 1, 1)),
         )
-
-
-def _memo(table: dict, key, build):
-    m = table.get(key)
-    if m is None:
-        m = table[key] = build()
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +349,14 @@ def boundary_M(lax, km, kp, N: int, j: int, lam_expr, mu_expr, r_builder=None) -
 
     for j = 1..N+1 with the empty-range conventions L(0,1) = L(N,N+1) = 1.
     """
-    return Derivation(lax, km, kp, N, lam_expr, r_builder).M_at(j, mu_expr)
+    d = Derivation(lax, km, kp, N, lam_expr, r_builder)
+    d._check_site(j)
+    return next(m for k, m in d._generating(mu_expr) if k == j)
 
 
 def flow_matrix(lax, km, kp, N: int, j: int, mu_expr, exp, recipe, r_builder=None) -> SpectralMatrix:
     """Time part of the Lax pair at site index j, at spectral point mu_expr."""
-    ring = mu_expr.ring
-    gen = boundary_M(lax, km, kp, N, j, lam(ring), mu_expr, r_builder)
+    gen = boundary_M(lax, km, kp, N, j, lam(mu_expr.ring), mu_expr, r_builder)
     return extract_M(gen, exp, recipe)
 
 
@@ -453,16 +444,12 @@ def transfer_commutator(ps, exp: dict) -> Fraction:
     monomial pairs are independent, so this vanishes iff every {s_p, s_q}
     does; only the nonzero brackets enter the sum.
     """
-    ring = ps.ring
-    l_, m_ = lam(ring), mu(ring)
+    l_, m_ = lam(ps.ring), mu(ps.ring)
     items = list(exp.items())
-    out = Fraction(ring.zero)
-    for i, (p, sp) in enumerate(items):
-        for q, sq in items[i + 1:]:
-            c = ps.bracket_fraction(sp, sq)
-            if not c.is_zero:
-                out = out + c * Fraction(l_ ** p * m_ ** q - l_ ** q * m_ ** p)
-    return out
+    return dot(ps.ring, (
+        (ps.bracket_fraction(sp, sq), Fraction(l_ ** p * m_ ** q - l_ ** q * m_ ** p))
+        for i, (p, sp) in enumerate(items) for q, sq in items[i + 1:]
+    ))
 
 
 def check_transfer_commutation(ps, d: Derivation) -> RelationReport:

@@ -237,8 +237,6 @@ class CompiledVectorField:
     right-hand side, both on a tuple of floats in ``state_names`` order.
     """
 
-    model: ModelSpec
-    names: list
     rhs: Callable
     step: Callable
 
@@ -299,7 +297,7 @@ def vector_field(model: ModelSpec) -> CompiledVectorField:
         ns = {"exp": math.exp, "SingularityError": SingularityError,
               "inf": math.inf, "nan": math.nan}
         exec("".join(src), ns)
-        return CompiledVectorField(model, names, ns["rhs"], ns["step"])
+        return CompiledVectorField(ns["rhs"], ns["step"])
 
     return model.cached("vector_field", build)
 
@@ -536,9 +534,8 @@ def dn_x0_relation_residual(model: ModelSpec, traj: Trajectory) -> np.ndarray:
     Both sides are evaluated through the exact flow (the second derivative
     is the bracket applied twice), with c0, c1 read from the configured
     parameters; the initial data must sit on the corresponding level sets.
+    Any other model raises ``StructureError`` (``dn_boundary_elimination``).
     """
-    if model.name != "dn":
-        raise StructureError("x0 relation is a dn diagnostic")
     fn = _compiled(model, "compiled_x0_residual", lambda: dn_x0_relation(model))
     residual = np.abs(fn(state_columns(model, traj.states)))
     traj.channels["x0_relation_residual"] = residual
@@ -572,7 +569,8 @@ def write_csv(model: ModelSpec, traj: Trajectory, path: str):
 
 
 def write_svg(traj: Trajectory, path: str):
-    """Minimal line plot of diagnostic channels (one polyline each)."""
+    """Minimal line plot of diagnostic channels, one polyline each over its
+    finite samples, scaled to the largest; the legend prints the peak."""
     names = sorted(traj.channels)
     width, height = 800, 400
     t = traj.times
@@ -585,13 +583,13 @@ def write_svg(traj: Trajectory, path: str):
     margin = 40.0
     t_span = max(float(t[-1] - t[0]), 1e-300)
     for idx, name in enumerate(names):
-        y = np.asarray(traj.channels[name], dtype=float)
-        y_max = max(float(np.max(np.abs(y))), 1e-300)
-        pts = []
-        for i in range(len(t)):
-            px = margin + (width - 2 * margin) * float(t[i] - t[0]) / t_span
-            py = height - margin - (height - 2 * margin) * abs(float(y[i])) / y_max
-            pts.append("%.2f,%.2f" % (px, py))
+        y = np.abs(np.asarray(traj.channels[name], dtype=float))
+        peak = max(float(np.max(y)), 1e-300)  # inf or nan once a sample is
+        finite = np.isfinite(y)
+        y_max = max(float(np.max(y[finite], initial=0.0)), 1e-300)
+        pts = ["%.2f,%.2f" % (margin + (width - 2 * margin) * float(t[i] - t[0]) / t_span,
+                              height - margin - (height - 2 * margin) * float(y[i]) / y_max)
+               for i in np.flatnonzero(finite)]
         color = palette[idx % len(palette)]
         lines.append(
             '<polyline fill="none" stroke="%s" stroke-width="1" points="%s"/>'
@@ -599,7 +597,7 @@ def write_svg(traj: Trajectory, path: str):
         )
         lines.append(
             '<text x="%d" y="%d" fill="%s" font-size="12">%s (max %.3e)</text>'
-            % (int(margin), int(margin) + 14 * idx, color, name, y_max)
+            % (int(margin), int(margin) + 14 * idx, color, name, peak)
         )
     lines.append("</svg>")
     with open(path, "w") as fh:

@@ -273,16 +273,16 @@ def det_2x2(m: SpectralMatrix) -> Fraction:
 
 
 def inverse_2x2(m: SpectralMatrix) -> SpectralMatrix:
-    """Adjugate over determinant; requires det != 0 as a rational function."""
+    """Adjugate times 1/det, one reciprocal; requires det != 0 as a rational function."""
     d = det_2x2(m)
     if d.is_zero:
         raise StructureError("matrix has identically zero determinant")
-    r = m.rows
+    r, inv = m.rows, d.reciprocal()
     return SpectralMatrix(
         m.ring,
         [
-            [r[1][1] / d, -r[0][1] / d],
-            [-r[1][0] / d, r[0][0] / d],
+            [r[1][1] * inv, -r[0][1] * inv],
+            [-r[1][0] * inv, r[0][0] * inv],
         ],
     )
 

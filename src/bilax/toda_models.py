@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .backend import QQ
-from .double_row import Derivation, Recipe, _memo
+from .double_row import Derivation, Recipe
 from .phase_ring import (
     Fraction,
     Generator,
@@ -77,7 +77,7 @@ class ModelSpec:
         ))
 
     def cached(self, key, build):
-        return _memo(self._cache, key, build)
+        return self._cache[key] if key in self._cache else self._cache.setdefault(key, build())
 
 
 def toda_ring(N: int, dynamical: bool = False) -> PhaseRing:

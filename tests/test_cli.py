@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -294,6 +296,21 @@ def test_simulate_svg(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "run.svg").read_text().startswith("<svg")
+
+
+def test_simulate_svg_leaves_non_finite_samples_out(tmp_path):
+    # mu = 1e150 overflows the zero-curvature residual: its peak reads inf
+    # or nan, the gate fails the run, and the plot keeps finite points only
+    p = tmp_path / "run.csv"
+    code = main(["simulate", "--model", "dn", "--N", "2", "--steps", "5",
+                 "--mu-samples", "1e150", "--format", "svg", "--output", str(p)])
+    assert code == 1
+    svg = (tmp_path / "run.svg").read_text()
+    points = re.findall(r'points="([^"]*)"', svg)
+    assert len(points) == svg.count("<polyline")
+    coords = [float(c) for ps in points for xy in ps.split() for c in xy.split(",")]
+    assert coords and all(map(math.isfinite, coords))
+    assert "boundary_residual (max nan)" in svg and "zc_residual (max inf)" in svg
 
 
 @pytest.mark.parametrize("fmt", ["json", "svg"])

@@ -77,6 +77,24 @@ def test_a_sign_other_than_plus_or_minus_one_raises():
     assert d.generating == {} and d.flows == {}
 
 
+@pytest.mark.parametrize("name", ["bcn", "dn"])
+def test_a_mu_dependent_lam_has_matrices_at_plus_mu_only(name):
+    # M(j, -mu) is M(j, mu) reflected in mu only while lam is mu-free, and
+    # the derivation builds no matrix at -mu any other way
+    model = build(name, 2)
+    l_, m_ = lam(model.ring), mu(model.ring)
+    d = Derivation(model.lax, model.km, model.kp, 2, l_ + m_, recipe=model.recipe)
+    b = oracle.double_row_transfer(model.lax, model.km, model.kp, 2, l_ + m_)
+    assert d.b == b and str(d.b) == str(b)
+    for j in range(1, 4):
+        want = oracle.boundary_M(model.lax, model.km, model.kp, 2, j, l_ + m_, m_)
+        assert d.M(j, 1) == want and str(d.M(j, 1)) == str(want)
+        for read in (d.M, d.flow):
+            with pytest.raises(StructureError):
+                read(j, -1)
+    assert set(d.generating) == {(j, 1) for j in range(1, 4)} and d.flows == {}
+
+
 @pytest.mark.parametrize("name,n", [("bcn", 3), ("dn", 3)], ids=str)
 def test_verify_builds_interior_matrices_at_plus_mu_only(name, n):
     # the layout reads M and the flows at -mu only at the boundary sites
@@ -162,10 +180,15 @@ def test_sts_identity_fails_on_each_flipped_r_entry(name):
         assert not check_sts_identity(model.ps, d).holds, (i, j)
 
 
-def test_one_shot_boundary_m_matches_oracle(bcn2):
-    l_, m_ = lam(bcn2.ring), mu(bcn2.ring)
-    args = (bcn2.lax, bcn2.km, bcn2.kp, 2, 2, l_ + 1, m_ * 3)
-    assert str(boundary_M(*args)) == str(oracle.boundary_M(*args))
+def test_one_shot_boundary_m_matches_oracle():
+    # the one-shot builder reads the walk at any spectral point
+    for model in (build_bcn(1), build_bcn(2), build_dn(2)):
+        l_, m_ = lam(model.ring), mu(model.ring)
+        for j in range(1, model.N + 2):
+            for point in ((l_, m_), (l_, -m_), (l_ + 1, m_ * 3)):
+                args = (model.lax, model.km, model.kp, model.N, j, *point)
+                got, want = boundary_M(*args), oracle.boundary_M(*args)
+                assert got == want and str(got) == str(want)
 
 
 def test_each_model_owns_its_derivation():

@@ -374,6 +374,14 @@ def test_dn_conservation_channels(dn2):
     assert float(x0.max()) <= 1e-8
 
 
+def test_x0_relation_is_a_dn_diagnostic(bcn1):
+    # the dn boundary elimination refuses any other model
+    traj = integrate(bcn1, random_phase_point(bcn1, np.random.default_rng(0)), 1e-3, 2)
+    with pytest.raises(StructureError):
+        dn_x0_relation_residual(bcn1, traj)
+    assert "x0_relation_residual" not in traj.channels
+
+
 def test_min_abs_f_minus_ex1(dn2, bcn2):
     p0 = random_phase_point(dn2, np.random.default_rng(0), amplitude=0.2)
     traj = integrate(dn2, p0, 1e-3, 300)

@@ -196,7 +196,7 @@ PS_RATIONAL = toda_structure(RING)
 PS_RATIONAL.set_bracket("E", "F", H * PyFraction(1, 2))
 PS_RATIONAL.set_bracket("X1", "u1", U1 * PyFraction(-2, 3))
 #: field-free denominators and field ones, one with a rational coefficient
-DENOMINATORS = (C0, LAM - MU, F - U1, E + PyFraction(1, 2), 3 * H - PyFraction(2, 3))
+DENOMINATORS = (C0, LAM - MU, F - U1, E + 2, E + PyFraction(1, 2), 3 * H - PyFraction(2, 3))
 
 small_fractions = st.builds(
     lambda num, dens: Fraction(RING.element(num), functools.reduce(operator.mul, dens, RING.one)),
@@ -208,6 +208,9 @@ small_fractions = st.builds(
 @few
 @given(small_fractions, small_fractions, st.sampled_from((PS, PS_RATIONAL)))
 @example(Fraction(3 * X1 * E, C0), Fraction(U1 + F, E + PyFraction(1, 2)), PS_RATIONAL)
+# rational coefficients over a field-free and a field denominator: a wrong
+# den fails here at once, before any search or shrinking
+@example(Fraction(X1 * E * PyFraction(3, 2), C0), Fraction(U1 + F, E + 2), PS)
 def test_bracket_fraction_matches_sympy(f, g, ps):
     # sympy differentiates the quotients itself: no bilax quotient rule
     r = ps.bracket_fraction(f, g)

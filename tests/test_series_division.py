@@ -68,7 +68,9 @@ def test_shifted_generating_matrix_coefficients_match_oracle(name):
     model = build(name, 2)
     ring = model.ring
     for j in range(1, 4):
-        gen = boundary_M(model.lax, model.km, model.kp, 2, j, lam(ring) + 1, 3 * mu(ring))
+        args = (model.lax, model.km, model.kp, 2, j, lam(ring) + 1, 3 * mu(ring))
+        gen, want = boundary_M(*args), double_row_oracle.boundary_M(*args)
+        assert gen == want and str(gen) == str(want)
         assert_matches_oracle(gen, model.recipe.powers)
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bilax.double_row import Derivation
 from bilax.phase_ring import Fraction, StructureError
 from bilax.spectral_matrix import (
     SpectralMatrix,
@@ -261,6 +262,27 @@ def test_inverse_product_cross_multiplied(model):
     ring = model.ring
     m = SpectralMatrix(ring, [[lam(ring) + 1, ring.gen("u1")], [ring.one, lam(ring)]])
     assert m @ inverse_2x2(m) == identity(ring, 2)
+
+
+def test_inverse_takes_one_reciprocal_of_the_determinant(model, monkeypatch):
+    # the adjugate times 1/det, not four divisions by det; each entry is
+    # what the division gives, printed form included
+    ring = model.ring
+    m = SpectralMatrix(ring, [[lam(ring) + 1, ring.gen("u1")],
+                              [Fraction(ring.one, ring.gen("a1")), lam(ring)]])
+    d = det_2x2(m)
+    want = [[m[1, 1] / d, -m[0, 1] / d], [-m[1, 0] / d, m[0, 0] / d]]
+    calls = []
+    reciprocal = Fraction.reciprocal
+    monkeypatch.setattr(Fraction, "reciprocal", lambda f: calls.append(f) or reciprocal(f))
+    got = inverse_2x2(m)
+    assert calls == [d]
+    assert [[str(e) for e in row] for row in got.rows] == [[str(e) for e in row] for row in want]
+    assert got.rows == tuple(map(tuple, want))
+    calls.clear()
+    n = model.N
+    Derivation(model.lax, model.km, model.kp, n, lam(ring)).sites  # one inverse per l(k, +-lam)
+    assert len(calls) == 2 * n
 
 
 def test_inverse_rejects_singular(model):
