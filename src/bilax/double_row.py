@@ -103,7 +103,8 @@ def expand(value: Fraction) -> dict:
     for el, _ in value.den_factors:
         if el.involves("lam"):
             raise StructureError("transfer scalar has a lam-dependent denominator")
-    return {p: Fraction(c, value.den) for p, c in value.num.by_degree("lam").items()}
+    den = value.den
+    return {p: Fraction(c, den) for p, c in value.num.by_degree("lam").items()}
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,10 @@ def random_phase_point(
         except OverflowError:
             raise StructureError("amplitude puts e^x1 past the float range") from None
         f = u1 + c0 / 2.0
+        if abs(f - u1) < DEN_EPS <= abs(c0 / 2.0):
+            raise StructureError(
+                "amplitude puts e^x1 = %.3g too far above c0/2 = %g: the level "
+                "set F - e^x1 = c0/2 cannot be represented" % (u1, c0 / 2.0))
         if abs(f - u1) < DEN_EPS or abs(f) < DEN_EPS:
             raise StructureError("c0 puts the initial data on a singular level set")
         h = float(rng.uniform(-0.5, 0.5)) * amplitude

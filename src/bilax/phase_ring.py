@@ -16,16 +16,15 @@ multivariate gcd; equality is decided by cross-multiplication.
 
 Each operation has one implementation: ``RingElement._coerce`` is the one
 coercion rule (``as_fraction`` uses it too), ``RingElement.__pow__`` the one
-power (cached by ``PhaseRing._pow``, used by ``Fraction.__pow__``),
-``_push_den`` the one denominator normaliser (for ``reciprocal``,
-``reflect`` and negative powers too), ``Fraction._init`` the one
-constructor, ``dot`` the one sum of products (``substitute`` too; it shares
-``_lcd``, the one common denominator, with ``Fraction.__add__`` and
-``__sub__``), ``Fraction.partials`` the one derivative,
-``bracket_fraction`` the one bracket, which ``bracket`` runs through, and
-``RingElement.by_degree`` the one reader of a generator's coefficients;
-``_reduced`` is the one place an element is made canonical.  No
-element or Fraction changes once built: each keeps its ``key()`` or its
+power (used by ``Fraction.__pow__``), ``_push_den`` the one denominator
+normaliser (for ``reciprocal``, ``reflect`` and negative powers too),
+``Fraction._init`` the one constructor, ``dot`` the one sum of products
+(``substitute`` too; it shares ``_lcd``, the one common denominator, with
+``Fraction.__add__`` and ``__sub__``), ``Fraction.partials`` the one
+derivative, ``bracket_fraction`` the one bracket, which ``bracket`` runs
+through, and ``RingElement.by_degree`` the one reader of a generator's
+coefficients; ``_reduced`` is the one place an element is made canonical.
+No element or Fraction changes once built: each keeps its ``key()`` or its
 partials.  Every Fraction is canonical, so negation keeps its factors.  The
 model declares the bracket table (``toda_models.toda_structure``).
 """
@@ -105,14 +104,11 @@ class PhaseRing:
         self.laurent = tuple(g.kind is Kind.COORD_EXP for g in gens)
         #: exponent packing of this ring's term keys
         self.pk = Packing(self.laurent)
-        #: key of the constant monomial
-        self.zero_exp = self.pk.one
         self._nonparameter_slots = tuple(i for i, g in enumerate(gens) if g.kind is not Kind.PARAMETER)
         #: field generator slots in ring order; simulate state i drives slot i
         self.field_slots = tuple(i for i, g in enumerate(gens) if g.kind in FIELD_KINDS)
-        self._pow_cache: dict = {}
         self.zero = RingElement(self, {})
-        self.one = RingElement(self, {self.zero_exp: 1})
+        self.one = RingElement(self, {self.pk.one: 1})
 
     def __repr__(self):
         return "PhaseRing(%s)" % ", ".join(self.names)
@@ -125,7 +121,7 @@ class PhaseRing:
 
     def gen(self, name: str) -> "RingElement":
         i = self.slot(name)
-        return RingElement(self, {self.zero_exp + (1 << self.pk.shifts[i]): 1})
+        return RingElement(self, {self.pk.one + (1 << self.pk.shifts[i]): 1})
 
     def kind_of(self, name: str) -> Kind:
         return self.generators[self.slot(name)].kind
@@ -135,7 +131,7 @@ class PhaseRing:
 
     def const(self, c) -> "RingElement":
         c, d = _qq(c)
-        return RingElement(self, {self.zero_exp: c} if c else {}, d)
+        return RingElement(self, {self.pk.one: c} if c else {}, d)
 
     def monomial(self, powers: dict, coeff=1) -> "RingElement":
         """Monomial from {generator name: exponent}; only u may be negative."""
@@ -158,17 +154,6 @@ class PhaseRing:
         den = lcm(*(d for _, c, d in ratios if c))
         return RingElement(self, {self.pk.pack(exps): c * (den // d)
                                   for exps, c, d in ratios if c}, den)
-
-    def _pow(self, el: "RingElement", p: int) -> "RingElement":
-        """el ** p, kept per (element, power).  Almost every lookup is at
-        p = 1, but a hit still skips the dict copy and the ``finish`` of
-        ``el ** 1``: without the cache, verify at N=3 and 5 ran 2-14 %
-        slower and dn N=2 simulate 10 % slower (2 vCPU)."""
-        key = (el.key(), p)
-        out = self._pow_cache.get(key)
-        if out is None:
-            out = self._pow_cache[key] = el ** p
-        return out
 
 
 class RingElement:
@@ -197,7 +182,7 @@ class RingElement:
     @property
     def is_constant(self) -> bool:
         return not self.terms or (
-            len(self.terms) == 1 and self.ring.zero_exp in self.terms
+            len(self.terms) == 1 and self.ring.pk.one in self.terms
         )
 
     def constant_value(self):
@@ -205,7 +190,7 @@ class RingElement:
             return 0
         if not self.is_constant:
             raise StructureError("not a constant: %s" % self)
-        return _rational(self.terms[self.ring.zero_exp], self.den)
+        return _rational(self.terms[self.ring.pk.one], self.den)
 
     def is_parameter_constant(self) -> bool:
         """True when no field or spectral generator appears."""
@@ -269,8 +254,11 @@ class RingElement:
         return RingElement(self.ring, K.neg(self.terms), self.den)
 
     def __pow__(self, p: int):
+        """self ** p; self itself at p = 1, as no element changes once built."""
         if not isinstance(p, int):
             return NotImplemented
+        if p == 1:
+            return self
         pk = self.ring.pk
         if p < 0:
             if len(self.terms) != 1:
@@ -282,7 +270,7 @@ class RingElement:
             return out
         # canonical without a gcd: by Gauss's lemma the content of a
         # power is the power of the content, still coprime to den ** p
-        out = {self.ring.zero_exp: 1}
+        out = {pk.one: 1}
         base = self.terms
         k = p
         while k:
@@ -497,7 +485,7 @@ def _cancel(ring: PhaseRing, num: RingElement, factors: dict) -> tuple:
 class Fraction:
     """Quotient of ring elements with a factored, content-reduced denominator."""
 
-    __slots__ = ("ring", "num", "_factors", "_den", "_partials")
+    __slots__ = ("ring", "num", "_factors", "_partials")
 
     def __init__(self, num: RingElement, den: RingElement | None = None):
         if isinstance(num, Fraction):
@@ -514,7 +502,6 @@ class Fraction:
         """Set the fields; factors are cancelled against num first."""
         self.num, self._factors = _cancel(ring, num, factors)
         self.ring = ring
-        self._den = None
 
     @classmethod
     def _make(cls, ring: PhaseRing, num: RingElement, factors: dict) -> "Fraction":
@@ -526,12 +513,10 @@ class Fraction:
 
     @property
     def den(self) -> RingElement:
-        d = self._den
-        if d is None:
-            d = self.ring.one
-            for el, p in self._factors:
-                d = d * self.ring._pow(el, p)
-            self._den = d
+        """The product of the factor powers, multiplied out on each read."""
+        d = self.ring.one
+        for el, p in self._factors:
+            d = d * el ** p
         return d
 
     @property
@@ -579,7 +564,7 @@ class Fraction:
             return self
         if self.is_zero:
             return -o if op is K.sub else o
-        union, a, b = _lcd(self.ring, self._factor_dict(), self.num, o._factor_dict(), o.num)
+        union, a, b = _lcd(self._factor_dict(), self.num, o._factor_dict(), o.num)
         return Fraction._make(self.ring, _combine(a, b, op), union)
 
     def __add__(self, other):
@@ -634,10 +619,7 @@ class Fraction:
         return o.__mul__(self.reciprocal())
 
     def __neg__(self):
-        out = object.__new__(Fraction)
-        out.ring, out._factors, out._den = self.ring, self._factors, self._den
-        out.num = -self.num
-        return out
+        return Fraction._make(self.ring, -self.num, self._factor_dict())
 
     def reciprocal(self) -> "Fraction":
         if self.is_zero:
@@ -699,7 +681,7 @@ class Fraction:
         return "<Fraction %s>" % self
 
 
-def _lcd(ring: PhaseRing, fa: dict, a: RingElement, fb: dict, b: RingElement) -> tuple:
+def _lcd(fa: dict, a: RingElement, fb: dict, b: RingElement) -> tuple:
     """(union, a', b'): the factor dicts fa and fb joined at the larger power
     of each factor, and the numerators a and b multiplied by the powers
     their own factors lack."""
@@ -711,9 +693,9 @@ def _lcd(ring: PhaseRing, fa: dict, a: RingElement, fb: dict, b: RingElement) ->
         pa = p - fa.get(key, (None, 0))[1]
         pb = p - fb.get(key, (None, 0))[1]
         if pa:
-            a = a * ring._pow(el, pa)
+            a = a * el ** pa
         if pb:
-            b = b * ring._pow(el, pb)
+            b = b * el ** pb
     return union, a, b
 
 
@@ -749,7 +731,7 @@ def dot(ring: PhaseRing, pairs) -> Fraction:
         if factors != union:
             acc = K.finish(acc, ring.pk) if acc else acc
             if acc:
-                union, a_acc, a = _lcd(ring, union, RingElement(ring, acc, den), factors, a)
+                union, a_acc, a = _lcd(union, RingElement(ring, acc, den), factors, a)
                 acc, den = a_acc.terms, a_acc.den
             else:
                 union = factors

@@ -147,11 +147,11 @@ def lambda_series_coefficient(value: Fraction, p: int) -> Fraction:
 
     # S_m coefficients of lam^-(shift+m) in prod 1/(c*lam+g)^e
     pk = ring.pk
-    series = {0: {ring.zero_exp: 1}}
+    series = {0: {ring.pk.one: 1}}
     for c, g, e in series_factors:
         inv_c = quo(1, c)
         fac = {}
-        gk = {ring.zero_exp: 1}  # g^k, built incrementally
+        gk = {ring.pk.one: 1}  # g^k, built incrementally
         for k_ in range(depth + 1):
             coef = canon(math.comb(e - 1 + k_, k_) * (-1) ** k_ * inv_c ** (e + k_))
             fac[k_] = K.scale(gk, coef)

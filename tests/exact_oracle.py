@@ -451,7 +451,7 @@ def fraction_combine(x: Fraction, y: Fraction, op) -> Fraction:
     if x._factors == y._factors:
         num = op(rational(x.num), rational(y.num))
         return Fraction._make(x.ring, element(x.ring, num), x._factor_dict())
-    union, a, b = _lcd(x.ring, x._factor_dict(), x.num, y._factor_dict(), y.num)
+    union, a, b = _lcd(x._factor_dict(), x.num, y._factor_dict(), y.num)
     return Fraction._make(x.ring, element(x.ring, op(rational(a), rational(b))), union)
 
 

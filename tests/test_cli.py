@@ -427,6 +427,22 @@ def test_simulate_bad_seed_amplitude_or_tolerance_is_a_config_error(
     assert not out.exists() and not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("option,value,message", [
+    # seed 0 draws x1 = 191.75: e^x1 = 1.9e83 absorbs c0/2 = 1
+    ("--amplitude", "700", "amplitude puts e^x1 = 1.88e+83 too far above c0/2 = 1"),
+    ("--params", '{"c0": 1e-320}', "c0 puts the initial data on a singular level set"),
+], ids=["amplitude", "c0"])
+def test_simulate_dn_unrepresentable_level_set_names_its_cause(
+    tmp_path, capsys, option, value, message
+):
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--model", "dn", "--N", "2", "--steps", "5",
+            option, value, "--output", str(out)]
+    assert main(argv) == 2
+    assert "config error: %s" % message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_infinite_tolerance_turns_its_gate_off(tmp_path, capsys):
     argv = ["simulate", "--model", "bcn", "--N", "2", "--dt", "0.2",
             "--steps", "100", "--output", str(tmp_path / "s.csv")]

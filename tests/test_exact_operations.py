@@ -19,7 +19,8 @@
 * ``dot`` finishes its accumulator once (``kernel.finish``) over k products
   with one factor set.  Negation and difference keep the canonical form:
   ``-x`` and ``x - y`` equal, in the same three ways, a fresh canonical
-  build of the negated numerator and ``x + (-y)``.
+  build of the negated numerator and ``x + (-y)``; ``-x`` equals ``x * -1``
+  and ``-(-x)`` equals x.
 * The Fraction power: ``f ** p`` must equal, in the same three ways, the
   repeated squaring of Fraction products in ``tests/exact_oracle.py``.
 * The former pass-through layers: ``rational_r_builder``, which builds P
@@ -54,7 +55,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact_oracle as oracle
@@ -286,10 +287,15 @@ def old_neg(x):
 
 @bounded
 @given(entries(DOT_FACTORS), entries(DOT_FACTORS), st.booleans())
+# an atom factor and a non-atom one
+@example(Fraction(RING.gen("X1") + 1, LAM * (LAM - MU)), Fraction(LAM), False)
 def test_negation_and_difference_keep_the_canonical_form(x, y, same_factors):
     if same_factors:
         y = Fraction._make(RING, y.num, x._factor_dict())
     assert_same_fraction(-x, old_neg(x))
+    assert_same_fraction(-x, x * -1)
+    assert_same_fraction(-(-x), x)
+    assert x.den == x.den and str(x.den) == str(x.den)
     assert_same_fraction(x - y, x + old_neg(y))
     assert_same_fraction(x - y, x + (-y))
     assert_same_fraction(1 - x, Fraction(RING.one) + old_neg(x))

@@ -16,6 +16,11 @@ runs the largest generated step and channels.  A change that alters any of
 them must say so and regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+``verify-bcn6``, ``verify-dn7`` and ``verify-bcn7`` are pinned outside
+tier-1, by the ``scale`` job of ``.github/workflows/tier1.yml``; that job's
+loop shows how they are made (``--output report.json``, in an empty
+directory).
 """
 
 import contextlib

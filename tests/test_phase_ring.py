@@ -225,6 +225,7 @@ def test_ring_laws_random(ring):
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a
         assert a * b == b * a
+        assert a ** 1 is a
 
 
 def test_no_floats_allowed(ring):
